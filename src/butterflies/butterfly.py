@@ -507,20 +507,6 @@ class Fractor:
     right: TwoGroupFunctor
 
 
-def _kernel_pair_groupoid(sigma: GroupHom) -> tuple[Strict2Group, GroupHom, GroupHom]:
-    E = sigma.dom
-    RS, pr1, pr2 = product_and_pullback(sigma, sigma)
-    pos = {pair: idx for idx, pair in enumerate(zip(pr1.map, pr2.map))}
-    e = GroupHom(E, RS, tuple(pos[(x, x)] for x in range(E.order)))
-    i = GroupHom(RS, RS, tuple(pos[(pr2.map[a], pr1.map[a])] for a in range(RS.order)))
-    m = {}
-    for a in range(RS.order):
-        for b in range(RS.order):
-            if pr2.map[a] == pr1.map[b]:
-                m[(a, b)] = pos[(pr1.map[a], pr2.map[b])]
-    return Strict2Group(RS, E, pr1, pr2, e, m, i), pr1, pr2
-
-
 def to_fractor(B: Butterfly) -> Fractor:
     """Present a butterfly as a pair of discrete fibrations over its middle group."""
     H2, G2 = denormalize(B.dom), denormalize(B.cod)
@@ -535,7 +521,10 @@ def to_fractor(B: Butterfly) -> Fractor:
         R.G1, H2.G1,
         tuple(h * nH0 + B.sigma.map[e] for h in range(B.dom.G.order) for e in range(nE)),
     )
-    Rsigma, pr1, pr2 = _kernel_pair_groupoid(B.sigma)
+    RS, pr1, pr2 = product_and_pullback(B.sigma, B.sigma)
+    pos = {pair: idx for idx, pair in enumerate(zip(pr1.map, pr2.map))}
+    diagonal = GroupHom(E, RS, tuple(pos[(x, x)] for x in range(E.order)))
+    Rsigma = Strict2Group(RS, E, pr1, pr2, diagonal)
     iota_inv = {e: g for g, e in enumerate(B.iota.map)}
     nG0 = B.cod.G0.order
     rho_bar_map = []

@@ -31,7 +31,7 @@ from .butterfly import (
 from .errors import ButterflyError, ParseError, UnknownKind, UnknownSuite
 from .extension import classify_extensions, factor_set_oracle
 from .fingroup import FinGroup, cyclic_group, direct_product, symmetric_group, trivial_group
-from .laws import SUITES, generate_fixtures
+from .laws import FAULTS, SUITES, generate_fixtures
 from .report import ValidationReport
 from .weakmap import butterfly_from_monoidal, check_monoidal, extract_monoidal, set_section
 from .xmod import validate_crossed_module, validate_two_group, validate_xmod_morphism
@@ -333,12 +333,15 @@ def cmd_suite(args, ws: Workspace) -> int:
     for name in names:
         if name not in SUITES:
             raise UnknownSuite(f"unknown suite {name!r}; available: {', '.join(SUITES)} or all")
+    if args.fault is not None and FAULTS.get(args.fault) not in names:
+        known = ", ".join(f"{f} ({s})" for f, s in FAULTS.items())
+        raise UnknownSuite(f"no selected suite implements fault {args.fault!r}; known: {known}")
     fx = generate_fixtures(args.seed, args.bound)
     status = 0
     payload = []
     lines = []
     for name in names:
-        report = SUITES[name](fx, fault=args.fault)
+        report = SUITES[name](fx, fault=args.fault if FAULTS.get(args.fault) == name else None)
         payload.append(report.to_json())
         lines.append(str(report))
         if not report.ok:
@@ -417,7 +420,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bound", type=int, default=8)
-    p.add_argument("--fault", default=None, help="fault-injection mode (suites must fail)")
+    p.add_argument(
+        "--fault",
+        default=None,
+        help="fault-injection mode, the suite must fail: compose (bicategory) or two-cell-count (fractions)",
+    )
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("store", help="inspect the object store")

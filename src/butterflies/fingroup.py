@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BoundExceeded, CodomainMismatch, NotAGroup, NotNormal
 
@@ -478,15 +478,18 @@ def _generating_sequence(G: FinGroup) -> list[int]:
 
 
 def _extend_hom(G: FinGroup, H: FinGroup, gens: Sequence[int], images: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Grow a partial map on generators to a full map, or detect inconsistency."""
+    """Grow a partial map on generators to a full map, or detect inconsistency.
+
+    The closure sets m(a*g) = m(a)*h for every element a and generator g and
+    rejects any conflict, so a returned map is a homomorphism.
+    """
     m = [-1] * G.order
     m[0] = 0
     for g, h in zip(gens, images):
         if m[g] not in (-1, h):
             return None
         m[g] = h
-    frontier = [0] + [g for g in gens]
-    known = [a for a in frontier]
+    frontier = [0] + list(gens)
     while frontier:
         a = frontier.pop()
         for g, h in zip(gens, images):
@@ -495,34 +498,33 @@ def _extend_hom(G: FinGroup, H: FinGroup, gens: Sequence[int], images: Sequence[
             if m[b] == -1:
                 m[b] = image
                 frontier.append(b)
-                known.append(b)
             elif m[b] != image:
-                return None
-    if any(x == -1 for x in m):
-        return None
-    for a in range(G.order):
-        for b in range(G.order):
-            if m[G.table[a][b]] != H.table[m[a]][m[b]]:
                 return None
     return tuple(m)
 
 
-def all_homomorphisms(G: FinGroup, H: FinGroup) -> list[GroupHom]:
-    """Every homomorphism G -> H, in a deterministic order."""
+def _generator_images(G: FinGroup, H: FinGroup, bijective: bool) -> Iterator[tuple[int, ...]]:
+    """Every homomorphism G -> H (only the bijections when `bijective`), as maps,
+    in lexicographic order of the images of G's generating sequence.
+
+    A generator's image must have order dividing its own, or equal to it
+    for bijections.
+    """
     gens = _generating_sequence(G)
-    if not gens:
-        return [zero_hom(G, H)]
-    g_orders = [G.element_orders[g] for g in gens]
+    go, ho = G.element_orders, H.element_orders
     candidates = [
-        [b for b in range(H.order) if g_orders[i] % H.element_orders[b] == 0]
-        for i in range(len(gens))
+        [b for b in range(H.order) if (ho[b] == go[g] if bijective else go[g] % ho[b] == 0)]
+        for g in gens
     ]
-    found: list[GroupHom] = []
     for images in itertools.product(*candidates):
         m = _extend_hom(G, H, gens, images)
-        if m is not None:
-            found.append(GroupHom(G, H, m))
-    return found
+        if m is not None and (not bijective or len(set(m)) == G.order):
+            yield m
+
+
+def all_homomorphisms(G: FinGroup, H: FinGroup) -> list[GroupHom]:
+    """Every homomorphism G -> H, in a deterministic order."""
+    return [GroupHom(G, H, m) for m in _generator_images(G, H, bijective=False)]
 
 
 def isomorphism_search(
@@ -533,18 +535,8 @@ def isomorphism_search(
         raise BoundExceeded("isomorphism_search", max(G.order, H.order), bound)
     if G.order != H.order or G.order_profile() != H.order_profile():
         return None
-    gens = _generating_sequence(G)
-    if not gens:
-        return identity_hom(G) if G == H else GroupHom(G, H, (0,))
-    by_order: dict[int, list[int]] = {}
-    for b in range(H.order):
-        by_order.setdefault(H.element_orders[b], []).append(b)
-    candidates = [by_order.get(G.element_orders[g], []) for g in gens]
-    for images in itertools.product(*candidates):
-        m = _extend_hom(G, H, gens, images)
-        if m is not None and len(set(m)) == G.order:
-            return GroupHom(G, H, m)
-    return None
+    m = next(_generator_images(G, H, bijective=True), None)
+    return None if m is None else GroupHom(G, H, m)
 
 
 def automorphism_group(G: FinGroup, bound: int = DEFAULT_BOUND) -> tuple[FinGroup, GroupAction]:
@@ -555,22 +547,8 @@ def automorphism_group(G: FinGroup, bound: int = DEFAULT_BOUND) -> tuple[FinGrou
     """
     if G.order > bound:
         raise BoundExceeded("automorphism_group", G.order, bound)
-    gens = _generating_sequence(G)
-    autos: list[tuple[int, ...]] = []
-    if not gens:
-        autos = [(0,)]
-    else:
-        by_order: dict[int, list[int]] = {}
-        for b in range(G.order):
-            by_order.setdefault(G.element_orders[b], []).append(b)
-        candidates = [by_order.get(G.element_orders[g], []) for g in gens]
-        for images in itertools.product(*candidates):
-            m = _extend_hom(G, G, gens, images)
-            if m is not None and len(set(m)) == G.order:
-                autos.append(m)
-    autos.sort()
+    autos = sorted(_generator_images(G, G, bijective=True))
     pos = {p: i for i, p in enumerate(autos)}
-    n = len(autos)
     table = [[pos[tuple(p[q[a]] for a in range(G.order))] for q in autos] for p in autos]
     labels = tuple("id" if p == tuple(range(G.order)) else "f" + "".join(map(str, p)) for p in autos)
     A = FinGroup(table, f"Aut({G.name})", labels, _validated=True)

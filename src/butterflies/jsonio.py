@@ -3,8 +3,9 @@ monoidal functors, plus the canonical serialization used by the object store.
 
 Group tables are written verbatim; the loader relocates the identity to
 index 0 if needed and records the permutation used.  2-groups are written
-explicitly as (G1, G0, d, c, e); composition and inverses are reconstructed
-from the group structure.
+as (G1, G0, d, c, e) alone; their composition and inverse are derived.
+Every integer field is shape-checked before any constructor sees it, so
+malformed input is a ParseError.
 """
 
 from __future__ import annotations
@@ -157,16 +158,30 @@ def _require(data: dict, *fields: str) -> None:
             raise ParseError(f"missing field {field!r}")
 
 
+def _ints(value: Any, field: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+        raise ParseError(f"field {field!r} must be a list of integers")
+    return tuple(value)
+
+
+def _int_rows(value: Any, field: str) -> tuple[tuple[int, ...], ...]:
+    if not isinstance(value, list):
+        raise ParseError(f"field {field!r} must be a list of integer lists")
+    return tuple(_ints(row, field) for row in value)
+
+
 def group_from_json(data: Any, resolver: Optional[Resolver] = None) -> FinGroup:
     data = _resolve(data, resolver)
     _require(data, "table")
-    if "order" in data and data["order"] != len(data["table"]):
+    table = _int_rows(data["table"], "table")
+    if "order" in data and data["order"] != len(table):
         raise ParseError(f"declared order {data['order']} does not match the table")
     labels = data.get("labels")
-    try:
-        return construct_group(data["table"], data.get("name", "G"), labels)
-    except (TypeError, IndexError) as exc:
-        raise ParseError(f"bad group table: {exc}") from exc
+    if labels is not None and (
+        not isinstance(labels, list) or len(labels) != len(table) or not all(isinstance(x, str) for x in labels)
+    ):
+        raise ParseError("field 'labels' must hold one string per element")
+    return construct_group(table, data.get("name", "G"), labels)
 
 
 def xmod_from_json(data: Any, resolver: Optional[Resolver] = None) -> CrossedModule:
@@ -174,8 +189,8 @@ def xmod_from_json(data: Any, resolver: Optional[Resolver] = None) -> CrossedMod
     _require(data, "G", "G0", "boundary", "action")
     G = group_from_json(data["G"], resolver)
     G0 = group_from_json(data["G0"], resolver)
-    boundary = GroupHom(G, G0, tuple(data["boundary"]))
-    action = GroupAction(G0, G, tuple(tuple(p) for p in data["action"]))
+    boundary = GroupHom(G, G0, _ints(data["boundary"], "boundary"))
+    action = GroupAction(G0, G, _int_rows(data["action"], "action"))
     return CrossedModule(G, G0, boundary, action, name=data.get("name", ""))
 
 
@@ -184,19 +199,10 @@ def two_group_from_json(data: Any, resolver: Optional[Resolver] = None) -> Stric
     _require(data, "G1", "G0", "d", "c", "e")
     G1 = group_from_json(data["G1"], resolver)
     G0 = group_from_json(data["G0"], resolver)
-    d = GroupHom(G1, G0, tuple(data["d"]))
-    c = GroupHom(G1, G0, tuple(data["c"]))
-    e = GroupHom(G0, G1, tuple(data["e"]))
-    t, inv = G1.table, G1.inverse
-    m = {}
-    for f in range(G1.order):
-        for g in range(G1.order):
-            if c.map[f] == d.map[g]:
-                m[(f, g)] = t[t[f][inv[e.map[d.map[g]]]]][g]
-    i = GroupHom(
-        G1, G1, tuple(t[t[e.map[c.map[f]]][inv[f]]][e.map[d.map[f]]] for f in range(G1.order))
-    )
-    return Strict2Group(G1, G0, d, c, e, m, i)
+    d = GroupHom(G1, G0, _ints(data["d"], "d"))
+    c = GroupHom(G1, G0, _ints(data["c"], "c"))
+    e = GroupHom(G0, G1, _ints(data["e"], "e"))
+    return Strict2Group(G1, G0, d, c, e)
 
 
 def butterfly_from_json(data: Any, resolver: Optional[Resolver] = None) -> Butterfly:
@@ -209,10 +215,10 @@ def butterfly_from_json(data: Any, resolver: Optional[Resolver] = None) -> Butte
         dom=dom,
         cod=cod,
         E=E,
-        kappa=GroupHom(dom.G, E, tuple(data["kappa"])),
-        iota=GroupHom(cod.G, E, tuple(data["iota"])),
-        sigma=GroupHom(E, dom.G0, tuple(data["sigma"])),
-        rho=GroupHom(E, cod.G0, tuple(data["rho"])),
+        kappa=GroupHom(dom.G, E, _ints(data["kappa"], "kappa")),
+        iota=GroupHom(cod.G, E, _ints(data["iota"], "iota")),
+        sigma=GroupHom(E, dom.G0, _ints(data["sigma"], "sigma")),
+        rho=GroupHom(E, cod.G0, _ints(data["rho"], "rho")),
     )
 
 
@@ -222,7 +228,10 @@ def xmod_morphism_from_json(data: Any, resolver: Optional[Resolver] = None) -> X
     dom = xmod_from_json(data["dom"], resolver)
     cod = xmod_from_json(data["cod"], resolver)
     return XModMorphism(
-        dom, cod, GroupHom(dom.G, cod.G, tuple(data["p"])), GroupHom(dom.G0, cod.G0, tuple(data["p0"]))
+        dom,
+        cod,
+        GroupHom(dom.G, cod.G, _ints(data["p"], "p")),
+        GroupHom(dom.G0, cod.G0, _ints(data["p0"], "p0")),
     )
 
 
@@ -232,11 +241,11 @@ def fractor_from_json(data: Any, resolver: Optional[Resolver] = None) -> Fractor
     data = _resolve(data, resolver)
     _require(data, "butterfly")
     F = to_fractor(butterfly_from_json(data["butterfly"], resolver))
-    derived = data.get("derived")
-    if derived is not None:
-        if "sigma_bar" in derived and tuple(derived["sigma_bar"]) != F.left.p1.map:
-            raise ParseError("derived block disagrees with the reconstructed fractor")
-        if "rho_bar" in derived and tuple(derived["rho_bar"]) != F.right.p1.map:
+    derived = data.get("derived") or {}
+    if not isinstance(derived, dict):
+        raise ParseError("field 'derived' must be an object")
+    for field, leg in (("sigma_bar", F.left), ("rho_bar", F.right)):
+        if field in derived and _ints(derived[field], field) != leg.p1.map:
             raise ParseError("derived block disagrees with the reconstructed fractor")
     return F
 
@@ -247,7 +256,7 @@ def monoidal_from_json(data: Any, resolver: Optional[Resolver] = None) -> Monoid
     dom = two_group_from_json(data["dom"], resolver)
     cod = two_group_from_json(data["cod"], resolver)
     return MonoidalFunctor(
-        dom, cod, tuple(data["F0"]), tuple(data["F1"]), tuple(tuple(r) for r in data["F2"])
+        dom, cod, _ints(data["F0"], "F0"), _ints(data["F1"], "F1"), _int_rows(data["F2"], "F2")
     )
 
 

@@ -26,7 +26,7 @@ from .butterfly import (
     two_cell_image,
     validate_butterfly,
 )
-from .errors import BoundExceeded
+from .errors import BoundExceeded, UnknownSuite
 from .extension import (
     ExtensionDatum,
     aut_xmod,
@@ -56,6 +56,15 @@ from .xmod import (
     pullback_crossed_module,
     validate_crossed_module,
 )
+
+
+# fault-injection name -> the one suite that implements it
+FAULTS = {"compose": "bicategory", "two-cell-count": "fractions"}
+
+
+def _check_fault(suite: str, fault: str | None) -> None:
+    if fault is not None and FAULTS.get(fault) != suite:
+        raise UnknownSuite(f"suite {suite} has no fault {fault!r}")
 
 
 @dataclass
@@ -208,6 +217,7 @@ def _parallel_pairs(fx: FixtureSet, limit: int) -> list[tuple[XModMorphism, XMod
 def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport:
     """Unit and associativity laws of butterfly composition, flippable
     equivalences, and validity of every fixture butterfly."""
+    _check_fault("bicategory", fault)
     report = SuiteReport("bicategory")
     start = time.perf_counter()
 
@@ -322,6 +332,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
     pullbacks), EF2 (2-cells biject with butterfly morphisms), EF3 (the span
     identity holds literally), the action laws A1-A3, and the two-cell and
     pullback-equivalence checks."""
+    _check_fault("fractions", fault)
     report = SuiteReport("fractions")
     start = time.perf_counter()
 

@@ -39,6 +39,11 @@ class MonoidalFunctor:
             raise ValueError("F0/F1 must cover the domain")
         if len(self.F2) != n0 or any(len(row) != n0 for row in self.F2):
             raise ValueError("F2 must cover H0 x H0")
+        if any(not 0 <= v < self.cod.G0.order for v in self.F0):
+            raise ValueError("F0 value out of the codomain's object range")
+        n1 = self.cod.G1.order
+        if any(not 0 <= v < n1 for v in itertools.chain(self.F1, *self.F2)):
+            raise ValueError("F1/F2 value out of the codomain's arrow range")
 
     def is_strict(self) -> bool:
         e, t = self.cod.e.map, self.dom.G0.table

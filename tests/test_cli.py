@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from helpers import Z2, Z4, z4_extension_butterfly
+from helpers import ONE, S3, Z2, Z4, z4_extension_butterfly
 
+import butterflies
 from butterflies import jsonio
 from butterflies.butterfly import identity_butterfly
 from butterflies.cli import Workspace, main, parse_group_spec
@@ -27,6 +32,17 @@ def write_json(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+def run_process(ws, *argv):
+    """Run the CLI in a fresh interpreter, so that stderr shows any traceback."""
+    src = str(Path(butterflies.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "butterflies.cli", "--workspace", str(ws), *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 class TestStore:
@@ -83,6 +99,49 @@ class TestValidate:
         assert run(ws, "validate", path) == 0
         path2 = write_json(tmp_path, "x.json", jsonio.to_jsonable(conjugation_xmod(Z2)))
         assert run(ws, "validate", path2) == 0
+
+
+class TestValidateTwoGroup:
+    def test_unit_not_a_section_exit_1(self, ws, tmp_path):
+        from butterflies.xmod import denormalize
+
+        data = jsonio.to_jsonable(denormalize(conjugation_xmod(Z2)))
+        data["e"] = [0, 0]
+        proc = run_process(ws, "validate", write_json(tmp_path, "t.json", data))
+        assert proc.returncode == 1
+        assert "unit-source-target" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+    def test_nonabelian_group_over_a_point_exit_1(self, ws, tmp_path):
+        data = {
+            "kind": "2group",
+            "G1": jsonio.to_jsonable(S3),
+            "G0": jsonio.to_jsonable(ONE),
+            "d": [0] * 6,
+            "c": [0] * 6,
+            "e": [0],
+        }
+        proc = run_process(ws, "validate", write_json(tmp_path, "t.json", data))
+        assert proc.returncode == 1
+        assert "interchange" in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+
+class TestMalformedInput:
+    def test_xmod_action_not_a_list_exit_2(self, ws, tmp_path, capsys):
+        data = jsonio.to_jsonable(conjugation_xmod(Z2))
+        data["action"] = 5
+        assert run(ws, "validate", write_json(tmp_path, "x.json", data)) == 2
+        assert "'action'" in capsys.readouterr().err
+
+    def test_monoidal_f2_out_of_range_exit_1(self, ws, tmp_path, capsys):
+        from butterflies.weakmap import all_set_sections, extract_monoidal
+
+        B = z4_extension_butterfly()
+        data = jsonio.to_jsonable(extract_monoidal(B, all_set_sections(B)[0]))
+        data["F2"][1][1] = 99
+        assert run(ws, "validate", write_json(tmp_path, "m.json", data)) == 1
+        assert "F1/F2" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -164,3 +223,13 @@ class TestSuite:
 
     def test_fault_injection_fails(self, ws):
         assert run(ws, "suite", "--suite", "bicategory", "--bound", "4", "--fault", "compose") == 1
+
+    def test_fault_injection_fails_in_all_suites(self, ws):
+        assert run(ws, "suite", "--suite", "all", "--bound", "4", "--fault", "compose") == 1
+
+    def test_unknown_fault_exit_2(self, ws, capsys):
+        assert run(ws, "suite", "--suite", "bicategory", "--bound", "4", "--fault", "bogus") == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_fault_of_unselected_suite_exit_2(self, ws):
+        assert run(ws, "suite", "--suite", "fractions", "--bound", "4", "--fault", "compose") == 2

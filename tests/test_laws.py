@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from butterflies import jsonio
-from butterflies.errors import BoundExceeded
+from butterflies.errors import BoundExceeded, UnknownSuite
 from butterflies.laws import (
     FixtureSet,
     ef3_coincidence,
@@ -80,6 +80,18 @@ class TestSuites:
     def test_two_cell_fault_detected(self):
         report = run_fractions_suite(generate_fixtures(0, 8), fault="two-cell-count")
         assert not report.ok
+
+    @pytest.mark.parametrize(
+        "suite, fault",
+        [
+            (run_bicategory_suite, "bogus"),
+            (run_bicategory_suite, "two-cell-count"),
+            (run_fractions_suite, "compose"),
+        ],
+    )
+    def test_fault_outside_the_suite_raises(self, suite, fault):
+        with pytest.raises(UnknownSuite):
+            suite(FixtureSet(seed=0, size_bound=8), fault=fault)
 
     def test_failures_carry_replayable_witnesses(self):
         report = run_bicategory_suite(generate_fixtures(0, 8), fault="compose")
