@@ -5,6 +5,9 @@ objects share one entry and refs are reproducible across machines.  The
 workspace root comes from --workspace, else BUTTERFLY_WORKSPACE, else
 ./.butterfly_workspace.  Exit codes: 0 ok, 1 domain failure, 2 usage or
 parse error.
+
+Each operand of identity, compose, flip, split, span and weakmap extract is
+validated once on load; the operations themselves assume valid operands.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Any, Optional
 
 from . import jsonio
 from .butterfly import (
+    Butterfly,
     compose,
     flip,
     identity_butterfly,
@@ -33,7 +37,8 @@ from .extension import classify_extensions, factor_set_oracle
 from .fingroup import FinGroup, cyclic_group, direct_product, symmetric_group, trivial_group
 from .laws import FAULTS, SUITES, generate_fixtures
 from .report import ValidationReport
-from .weakmap import butterfly_from_monoidal, check_monoidal, extract_monoidal, set_section
+from .weakmap import MonoidalFunctor, butterfly_from_monoidal, check_monoidal, extract_monoidal, set_section
+from .xmod import CrossedModule, Strict2Group, XModMorphism
 from .xmod import validate_crossed_module, validate_two_group, validate_xmod_morphism
 
 ENV_WORKSPACE = "BUTTERFLY_WORKSPACE"
@@ -151,27 +156,33 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _validation_report(obj) -> ValidationReport:
-    from .butterfly import Butterfly
-    from .weakmap import MonoidalFunctor
-    from .xmod import CrossedModule, Strict2Group, XModMorphism
-
     if isinstance(obj, FinGroup):
         return ValidationReport(f"group {obj.name}")
     if isinstance(obj, CrossedModule):
         return validate_crossed_module(obj)
     if isinstance(obj, Strict2Group):
         return validate_two_group(obj)
-    if isinstance(obj, Butterfly):
-        report = validate_butterfly(obj)
+    if isinstance(obj, (Butterfly, XModMorphism)):
+        report = validate_butterfly(obj) if isinstance(obj, Butterfly) else validate_xmod_morphism(obj)
         for sub in (validate_crossed_module(obj.dom), validate_crossed_module(obj.cod)):
             for f in sub.findings:
                 report.add(f"underlying-xmod:{f.condition}", f.witness, f.detail)
         return report
-    if isinstance(obj, XModMorphism):
-        return validate_xmod_morphism(obj)
     if isinstance(obj, MonoidalFunctor):
         return check_monoidal(obj)
     raise UnknownKind(f"cannot validate {type(obj).__name__}")
+
+
+def _load_operand(arg: str, ws: Workspace, kind: type, usage: str):
+    """Load an operand of kind `kind` (else a usage error, exit 2) and validate
+    it once (else a domain failure naming the failed conditions, exit 1)."""
+    obj = _load_object(arg, ws)
+    if not isinstance(obj, kind):
+        raise ParseError(usage)
+    report = _validation_report(obj)
+    if not report.ok:
+        raise ValueError(str(report))
+    return obj
 
 
 def cmd_validate(args, ws: Workspace) -> int:
@@ -182,24 +193,16 @@ def cmd_validate(args, ws: Workspace) -> int:
 
 
 def cmd_identity(args, ws: Workspace) -> int:
-    from .xmod import CrossedModule
-
-    obj = _load_object(args.xmod, ws)
-    if not isinstance(obj, CrossedModule):
-        raise ParseError("identity expects a crossed module")
-    B = identity_butterfly(obj)
+    X = _load_operand(args.xmod, ws, CrossedModule, "identity expects a crossed module")
+    B = identity_butterfly(X)
     ref = ws.put(B)
     _emit(args, {"ref": ref}, ref)
     return 0
 
 
 def cmd_compose(args, ws: Workspace) -> int:
-    from .butterfly import Butterfly
-
-    B1 = _load_object(args.first, ws)
-    B2 = _load_object(args.second, ws)
-    if not isinstance(B1, Butterfly) or not isinstance(B2, Butterfly):
-        raise ParseError("compose expects two butterflies")
+    B1 = _load_operand(args.first, ws, Butterfly, "compose expects two butterflies")
+    B2 = _load_operand(args.second, ws, Butterfly, "compose expects two butterflies")
     C = compose(B1, B2)
     ref = ws.put(C)
     payload: dict = {"ref": ref}
@@ -220,11 +223,7 @@ def cmd_compose(args, ws: Workspace) -> int:
 
 
 def cmd_flip(args, ws: Workspace) -> int:
-    from .butterfly import Butterfly
-
-    B = _load_object(args.butterfly, ws)
-    if not isinstance(B, Butterfly):
-        raise ParseError("flip expects a butterfly")
+    B = _load_operand(args.butterfly, ws, Butterfly, "flip expects a butterfly")
     if not is_flippable(B):
         print("NotFlippable: the (kappa, rho) diagonal is not an extension", file=sys.stderr)
         return 1
@@ -234,11 +233,7 @@ def cmd_flip(args, ws: Workspace) -> int:
 
 
 def cmd_split(args, ws: Workspace) -> int:
-    from .xmod import XModMorphism
-
-    P = _load_object(args.morphism, ws)
-    if not isinstance(P, XModMorphism):
-        raise ParseError("split expects a crossed module morphism")
+    P = _load_operand(args.morphism, ws, XModMorphism, "split expects a crossed module morphism")
     B, section = split_from_morphism(P)
     ref = ws.put(B)
     _emit(
@@ -250,11 +245,7 @@ def cmd_split(args, ws: Workspace) -> int:
 
 
 def cmd_span(args, ws: Workspace) -> int:
-    from .butterfly import Butterfly
-
-    B = _load_object(args.butterfly, ws)
-    if not isinstance(B, Butterfly):
-        raise ParseError("span expects a butterfly")
+    B = _load_operand(args.butterfly, ws, Butterfly, "span expects a butterfly")
     middle, left, right = span_of_butterfly(B)
     refs = {
         "middle": ws.put(middle),
@@ -266,15 +257,10 @@ def cmd_span(args, ws: Workspace) -> int:
 
 
 def cmd_weakmap(args, ws: Workspace) -> int:
-    from .butterfly import Butterfly
-    from .weakmap import MonoidalFunctor
-
     if args.mode == "extract":
-        B = _load_object(args.object, ws)
-        if not isinstance(B, Butterfly):
-            raise ParseError("weakmap extract expects a butterfly")
         if args.section is None:
             raise ParseError("weakmap extract requires --section")
+        B = _load_operand(args.object, ws, Butterfly, "weakmap extract expects a butterfly")
         try:
             values = tuple(int(v) for v in args.section.split(","))
         except ValueError as exc:

@@ -67,7 +67,10 @@ class FractorConditionFailed(ButterflyError):
 
 
 class ConstructionError(ButterflyError):
-    """An internally constructed object failed its own validation."""
+    """A condition that a construction checks fails (``xmod_morphism``,
+    ``butterfly_morphism``, ``extract_monoidal``).  Constructions assume valid
+    operands and do not re-validate their results, so callers validate
+    untrusted operands first."""
 
 
 class UnknownSuite(ButterflyError):

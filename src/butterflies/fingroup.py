@@ -4,6 +4,11 @@ Every group is a multiplication table over element indices 0..order-1 with
 the identity pinned at index 0.  Constructed groups (quotients, pullbacks,
 semidirect products) carry a canonical element order so that equal inputs
 produce bit-identical outputs.
+
+The public constructors check their input in full.  Results that are groups,
+homomorphisms, actions or subgroups by construction (quotient maps,
+projections, composites, kernels, search results) skip the checks through
+``FinGroup(..., _validated=True)`` and ``_trusted(...)``.
 """
 
 from __future__ import annotations
@@ -87,6 +92,10 @@ class FinGroup:
         return isinstance(other, FinGroup) and self.table == other.table
 
     def __hash__(self) -> int:
+        return self._table_hash
+
+    @cached_property
+    def _table_hash(self) -> int:
         return hash(self.table)
 
     def __repr__(self) -> str:
@@ -204,8 +213,21 @@ def dicyclic_group(n: int) -> FinGroup:
     return FinGroup(table, f"Dic{n}")
 
 
+class _Trusted:
+    """``cls._trusted(*fields)`` builds an instance whose invariants hold by
+    construction without running ``__post_init__``, the counterpart of
+    ``FinGroup(..., _validated=True)``.  Fields must already be in normal
+    form: tuples of ints, subgroup elements sorted without repeats."""
+
+    @classmethod
+    def _trusted(cls, *values):
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+        return obj
+
+
 @dataclass(frozen=True)
-class GroupHom:
+class GroupHom(_Trusted):
     """A total multiplication-preserving map between element indices."""
 
     dom: FinGroup
@@ -233,7 +255,7 @@ class GroupHom:
         """Composite 'self first, then g'."""
         if g.dom is not self.cod and g.dom != self.cod:
             raise CodomainMismatch("cannot compose: middle groups differ")
-        return GroupHom(self.dom, g.cod, tuple(g.map[x] for x in self.map))
+        return GroupHom._trusted(self.dom, g.cod, tuple(g.map[x] for x in self.map))
 
     @property
     def is_injective(self) -> bool:
@@ -253,22 +275,22 @@ class GroupHom:
         inv = [0] * self.cod.order
         for a, b in enumerate(self.map):
             inv[b] = a
-        return GroupHom(self.cod, self.dom, tuple(inv))
+        return GroupHom._trusted(self.cod, self.dom, tuple(inv))
 
     def image_set(self) -> frozenset[int]:
         return frozenset(self.map)
 
 
 def identity_hom(G: FinGroup) -> GroupHom:
-    return GroupHom(G, G, tuple(range(G.order)))
+    return GroupHom._trusted(G, G, tuple(range(G.order)))
 
 
 def zero_hom(G: FinGroup, H: FinGroup) -> GroupHom:
-    return GroupHom(G, H, (0,) * G.order)
+    return GroupHom._trusted(G, H, (0,) * G.order)
 
 
 @dataclass(frozen=True)
-class GroupAction:
+class GroupAction(_Trusted):
     """Action of `actor` on `target` by automorphisms, one permutation per actor element."""
 
     actor: FinGroup
@@ -305,17 +327,17 @@ class GroupAction:
 
 def trivial_action(actor: FinGroup, target: FinGroup) -> GroupAction:
     p = tuple(range(target.order))
-    return GroupAction(actor, target, (p,) * actor.order)
+    return GroupAction._trusted(actor, target, (p,) * actor.order)
 
 
 def conjugation_action(G: FinGroup) -> GroupAction:
     """The canonical action of G on itself by x a x^-1."""
     perms = tuple(tuple(G.conj(x, a) for a in range(G.order)) for x in range(G.order))
-    return GroupAction(G, G, perms)
+    return GroupAction._trusted(G, G, perms)
 
 
 @dataclass(frozen=True)
-class Subgroup:
+class Subgroup(_Trusted):
     ambient: FinGroup
     elements: tuple[int, ...]
 
@@ -352,7 +374,7 @@ class Subgroup:
         table = [[pos[self.ambient.table[a][b]] for b in elems] for a in elems]
         labels = tuple(self.ambient.label(e) for e in elems)
         grp = FinGroup(table, name or f"{self.ambient.name}|sub{len(elems)}", labels, _validated=True)
-        return grp, GroupHom(grp, self.ambient, elems)
+        return grp, GroupHom._trusted(grp, self.ambient, elems)
 
 
 def subgroup_generated(G: FinGroup, gens: Iterable[int]) -> Subgroup:
@@ -366,17 +388,17 @@ def subgroup_generated(G: FinGroup, gens: Iterable[int]) -> Subgroup:
             if b not in seen:
                 seen.add(b)
                 frontier.append(b)
-    return Subgroup(G, tuple(sorted(seen)))
+    return Subgroup._trusted(G, tuple(sorted(seen)))
 
 
 def kernel(f: GroupHom) -> Subgroup:
     """The kernel subgroup {a : f(a) = 0}; always normal in the domain."""
-    return Subgroup(f.dom, tuple(a for a in range(f.dom.order) if f.map[a] == 0))
+    return Subgroup._trusted(f.dom, tuple(a for a in range(f.dom.order) if f.map[a] == 0))
 
 
 def image_and_normal_closure(f: GroupHom) -> tuple[Subgroup, Subgroup]:
     """The image subgroup of f and its normal closure in the codomain."""
-    img = Subgroup(f.cod, tuple(sorted(set(f.map))))
+    img = Subgroup._trusted(f.cod, tuple(sorted(set(f.map))))
     G = f.cod
     conjugates = {G.conj(x, a) for x in range(G.order) for a in img.elements}
     return img, subgroup_generated(G, sorted(conjugates))
@@ -400,7 +422,7 @@ def quotient(G: FinGroup, N: Subgroup) -> tuple[FinGroup, GroupHom]:
     table = [[coset_of[G.table[ra][rb]] for rb in reps] for ra in reps]
     labels = tuple(f"[{G.label(r)}]" for r in reps)
     Q = FinGroup(table, f"{G.name}/N{N.order}", labels, _validated=True)
-    return Q, GroupHom(G, Q, tuple(coset_of))
+    return Q, GroupHom._trusted(G, Q, tuple(coset_of))
 
 
 def product_and_pullback(f: GroupHom, g: GroupHom) -> tuple[FinGroup, GroupHom, GroupHom]:
@@ -419,8 +441,8 @@ def product_and_pullback(f: GroupHom, g: GroupHom) -> tuple[FinGroup, GroupHom, 
     ]
     labels = tuple(f"({A.label(a)},{C.label(c)})" for (a, c) in pairs)
     P = FinGroup(table, f"PB({A.name},{C.name})", labels, _validated=True)
-    proj1 = GroupHom(P, A, tuple(a for (a, _) in pairs))
-    proj2 = GroupHom(P, C, tuple(c for (_, c) in pairs))
+    proj1 = GroupHom._trusted(P, A, tuple(a for (a, _) in pairs))
+    proj2 = GroupHom._trusted(P, C, tuple(c for (_, c) in pairs))
     return P, proj1, proj2
 
 
@@ -455,9 +477,9 @@ def semidirect_product(xi: GroupAction) -> tuple[FinGroup, GroupHom, GroupHom, G
                     row[idx(b, y)] = idx(ab, base[y])
     labels = tuple(f"({G.label(a)},{G0.label(x)})" for a in range(n) for x in range(n0))
     S = FinGroup(table, f"{G.name}x|{G0.name}", labels, _validated=True)
-    c = GroupHom(S, G0, tuple(x for _ in range(n) for x in range(n0)))
-    e = GroupHom(G0, S, tuple(idx(0, x) for x in range(n0)))
-    g = GroupHom(G, S, tuple(idx(a, 0) for a in range(n)))
+    c = GroupHom._trusted(S, G0, tuple(x for _ in range(n) for x in range(n0)))
+    e = GroupHom._trusted(G0, S, tuple(idx(0, x) for x in range(n0)))
+    g = GroupHom._trusted(G, S, tuple(idx(a, 0) for a in range(n)))
     return S, c, e, g
 
 
@@ -524,7 +546,7 @@ def _generator_images(G: FinGroup, H: FinGroup, bijective: bool) -> Iterator[tup
 
 def all_homomorphisms(G: FinGroup, H: FinGroup) -> list[GroupHom]:
     """Every homomorphism G -> H, in a deterministic order."""
-    return [GroupHom(G, H, m) for m in _generator_images(G, H, bijective=False)]
+    return [GroupHom._trusted(G, H, m) for m in _generator_images(G, H, bijective=False)]
 
 
 def isomorphism_search(
@@ -536,7 +558,7 @@ def isomorphism_search(
     if G.order != H.order or G.order_profile() != H.order_profile():
         return None
     m = next(_generator_images(G, H, bijective=True), None)
-    return None if m is None else GroupHom(G, H, m)
+    return None if m is None else GroupHom._trusted(G, H, m)
 
 
 def automorphism_group(G: FinGroup, bound: int = DEFAULT_BOUND) -> tuple[FinGroup, GroupAction]:
@@ -552,10 +574,10 @@ def automorphism_group(G: FinGroup, bound: int = DEFAULT_BOUND) -> tuple[FinGrou
     table = [[pos[tuple(p[q[a]] for a in range(G.order))] for q in autos] for p in autos]
     labels = tuple("id" if p == tuple(range(G.order)) else "f" + "".join(map(str, p)) for p in autos)
     A = FinGroup(table, f"Aut({G.name})", labels, _validated=True)
-    ev = GroupAction(A, G, tuple(autos))
+    ev = GroupAction._trusted(A, G, tuple(autos))
     return A, ev
 
 
 def hom_to_action(rho: GroupHom, ev: GroupAction) -> GroupAction:
     """Turn a homomorphism into Aut(G) into an action via the evaluation action."""
-    return GroupAction(rho.dom, ev.target, tuple(ev.act[rho.map[x]] for x in range(rho.dom.order)))
+    return GroupAction._trusted(rho.dom, ev.target, tuple(ev.act[rho.map[x]] for x in range(rho.dom.order)))

@@ -14,7 +14,7 @@ import hashlib
 import json
 from typing import Any, Callable, Optional
 
-from .butterfly import Butterfly, Fractor, from_fractor, to_fractor
+from .butterfly import Butterfly, Fractor, from_fractor, to_fractor, validate_butterfly
 from .errors import ParseError, UnknownKind
 from .extension import ExtensionDatum, FactorSet
 from .fingroup import FinGroup, GroupAction, GroupHom, construct_group
@@ -236,11 +236,15 @@ def xmod_morphism_from_json(data: Any, resolver: Optional[Resolver] = None) -> X
 
 
 def fractor_from_json(data: Any, resolver: Optional[Resolver] = None) -> Fractor:
-    """Rebuild a fractor from its underlying butterfly; the derived block, if
-    present, is cross-checked against the reconstruction."""
+    """Rebuild a fractor from its underlying butterfly, which must be valid;
+    the derived block, if present, is cross-checked against the reconstruction."""
     data = _resolve(data, resolver)
     _require(data, "butterfly")
-    F = to_fractor(butterfly_from_json(data["butterfly"], resolver))
+    B = butterfly_from_json(data["butterfly"], resolver)
+    report = validate_butterfly(B)
+    if not report.ok:
+        raise ValueError(f"fractor of an invalid butterfly:\n{report}")
+    F = to_fractor(B)
     derived = data.get("derived") or {}
     if not isinstance(derived, dict):
         raise ParseError("field 'derived' must be an object")

@@ -307,20 +307,17 @@ def _corrupt_middle_group(B: Butterfly) -> Butterfly:
 
 
 def _rebuild_with_table(B: Butterfly, E2: FinGroup) -> Butterfly:
-    # keep the map arrays but bypass homomorphism validation: the corrupted
-    # object must be well-formed enough to reach the validators
-    out = Butterfly.__new__(Butterfly)
-    object.__setattr__(out, "dom", B.dom)
-    object.__setattr__(out, "cod", B.cod)
-    object.__setattr__(out, "E", E2)
-    for name in ("kappa", "iota", "sigma", "rho"):
-        source = getattr(B, name)
-        hom = GroupHom.__new__(GroupHom)
-        object.__setattr__(hom, "dom", source.dom if name in ("kappa", "iota") else E2)
-        object.__setattr__(hom, "cod", E2 if name in ("kappa", "iota") else source.cod)
-        object.__setattr__(hom, "map", source.map)
-        object.__setattr__(out, name, hom)
-    return out
+    # keep the map arrays on the relabeled group: the trusted path skips the
+    # homomorphism checks, so the corrupted object reaches the validators
+    return Butterfly(
+        dom=B.dom,
+        cod=B.cod,
+        E=E2,
+        kappa=GroupHom._trusted(B.dom.G, E2, B.kappa.map),
+        iota=GroupHom._trusted(B.cod.G, E2, B.iota.map),
+        sigma=GroupHom._trusted(E2, B.dom.G0, B.sigma.map),
+        rho=GroupHom._trusted(E2, B.cod.G0, B.rho.map),
+    )
 
 
 # ---------------------------------------------------------------------------

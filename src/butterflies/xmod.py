@@ -16,6 +16,9 @@ Conventions, fixed once and used everywhere: an arrow of the 2-group built
 from a crossed module is a pair (g, x) with source d(g,x) = dG(g)*x and
 target c(g,x) = x; the derived composition is then m((a,x),(b,y)) = (a*b, y)
 whenever x = dG(b)*y, and the inverse is i(g,x) = (g^-1, dG(g)*x).
+
+Constructions here build their maps and actions unchecked, except where
+whether a map is a homomorphism is the question asked.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ class Strict2Group:
     def i(self) -> GroupHom:
         """i(f) = e(c f)*f^-1*e(d f), the inverse arrow of f."""
         t, inv, d, c, e = self.G1.table, self.G1.inverse, self.d.map, self.c.map, self.e.map
-        return GroupHom(
+        return GroupHom._trusted(
             self.G1, self.G1, tuple(t[t[e[c[f]]][inv[f]]][e[d[f]]] for f in range(self.G1.order))
         )
 
@@ -231,12 +234,13 @@ def validate_two_group_functor(F: TwoGroupFunctor) -> ValidationReport:
     return report
 
 
-@lru_cache(maxsize=None)
+# bounded at 4x the most crossed modules any benchmark workload denormalizes (16)
+@lru_cache(maxsize=64)
 def denormalize(X: CrossedModule) -> Strict2Group:
     """The 2-group G x| G0 => G0 of a crossed module."""
     S, c, e, _ = semidirect_product(X.action)
     t0, bd = X.G0.table, X.boundary.map
-    d = GroupHom(S, X.G0, tuple(t0[bd[a]][x] for a in range(X.G.order) for x in range(X.G0.order)))
+    d = GroupHom._trusted(S, X.G0, tuple(t0[bd[a]][x] for a in range(X.G.order) for x in range(X.G0.order)))
     return Strict2Group(S, X.G0, d, c, e)
 
 
@@ -244,7 +248,7 @@ def kernel_embedding(X: CrossedModule) -> GroupHom:
     """The inclusion g: G -> G1 of the arrow group's c-kernel, a |-> (a, 1)."""
     T = denormalize(X)
     n0 = X.G0.order
-    return GroupHom(X.G, T.G1, tuple(a * n0 for a in range(X.G.order)))
+    return GroupHom._trusted(X.G, T.G1, tuple(a * n0 for a in range(X.G.order)))
 
 
 def cokernel_embedding(X: CrossedModule) -> GroupHom:
@@ -252,7 +256,7 @@ def cokernel_embedding(X: CrossedModule) -> GroupHom:
     T = denormalize(X)
     n0 = X.G0.order
     bd = X.boundary.map
-    return GroupHom(
+    return GroupHom._trusted(
         X.G, T.G1, tuple(X.G.inv(a) * n0 + bd[a] for a in range(X.G.order))
     )
 
@@ -268,7 +272,7 @@ def normalize(T: Strict2Group) -> CrossedModule:
     for x in range(T.G0.order):
         ex, exi = T.e.map[x], T.G1.inv(T.e.map[x])
         perms.append(tuple(pos[t1[t1[ex][incl.map[k]]][exi]] for k in range(Kgrp.order)))
-    action = GroupAction(T.G0, Kgrp, tuple(perms))
+    action = GroupAction._trusted(T.G0, Kgrp, tuple(perms))
     return CrossedModule(Kgrp, T.G0, boundary, action, name=f"N({T.G1.name})")
 
 
@@ -280,7 +284,7 @@ def denormalize_morphism(P: XModMorphism) -> TwoGroupFunctor:
     for h in range(P.dom.G.order):
         for x in range(nH0):
             p1[h * nH0 + x] = P.p.map[h] * nG0 + P.p0.map[x]
-    return TwoGroupFunctor(TH, TG, GroupHom(TH.G1, TG.G1, tuple(p1)), P.p0)
+    return TwoGroupFunctor(TH, TG, GroupHom._trusted(TH.G1, TG.G1, tuple(p1)), P.p0)
 
 
 def normalization_round_trip_equal(X: CrossedModule) -> bool:
@@ -329,7 +333,7 @@ def kernel_of_boundary(X: CrossedModule) -> tuple[FinGroup, GroupHom]:
 
 def cokernel_of_boundary(X: CrossedModule) -> tuple[FinGroup, GroupHom]:
     """G0 / image(boundary); the image is normal by the precrossed condition."""
-    image = Subgroup(X.G0, tuple(sorted(set(X.boundary.map))))
+    image = Subgroup._trusted(X.G0, tuple(sorted(set(X.boundary.map))))
     return quotient(X.G0, image)
 
 
@@ -341,10 +345,10 @@ def is_weak_equivalence(P: XModMorphism) -> tuple[bool, GroupHom, GroupHom]:
     KH, inclH = kernel_of_boundary(P.dom)
     KG, inclG = kernel_of_boundary(P.cod)
     pos = {el: i for i, el in enumerate(inclG.map)}
-    ker_map = GroupHom(KH, KG, tuple(pos[P.p.map[inclH.map[k]]] for k in range(KH.order)))
+    ker_map = GroupHom._trusted(KH, KG, tuple(pos[P.p.map[inclH.map[k]]] for k in range(KH.order)))
     QH, prH = cokernel_of_boundary(P.dom)
     QG, prG = cokernel_of_boundary(P.cod)
-    coker_map = GroupHom(QH, QG, tuple(prG.map[P.p0.map[prH.map.index(q)]] for q in range(QH.order)))
+    coker_map = GroupHom._trusted(QH, QG, tuple(prG.map[P.p0.map[prH.map.index(q)]] for q in range(QH.order)))
     return ker_map.is_isomorphism and coker_map.is_isomorphism, ker_map, coker_map
 
 
@@ -374,7 +378,7 @@ def pullback_crossed_module(X: CrossedModule, sigma: GroupHom) -> tuple[CrossedM
                 for (e, h) in pairs
             )
         )
-    action = GroupAction(E, P, tuple(perms))
+    action = GroupAction._trusted(E, P, tuple(perms))
     pulled = CrossedModule(P, E, prE, action, name=f"{X.name or 'X'}^*({sigma.dom.name})")
     comparison = XModMorphism(pulled, X, prH, sigma)
     return pulled, comparison

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from butterflies.extension import ExtensionDatum, butterfly_from_extension
+from butterflies import jsonio
+from butterflies.butterfly import identity_butterfly
+from butterflies.extension import ExtensionDatum, butterfly_from_extension, conjugation_xmod
 from butterflies.fingroup import (
     GroupHom,
     cyclic_group,
@@ -34,3 +36,11 @@ def trivial_extension_butterfly():
         H=Z2, G=Z2, E=E, iota=GroupHom(Z2, E, (0, 1)), sigma=GroupHom(E, Z2, (0, 0, 1, 1))
     )
     return butterfly_from_extension(datum)
+
+
+def invalid_butterfly_json():
+    """The identity butterfly of C(Z3) with rho replaced by sigma, as JSON:
+    well-typed, but it fails the i-complex and right-wing conditions."""
+    data = jsonio.to_jsonable(identity_butterfly(conjugation_xmod(Z3)))
+    data["rho"] = data["sigma"]
+    return data

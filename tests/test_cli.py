@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ONE, S3, Z2, Z4, z4_extension_butterfly
+from helpers import ONE, S3, Z2, Z3, Z4, invalid_butterfly_json, z4_extension_butterfly
 
 import butterflies
 from butterflies import jsonio
@@ -142,6 +142,73 @@ class TestMalformedInput:
         data["F2"][1][1] = 99
         assert run(ws, "validate", write_json(tmp_path, "m.json", data)) == 1
         assert "F1/F2" in capsys.readouterr().err
+
+
+class TestInvalidOperands:
+    """Operands are validated once on load: an invalid one exits 1 and names a
+    failed condition instead of reaching an operation that assumes validity."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compose", "{bad}", "{good}"),
+            ("compose", "{good}", "{bad}"),
+            ("flip", "{bad}"),
+            ("span", "{bad}"),
+            ("weakmap", "extract", "{bad}", "--section", "0,1,2"),
+        ],
+    )
+    def test_invalid_butterfly_exit_1(self, ws, tmp_path, capsys, argv):
+        paths = {
+            "bad": write_json(tmp_path, "bad.json", invalid_butterfly_json()),
+            "good": write_json(
+                tmp_path, "good.json", jsonio.to_jsonable(identity_butterfly(conjugation_xmod(Z3)))
+            ),
+        }
+        assert run(ws, *(arg.format(**paths) for arg in argv)) == 1
+        err = capsys.readouterr().err
+        assert "i-complex" in err and "right-wing" in err
+        assert "Traceback" not in err
+
+    # Z4 -> Z2 with Z2 acting by inversion: precrossed, but not Peiffer
+    NOT_PEIFFER = {
+        "kind": "xmod",
+        "G": jsonio.to_jsonable(Z4),
+        "G0": jsonio.to_jsonable(Z2),
+        "boundary": [0, 1, 0, 1],
+        "action": [[0, 1, 2, 3], [0, 3, 2, 1]],
+    }
+
+    def test_identity_of_non_crossed_module_exit_1(self, ws, tmp_path, capsys):
+        assert run(ws, "identity", write_json(tmp_path, "x.json", self.NOT_PEIFFER)) == 1
+        assert "peiffer" in capsys.readouterr().err
+
+    def test_split_of_morphism_between_non_crossed_modules_exit_1(self, ws, tmp_path, capsys):
+        data = {
+            "kind": "xmod-morphism",
+            "dom": self.NOT_PEIFFER,
+            "cod": self.NOT_PEIFFER,
+            "p": [0, 1, 2, 3],
+            "p0": [0, 1],
+        }
+        assert run(ws, "split", write_json(tmp_path, "m.json", data)) == 1
+        assert "underlying-xmod:peiffer" in capsys.readouterr().err
+
+    def test_split_of_invalid_morphism_exit_1(self, ws, tmp_path, capsys):
+        # C(Z2) -> D(Z2) with p = 0 and p0 = id: the boundary square fails
+        data = {
+            "kind": "xmod-morphism",
+            "dom": jsonio.to_jsonable(conjugation_xmod(Z2)),
+            "cod": jsonio.to_jsonable(discrete_xmod(Z2)),
+            "p": [0, 0],
+            "p0": [0, 1],
+        }
+        assert run(ws, "split", write_json(tmp_path, "m.json", data)) == 1
+        assert "square" in capsys.readouterr().err
+
+    def test_wrong_kind_still_exit_2(self, ws, tmp_path):
+        path = write_json(tmp_path, "x.json", jsonio.to_jsonable(conjugation_xmod(Z2)))
+        assert run(ws, "flip", path) == 2
 
 
 class TestCommands:

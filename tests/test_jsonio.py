@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import Z2, Z4, z4_extension_butterfly
+from helpers import Z2, Z4, invalid_butterfly_json, z4_extension_butterfly
 
 from butterflies import jsonio
 from butterflies.butterfly import to_fractor
@@ -69,6 +69,11 @@ class TestRoundTrips:
         data = jsonio.to_jsonable(to_fractor(B))
         data["derived"]["sigma_bar"][0] = 99
         with pytest.raises(ParseError):
+            jsonio.from_jsonable(data)
+
+    def test_fractor_of_invalid_butterfly_rejected(self):
+        data = {"kind": "fractor", "butterfly": invalid_butterfly_json()}
+        with pytest.raises(ValueError, match="i-complex"):
             jsonio.from_jsonable(data)
 
 

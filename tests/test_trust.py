@@ -1,0 +1,99 @@
+"""The trust test: what internal constructions build unchecked is valid.
+
+Constructions whose results are homomorphisms, actions or subgroups by a
+theorem build them through ``_trusted`` and skip the checks of
+``__post_init__``.  Here that one path is pointed back at the checking
+constructors, and the fixtures, both law suites and a classification must
+come out exactly as in a run without the checks.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from helpers import V4, Z4
+
+from butterflies import fingroup
+from butterflies.butterfly import span_of_butterfly
+from butterflies.extension import aut_xmod, classify_extensions, standard_catalog
+from butterflies.laws import generate_fixtures, run_bicategory_suite, run_fractions_suite
+from butterflies.xmod import denormalize, validate_crossed_module, validate_xmod_morphism
+
+CASES = [(seed, bound) for seed in range(4) for bound in (8, 16)]
+CACHED = (denormalize, aut_xmod, standard_catalog)
+
+
+def suite_summary(seed: int, bound: int):
+    fx = generate_fixtures(seed, bound)
+    sizes = (len(fx.crossed_modules), len(fx.morphisms), len(fx.butterflies), len(fx.two_cells))
+    bicategory, fractions = run_bicategory_suite(fx), run_fractions_suite(fx)
+    return sizes, (bicategory.cases, bicategory.ok), (fractions.cases, fractions.ok)
+
+
+def classification_summary():
+    return [
+        (c.e_group, c.split, c.count, c.factor_set, c.butterfly)
+        for c in classify_extensions(V4, Z4)
+    ]
+
+
+@pytest.fixture(scope="module")
+def unchecked():
+    """Results of the ordinary (trusted) run."""
+    return {
+        "suites": {case: suite_summary(*case) for case in CASES},
+        "classification": classification_summary(),
+    }
+
+
+@pytest.fixture()
+def checked(monkeypatch):
+    """Every trusted build runs the checking constructor, and no result of an
+    earlier trusted build is served from a cache."""
+    for cache in CACHED:
+        cache.cache_clear()
+    monkeypatch.setattr(
+        fingroup._Trusted, "_trusted", classmethod(lambda cls, *values: cls(*values))
+    )
+    yield
+    for cache in CACHED:
+        cache.cache_clear()
+
+
+def fails(suite, fx, fault: str) -> bool:
+    """A fault run fails by its report or, for the compose fault, because the
+    checking constructors reject the maps it deliberately leaves unadjusted."""
+    try:
+        return not suite(fx, fault=fault).ok
+    except ValueError as exc:
+        return fault == "compose" and "not multiplicative" in str(exc)
+
+
+def test_patch_reaches_every_trusted_class(checked):
+    with pytest.raises(ValueError):
+        fingroup.GroupHom._trusted(Z4, Z4, (0, 2, 1, 3))
+    with pytest.raises(ValueError):
+        fingroup.GroupAction._trusted(Z4, Z4, ((0, 1, 2, 3),) + ((0, 3, 2, 1),) * 3)
+    with pytest.raises(ValueError):
+        fingroup.Subgroup._trusted(Z4, (0, 1))
+
+
+@pytest.mark.parametrize("seed, bound", CASES)
+def test_suites_unchanged_with_checks(unchecked, checked, seed, bound):
+    assert suite_summary(seed, bound) == unchecked["suites"][(seed, bound)]
+    fx = generate_fixtures(seed, bound)
+    assert fails(run_bicategory_suite, fx, "compose")
+    assert fails(run_fractions_suite, fx, "two-cell-count")
+
+
+@pytest.mark.parametrize("seed, bound", CASES)
+def test_spans_valid_with_checks(checked, seed, bound):
+    for B in generate_fixtures(seed, bound).butterflies:
+        middle, left, right = span_of_butterfly(B)
+        assert validate_crossed_module(middle).ok
+        assert validate_xmod_morphism(left).ok
+        assert validate_xmod_morphism(right).ok
+
+
+def test_classification_unchanged_with_checks(unchecked, checked):
+    assert classification_summary() == unchecked["classification"]
