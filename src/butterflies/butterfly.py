@@ -13,6 +13,7 @@ results are then valid by construction and are built without re-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     ConstructionError,
@@ -26,6 +27,7 @@ from .fingroup import (
     GroupAction,
     GroupHom,
     Subgroup,
+    _generator_images,
     direct_product,
     identity_hom,
     kernel,
@@ -163,8 +165,7 @@ def identity_butterfly(X: CrossedModule) -> Butterfly:
 
 def _pullback_parts(B: Butterfly, B2: Butterfly):
     """Shared plumbing of compose/whiskering: pullback, kernel, quotient."""
-    P, pr1, pr2 = product_and_pullback(B.rho, B2.sigma)
-    pos = {pair: idx for idx, pair in enumerate(zip(pr1.map, pr2.map))}
+    P, pr1, pr2, pos = product_and_pullback(B.rho, B2.sigma)
     G = B.cod.G
     N = Subgroup._trusted(P, tuple(sorted({pos[(B.iota.map[g], B2.kappa.map[g])] for g in range(G.order)})))
     Q, pr = quotient(P, N)
@@ -225,108 +226,49 @@ def flip(B: Butterfly) -> Butterfly:
 # morphism search
 
 
-def _morphism_candidates(B: Butterfly, B2: Butterfly, find_all: bool) -> list[GroupHom]:
+def _morphism_maps(B: Butterfly, B2: Butterfly) -> Iterator[tuple[int, ...]]:
+    """The maps of the butterfly morphisms B -> B2, in lexicographic order:
+    bijections E -> E2 fixed on the wing images that agree with both legs
+    on generators, hence everywhere."""
     if B.dom != B2.dom or B.cod != B2.cod or B.E.order != B2.E.order:
-        return []
-    E, E2 = B.E, B2.E
-    n = E.order
+        return iter(())
     s1, r1, s2, r2 = B.sigma.map, B.rho.map, B2.sigma.map, B2.rho.map
-
-    seed: dict[int, int] = {0: 0}
-    for g in range(B.cod.G.order):
-        a, b = B.iota.map[g], B2.iota.map[g]
-        if seed.setdefault(a, b) != b:
-            return []
-    for h in range(B.dom.G.order):
-        a, b = B.kappa.map[h], B2.kappa.map[h]
-        if seed.setdefault(a, b) != b:
-            return []
-
-    def compatible(a: int, b: int) -> bool:
-        return s2[b] == s1[a] and r2[b] == r1[a]
-
-    if any(not compatible(a, b) for a, b in seed.items()):
-        return []
-
-    results: list[GroupHom] = []
-
-    def close(f: list[int], used: set[int], queue: list[int]) -> bool:
-        while queue:
-            a = queue.pop()
-            for x in range(n):
-                if f[x] == -1:
-                    continue
-                for u, v in (
-                    (E.table[a][x], E2.table[f[a]][f[x]]),
-                    (E.table[x][a], E2.table[f[x]][f[a]]),
-                ):
-                    if f[u] == -1:
-                        if v in used or not compatible(u, v):
-                            return False
-                        f[u] = v
-                        used.add(v)
-                        queue.append(u)
-                    elif f[u] != v:
-                        return False
-        return True
-
-    def extend(f: list[int], used: set[int]) -> bool:
-        try:
-            a = f.index(-1)
-        except ValueError:
-            # close() has matched f(ax) with f(a)f(x) on every pair of elements
-            results.append(GroupHom._trusted(E, E2, tuple(f)))
-            return not find_all
-        for b in range(n):
-            if b in used or not compatible(a, b):
-                continue
-            f2, used2 = f[:], set(used)
-            f2[a] = b
-            used2.add(b)
-            if close(f2, used2, [a]) and extend(f2, used2):
-                return True
-        return False
-
-    f0 = [-1] * n
-    used0: set[int] = set()
-    for a, b in seed.items():
-        if b in used0 and f0[a] != b:
-            return []
-        f0[a] = b
-        used0.add(b)
-    if close(f0, used0, list(seed.keys())):
-        extend(f0, used0)
-    return results
+    return _generator_images(
+        B.E,
+        B2.E,
+        bijective=True,
+        fixed=[*zip(B.iota.map, B2.iota.map), *zip(B.kappa.map, B2.kappa.map)],
+        accept=lambda a, b: s2[b] == s1[a] and r2[b] == r1[a],
+    )
 
 
 def isomorphic_butterflies(B: Butterfly, B2: Butterfly) -> ButterflyMorphism | None:
-    """A witness morphism (necessarily iso) between parallel butterflies, or None."""
-    found = _morphism_candidates(B, B2, find_all=False)
-    if not found:
-        return None
-    return butterfly_morphism(B, B2, found[0])
+    """A witness morphism (necessarily iso) between parallel butterflies, or
+    None; the witness is the least morphism in lexicographic order of maps."""
+    m = next(_morphism_maps(B, B2), None)
+    return None if m is None else butterfly_morphism(B, B2, GroupHom._trusted(B.E, B2.E, m))
 
 
 def butterfly_morphisms(B: Butterfly, B2: Butterfly) -> list[ButterflyMorphism]:
     """Every morphism between the parallel butterflies, exhaustively."""
-    return [butterfly_morphism(B, B2, f) for f in _morphism_candidates(B, B2, find_all=True)]
+    return [butterfly_morphism(B, B2, GroupHom._trusted(B.E, B2.E, m)) for m in _morphism_maps(B, B2)]
 
 
 # ---------------------------------------------------------------------------
 # split butterflies and morphisms of crossed modules
 
 
-def _split_parts(P: XModMorphism):
-    TG = denormalize(P.cod)
-    EP, prH0, prG1 = product_and_pullback(P.p0, TG.c)
-    pos = {pair: idx for idx, pair in enumerate(zip(prH0.map, prG1.map))}
-    return TG, EP, prH0, prG1, pos
-
-
 def split_from_morphism(P: XModMorphism) -> tuple[Butterfly, GroupHom]:
     """The split butterfly of a morphism: E is the pullback of p0 against the
     target map of the codomain 2-group; also returns the canonical section."""
-    TG, EP, prH0, prG1, pos = _split_parts(P)
+    return _split(P)[:2]
+
+
+def _split(P: XModMorphism):
+    """split_from_morphism's butterfly and section, plus the codomain 2-group,
+    the arrow projection of E and the index of E's pairs."""
+    TG = denormalize(P.cod)
+    EP, prH0, prG1, pos = product_and_pullback(P.p0, TG.c)
     H, G = P.dom.G, P.cod.G
     gbul = cokernel_embedding(P.cod)
     gemb = kernel_embedding(P.cod)
@@ -345,7 +287,7 @@ def split_from_morphism(P: XModMorphism) -> tuple[Butterfly, GroupHom]:
     section = GroupHom._trusted(
         P.dom.G0, EP, tuple(pos[(x, TG.e.map[P.p0.map[x]])] for x in range(P.dom.G0.order))
     )
-    return B, section
+    return B, section, TG, prG1, pos
 
 
 def morphism_from_split(B: Butterfly, s: GroupHom) -> XModMorphism:
@@ -372,8 +314,7 @@ def reduced_compose(Q: XModMorphism, B: Butterfly) -> Butterfly:
     middle group is the pullback of q0 against sigma."""
     if Q.cod != B.dom:
         raise NotComposable("the morphism must land in the butterfly's domain")
-    E2, prK0, prE = product_and_pullback(Q.p0, B.sigma)
-    pos = {pair: idx for idx, pair in enumerate(zip(prK0.map, prE.map))}
+    E2, prK0, prE, pos = product_and_pullback(Q.p0, B.sigma)
     K, G = Q.dom.G, B.cod.G
     bd = Q.dom.boundary.map
     kappa = GroupHom._trusted(K, E2, tuple(pos[(bd[k], B.kappa.map[Q.p.map[k]])] for k in range(K.order)))
@@ -426,15 +367,10 @@ def span_of_butterfly(B: Butterfly) -> tuple[CrossedModule, XModMorphism, XModMo
 def two_cell_image(cell: XModTwoCell) -> ButterflyMorphism:
     """The butterfly morphism E_P -> E_Q induced by a 2-cell: postcompose the
     arrow component with alpha at the base point."""
-    BP, _ = split_from_morphism(cell.P)
-    BQ, _ = split_from_morphism(cell.Q)
-    TG, _, prH0, prG1, _ = _split_parts(cell.P)
-    _, _, _, _, posQ = _split_parts(cell.Q)
-    f_map = []
-    for idx in range(BP.E.order):
-        x, j = prH0.map[idx], prG1.map[idx]
-        f_map.append(posQ[(x, TG.m[(j, cell.alpha[x])])])
-    return butterfly_morphism(BP, BQ, GroupHom._trusted(BP.E, BQ.E, tuple(f_map)))
+    BP, _, TG, prG1, _ = _split(cell.P)
+    BQ, _, _, _, posQ = _split(cell.Q)
+    f_map = tuple(posQ[(x, TG.m[(j, cell.alpha[x])])] for x, j in zip(BP.sigma.map, prG1.map))
+    return butterfly_morphism(BP, BQ, GroupHom._trusted(BP.E, BQ.E, f_map))
 
 
 def _induced_on_quotient(parts_src, parts_dst, pair_image) -> GroupHom:
@@ -495,8 +431,7 @@ def to_fractor(B: Butterfly) -> Fractor:
         R.G1, H2.G1,
         tuple(h * nH0 + B.sigma.map[e] for h in range(B.dom.G.order) for e in range(nE)),
     )
-    RS, pr1, pr2 = product_and_pullback(B.sigma, B.sigma)
-    pos = {pair: idx for idx, pair in enumerate(zip(pr1.map, pr2.map))}
+    RS, pr1, pr2, pos = product_and_pullback(B.sigma, B.sigma)
     diagonal = GroupHom._trusted(E, RS, tuple(pos[(x, x)] for x in range(E.order)))
     Rsigma = Strict2Group(RS, E, pr1, pr2, diagonal)
     iota_inv = {e: g for g, e in enumerate(B.iota.map)}
@@ -580,34 +515,22 @@ def from_fractor(F: Fractor) -> Butterfly:
 
     dom, cod = normalize(F.H2), normalize(F.G2)
     sigma, rho = F.left.p0, F.right.p0
-    kernel_H = kernel(F.H2.c).elements
-    kappa_map = []
-    for el in kernel_H:
-        lifts = [
-            a
-            for a in range(F.R.G1.order)
-            if F.left.p1.map[a] == el and F.R.c.map[a] == 0
-        ]
-        if len(lifts) != 1:
-            raise FractorConditionFailed(1, f"no unique lift of kernel arrow {el}")
-        kappa_map.append(F.R.d.map[lifts[0]])
-    kernel_G = kernel(F.G2.c).elements
-    iota_map = []
-    for el in kernel_G:
-        lifts = [
-            a
-            for a in range(F.Rsigma.G1.order)
-            if F.right.p1.map[a] == el and F.Rsigma.c.map[a] == 0
-        ]
-        if len(lifts) != 1:
-            raise FractorConditionFailed(1, f"no unique lift of kernel arrow {el}")
-        iota_map.append(F.Rsigma.d.map[lifts[0]])
+    wings = []
+    for T, leg, base in ((F.R, F.left, F.H2), (F.Rsigma, F.right, F.G2)):
+        wing = []
+        for el in kernel(base.c).elements:
+            lifts = [a for a in range(T.G1.order) if leg.p1.map[a] == el and T.c.map[a] == 0]
+            if len(lifts) != 1:
+                raise FractorConditionFailed(1, f"no unique lift of kernel arrow {el}")
+            wing.append(T.d.map[lifts[0]])
+        wings.append(tuple(wing))
+    kappa_map, iota_map = wings
     return Butterfly(
         dom=dom,
         cod=cod,
         E=F.E,
-        kappa=GroupHom._trusted(dom.G, F.E, tuple(kappa_map)),
-        iota=GroupHom._trusted(cod.G, F.E, tuple(iota_map)),
+        kappa=GroupHom._trusted(dom.G, F.E, kappa_map),
+        iota=GroupHom._trusted(cod.G, F.E, iota_map),
         sigma=sigma,
         rho=rho,
     )

@@ -15,14 +15,17 @@ from __future__ import annotations
 import argparse
 import fcntl
 import json
+import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import jsonio
 from .butterfly import (
     Butterfly,
+    Fractor,
     compose,
     flip,
     identity_butterfly,
@@ -31,10 +34,11 @@ from .butterfly import (
     span_of_butterfly,
     split_from_morphism,
     validate_butterfly,
+    validate_fractor,
 )
-from .errors import ButterflyError, ParseError, UnknownKind, UnknownSuite
+from .errors import BoundExceeded, ButterflyError, ParseError, UnknownKind, UnknownSuite
 from .extension import classify_extensions, factor_set_oracle
-from .fingroup import FinGroup, cyclic_group, direct_product, symmetric_group, trivial_group
+from .fingroup import FinGroup, cyclic_group, direct_product, klein_four, symmetric_group, trivial_group
 from .laws import FAULTS, SUITES, generate_fixtures
 from .report import ValidationReport
 from .weakmap import MonoidalFunctor, butterfly_from_monoidal, check_monoidal, extract_monoidal, set_section
@@ -100,26 +104,35 @@ class Workspace:
         return [(ref, index[ref].get("kind", "?")) for ref in sorted(index)]
 
 
-def parse_group_spec(spec: str) -> Optional[FinGroup]:
-    """Builtin group names: 1, Zn, V4, Sn, and x-products of these."""
-    def atom(s: str) -> Optional[FinGroup]:
+def _spec_factors(spec: str) -> Optional[list[tuple[int, Callable[[], FinGroup]]]]:
+    """The factors of a builtin group spec as (order, builder) pairs, or None
+    if `spec` is not one.  Nothing is built."""
+    factors: list[tuple[int, Callable[[], FinGroup]]] = []
+    for s in spec.split("x"):
+        n = int(s[1:]) if s[1:].isdecimal() else None
         if s == "1":
-            return trivial_group()
-        if s in ("V4", "K4"):
-            return direct_product(cyclic_group(2), cyclic_group(2))[0]
-        if s.startswith("Z") and s[1:].isdigit():
-            return cyclic_group(int(s[1:]))
-        if s.startswith("S") and s[1:].isdigit() and 1 <= int(s[1:]) <= 4:
-            return symmetric_group(int(s[1:]))
-        return None
+            factors.append((1, trivial_group))
+        elif s in ("V4", "K4"):
+            factors.append((4, klein_four))
+        elif s.startswith("Z") and n is not None:
+            if n < 1:
+                raise ParseError(f"bad group spec {spec!r}: Zn needs n >= 1")
+            factors.append((n, partial(cyclic_group, n)))
+        elif s.startswith("S") and n is not None and 1 <= n <= 4:
+            factors.append((math.factorial(n), partial(symmetric_group, n)))
+        else:
+            return None
+    return factors
 
-    parts = spec.split("x")
-    groups = [atom(p) for p in parts]
-    if any(g is None for g in groups):
+
+def parse_group_spec(spec: str) -> Optional[FinGroup]:
+    """Builtin group names: 1, Zn (n >= 1), V4, Sn (n <= 4), and x-products of these."""
+    factors = _spec_factors(spec)
+    if factors is None:
         return None
-    out = groups[0]
-    for g in groups[1:]:
-        out = direct_product(out, g)[0]
+    out = factors[0][1]()
+    for _, build in factors[1:]:
+        out = direct_product(out, build())[0]
     out.name = spec
     return out
 
@@ -138,14 +151,17 @@ def _load_object(arg: str, ws: Workspace):
     return jsonio.from_jsonable(_load_json_arg(arg, ws), resolver=ws.get)
 
 
-def _load_group_arg(arg: str, ws: Workspace) -> FinGroup:
-    builtin = parse_group_spec(arg)
-    if builtin is not None:
-        return builtin
+def _group_arg(arg: str, ws: Workspace) -> tuple[int, Callable[[], FinGroup]]:
+    """The order of a group argument and a builder for it.  A builtin spec's
+    order is the product of its factors', so it is known before it is built;
+    a stored group is loaded at once."""
+    factors = _spec_factors(arg)
+    if factors is not None:
+        return math.prod(n for n, _ in factors), partial(parse_group_spec, arg)
     obj = _load_object(arg, ws)
     if not isinstance(obj, FinGroup):
         raise ParseError(f"{arg} is not a group")
-    return obj
+    return obj.order, lambda: obj
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -170,6 +186,8 @@ def _validation_report(obj) -> ValidationReport:
         return report
     if isinstance(obj, MonoidalFunctor):
         return check_monoidal(obj)
+    if isinstance(obj, Fractor):
+        return validate_fractor(obj)
     raise UnknownKind(f"cannot validate {type(obj).__name__}")
 
 
@@ -279,8 +297,10 @@ def cmd_weakmap(args, ws: Workspace) -> int:
 
 
 def cmd_classify(args, ws: Workspace) -> int:
-    H = _load_group_arg(args.H, ws)
-    G = _load_group_arg(args.G, ws)
+    (nH, build_H), (nG, build_G) = _group_arg(args.H, ws), _group_arg(args.G, ws)
+    if nH * nG > args.bound:
+        raise BoundExceeded("classify_extensions", nH * nG, args.bound)
+    H, G = build_H(), build_G()
     classes = classify_extensions(H, G, bound=args.bound)
     rows = []
     for cls in classes:

@@ -25,6 +25,7 @@ from .fingroup import (
     FinGroup,
     GroupAction,
     GroupHom,
+    _generator_images,
     all_homomorphisms,
     automorphism_group,
     cyclic_group,
@@ -90,8 +91,11 @@ class ExtensionDatum:
             raise ValueError("image(iota) must equal kernel(sigma)")
 
     def is_split(self) -> bool:
-        ident = tuple(range(self.H.order))
-        return any(s.then(self.sigma).map == ident for s in all_homomorphisms(self.H, self.E))
+        """Whether sigma has a homomorphic section: s with sigma(s(x)) = x on
+        generators, hence everywhere."""
+        s = self.sigma.map
+        homs = _generator_images(self.H, self.E, bijective=False, accept=lambda x, e: s[e] == x)
+        return next(homs, None) is not None
 
 
 def butterfly_from_extension(X: ExtensionDatum, bound: int = DEFAULT_BOUND) -> Butterfly:

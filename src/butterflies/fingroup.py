@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BoundExceeded, CodomainMismatch, NotAGroup, NotNormal
 
@@ -377,18 +377,21 @@ class Subgroup(_Trusted):
         return grp, GroupHom._trusted(grp, self.ambient, elems)
 
 
-def subgroup_generated(G: FinGroup, gens: Iterable[int]) -> Subgroup:
-    seen = {0}
-    frontier = [0]
-    gens = list(gens)
+def _close(G: FinGroup, span: set[int], gens: Sequence[int]) -> set[int]:
+    """Grow `span`, a subgroup of G contained in <gens>, in place to <gens>."""
+    frontier = list(span)
     while frontier:
         a = frontier.pop()
         for g in gens:
             b = G.table[a][g]
-            if b not in seen:
-                seen.add(b)
+            if b not in span:
+                span.add(b)
                 frontier.append(b)
-    return Subgroup._trusted(G, tuple(sorted(seen)))
+    return span
+
+
+def subgroup_generated(G: FinGroup, gens: Iterable[int]) -> Subgroup:
+    return Subgroup._trusted(G, tuple(sorted(_close(G, {0}, list(gens)))))
 
 
 def kernel(f: GroupHom) -> Subgroup:
@@ -425,8 +428,11 @@ def quotient(G: FinGroup, N: Subgroup) -> tuple[FinGroup, GroupHom]:
     return Q, GroupHom._trusted(G, Q, tuple(coset_of))
 
 
-def product_and_pullback(f: GroupHom, g: GroupHom) -> tuple[FinGroup, GroupHom, GroupHom]:
-    """The pullback {(a,c) : f(a)=g(c)} with its two projections.
+def product_and_pullback(
+    f: GroupHom, g: GroupHom
+) -> tuple[FinGroup, GroupHom, GroupHom, dict[tuple[int, int], int]]:
+    """The pullback {(a,c) : f(a)=g(c)} with its two projections and the
+    index of each pair (a, c) in it.
 
     Taking both maps into the trivial group yields the direct product.
     """
@@ -443,12 +449,12 @@ def product_and_pullback(f: GroupHom, g: GroupHom) -> tuple[FinGroup, GroupHom, 
     P = FinGroup(table, f"PB({A.name},{C.name})", labels, _validated=True)
     proj1 = GroupHom._trusted(P, A, tuple(a for (a, _) in pairs))
     proj2 = GroupHom._trusted(P, C, tuple(c for (_, c) in pairs))
-    return P, proj1, proj2
+    return P, proj1, proj2, pos
 
 
 def direct_product(A: FinGroup, B: FinGroup) -> tuple[FinGroup, GroupHom, GroupHom]:
     T = trivial_group()
-    P, p1, p2 = product_and_pullback(zero_hom(A, T), zero_hom(B, T))
+    P, p1, p2, _ = product_and_pullback(zero_hom(A, T), zero_hom(B, T))
     P.name = f"{A.name}x{B.name}"
     return P, p1, p2
 
@@ -487,14 +493,15 @@ def semidirect_product(xi: GroupAction) -> tuple[FinGroup, GroupHom, GroupHom, G
 # searches
 
 
-def _generating_sequence(G: FinGroup) -> list[int]:
+def _generating_sequence(G: FinGroup, first: Iterable[int] = ()) -> list[int]:
+    """Greedy generators of G: each element of `first`, then of 0..order-1,
+    that lies outside the span of those taken before it."""
     gens: list[int] = []
     span = {0}
-    for a in range(G.order):
+    for a in itertools.chain(first, range(G.order)):
         if a not in span:
             gens.append(a)
-            span = set(subgroup_generated(G, gens).elements)
-            if len(span) == G.order:
+            if len(_close(G, span, gens)) == G.order:
                 break
     return gens
 
@@ -525,22 +532,42 @@ def _extend_hom(G: FinGroup, H: FinGroup, gens: Sequence[int], images: Sequence[
     return tuple(m)
 
 
-def _generator_images(G: FinGroup, H: FinGroup, bijective: bool) -> Iterator[tuple[int, ...]]:
+def _generator_images(
+    G: FinGroup,
+    H: FinGroup,
+    bijective: bool,
+    fixed: Sequence[tuple[int, int]] = (),
+    accept: Optional[Callable[[int, int], bool]] = None,
+) -> Iterator[tuple[int, ...]]:
     """Every homomorphism G -> H (only the bijections when `bijective`), as maps,
-    in lexicographic order of the images of G's generating sequence.
+    in lexicographic order.
 
-    A generator's image must have order dividing its own, or equal to it
-    for bijections.
+    A generator's image must have order dividing its own (equal for
+    bijections) and pass `accept(generator, image)` when given.  Each pair
+    (a, b) of `fixed` forces m(a) = b.  Those elements enter the generating
+    sequence first, and every later generator is the least element outside
+    the span of the ones before it, so lexicographic order on generator
+    images is lexicographic order on maps.
     """
-    gens = _generating_sequence(G)
+    forced = dict(fixed)
+    gens = _generating_sequence(G, forced)
     go, ho = G.element_orders, H.element_orders
     candidates = [
-        [b for b in range(H.order) if (ho[b] == go[g] if bijective else go[g] % ho[b] == 0)]
+        [
+            b
+            for b in ((forced[g],) if g in forced else range(H.order))
+            if (ho[b] == go[g] if bijective else go[g] % ho[b] == 0)
+            and (accept is None or accept(g, b))
+        ]
         for g in gens
     ]
     for images in itertools.product(*candidates):
         m = _extend_hom(G, H, gens, images)
-        if m is not None and (not bijective or len(set(m)) == G.order):
+        if (
+            m is not None
+            and (not bijective or len(set(m)) == G.order)
+            and all(m[a] == b for a, b in fixed)
+        ):
             yield m
 
 

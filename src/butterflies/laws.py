@@ -470,8 +470,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
 def _square_is_pullback(P: XModMorphism) -> bool:
     """h -> (boundary h, p h) is a bijection onto the pullback of p0 and the
     codomain boundary."""
-    PB, pr1, pr2 = product_and_pullback(P.p0, P.cod.boundary)
-    pos = {pair: idx for idx, pair in enumerate(zip(pr1.map, pr2.map))}
+    PB, _, _, pos = product_and_pullback(P.p0, P.cod.boundary)
     images = set()
     bd = P.dom.boundary.map
     for h in range(P.dom.G.order):
@@ -489,12 +488,11 @@ def ef3_coincidence(B: Butterfly) -> bool:
     L = reduced_compose(left, B)
     R = reduced_compose(right, identity_butterfly(B.cod))
     E = B.E
-    LP, l1, l2 = product_and_pullback(B.sigma, B.sigma)
+    LP, l1, l2, _ = product_and_pullback(B.sigma, B.sigma)
     I = identity_butterfly(B.cod)
-    RP, r1, r2 = product_and_pullback(B.rho, I.sigma)
+    RP, _, _, posR = product_and_pullback(B.rho, I.sigma)
     if L.E != LP or R.E != RP:
         return False
-    posR = {pair: idx for idx, pair in enumerate(zip(r1.map, r2.map))}
     iota_inv = {e: g for g, e in enumerate(B.iota.map)}
     nG0 = B.cod.G0.order
     theta = []

@@ -367,15 +367,13 @@ def pullback_crossed_module(X: CrossedModule, sigma: GroupHom) -> tuple[CrossedM
     if sigma.cod != X.G0:
         raise ValueError("sigma must land in the base of the crossed module")
     E = sigma.dom
-    P, prE, prH = product_and_pullback(sigma, X.boundary)
-    pairs = list(zip(prE.map, prH.map))
-    pos = {p: i for i, p in enumerate(pairs)}
+    P, prE, prH, pos = product_and_pullback(sigma, X.boundary)
     perms = []
     for ebar in range(E.order):
         perms.append(
             tuple(
                 pos[(E.conj(ebar, e), X.act(sigma.map[ebar], h))]
-                for (e, h) in pairs
+                for (e, h) in pos
             )
         )
     action = GroupAction._trusted(E, P, tuple(perms))

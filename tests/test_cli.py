@@ -13,8 +13,8 @@ import pytest
 from helpers import ONE, S3, Z2, Z3, Z4, invalid_butterfly_json, z4_extension_butterfly
 
 import butterflies
-from butterflies import jsonio
-from butterflies.butterfly import identity_butterfly
+from butterflies import cli, fingroup, jsonio
+from butterflies.butterfly import identity_butterfly, to_fractor
 from butterflies.cli import Workspace, main, parse_group_spec
 from butterflies.extension import conjugation_xmod, discrete_xmod
 
@@ -99,6 +99,12 @@ class TestValidate:
         assert run(ws, "validate", path) == 0
         path2 = write_json(tmp_path, "x.json", jsonio.to_jsonable(conjugation_xmod(Z2)))
         assert run(ws, "validate", path2) == 0
+
+    def test_validate_fractor_exit_0(self, ws, tmp_path, capsys):
+        F = to_fractor(identity_butterfly(conjugation_xmod(Z2)))
+        path = write_json(tmp_path, "f.json", jsonio.to_jsonable(F))
+        assert run(ws, "--json", "validate", path) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
 class TestValidateTwoGroup:
@@ -274,6 +280,21 @@ class TestClassify:
 
     def test_bound_exceeded_exit_1(self, ws):
         assert run(ws, "classify", "Z4", "Z4", "--bound", "8") == 1
+
+    def test_spec_bound_checked_before_building(self, ws, capsys, monkeypatch):
+        def no_products(*_):
+            raise AssertionError("a group spec past --bound was built")
+
+        monkeypatch.setattr(fingroup, "direct_product", no_products)
+        monkeypatch.setattr(cli, "direct_product", no_products)
+        assert run(ws, "classify", "Z30xZ30", "Z2") == 1
+        assert "classify_extensions: size 1800 exceeds bound 16" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["Z0", "Z2xZ0"])
+    def test_empty_cyclic_group_exit_2(self, ws, spec):
+        proc = run_process(ws, "classify", spec, "Z2")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
     def test_group_spec_parsing(self):
         assert parse_group_spec("Z2xZ2").order == 4

@@ -191,7 +191,7 @@ def _brute_normal_closure(G: FinGroup, seed: set[int]) -> set[int]:
 
 class TestPullback:
     def test_diagonal(self):
-        P, p1, p2 = product_and_pullback(identity_hom(Z2), identity_hom(Z2))
+        P, p1, p2, _ = product_and_pullback(identity_hom(Z2), identity_hom(Z2))
         assert P.order == 2
         assert p1.map == p2.map
 
@@ -201,10 +201,11 @@ class TestPullback:
 
     def test_parity_pullback(self):
         f = GroupHom(Z4, Z2, (0, 1, 0, 1))
-        P, p1, p2 = product_and_pullback(f, f)
+        P, p1, p2, pos = product_and_pullback(f, f)
         # oracle: count pairs with equal parity
         expected = sum(1 for a in range(4) for b in range(4) if a % 2 == b % 2)
         assert P.order == expected == 8
+        assert pos == {(p1.map[i], p2.map[i]): i for i in range(P.order)}
 
     def test_codomain_mismatch(self):
         with pytest.raises(CodomainMismatch):
@@ -214,7 +215,7 @@ class TestPullback:
         rng = random.Random(7)
         f = GroupHom(Z4, Z2, (0, 1, 0, 1))
         g = GroupHom(S3, Z2, tuple(0 if S3.element_orders[p] != 2 else 1 for p in range(6)))
-        P, p1, p2 = product_and_pullback(f, g)
+        P, p1, p2, _ = product_and_pullback(f, g)
         X = cyclic_group(6)
         cones = [
             (u, v)
