@@ -53,8 +53,13 @@ class ShapeMismatch(ButterflyError):
     """A butterfly does not have the discrete-source / automorphism-target shape."""
 
 
-class CooperatorFails(ButterflyError):
-    """The two wing maps of a butterfly do not commute elementwise."""
+class TwistLeavesCocycles(ButterflyError, KeyError):
+    """A change of section takes a factor set outside the enumerated cocycles.
+
+    Raised by the factor-set oracle on non-abelian kernels; it is also a
+    ``KeyError``, the failed lookup it reports."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
 class FractorConditionFailed(ButterflyError):

@@ -19,15 +19,16 @@ from .butterfly import (
     butterfly_morphisms,
     isomorphic_butterflies,
 )
-from .errors import BoundExceeded, ConstructionError, ShapeMismatch
+from .errors import BoundExceeded, ConstructionError, ShapeMismatch, TwistLeavesCocycles
 from .fingroup import (
-    DEFAULT_BOUND,
     FinGroup,
     GroupAction,
     GroupHom,
     _generator_images,
     all_homomorphisms,
     automorphism_group,
+    conjugation_action,
+    construct_group,
     cyclic_group,
     dicyclic_group,
     direct_product,
@@ -51,9 +52,11 @@ def discrete_xmod(H: FinGroup) -> CrossedModule:
 
 # bounded at 4x the most groups any benchmark workload asks for (8)
 @lru_cache(maxsize=32)
-def aut_xmod(G: FinGroup, bound: int = DEFAULT_BOUND) -> CrossedModule:
-    """A(G) = (inner: G -> Aut G, evaluation action)."""
-    A, ev = automorphism_group(G, bound)
+def aut_xmod(G: FinGroup) -> CrossedModule:
+    """A(G) = (inner: G -> Aut G, evaluation action).  The one source of
+    Aut(G) for this module: Aut(G) is A.G0, evaluation is A.action and
+    conjugation is A.boundary, whose kernel is the center of G."""
+    A, ev = automorphism_group(G)
     pos = {p: i for i, p in enumerate(ev.act)}
     inner = GroupHom._trusted(
         G, A, tuple(pos[tuple(G.conj(g, a) for a in range(G.order))] for g in range(G.order))
@@ -63,8 +66,6 @@ def aut_xmod(G: FinGroup, bound: int = DEFAULT_BOUND) -> CrossedModule:
 
 def conjugation_xmod(G: FinGroup) -> CrossedModule:
     """(id: G -> G, conjugation)."""
-    from .fingroup import conjugation_action
-
     return CrossedModule(G, G, identity_hom(G), conjugation_action(G), name=f"C({G.name})")
 
 
@@ -98,17 +99,16 @@ class ExtensionDatum:
         return next(homs, None) is not None
 
 
-def butterfly_from_extension(X: ExtensionDatum, bound: int = DEFAULT_BOUND) -> Butterfly:
+def butterfly_from_extension(X: ExtensionDatum) -> Butterfly:
     """The butterfly D(H) -> A(G) of an extension; the Aut-leg is the
     conjugation representation and is uniquely determined."""
     dom = discrete_xmod(X.H)
-    cod = aut_xmod(X.G, bound)
+    cod = aut_xmod(X.G)
     iota_inv = {e: g for g, e in enumerate(X.iota.map)}
     pos = {p: i for i, p in enumerate(cod.action.act)}
-    rho_map = []
-    for e in range(X.E.order):
-        perm = tuple(iota_inv[X.E.conj(e, X.iota.map[g])] for g in range(X.G.order))
-        rho_map.append(pos[perm])
+    rho_map = tuple(
+        pos[tuple(iota_inv[X.E.conj(e, X.iota.map[g])] for g in range(X.G.order))] for e in range(X.E.order)
+    )
     return Butterfly(
         dom=dom,
         cod=cod,
@@ -116,7 +116,7 @@ def butterfly_from_extension(X: ExtensionDatum, bound: int = DEFAULT_BOUND) -> B
         kappa=zero_hom(_ONE, X.E),
         iota=X.iota,
         sigma=X.sigma,
-        rho=GroupHom._trusted(X.E, cod.G0, tuple(rho_map)),
+        rho=GroupHom._trusted(X.E, cod.G0, rho_map),
     )
 
 
@@ -124,7 +124,7 @@ def extension_from_butterfly(B: Butterfly) -> ExtensionDatum:
     """Forget the Aut-leg of a butterfly D(H) -> A(G)."""
     if B.dom.G.order != 1:
         raise ShapeMismatch("domain is not a discrete crossed module")
-    if B.cod != aut_xmod(B.cod.G, bound=max(DEFAULT_BOUND, B.cod.G.order)):
+    if B.cod != aut_xmod(B.cod.G):
         raise ShapeMismatch("codomain is not the automorphism crossed module of its top group")
     return ExtensionDatum(H=B.dom.G0, G=B.cod.G, E=B.E, iota=B.iota, sigma=B.sigma)
 
@@ -198,10 +198,8 @@ def factor_set_to_extension(fs: FactorSet, validated: bool = False) -> Extension
     construct_group; otherwise associativity is certified by the Schreier
     conditions and only the cheap checks run.
     """
-    from .fingroup import construct_group
-
     H, G = fs.H, fs.G
-    _, ev = automorphism_group(G, bound=max(DEFAULT_BOUND, G.order))
+    ev = aut_xmod(G).action
     nH = H.order
     idx = lambda g, x: g * nH + x
     table = [[0] * (G.order * nH) for _ in range(G.order * nH)]
@@ -226,34 +224,31 @@ def factor_set_to_extension(fs: FactorSet, validated: bool = False) -> Extension
 
 
 def factor_set_of_extension(X: ExtensionDatum, section: tuple[int, ...]) -> FactorSet:
-    """Read (phi, f) off an extension along a normalized set section of sigma."""
-    G, E = X.G, X.E
-    _, ev = automorphism_group(G, bound=max(DEFAULT_BOUND, G.order))
-    pos = {p: i for i, p in enumerate(ev.act)}
+    """Read (phi, f) off an extension along a normalized set section of sigma:
+    phi is the Aut-leg of its butterfly after the section."""
+    H, E, s = X.H, X.E, section
+    rho = butterfly_from_extension(X).rho.map
     iota_inv = {e: g for g, e in enumerate(X.iota.map)}
-    phi = []
-    for x in range(X.H.order):
-        perm = tuple(iota_inv[E.conj(section[x], X.iota.map[g])] for g in range(G.order))
-        phi.append(pos[perm])
-    f = []
-    for x in range(X.H.order):
-        row = []
-        for y in range(X.H.order):
-            value = E.table[E.table[section[x]][section[y]]][E.inv(section[X.H.table[x][y]])]
-            row.append(iota_inv[value])
-        f.append(tuple(row))
-    return FactorSet(X.H, G, tuple(phi), tuple(f))
+    f = tuple(
+        tuple(iota_inv[E.table[E.table[s[x]][s[y]]][E.inv(s[H.table[x][y]])]] for y in range(H.order))
+        for x in range(H.order)
+    )
+    return FactorSet(H, X.G, tuple(rho[e] for e in s), f)
 
 
 def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = 16) -> list[FactorSet]:
     """All normalized pairs (phi, f) satisfying the Schreier conditions.
 
-    Backtracking over the non-identity pairs of f with incremental checking
-    of every cocycle triple whose inputs are already assigned.
+    phi ranges over the homomorphisms H -> Aut(G), so the first condition,
+    conj(f(x, y)) = phi(x) phi(y) phi(xy)^-1 = 1, puts every f-value in the
+    center Z(G) = ker(inner).  Backtracking over the non-identity pairs of f
+    draws from Z(G) and checks every cocycle triple whose inputs are already
+    assigned.
     """
     if H.order * G.order > bound:
         raise BoundExceeded("enumerate_cocycles", H.order * G.order, bound)
-    aut, ev = automorphism_group(G, bound=max(DEFAULT_BOUND, G.order))
+    A = aut_xmod(G)
+    center = [g for g in range(G.order) if A.boundary.map[g] == 0]
     nH = H.order
     free = [(x, y) for x in range(1, nH) for y in range(1, nH)]
     slot = {p: i for i, p in enumerate(free)}
@@ -275,11 +270,9 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Factor
             buckets[max(slots)].append((a, b, c))
 
     results: list[FactorSet] = []
-    for phi_hom in all_homomorphisms(H, aut):
+    for phi_hom in all_homomorphisms(H, A.G0):
         phi = phi_hom.map
-        # the first Schreier condition must already hold with some f; it fixes
-        # nothing by itself, so check it per-assignment below via conjugation
-        act = [ev.act[phi[x]] for x in range(nH)]
+        act = [A.action.act[phi[x]] for x in range(nH)]
         fvals = [0] * len(free)
 
         def value(x: int, y: int) -> int:
@@ -290,19 +283,14 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Factor
             rhs = G.table[value(a, b)][value(H.table[a][b], c)]
             return lhs == rhs
 
-        def pair_ok(x: int, y: int) -> bool:
-            composed = tuple(act[x][act[y][g]] for g in range(G.order))
-            target = tuple(G.conj(value(x, y), act[H.table[x][y]][g]) for g in range(G.order))
-            return composed == target
-
         def backtrack(k: int):
             if k == len(free):
-                results.append(FactorSet(H, G, tuple(phi), _as_matrix(nH, value)))
+                f = tuple(tuple(value(x, y) for y in range(nH)) for x in range(nH))
+                results.append(FactorSet(H, G, tuple(phi), f))
                 return
-            x, y = free[k]
-            for g in range(G.order):
+            for g in center:
                 fvals[k] = g
-                if pair_ok(x, y) and all(triple_ok(*t) for t in buckets[k]):
+                if all(triple_ok(*t) for t in buckets[k]):
                     backtrack(k + 1)
             fvals[k] = 0
 
@@ -310,27 +298,18 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Factor
     return results
 
 
-def _as_matrix(nH: int, value) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(value(x, y) for y in range(nH)) for x in range(nH))
-
-
-def twist_factor_set(fs: FactorSet, h: tuple[int, ...], ev: GroupAction, pos: dict) -> FactorSet:
-    """The equivalent factor set obtained by changing the section by h: H -> G."""
+def twist_factor_set(fs: FactorSet, h: tuple[int, ...], A: CrossedModule) -> FactorSet:
+    """The equivalent factor set obtained by changing the section by h: H -> G,
+    with A = aut_xmod(G).  The new phi(x) is inner(h(x)) * phi(x) in Aut(G)."""
     H, G = fs.H, fs.G
-    phi2 = []
-    for x in range(H.order):
-        perm = tuple(G.conj(h[x], ev.act[fs.phi[x]][g]) for g in range(G.order))
-        phi2.append(pos[perm])
-    f2 = []
-    for x in range(H.order):
-        row = []
-        for y in range(H.order):
-            value = G.table[
-                G.table[G.table[h[x]][ev.act[fs.phi[x]][h[y]]]][fs.f[x][y]]
-            ][G.inv(h[H.table[x][y]])]
-            row.append(value)
-        f2.append(tuple(row))
-    return FactorSet(H, G, tuple(phi2), tuple(f2))
+    act, inner, aut, t = A.action.act, A.boundary.map, A.G0.table, G.table
+    phi, f = fs.phi, fs.f
+    phi2 = tuple(aut[inner[h[x]]][phi[x]] for x in range(H.order))
+    f2 = tuple(
+        tuple(t[t[t[h[x]][act[phi[x]][h[y]]]][f[x][y]]][G.inv(h[H.table[x][y]])] for y in range(H.order))
+        for x in range(H.order)
+    )
+    return FactorSet(H, G, phi2, f2)
 
 
 def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = 16) -> list[list[FactorSet]]:
@@ -341,8 +320,7 @@ def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = 16) -> list[list[Fa
     genuine group.
     """
     cocycles = enumerate_cocycles(H, G, bound)
-    _, ev = automorphism_group(G, bound=max(DEFAULT_BOUND, G.order))
-    pos = {p: i for i, p in enumerate(ev.act)}
+    A = aut_xmod(G)
     index = {(fs.phi, fs.f): i for i, fs in enumerate(cocycles)}
     assigned = [-1] * len(cocycles)
     classes: list[list[FactorSet]] = []
@@ -354,8 +332,13 @@ def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = 16) -> list[list[Fa
         members = []
         for tail in h_candidates:
             h = (0,) + tail
-            twisted = twist_factor_set(fs, h, ev, pos)
-            j = index[(twisted.phi, twisted.f)]
+            twisted = twist_factor_set(fs, h, A)
+            j = index.get((twisted.phi, twisted.f))
+            if j is None:
+                raise TwistLeavesCocycles(
+                    f"section change h={h} leaves the enumerated cocycles of {H.name} by {G.name}: "
+                    "phi ranges over homomorphisms only, so non-abelian kernels are unsupported"
+                )
             if assigned[j] == -1:
                 assigned[j] = label
                 members.append(cocycles[j])

@@ -26,7 +26,7 @@ from .butterfly import (
     two_cell_image,
     validate_butterfly,
 )
-from .errors import BoundExceeded, UnknownSuite
+from .errors import BoundExceeded, ConstructionError, UnknownSuite
 from .extension import (
     ExtensionDatum,
     aut_xmod,
@@ -288,9 +288,11 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
 
 
 def _iso_or_none(B1: Butterfly, B2: Butterfly):
+    """A morphism B1 -> B2, or None when there is none or, on operands whose
+    legs are not homomorphisms (the compose fault), when building it fails."""
     try:
         return isomorphic_butterflies(B1, B2)
-    except Exception:
+    except ConstructionError:
         return None
 
 

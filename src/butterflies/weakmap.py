@@ -126,6 +126,8 @@ def set_section(B: Butterfly, s) -> SetSection:
     if s[0] != 0:
         raise SectionInvalid("section must be normalized: s(1) = 1")
     for x, e in enumerate(s):
+        if not 0 <= e < B.E.order:
+            raise SectionInvalid(f"s({x}) = {e} is not an element of E (0..{B.E.order - 1})")
         if B.sigma.map[e] != x:
             raise SectionInvalid(f"s({x}) is not in the sigma-fiber of {x}")
     return SetSection(B, s)

@@ -261,6 +261,14 @@ class TestCommands:
         mpath = write_json(tmp_path, "m.json", out["monoidal"])
         assert run(ws, "weakmap", "assemble", mpath) == 0
 
+    @pytest.mark.parametrize("section", ["0,99", "0,-1"])
+    def test_weakmap_section_outside_e_exit_1(self, ws, tmp_path, section):
+        path = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
+        proc = run_process(ws, "weakmap", "extract", path, "--section", section)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("SectionInvalid: ")
+        assert "Traceback" not in proc.stderr
+
 
 class TestClassify:
     def test_z2_z2_oracle_agrees(self, ws, capsys):
@@ -289,6 +297,13 @@ class TestClassify:
         monkeypatch.setattr(cli, "direct_product", no_products)
         assert run(ws, "classify", "Z30xZ30", "Z2") == 1
         assert "classify_extensions: size 1800 exceeds bound 16" in capsys.readouterr().err
+
+    def test_oracle_on_nonabelian_kernel_exit_1(self, ws):
+        proc = run_process(ws, "classify", "Z2", "S3", "--oracle")
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("TwistLeavesCocycles: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("spec", ["Z0", "Z2xZ0"])
     def test_empty_cyclic_group_exit_2(self, ws, spec):

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import ONE, S3, V4, Z2, Z3, Z4
 
+from butterflies import errors, extension
 from butterflies.butterfly import butterfly_morphisms, identity_butterfly, isomorphic_butterflies
 from butterflies.errors import BoundExceeded, ShapeMismatch
 from butterflies.extension import (
@@ -178,6 +179,28 @@ class TestOracle:
     def test_z2_z3_two_classes(self):
         classes = factor_set_oracle(Z2, Z3)
         assert len(classes) == 2  # trivial vs inversion action, H^2 vanishes
+
+    def test_nonabelian_kernel_is_a_domain_error(self):
+        with pytest.raises(errors.TwistLeavesCocycles) as info:
+            factor_set_oracle(Z2, S3)
+        # still the KeyError of the failed lookup it reports
+        assert isinstance(info.value, errors.ButterflyError)
+        assert isinstance(info.value, KeyError)
+
+    def test_aut_searched_once_per_kernel(self, monkeypatch):
+        calls = []
+
+        def counting(G, *args):
+            calls.append(G)
+            return automorphism_group(G, *args)
+
+        monkeypatch.setattr(extension, "automorphism_group", counting)
+        aut_xmod.cache_clear()
+        classify_extensions(V4, Z2)
+        factor_set_oracle(V4, Z2)
+        factor_set_of_extension(factor_set_to_extension(enumerate_cocycles(Z2, Z3)[0]), (0, 1))
+        aut_xmod.cache_clear()
+        assert calls == [Z2, Z3]
 
     def test_orbits_partition_cocycles(self):
         cocycles = enumerate_cocycles(Z4, Z2)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from butterflies import jsonio
+from butterflies import jsonio, laws
 from butterflies.errors import BoundExceeded, UnknownSuite
 from butterflies.laws import (
     FixtureSet,
@@ -92,6 +92,15 @@ class TestSuites:
     def test_fault_outside_the_suite_raises(self, suite, fault):
         with pytest.raises(UnknownSuite):
             suite(FixtureSet(seed=0, size_bound=8), fault=fault)
+
+    def test_search_defect_is_not_a_law_failure(self, monkeypatch):
+        # only the ConstructionError of fault-corrupted operands means "no morphism"
+        def broken(B1, B2):
+            raise KeyError("defect in the search")
+
+        monkeypatch.setattr(laws, "isomorphic_butterflies", broken)
+        with pytest.raises(KeyError):
+            run_bicategory_suite(generate_fixtures(0, 8))
 
     def test_failures_carry_replayable_witnesses(self):
         report = run_bicategory_suite(generate_fixtures(0, 8), fault="compose")

@@ -79,6 +79,12 @@ class TestSections:
         with pytest.raises(SectionInvalid):
             set_section(B, (2, 1))
 
+    @pytest.mark.parametrize("s", [(0, 99), (0, -1)])
+    def test_values_outside_e_rejected(self, s):
+        # -1 would otherwise index sigma from the end and pass as element 3
+        with pytest.raises(SectionInvalid):
+            set_section(z4_extension_butterfly(), s)
+
     def test_all_sections_counted(self):
         B = z4_extension_butterfly()
         assert len(all_set_sections(B)) == 2  # fibers over 1bar: {1, 3}
