@@ -26,13 +26,12 @@ from .fingroup import (
     FinGroup,
     GroupAction,
     GroupHom,
-    Subgroup,
     _generator_images,
     direct_product,
     identity_hom,
     kernel,
     product_and_pullback,
-    quotient,
+    pullback_quotient,
 )
 from .report import ValidationReport
 from .xmod import (
@@ -44,7 +43,9 @@ from .xmod import (
     cokernel_embedding,
     denormalize,
     kernel_embedding,
+    normalize,
     validate_two_group,
+    validate_two_group_functor,
     xmod_morphism,
 )
 
@@ -164,37 +165,37 @@ def identity_butterfly(X: CrossedModule) -> Butterfly:
 
 
 def _pullback_parts(B: Butterfly, B2: Butterfly):
-    """Shared plumbing of compose/whiskering: pullback, kernel, quotient."""
-    P, pr1, pr2, pos = product_and_pullback(B.rho, B2.sigma)
-    G = B.cod.G
-    N = Subgroup._trusted(P, tuple(sorted({pos[(B.iota.map[g], B2.kappa.map[g])] for g in range(G.order)})))
-    Q, pr = quotient(P, N)
-    return P, pr1, pr2, pos, N, Q, pr
+    """Shared plumbing of compose/whiskering: ``pullback_quotient`` of rho against
+    sigma2 by the anti-diagonal wing N = {(iota g, kappa2 g)}, normal by the axioms."""
+    if B.cod != B2.dom:
+        raise NotComposable(f"{B!r} and {B2!r} do not share the middle crossed module")
+    return pullback_quotient(B.rho, B2.sigma, zip(B.iota.map, B2.kappa.map))
 
 
 def compose(B: Butterfly, B2: Butterfly) -> Butterfly:
     """Composition of butterflies via pullback over the middle object and
     cokernel of the anti-diagonal wing."""
-    if B.cod != B2.dom:
-        raise NotComposable(f"{B!r} and {B2!r} do not share the middle crossed module")
-    P, pr1, pr2, pos, N, Q, pr = _pullback_parts(B, B2)
-    H, K = B.dom.G, B2.cod.G
-    kappa = GroupHom._trusted(H, Q, tuple(pr.map[pos[(B.kappa.map[h], 0)]] for h in range(H.order)))
-    iota = GroupHom._trusted(K, Q, tuple(pr.map[pos[(0, B2.iota.map[k])]] for k in range(K.order)))
+    return _composite(B, B2, _pullback_parts(B, B2))
+
+
+def _composite(B: Butterfly, B2: Butterfly, parts) -> Butterfly:
+    """The composite butterfly on the quotient of ``_pullback_parts(B, B2)``."""
+    pairs, pos, coset_of, Q = parts
+    H, K, nc = B.dom.G, B2.cod.G, B2.E.order
+    # kappa h is the coset of (kappa h, 1) and iota k that of (1, iota2 k)
+    kappa = GroupHom._trusted(H, Q, tuple(coset_of[pos[B.kappa.map[h] * nc]] for h in range(H.order)))
+    iota = GroupHom._trusted(K, Q, tuple(coset_of[pos[B2.iota.map[k]]] for k in range(K.order)))
     # both legs are constant on the cosets of N, so any representative will do
-    sigma_map = [0] * Q.order
-    rho_map = [0] * Q.order
-    for idx in range(P.order):
-        q = pr.map[idx]
-        sigma_map[q], rho_map[q] = B.sigma.map[pr1.map[idx]], B2.rho.map[pr2.map[idx]]
+    legs = {q: (B.sigma.map[a], B2.rho.map[c]) for (a, c), q in zip(pairs, coset_of)}
+    sigma_map, rho_map = zip(*(legs[q] for q in range(Q.order)))
     return Butterfly(
         dom=B.dom,
         cod=B2.cod,
         E=Q,
         kappa=kappa,
         iota=iota,
-        sigma=GroupHom._trusted(Q, B.dom.G0, tuple(sigma_map)),
-        rho=GroupHom._trusted(Q, B2.cod.G0, tuple(rho_map)),
+        sigma=GroupHom._trusted(Q, B.dom.G0, sigma_map),
+        rho=GroupHom._trusted(Q, B2.cod.G0, rho_map),
     )
 
 
@@ -373,31 +374,28 @@ def two_cell_image(cell: XModTwoCell) -> ButterflyMorphism:
     return butterfly_morphism(BP, BQ, GroupHom._trusted(BP.E, BQ.E, f_map))
 
 
-def _induced_on_quotient(parts_src, parts_dst, pair_image) -> GroupHom:
-    P, pr1, pr2, pos, _, Q, pr = parts_src
-    P2, q1, q2, pos2, _, Q2, pr2_ = parts_dst
+def _whisker(src, dst, flat_image) -> ButterflyMorphism:
+    """The morphism compose(*src) -> compose(*dst) induced by a map of the pullbacks,
+    given as the flat index (see ``pullback_quotient``) of each pair's image."""
+    parts, parts2 = _pullback_parts(*src), _pullback_parts(*dst)
+    (pairs, _, coset_of, Q), (_, pos2, coset_of2, Q2) = parts, parts2
     out = [0] * Q.order
-    for idx in range(P.order):
-        out[pr.map[idx]] = pr2_.map[pos2[pair_image(pr1.map[idx], pr2.map[idx])]]
-    return GroupHom._trusted(Q, Q2, tuple(out))
+    for (a, c), q in zip(pairs, coset_of):
+        out[q] = coset_of2[pos2[flat_image(a, c)]]
+    g = GroupHom._trusted(Q, Q2, tuple(out))
+    return butterfly_morphism(_composite(*src, parts), _composite(*dst, parts2), g)
 
 
 def whisker_right(f: ButterflyMorphism, B2: Butterfly) -> ButterflyMorphism:
     """The induced morphism compose(src, B2) -> compose(dst, B2)."""
-    src, dst = compose(f.src, B2), compose(f.dst, B2)
-    parts_src = _pullback_parts(f.src, B2)
-    parts_dst = _pullback_parts(f.dst, B2)
-    g = _induced_on_quotient(parts_src, parts_dst, lambda e, e2: (f.f.map[e], e2))
-    return butterfly_morphism(src, dst, g)
+    n2 = B2.E.order
+    return _whisker((f.src, B2), (f.dst, B2), lambda e, e2: f.f.map[e] * n2 + e2)
 
 
 def whisker_left(B: Butterfly, f: ButterflyMorphism) -> ButterflyMorphism:
     """The induced morphism compose(B, src) -> compose(B, dst)."""
-    src, dst = compose(B, f.src), compose(B, f.dst)
-    parts_src = _pullback_parts(B, f.src)
-    parts_dst = _pullback_parts(B, f.dst)
-    g = _induced_on_quotient(parts_src, parts_dst, lambda e, e2: (e, f.f.map[e2]))
-    return butterfly_morphism(src, dst, g)
+    n2 = f.dst.E.order
+    return _whisker((B, f.src), (B, f.dst), lambda e, e2: e * n2 + f.f.map[e2])
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +467,6 @@ def _is_discrete_fibration_functor(F: TwoGroupFunctor) -> bool:
 
 def validate_fractor(F: Fractor) -> ValidationReport:
     report = ValidationReport("fractor")
-    from .xmod import validate_two_group_functor
-
     for T, label in ((F.R, "R"), (F.Rsigma, "Rsigma")):
         sub = validate_two_group(T)
         if not sub.ok:
@@ -511,8 +507,6 @@ def from_fractor(F: Fractor) -> Butterfly:
     """Rebuild the butterfly: wings are recovered by lifting kernel arrows
     through the two discrete fibrations."""
     check_fractor(F)
-    from .xmod import normalize
-
     dom, cod = normalize(F.H2), normalize(F.G2)
     sigma, rho = F.left.p0, F.right.p0
     wings = []

@@ -39,17 +39,16 @@ class FinGroup:
         element_labels: Optional[Sequence[str]] = None,
         _validated: bool = False,
     ):
-        self.table: tuple[tuple[int, ...], ...] = tuple(tuple(int(x) for x in row) for row in table)
+        if _validated:
+            self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, table))
+        else:
+            self.table = tuple(tuple(int(x) for x in row) for row in table)
+            _check_group_table(self.table)
         self.order = len(self.table)
         self.name = name
         self.element_labels = tuple(element_labels) if element_labels is not None else None
         self.relabeling: Optional[tuple[int, ...]] = None
-        if not _validated:
-            _check_group_table(self.table)
-        self.inverse = _inverse_array(self.table)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        self.inverse = tuple(row.index(0) for row in self.table)
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -57,9 +56,6 @@ class FinGroup:
     def conj(self, x: int, a: int) -> int:
         """x a x^-1."""
         return self.table[self.table[x][a]][self.inverse[x]]
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def label(self, a: int) -> str:
         if self.element_labels is not None:
@@ -89,7 +85,7 @@ class FinGroup:
         return tuple(sorted(counts.items()))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FinGroup) and self.table == other.table
+        return self is other or (isinstance(other, FinGroup) and self.table == other.table)
 
     def __hash__(self) -> int:
         return self._table_hash
@@ -126,14 +122,6 @@ def _check_group_table(table: tuple[tuple[int, ...], ...]) -> None:
             for c in range(n):
                 if table[tab][c] != ta[tb[c]]:
                     raise NotAGroup(f"associativity fails at ({a},{b},{c})")
-
-
-def _inverse_array(table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    n = len(table)
-    inv = [0] * n
-    for a in range(n):
-        inv[a] = table[a].index(0)
-    return tuple(inv)
 
 
 def construct_group(
@@ -277,9 +265,6 @@ class GroupHom(_Trusted):
             inv[b] = a
         return GroupHom._trusted(self.cod, self.dom, tuple(inv))
 
-    def image_set(self) -> frozenset[int]:
-        return frozenset(self.map)
-
 
 def identity_hom(G: FinGroup) -> GroupHom:
     return GroupHom._trusted(G, G, tuple(range(G.order)))
@@ -358,9 +343,6 @@ class Subgroup(_Trusted):
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, a: int) -> bool:
-        return a in set(self.elements)
 
     def is_normal(self) -> bool:
         s = set(self.elements)
@@ -452,6 +434,36 @@ def product_and_pullback(
     return P, proj1, proj2, pos
 
 
+def pullback_quotient(
+    f: GroupHom, g: GroupHom, normal: Iterable[tuple[int, int]]
+) -> tuple[list[tuple[int, int]], list[Optional[int]], list[int], FinGroup]:
+    """The pullback P = {(a,c) : f(a)=g(c)} modulo its normal subgroup N,
+    given by its pairs and trusted to be normal, without P's table.
+
+    Returns P's pairs in the order of :func:`product_and_pullback`, the index
+    ``pos[a*|C| + c]`` of each pair (None off P), the coset of each pair, and
+    P/N with the cosets, name and labels of ``quotient(P, N)``.
+    """
+    A, C = f.dom, g.dom
+    nc, At, Ct = C.order, A.table, C.table
+    pairs = [(a, c) for a in range(A.order) for c in range(nc) if f.map[a] == g.map[c]]
+    pos: list[Optional[int]] = [None] * (A.order * nc)
+    for i, (a, c) in enumerate(pairs):
+        pos[a * nc + c] = i
+    N = set(normal)
+    coset_of = [-1] * len(pairs)
+    reps: list[tuple[int, int]] = []
+    for i, (a, c) in enumerate(pairs):
+        if coset_of[i] == -1:
+            for na, nn in N:
+                coset_of[pos[At[a][na] * nc + Ct[c][nn]]] = len(reps)
+            reps.append((a, c))
+    table = [[coset_of[pos[At[a][a2] * nc + Ct[c][c2]]] for a2, c2 in reps] for a, c in reps]
+    labels = tuple(f"[({A.label(a)},{C.label(c)})]" for a, c in reps)
+    Q = FinGroup(table, f"PB({A.name},{C.name})/N{len(N)}", labels, _validated=True)
+    return pairs, pos, coset_of, Q
+
+
 def direct_product(A: FinGroup, B: FinGroup) -> tuple[FinGroup, GroupHom, GroupHom]:
     T = trivial_group()
     P, p1, p2, _ = product_and_pullback(zero_hom(A, T), zero_hom(B, T))
@@ -471,21 +483,18 @@ def semidirect_product(xi: GroupAction) -> tuple[FinGroup, GroupHom, GroupHom, G
     """
     G, G0 = xi.target, xi.actor
     n, n0 = G.order, G0.order
-    idx = lambda a, x: a * n0 + x
-    table = [[0] * (n * n0) for _ in range(n * n0)]
+    table = []
     for a in range(n):
+        ta = G.table[a]
         for x in range(n0):
-            row = table[idx(a, x)]
-            for b in range(n):
-                ab = G.table[a][xi.act[x][b]]
-                base = G0.table[x]
-                for y in range(n0):
-                    row[idx(b, y)] = idx(ab, base[y])
+            # row (a,x) is, for each b, the offset of a*(x|>b) plus the row of x in G0
+            offsets = [ta[xb] * n0 for xb in xi.act[x]]
+            table.append([offset + y for offset in offsets for y in G0.table[x]])
     labels = tuple(f"({G.label(a)},{G0.label(x)})" for a in range(n) for x in range(n0))
     S = FinGroup(table, f"{G.name}x|{G0.name}", labels, _validated=True)
     c = GroupHom._trusted(S, G0, tuple(x for _ in range(n) for x in range(n0)))
-    e = GroupHom._trusted(G0, S, tuple(idx(0, x) for x in range(n0)))
-    g = GroupHom._trusted(G, S, tuple(idx(a, 0) for a in range(n)))
+    e = GroupHom._trusted(G0, S, tuple(range(n0)))
+    g = GroupHom._trusted(G, S, tuple(a * n0 for a in range(n)))
     return S, c, e, g
 
 
@@ -550,7 +559,12 @@ def _generator_images(
     images is lexicographic order on maps.
     """
     forced = dict(fixed)
-    gens = _generating_sequence(G, forced)
+    # the sequence depends only on G and the forced elements: memoized on G
+    key = tuple(forced)
+    memo = G.__dict__.setdefault("_generating_sequences", {})
+    if key not in memo:
+        memo[key] = _generating_sequence(G, key)
+    gens = memo[key]
     go, ho = G.element_orders, H.element_orders
     candidates = [
         [

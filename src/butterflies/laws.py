@@ -8,6 +8,7 @@ A fault-injection mode exists solely to prove the suites can fail.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -33,10 +34,13 @@ from .extension import (
     butterfly_from_extension,
     conjugation_xmod,
     discrete_xmod,
+    enumerate_cocycles,
+    factor_set_to_extension,
 )
 from .fingroup import (
     FinGroup,
     GroupHom,
+    all_homomorphisms,
     cyclic_group,
     klein_four,
     product_and_pullback,
@@ -183,8 +187,6 @@ def generate_fixtures(seed: int, size_bound: int) -> FixtureSet:
 
 
 def _small_extensions(H: FinGroup, G: FinGroup) -> list[ExtensionDatum]:
-    from .extension import enumerate_cocycles, factor_set_to_extension
-
     out = []
     seen_tables = set()
     for fs in enumerate_cocycles(H, G):
@@ -251,9 +253,9 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
         (B1, B2, B3)
         for B1 in bounded
         for B2 in bounded
+        if B1.cod == B2.dom
         for B3 in bounded
-        if B1.cod == B2.dom and B2.cod == B3.dom
-        and B1.E.order * B2.E.order * B3.E.order <= 64 * fx.size_bound
+        if B2.cod == B3.dom and B1.E.order * B2.E.order * B3.E.order <= 64 * fx.size_bound
     ]
     for B1, B2, B3 in triples:
         report.case()
@@ -305,10 +307,6 @@ def _corrupt_middle_group(B: Butterfly) -> Butterfly:
         for a in range(B.E.order)
     ]
     E2 = FinGroup(table, B.E.name + "!corrupt", _validated=True)
-    return _rebuild_with_table(B, E2)
-
-
-def _rebuild_with_table(B: Butterfly, E2: FinGroup) -> Butterfly:
     # keep the map arrays on the relabeled group: the trusted path skips the
     # homomorphism checks, so the corrupted object reaches the validators
     return Butterfly(
@@ -407,13 +405,8 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
         rhs, _ = split_from_morphism(P)
         if lhs != rhs:
             report.fail("reduced-vs-split", {"morphism": to_jsonable(P)})
-    composable_pq = [
-        (P, Q)
-        for P in small_morphisms
-        for Q in small_morphisms
-        if P.cod == Q.dom
-    ][:10]
-    for P, Q in composable_pq:
+    composable_pq = ((P, Q) for P in small_morphisms for Q in small_morphisms if P.cod == Q.dom)
+    for P, Q in itertools.islice(composable_pq, 10):
         targets = [B for B in bounded if B.dom == Q.cod][:2]
         for B in targets:
             report.case()
@@ -425,15 +418,15 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
                     {"P": to_jsonable(P), "Q": to_jsonable(Q), "butterfly": to_jsonable(B)},
                 )
     # A1: Q .rc (E1 E2) vs (Q .rc E1) E2 on composable data
-    a1_triples = [
+    a1_triples = (
         (P, B1, B2)
         for P in small_morphisms
         for B1 in bounded
+        if P.cod == B1.dom
         for B2 in bounded
-        if P.cod == B1.dom and B1.cod == B2.dom
-        and B1.E.order * B2.E.order <= 8 * fx.size_bound
-    ][:8]
-    for P, B1, B2 in a1_triples:
+        if B1.cod == B2.dom and B1.E.order * B2.E.order <= 8 * fx.size_bound
+    )
+    for P, B1, B2 in itertools.islice(a1_triples, 8):
         report.case()
         lhs = reduced_compose(P, compose(B1, B2))
         rhs = compose(reduced_compose(P, B1), B2)
@@ -452,8 +445,6 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
         if X.size > fx.size_bound:
             continue
         for E in (cyclic_group(4), klein_four()):
-            from .fingroup import all_homomorphisms
-
             for sigma in all_homomorphisms(E, X.G0):
                 if not sigma.is_surjective:
                     continue

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import ONE, S3, V4, Z2, Z3, Z4
 
-from butterflies import errors, extension
+from butterflies import errors, extension, fingroup
 from butterflies.butterfly import butterfly_morphisms, identity_butterfly, isomorphic_butterflies
 from butterflies.errors import BoundExceeded, ShapeMismatch
 from butterflies.extension import (
@@ -244,6 +244,22 @@ class TestClassify:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceeded):
             classify_extensions(Z4, dicyclic_group(2))
+
+    def test_generating_sequence_computed_once_per_group_and_key(self, monkeypatch):
+        # each cocycle's E is compared with several representatives under the
+        # same forced wing images; its generating sequence is computed once
+        computed = []
+        original = fingroup._generating_sequence
+
+        def counting(G, first=()):
+            computed.append((G, tuple(first)))
+            return original(G, first)
+
+        monkeypatch.setattr(fingroup, "_generating_sequence", counting)
+        classify_extensions(V4, Z2)
+        keys = [(id(G), key) for G, key in computed]  # computed keeps every G alive
+        assert len(computed) > 1
+        assert len(keys) == len(set(keys))
 
 
 class TestMorphismLevelCorrespondence:
