@@ -169,7 +169,8 @@ def _pullback_parts(B: Butterfly, B2: Butterfly):
     sigma2 by the anti-diagonal wing N = {(iota g, kappa2 g)}, normal by the axioms."""
     if B.cod != B2.dom:
         raise NotComposable(f"{B!r} and {B2!r} do not share the middle crossed module")
-    return pullback_quotient(B.rho, B2.sigma, zip(B.iota.map, B2.kappa.map))
+    N = set(zip(B.iota.map, B2.kappa.map))
+    return pullback_quotient(B.rho, B2.sigma, N, f"PB({B.E.name},{B2.E.name})/N{len(N)}", "[({},{})]")
 
 
 def compose(B: Butterfly, B2: Butterfly) -> Butterfly:
@@ -270,12 +271,12 @@ def _split(P: XModMorphism):
     the arrow projection of E and the index of E's pairs."""
     TG = denormalize(P.cod)
     EP, prH0, prG1, pos = product_and_pullback(P.p0, TG.c)
-    H, G = P.dom.G, P.cod.G
+    H, G, n1 = P.dom.G, P.cod.G, TG.G1.order
     gbul = cokernel_embedding(P.cod)
     gemb = kernel_embedding(P.cod)
     bd = P.dom.boundary.map
-    kappa = GroupHom._trusted(H, EP, tuple(pos[(bd[h], gbul.map[P.p.map[h]])] for h in range(H.order)))
-    iota = GroupHom._trusted(G, EP, tuple(pos[(0, gemb.map[g])] for g in range(G.order)))
+    kappa = GroupHom._trusted(H, EP, tuple(pos[bd[h] * n1 + gbul.map[P.p.map[h]]] for h in range(H.order)))
+    iota = GroupHom._trusted(G, EP, tuple(pos[gemb.map[g]] for g in range(G.order)))
     B = Butterfly(
         dom=P.dom,
         cod=P.cod,
@@ -286,7 +287,7 @@ def _split(P: XModMorphism):
         rho=prG1.then(TG.d),
     )
     section = GroupHom._trusted(
-        P.dom.G0, EP, tuple(pos[(x, TG.e.map[P.p0.map[x]])] for x in range(P.dom.G0.order))
+        P.dom.G0, EP, tuple(pos[x * n1 + TG.e.map[P.p0.map[x]]] for x in range(P.dom.G0.order))
     )
     return B, section, TG, prG1, pos
 
@@ -316,10 +317,10 @@ def reduced_compose(Q: XModMorphism, B: Butterfly) -> Butterfly:
     if Q.cod != B.dom:
         raise NotComposable("the morphism must land in the butterfly's domain")
     E2, prK0, prE, pos = product_and_pullback(Q.p0, B.sigma)
-    K, G = Q.dom.G, B.cod.G
+    K, G, nE = Q.dom.G, B.cod.G, B.E.order
     bd = Q.dom.boundary.map
-    kappa = GroupHom._trusted(K, E2, tuple(pos[(bd[k], B.kappa.map[Q.p.map[k]])] for k in range(K.order)))
-    iota = GroupHom._trusted(G, E2, tuple(pos[(0, B.iota.map[g])] for g in range(G.order)))
+    kappa = GroupHom._trusted(K, E2, tuple(pos[bd[k] * nE + B.kappa.map[Q.p.map[k]]] for k in range(K.order)))
+    iota = GroupHom._trusted(G, E2, tuple(pos[B.iota.map[g]] for g in range(G.order)))
     return Butterfly(
         dom=Q.dom,
         cod=B.cod,
@@ -342,18 +343,17 @@ def span_of_butterfly(B: Butterfly) -> tuple[CrossedModule, XModMorphism, XModMo
     E, H, G = B.E, B.dom.G, B.cod.G
     k, i = B.kappa.map, B.iota.map
     HxG, piH, piG = direct_product(H, G)
-    pairs = list(zip(piH.map, piG.map))
-    pos = {pair: idx for idx, pair in enumerate(pairs)}
-    phi = GroupHom._trusted(HxG, E, tuple(E.table[k[h]][i[g]] for (h, g) in pairs))
+    # the pair (h, g) of the direct product is the element h*|G| + g
+    phi = GroupHom._trusted(HxG, E, tuple(E.table[k[h]][i[g]] for h, g in zip(piH.map, piG.map)))
     iota_inv = {e: g for g, e in enumerate(i)}
     perms = []
     for e in range(E.order):
         se = B.sigma.map[e]
         perm = []
-        for (h, g) in pairs:
+        for h, x in zip(piH.map, phi.map):
             h2 = B.dom.act(se, h)
-            value = E.table[E.inv(k[h2])][E.conj(e, phi.map[pos[(h, g)]])]
-            perm.append(pos[(h2, iota_inv[value])])
+            value = E.table[E.inv(k[h2])][E.conj(e, x)]
+            perm.append(h2 * G.order + iota_inv[value])
         perms.append(tuple(perm))
     middle = CrossedModule(HxG, E, phi, GroupAction._trusted(E, HxG, tuple(perms)), name=f"[{B.E.name}]")
     left = XModMorphism(middle, B.dom, piH, B.sigma)
@@ -370,7 +370,8 @@ def two_cell_image(cell: XModTwoCell) -> ButterflyMorphism:
     arrow component with alpha at the base point."""
     BP, _, TG, prG1, _ = _split(cell.P)
     BQ, _, _, _, posQ = _split(cell.Q)
-    f_map = tuple(posQ[(x, TG.m[(j, cell.alpha[x])])] for x, j in zip(BP.sigma.map, prG1.map))
+    n1 = TG.G1.order
+    f_map = tuple(posQ[x * n1 + TG.m[(j, cell.alpha[x])]] for x, j in zip(BP.sigma.map, prG1.map))
     return butterfly_morphism(BP, BQ, GroupHom._trusted(BP.E, BQ.E, f_map))
 
 
@@ -430,7 +431,7 @@ def to_fractor(B: Butterfly) -> Fractor:
         tuple(h * nH0 + B.sigma.map[e] for h in range(B.dom.G.order) for e in range(nE)),
     )
     RS, pr1, pr2, pos = product_and_pullback(B.sigma, B.sigma)
-    diagonal = GroupHom._trusted(E, RS, tuple(pos[(x, x)] for x in range(E.order)))
+    diagonal = GroupHom._trusted(E, RS, tuple(pos[x * E.order + x] for x in range(E.order)))
     Rsigma = Strict2Group(RS, E, pr1, pr2, diagonal)
     iota_inv = {e: g for g, e in enumerate(B.iota.map)}
     nG0 = B.cod.G0.order

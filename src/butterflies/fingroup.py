@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import BoundExceeded, CodomainMismatch, NotAGroup, NotNormal
 
@@ -412,37 +412,32 @@ def quotient(G: FinGroup, N: Subgroup) -> tuple[FinGroup, GroupHom]:
 
 def product_and_pullback(
     f: GroupHom, g: GroupHom
-) -> tuple[FinGroup, GroupHom, GroupHom, dict[tuple[int, int], int]]:
+) -> tuple[FinGroup, GroupHom, GroupHom, list[Optional[int]]]:
     """The pullback {(a,c) : f(a)=g(c)} with its two projections and the
-    index of each pair (a, c) in it.
+    index ``pos[a*|C| + c]`` of each pair (a, c) in it (None off the pullback).
 
     Taking both maps into the trivial group yields the direct product.
     """
     if f.cod != g.cod:
         raise CodomainMismatch(f"codomains differ: {f.cod.name} vs {g.cod.name}")
     A, C = f.dom, g.dom
-    pairs = [(a, c) for a in range(A.order) for c in range(C.order) if f.map[a] == g.map[c]]
-    pos = {p: i for i, p in enumerate(pairs)}
-    table = [
-        [pos[(A.table[a][a2], C.table[c][c2])] for (a2, c2) in pairs]
-        for (a, c) in pairs
-    ]
-    labels = tuple(f"({A.label(a)},{C.label(c)})" for (a, c) in pairs)
-    P = FinGroup(table, f"PB({A.name},{C.name})", labels, _validated=True)
-    proj1 = GroupHom._trusted(P, A, tuple(a for (a, _) in pairs))
-    proj2 = GroupHom._trusted(P, C, tuple(c for (_, c) in pairs))
+    pairs, pos, _, P = pullback_quotient(f, g, {(0, 0)}, f"PB({A.name},{C.name})", "({},{})")
+    proj1 = GroupHom._trusted(P, A, tuple(a for a, _ in pairs))
+    proj2 = GroupHom._trusted(P, C, tuple(c for _, c in pairs))
     return P, proj1, proj2, pos
 
 
 def pullback_quotient(
-    f: GroupHom, g: GroupHom, normal: Iterable[tuple[int, int]]
+    f: GroupHom, g: GroupHom, normal: Collection[tuple[int, int]], name: str, label: str
 ) -> tuple[list[tuple[int, int]], list[Optional[int]], list[int], FinGroup]:
     """The pullback P = {(a,c) : f(a)=g(c)} modulo its normal subgroup N,
     given by its pairs and trusted to be normal, without P's table.
 
-    Returns P's pairs in the order of :func:`product_and_pullback`, the index
-    ``pos[a*|C| + c]`` of each pair (None off P), the coset of each pair, and
-    P/N with the cosets, name and labels of ``quotient(P, N)``.
+    Returns P's pairs in lexicographic order, the index ``pos[a*|C| + c]`` of
+    each pair (None off P), the coset of each pair, and P/N named `name`.
+    Cosets are numbered by minimal pair index, as :func:`quotient` numbers
+    them, and the coset of minimal pair (a, c) is labeled
+    ``label.format(A.label(a), C.label(c))``.
     """
     A, C = f.dom, g.dom
     nc, At, Ct = C.order, A.table, C.table
@@ -450,18 +445,16 @@ def pullback_quotient(
     pos: list[Optional[int]] = [None] * (A.order * nc)
     for i, (a, c) in enumerate(pairs):
         pos[a * nc + c] = i
-    N = set(normal)
     coset_of = [-1] * len(pairs)
     reps: list[tuple[int, int]] = []
     for i, (a, c) in enumerate(pairs):
         if coset_of[i] == -1:
-            for na, nn in N:
+            for na, nn in normal:
                 coset_of[pos[At[a][na] * nc + Ct[c][nn]]] = len(reps)
             reps.append((a, c))
     table = [[coset_of[pos[At[a][a2] * nc + Ct[c][c2]]] for a2, c2 in reps] for a, c in reps]
-    labels = tuple(f"[({A.label(a)},{C.label(c)})]" for a, c in reps)
-    Q = FinGroup(table, f"PB({A.name},{C.name})/N{len(N)}", labels, _validated=True)
-    return pairs, pos, coset_of, Q
+    labels = tuple(label.format(A.label(a), C.label(c)) for a, c in reps)
+    return pairs, pos, coset_of, FinGroup(table, name, labels, _validated=True)
 
 
 def direct_product(A: FinGroup, B: FinGroup) -> tuple[FinGroup, GroupHom, GroupHom]:

@@ -198,6 +198,19 @@ def extract_monoidal(B: Butterfly, section: SetSection) -> MonoidalFunctor:
     return M
 
 
+def _limit_triples(M: MonoidalFunctor) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], int]]:
+    """The elements (y, g, x) of the limit group of M, g an arrow from x to
+    F0(y), in the order of its table, and the index of each triple."""
+    U = M.cod
+    triples = [
+        (y, g, U.d.map[g])
+        for y in range(M.dom.G0.order)
+        for g in range(U.G1.order)
+        if M.F0[y] == U.c.map[g]
+    ]
+    return triples, {t: i for i, t in enumerate(triples)}
+
+
 def butterfly_from_monoidal(M: MonoidalFunctor) -> Butterfly:
     """Assemble a butterfly from a normalized monoidal functor.
 
@@ -210,13 +223,7 @@ def butterfly_from_monoidal(M: MonoidalFunctor) -> Butterfly:
         raise GroupLawSearchFailed(f"functor is not monoidal:\n{report}")
     T, U = M.dom, M.cod
     dom, cod = normalize(T), normalize(U)
-    triples = [
-        (y, g, U.d.map[g])
-        for y in range(T.G0.order)
-        for g in range(U.G1.order)
-        if M.F0[y] == U.c.map[g]
-    ]
-    pos = {t: i for i, t in enumerate(triples)}
+    triples, pos = _limit_triples(M)
     u1, t0, u0 = U.G1.table, T.G0.table, U.G0.table
     table = []
     for (y1, g1, x1) in triples:
@@ -262,13 +269,7 @@ def butterfly_from_monoidal(M: MonoidalFunctor) -> Butterfly:
 def canonical_limit_section(B: Butterfly, M: MonoidalFunctor) -> SetSection:
     """The section y -> (y, identity arrow at F0(y), F0(y)) of a limit butterfly."""
     U = M.cod
-    triples = [
-        (y, g, U.d.map[g])
-        for y in range(M.dom.G0.order)
-        for g in range(U.G1.order)
-        if M.F0[y] == U.c.map[g]
-    ]
-    pos = {t: i for i, t in enumerate(triples)}
+    _, pos = _limit_triples(M)
     return set_section(
         B, tuple(pos[(y, U.e.map[M.F0[y]], M.F0[y])] for y in range(M.dom.G0.order))
     )
@@ -284,11 +285,7 @@ def find_monoidal_natural_iso(M: MonoidalFunctor, N: MonoidalFunctor):
     T, U = M.dom, M.cod
     fibers = []
     for x in range(T.G0.order):
-        fiber = [
-            a
-            for a in range(U.G1.order)
-            if U.d.map[a] == M.F0[x] and U.c.map[a] == N.F0[x]
-        ]
+        fiber = U.hom_set(M.F0[x], N.F0[x])
         if not fiber:
             return None
         fibers.append(fiber)

@@ -34,6 +34,7 @@ from .fingroup import (
     GroupAction,
     GroupHom,
     Subgroup,
+    all_homomorphisms,
     identity_hom,
     kernel,
     product_and_pullback,
@@ -368,12 +369,13 @@ def pullback_crossed_module(X: CrossedModule, sigma: GroupHom) -> tuple[CrossedM
         raise ValueError("sigma must land in the base of the crossed module")
     E = sigma.dom
     P, prE, prH, pos = product_and_pullback(sigma, X.boundary)
+    nH = X.G.order
     perms = []
     for ebar in range(E.order):
         perms.append(
             tuple(
-                pos[(E.conj(ebar, e), X.act(sigma.map[ebar], h))]
-                for (e, h) in pos
+                pos[E.conj(ebar, e) * nH + X.act(sigma.map[ebar], h)]
+                for e, h in zip(prE.map, prH.map)
             )
         )
     action = GroupAction._trusted(E, P, tuple(perms))
@@ -532,8 +534,6 @@ def enumerate_natural_transformations(P: XModMorphism, Q: XModMorphism) -> list[
 
 def all_xmod_morphisms(dom: CrossedModule, cod: CrossedModule) -> Iterator[XModMorphism]:
     """Every crossed module morphism dom -> cod, deterministically ordered."""
-    from .fingroup import all_homomorphisms
-
     for p0 in all_homomorphisms(dom.G0, cod.G0):
         for p in all_homomorphisms(dom.G, cod.G):
             candidate = XModMorphism(dom, cod, p, p0)

@@ -1,27 +1,62 @@
-"""Reference test for butterfly composition.
+"""Reference tests for butterfly composition and the plain pullback.
 
 ``compose`` builds the middle group Q = P/N of the composite straight from
 the pairs of the pullback P, without P's table, and trusts N to be normal.
 Here the composite is rebuilt the long way, with every step checked: the
-full pullback group, N as a checked subgroup, ``quotient`` (which checks
-normality) and checking homomorphism constructors.  The two must serialize
-identically.
+full pullback group from its own tuple-keyed routine, N as a checked
+subgroup, ``quotient`` (which checks normality) and checking homomorphism
+constructors.  The two must serialize identically.
+
+``product_and_pullback`` is the same builder as ``compose``'s, taken modulo
+the trivial subgroup; it is checked against that tuple-keyed routine on
+every pullback its consumers build over the fixture sets.
 """
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from butterflies.butterfly import Butterfly, compose
-from butterflies.fingroup import GroupHom, Subgroup, product_and_pullback, quotient
+from butterflies import butterfly, laws, xmod
+from butterflies.butterfly import Butterfly, compose, to_fractor
+from butterflies.fingroup import FinGroup, GroupHom, Subgroup, product_and_pullback, quotient
 from butterflies.jsonio import canonical_bytes, to_jsonable
-from butterflies.laws import generate_fixtures
+from butterflies.laws import generate_fixtures, run_bicategory_suite, run_fractions_suite
 
 CASES = [(seed, bound) for seed in range(4) for bound in (8, 16)]
 
 
+_REFERENCE_PULLBACKS: dict = {}
+
+
+def reference_pullback(f: GroupHom, g: GroupHom):
+    """{(a,c) : f(a)=g(c)} in lexicographic order, with its full table built
+    through a tuple-keyed pair index and checked, its projections and that index.
+
+    Memoized on the maps and the names and labels of their domains, which
+    with the tables are all the result depends on."""
+    key = (f, f.dom.name, f.dom.element_labels, g, g.dom.name, g.dom.element_labels)
+    if key not in _REFERENCE_PULLBACKS:
+        _REFERENCE_PULLBACKS[key] = _reference_pullback(f, g)
+    return _REFERENCE_PULLBACKS[key]
+
+
+def _reference_pullback(f: GroupHom, g: GroupHom):
+    assert f.cod == g.cod
+    A, C = f.dom, g.dom
+    pairs = [(a, c) for a in range(A.order) for c in range(C.order) if f.map[a] == g.map[c]]
+    pos = {p: i for i, p in enumerate(pairs)}
+    table = [[pos[(A.table[a][a2], C.table[c][c2])] for (a2, c2) in pairs] for (a, c) in pairs]
+    labels = tuple(f"({A.label(a)},{C.label(c)})" for (a, c) in pairs)
+    P = FinGroup(table, f"PB({A.name},{C.name})", labels)
+    proj1 = GroupHom(P, A, tuple(a for (a, _) in pairs))
+    proj2 = GroupHom(P, C, tuple(c for (_, c) in pairs))
+    return P, proj1, proj2, pos
+
+
 def reference_compose(B: Butterfly, B2: Butterfly) -> Butterfly:
-    P, pr1, pr2, pos = product_and_pullback(B.rho, B2.sigma)
+    P, pr1, pr2, pos = reference_pullback(B.rho, B2.sigma)
     G, H, K = B.cod.G, B.dom.G, B2.cod.G
     N = Subgroup(P, tuple(pos[(B.iota.map[g], B2.kappa.map[g])] for g in range(G.order)))
     Q, pr = quotient(P, N)
@@ -82,3 +117,45 @@ def test_associativity_triples_both_bracketings(fixture_sets):
                     assert key(compose(B12, B3)) == key(reference_compose(R12, B3))
                     assert key(compose(B1, compose(B2, B3))) == key(reference_compose(B1, reference_compose(B2, B3)))
     assert triples == 1875
+
+
+# the consumers of product_and_pullback, by the module that imports it
+CONSUMERS = {
+    butterfly: {"_split", "reduced_compose", "to_fractor"},
+    xmod: {"pullback_crossed_module"},
+    laws: {"_square_is_pullback", "ef3_coincidence"},
+}
+
+
+def test_plain_pullback_matches_reference(monkeypatch):
+    # every (f, g) the consumers receive while the fixtures are generated and
+    # both clean suites run, plus to_fractor on every fixture butterfly
+    seen = {}
+    callers = set()
+
+    def recording(f, g):
+        callers.add(sys._getframe(1).f_code.co_name)
+        seen.setdefault((f.dom, f.map, g.dom, g.map), (f, g))
+        return product_and_pullback(f, g)
+
+    for module in CONSUMERS:
+        monkeypatch.setattr(module, "product_and_pullback", recording)
+    for seed, bound in CASES:
+        fx = generate_fixtures(seed, bound)
+        run_bicategory_suite(fx)
+        run_fractions_suite(fx)
+        for B in fx.butterflies:
+            to_fractor(B)
+    monkeypatch.undo()
+    assert callers == set().union(*CONSUMERS.values())
+    for f, g in seen.values():
+        P, p1, p2, pos = product_and_pullback(f, g)
+        R, r1, r2, ref = reference_pullback(f, g)
+        assert (P.name, P.element_labels, P.table) == (R.name, R.element_labels, R.table)
+        assert (p1.map, p2.map) == (r1.map, r2.map)
+        assert p1.dom is P and p1.cod is f.dom and p2.cod is g.dom
+        nc = g.dom.order
+        for a in range(f.dom.order):
+            for c in range(nc):
+                assert pos[a * nc + c] == ref.get((a, c))
+    assert len(seen) > 100

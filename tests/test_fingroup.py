@@ -205,7 +205,9 @@ class TestPullback:
         # oracle: count pairs with equal parity
         expected = sum(1 for a in range(4) for b in range(4) if a % 2 == b % 2)
         assert P.order == expected == 8
-        assert pos == {(p1.map[i], p2.map[i]): i for i in range(P.order)}
+        assert all(pos[p1.map[i] * 4 + p2.map[i]] == i for i in range(P.order))
+        assert pos[1 * 4 + 2] is None  # (1, 2) has mixed parity: off P
+        assert sum(i is not None for i in pos) == P.order
 
     def test_codomain_mismatch(self):
         with pytest.raises(CodomainMismatch):
