@@ -39,12 +39,12 @@ class FinGroup:
         element_labels: Optional[Sequence[str]] = None,
         _validated: bool = False,
     ):
+        self.order = len(table)
         if _validated:
             self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, table))
         else:
             self.table = tuple(tuple(int(x) for x in row) for row in table)
-            _check_group_table(self.table)
-        self.order = len(self.table)
+            _check_group_table(self)
         self.name = name
         self.element_labels = tuple(element_labels) if element_labels is not None else None
         self.relabeling: Optional[tuple[int, ...]] = None
@@ -98,8 +98,11 @@ class FinGroup:
         return f"FinGroup({self.name!r}, order={self.order})"
 
 
-def _check_group_table(table: tuple[tuple[int, ...], ...]) -> None:
-    n = len(table)
+def _check_group_table(G: FinGroup) -> None:
+    """Latin square with identity 0, then Light's test: the s with (xs)y = x(sy)
+    for all x, y are closed under the product, so the generators suffice
+    (Clifford-Preston, The Algebraic Theory of Semigroups I, 1.2)."""
+    table, n = G.table, G.order
     if n == 0:
         raise NotAGroup("empty table")
     full = set(range(n))
@@ -114,14 +117,14 @@ def _check_group_table(table: tuple[tuple[int, ...], ...]) -> None:
     for a in range(n):
         if table[0][a] != a or table[a][0] != a:
             raise NotAGroup("index 0 is not a two-sided identity")
-    for a in range(n):
-        ta = table[a]
-        for b in range(n):
-            tab = ta[b]
-            tb = table[b]
-            for c in range(n):
-                if table[tab][c] != ta[tb[c]]:
-                    raise NotAGroup(f"associativity fails at ({a},{b},{c})")
+    for s in _generators(G):
+        ts = table[s]
+        for x in range(n):
+            txs = table[table[x][s]]
+            tx = table[x]
+            for y in range(n):
+                if txs[y] != tx[ts[y]]:
+                    raise NotAGroup(f"associativity fails at ({x},{s},{y})")
 
 
 def construct_group(
@@ -228,13 +231,11 @@ class GroupHom(_Trusted):
             raise ValueError("map length does not match domain order")
         if any(x < 0 or x >= self.cod.order for x in self.map):
             raise ValueError("map value out of codomain range")
-        t, u, m = self.dom.table, self.cod.table, self.map
-        if m[0] != 0:
+        if self.map[0] != 0:
             raise ValueError("map does not preserve the identity")
-        for a in range(self.dom.order):
-            for b in range(self.dom.order):
-                if m[t[a][b]] != u[m[a]][m[b]]:
-                    raise ValueError(f"map is not multiplicative at ({a},{b})")
+        defect = _hom_defect(self.dom, self.cod, self.map)
+        if defect is not None:
+            raise ValueError(f"map is not multiplicative at ({defect[0]},{defect[1]})")
 
     def __call__(self, a: int) -> int:
         return self.map[a]
@@ -293,18 +294,17 @@ class GroupAction(_Trusted):
                 raise ValueError(f"act[{x}] is not a permutation of the target")
         if self.act[0] != tuple(range(n)):
             raise ValueError("act[identity] must be the identity permutation")
-        t = self.target.table
-        for x, p in enumerate(self.act):
-            for a in range(n):
-                for b in range(n):
-                    if p[t[a][b]] != t[p[a]][p[b]]:
-                        raise ValueError(f"act[{x}] is not an automorphism at ({a},{b})")
+        # each generator acting by an automorphism and act[x*g] = act[x] o act[g] suffice
         at = self.actor.table
-        for x in range(self.actor.order):
-            for y in range(self.actor.order):
-                composed = tuple(self.act[x][self.act[y][a]] for a in range(n))
-                if self.act[at[x][y]] != composed:
-                    raise ValueError(f"act[{x}*{y}] != act[{x}] o act[{y}]")
+        for g in _generators(self.actor):
+            p = self.act[g]
+            defect = _hom_defect(self.target, self.target, p)
+            if defect is not None:
+                raise ValueError(f"act[{g}] is not an automorphism at ({defect[0]},{defect[1]})")
+            for x in range(self.actor.order):
+                q = self.act[x]
+                if self.act[at[x][g]] != tuple(q[a] for a in p):
+                    raise ValueError(f"act[{x}*{g}] != act[{x}] o act[{g}]")
 
     def __call__(self, x: int, a: int) -> int:
         return self.act[x][a]
@@ -331,14 +331,13 @@ class Subgroup(_Trusted):
         object.__setattr__(self, "elements", elems)
         if not elems or elems[0] != 0:
             raise ValueError("subgroup must contain the identity")
-        s = set(elems)
-        t = self.ambient.table
+        # a finite subset closed under the product is a subgroup
+        s, span, gens = set(elems), {0}, []
         for a in elems:
-            if self.ambient.inv(a) not in s:
-                raise ValueError(f"subgroup not closed under inverse at {a}")
-            for b in elems:
-                if t[a][b] not in s:
-                    raise ValueError(f"subgroup not closed under product at ({a},{b})")
+            if a not in span:
+                gens.append(a)
+                if not _close(self.ambient, span, gens) <= s:
+                    raise ValueError(f"subgroup not closed under product: <{gens}> leaves it")
 
     @property
     def order(self) -> int:
@@ -508,6 +507,29 @@ def _generating_sequence(G: FinGroup, first: Iterable[int] = ()) -> list[int]:
     return gens
 
 
+def _generators(G: FinGroup, first: tuple[int, ...] = ()) -> list[int]:
+    """The generating sequence of G with `first` entering first, memoized on G."""
+    memo = G.__dict__.setdefault("_generating_sequences", {})
+    if first not in memo:
+        memo[first] = _generating_sequence(G, first)
+    return memo[first]
+
+
+def _hom_defect(G: FinGroup, H: FinGroup, m: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first pair (a, g) with m(a*g) != m(a)*m(g), g = 0 or a generator of
+    G, or None when m is a homomorphism G -> H: every element is a word in
+    the generators, so m is multiplicative once it is on each of them."""
+    if m[0] != 0:
+        return 0, 0
+    t, u = G.table, H.table
+    for g in _generators(G):
+        mg = m[g]
+        for a in range(G.order):
+            if m[t[a][g]] != u[m[a]][mg]:
+                return a, g
+    return None
+
+
 def _extend_hom(G: FinGroup, H: FinGroup, gens: Sequence[int], images: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Grow a partial map on generators to a full map, or detect inconsistency.
 
@@ -552,12 +574,7 @@ def _generator_images(
     images is lexicographic order on maps.
     """
     forced = dict(fixed)
-    # the sequence depends only on G and the forced elements: memoized on G
-    key = tuple(forced)
-    memo = G.__dict__.setdefault("_generating_sequences", {})
-    if key not in memo:
-        memo[key] = _generating_sequence(G, key)
-    gens = memo[key]
+    gens = _generators(G, tuple(forced))
     go, ho = G.element_orders, H.element_orders
     candidates = [
         [

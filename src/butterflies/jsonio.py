@@ -1,11 +1,12 @@
 """JSON encodings of groups, crossed modules, 2-groups, butterflies and
 monoidal functors, plus the canonical serialization used by the object store.
 
-Group tables are written verbatim; the loader relocates the identity to
-index 0 if needed and records the permutation used.  2-groups are written
-as (G1, G0, d, c, e) alone; their composition and inverse are derived.
-Every integer field is shape-checked before any constructor sees it, so
-malformed input is a ParseError.
+Group tables are written verbatim.  A top-level group's identity is moved to
+index 0 if needed, with the permutation recorded; a nested group must have it
+there already, as the maps beside it index the table as written.  2-groups
+are written as (G1, G0, d, c, e) alone; their composition and inverse are
+derived.  Every integer field is shape-checked before any constructor sees
+it, so malformed input is a ParseError.
 """
 
 from __future__ import annotations
@@ -184,11 +185,18 @@ def group_from_json(data: Any, resolver: Optional[Resolver] = None) -> FinGroup:
     return construct_group(table, data.get("name", "G"), labels)
 
 
+def _nested_group(data: Any, resolver: Optional[Resolver]) -> FinGroup:
+    G = group_from_json(data, resolver)
+    if G.relabeling is not None:
+        raise ParseError(f"group {G.name!r} inside another object must have its identity at index 0")
+    return G
+
+
 def xmod_from_json(data: Any, resolver: Optional[Resolver] = None) -> CrossedModule:
     data = _resolve(data, resolver)
     _require(data, "G", "G0", "boundary", "action")
-    G = group_from_json(data["G"], resolver)
-    G0 = group_from_json(data["G0"], resolver)
+    G = _nested_group(data["G"], resolver)
+    G0 = _nested_group(data["G0"], resolver)
     boundary = GroupHom(G, G0, _ints(data["boundary"], "boundary"))
     action = GroupAction(G0, G, _int_rows(data["action"], "action"))
     return CrossedModule(G, G0, boundary, action, name=data.get("name", ""))
@@ -197,8 +205,8 @@ def xmod_from_json(data: Any, resolver: Optional[Resolver] = None) -> CrossedMod
 def two_group_from_json(data: Any, resolver: Optional[Resolver] = None) -> Strict2Group:
     data = _resolve(data, resolver)
     _require(data, "G1", "G0", "d", "c", "e")
-    G1 = group_from_json(data["G1"], resolver)
-    G0 = group_from_json(data["G0"], resolver)
+    G1 = _nested_group(data["G1"], resolver)
+    G0 = _nested_group(data["G0"], resolver)
     d = GroupHom(G1, G0, _ints(data["d"], "d"))
     c = GroupHom(G1, G0, _ints(data["c"], "c"))
     e = GroupHom(G0, G1, _ints(data["e"], "e"))
@@ -210,7 +218,7 @@ def butterfly_from_json(data: Any, resolver: Optional[Resolver] = None) -> Butte
     _require(data, "dom", "cod", "E", "kappa", "iota", "sigma", "rho")
     dom = xmod_from_json(data["dom"], resolver)
     cod = xmod_from_json(data["cod"], resolver)
-    E = group_from_json(data["E"], resolver)
+    E = _nested_group(data["E"], resolver)
     return Butterfly(
         dom=dom,
         cod=cod,

@@ -40,6 +40,7 @@ from .extension import (
 from .fingroup import (
     FinGroup,
     GroupHom,
+    _hom_defect,
     all_homomorphisms,
     cyclic_group,
     klein_four,
@@ -501,10 +502,8 @@ def ef3_coincidence(B: Butterfly) -> bool:
         theta.append(i)
     if len(set(theta)) != LP.order or LP.order != RP.order:
         return False
-    for a in range(LP.order):
-        for b in range(LP.order):
-            if theta[L.E.table[a][b]] != R.E.table[theta[a]][theta[b]]:
-                return False
+    if _hom_defect(L.E, R.E, theta) is not None:
+        return False
     if tuple(theta[x] for x in L.kappa.map) != R.kappa.map:
         return False
     if tuple(theta[x] for x in L.iota.map) != R.iota.map:

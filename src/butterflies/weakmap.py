@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .butterfly import Butterfly, validate_butterfly
-from .errors import ConstructionError, GroupLawSearchFailed, NotAGroup, SectionInvalid
-from .fingroup import GroupHom, construct_group, kernel
+from .butterfly import Butterfly
+from .errors import GroupLawSearchFailed, SectionInvalid
+from .fingroup import FinGroup, GroupHom, kernel
 from .report import ValidationReport
-from .xmod import Strict2Group, denormalize, normalize
+from .xmod import Strict2Group, denormalize, normalize, validate_two_group
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,17 @@ class MonoidalFunctor:
 
 
 def check_monoidal(M: MonoidalFunctor) -> ValidationReport:
-    """Functoriality, endpoint/naturality conditions on F2, normalization,
-    and the associativity coherence (the factor-set cocycle identity)."""
+    """The 2-group conditions on both ends, functoriality, endpoint/naturality
+    conditions on F2, normalization, and the associativity coherence (the
+    factor-set cocycle identity).  Each stage runs once the ones before hold,
+    as it looks up composites that exist only then."""
     report = ValidationReport("monoidal functor")
     T, U = M.dom, M.cod
+    for sub in (validate_two_group(T), validate_two_group(U)):
+        for f in sub.findings:
+            report.add(f"underlying-2group:{f.condition}", f.witness, f.detail)
+    if not report.ok:
+        return report
     F0, F1, F2 = M.F0, M.F1, M.F2
     for u in range(T.G1.order):
         if U.d.map[F1[u]] != F0[T.d.map[u]]:
@@ -68,6 +75,8 @@ def check_monoidal(M: MonoidalFunctor) -> ValidationReport:
     for x in range(T.G0.order):
         if F1[T.e.map[x]] != U.e.map[F0[x]]:
             report.add("functor-unit", x, "F1(e x) != e(F0 x)")
+    if not report.ok:
+        return report
     for (u, v), w in T.m.items():
         if F1[w] != U.m[(F1[u], F1[v])]:
             report.add("functor-composition", (u, v), "F1 does not preserve m")
@@ -162,7 +171,8 @@ def extract_monoidal(B: Butterfly, section: SetSection) -> MonoidalFunctor:
     """The weak morphism of a butterfly along a set-theoretic section.
 
     F0 = s;rho on objects; the arrow component F1(h, x) divides kappa(h) into
-    the section, and F2 measures the failure of s to be multiplicative.
+    the section, and F2 measures the failure of s to be multiplicative; both
+    lie in ker sigma = image(iota), as B is assumed valid.
     """
     if section.of != B:
         raise SectionInvalid("section belongs to a different butterfly")
@@ -178,8 +188,6 @@ def extract_monoidal(B: Butterfly, section: SetSection) -> MonoidalFunctor:
     for h in range(B.dom.G.order):
         for x in range(H0.order):
             value = E.table[E.table[E.inv(k[h])][s[H0.table[bd[h]][x]]]][E.inv(s[x])]
-            if value not in iota_inv:
-                raise SectionInvalid("division escapes the iota image")
             F1.append(iota_inv[value] * nG0 + F0[x])
     F2 = []
     for x in range(H0.order):
@@ -187,15 +195,9 @@ def extract_monoidal(B: Butterfly, section: SetSection) -> MonoidalFunctor:
         for y in range(H0.order):
             xy = H0.table[x][y]
             value = E.table[E.table[s[x]][s[y]]][E.inv(s[xy])]
-            if value not in iota_inv:
-                raise SectionInvalid("section defect escapes the iota image")
             row.append(iota_inv[value] * nG0 + r[s[xy]])
         F2.append(tuple(row))
-    M = MonoidalFunctor(TH, TG, F0, tuple(F1), tuple(F2))
-    report = check_monoidal(M)
-    if not report.ok:
-        raise ConstructionError(f"extracted functor fails validation:\n{report}")
-    return M
+    return MonoidalFunctor(TH, TG, F0, tuple(F1), tuple(F2))
 
 
 def _limit_triples(M: MonoidalFunctor) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], int]]:
@@ -216,7 +218,9 @@ def butterfly_from_monoidal(M: MonoidalFunctor) -> Butterfly:
 
     The middle group lives on triples (y, g, x) with g an arrow from x to
     F0(y); multiplication composes g1*g2 with the comparison arrow F2(y1,y2),
-    and associativity is exactly the coherence of F2.
+    and associativity is exactly the coherence of F2.  A functor passing
+    :func:`check_monoidal` gives a valid butterfly by construction, with the
+    identity (0, 0, 0) first, so it is built unchecked.
     """
     report = check_monoidal(M)
     if not report.ok:
@@ -225,45 +229,18 @@ def butterfly_from_monoidal(M: MonoidalFunctor) -> Butterfly:
     dom, cod = normalize(T), normalize(U)
     triples, pos = _limit_triples(M)
     u1, t0, u0 = U.G1.table, T.G0.table, U.G0.table
-    table = []
-    for (y1, g1, x1) in triples:
-        row = []
-        for (y2, g2, x2) in triples:
-            product = (
-                t0[y1][y2],
-                U.m[(u1[g1][g2], M.F2[y1][y2])],
-                u0[x1][x2],
-            )
-            if product not in pos:
-                raise GroupLawSearchFailed(f"product of triples leaves the limit at {product}")
-            row.append(pos[product])
-        table.append(row)
-    try:
-        P0 = construct_group(table, f"P0({T.G1.name}->{U.G1.name})")
-    except NotAGroup as exc:
-        raise GroupLawSearchFailed(f"triple multiplication is not a group law: {exc}") from exc
-    if P0.relabeling is not None:
-        raise GroupLawSearchFailed("limit identity was not the normalized triple")
-    try:
-        sigma = GroupHom(P0, T.G0, tuple(y for (y, _, _) in triples))
-        rho = GroupHom(P0, U.G0, tuple(x for (_, _, x) in triples))
-        kernel_H = kernel(T.c).elements
-        kappa = GroupHom(
-            dom.G,
-            P0,
-            tuple(pos[(T.d.map[h1], M.F1[T.i.map[h1]], 0)] for h1 in kernel_H),
-        )
-        kernel_G = kernel(U.c).elements
-        iota = GroupHom(
-            cod.G, P0, tuple(pos[(0, g1, U.d.map[g1])] for g1 in kernel_G)
-        )
-    except (ValueError, KeyError) as exc:
-        raise GroupLawSearchFailed(f"structure maps fail on the limit: {exc}") from exc
-    B = Butterfly(dom=dom, cod=cod, E=P0, kappa=kappa, iota=iota, sigma=sigma, rho=rho)
-    final = validate_butterfly(B)
-    if not final.ok:
-        raise GroupLawSearchFailed(f"limit butterfly fails validation:\n{final}")
-    return B
+    table = [
+        [pos[(t0[y1][y2], U.m[(u1[g1][g2], M.F2[y1][y2])], u0[x1][x2])] for (y2, g2, x2) in triples]
+        for (y1, g1, x1) in triples
+    ]
+    P0 = FinGroup(table, f"P0({T.G1.name}->{U.G1.name})", _validated=True)
+    sigma = GroupHom._trusted(P0, T.G0, tuple(y for (y, _, _) in triples))
+    rho = GroupHom._trusted(P0, U.G0, tuple(x for (_, _, x) in triples))
+    kappa = GroupHom._trusted(
+        dom.G, P0, tuple(pos[(T.d.map[h1], M.F1[T.i.map[h1]], 0)] for h1 in kernel(T.c).elements)
+    )
+    iota = GroupHom._trusted(cod.G, P0, tuple(pos[(0, g1, U.d.map[g1])] for g1 in kernel(U.c).elements))
+    return Butterfly(dom=dom, cod=cod, E=P0, kappa=kappa, iota=iota, sigma=sigma, rho=rho)
 
 
 def canonical_limit_section(B: Butterfly, M: MonoidalFunctor) -> SetSection:

@@ -34,6 +34,7 @@ from .fingroup import (
     GroupAction,
     GroupHom,
     Subgroup,
+    _hom_defect,
     all_homomorphisms,
     identity_hom,
     kernel,
@@ -422,11 +423,9 @@ def validate_two_cell(cell: XModTwoCell) -> ValidationReport:
     P, Q, alpha = cell.P, cell.Q, cell.alpha
     cod = P.cod
     TG = denormalize(cod)
-    H0 = P.dom.G0
-    for x in range(H0.order):
-        for y in range(H0.order):
-            if alpha[H0.table[x][y]] != TG.G1.table[alpha[x]][alpha[y]]:
-                report.add("homomorphism", (x, y), "alpha(xy) != alpha(x)alpha(y)")
+    defect = _hom_defect(P.dom.G0, TG.G1, alpha)
+    if defect is not None:
+        report.add("homomorphism", defect, "alpha(xg) != alpha(x)alpha(g)")
     for x in range(P.dom.G0.order):
         if TG.d.map[alpha[x]] != P.p0.map[x]:
             report.add("source", x, "alpha(x) does not start at p0(x)")

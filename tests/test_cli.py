@@ -149,6 +149,36 @@ class TestMalformedInput:
         assert run(ws, "validate", write_json(tmp_path, "m.json", data)) == 1
         assert "F1/F2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [("validate",), ("weakmap", "assemble")])
+    def test_monoidal_f1_off_its_endpoints_exit_1(self, ws, tmp_path, command):
+        # F1(0) = 1 is not an endo-arrow of F0(0), so F1 u and F1 v need not compose
+        from butterflies.weakmap import identity_monoidal
+        from butterflies.xmod import denormalize
+
+        data = jsonio.to_jsonable(identity_monoidal(denormalize(conjugation_xmod(Z2))))
+        data["F1"][0] = 1
+        proc = run_process(ws, *command, write_json(tmp_path, "m.json", data))
+        assert proc.returncode == 1
+        assert "functor-source" in proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    # Z2 written with its identity at index 1; the maps beside it index that table
+    SHIFTED_Z2 = {"kind": "group", "name": "Z2", "table": [[1, 0], [0, 1]]}
+
+    @pytest.mark.parametrize(
+        "field, boundary",
+        [
+            ("G0", [0, 0]),  # not a homomorphism as written: it sends G to the non-identity
+            ("G", [1, 0]),  # the identity map of Z2 as written
+        ],
+    )
+    def test_nested_group_identity_off_zero_exit_2(self, ws, tmp_path, capsys, field, boundary):
+        data = jsonio.to_jsonable(conjugation_xmod(Z2))
+        data[field] = self.SHIFTED_Z2
+        data["boundary"] = boundary
+        assert run(ws, "validate", write_json(tmp_path, "x.json", data)) == 2
+        assert "identity at index 0" in capsys.readouterr().err
+
 
 class TestInvalidOperands:
     """Operands are validated once on load: an invalid one exits 1 and names a
