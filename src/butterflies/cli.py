@@ -181,8 +181,7 @@ def _validation_report(obj) -> ValidationReport:
     if isinstance(obj, (Butterfly, XModMorphism)):
         report = validate_butterfly(obj) if isinstance(obj, Butterfly) else validate_xmod_morphism(obj)
         for sub in (validate_crossed_module(obj.dom), validate_crossed_module(obj.cod)):
-            for f in sub.findings:
-                report.add(f"underlying-xmod:{f.condition}", f.witness, f.detail)
+            report.merge(sub, "underlying-xmod:")
         return report
     if isinstance(obj, MonoidalFunctor):
         return check_monoidal(obj)

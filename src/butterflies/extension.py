@@ -241,60 +241,72 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Factor
 
     phi ranges over the homomorphisms H -> Aut(G), so the first condition,
     conj(f(x, y)) = phi(x) phi(y) phi(xy)^-1 = 1, puts every f-value in the
-    center Z(G) = ker(inner).  Backtracking over the non-identity pairs of f
-    draws from Z(G) and checks every cocycle triple whose inputs are already
-    assigned.
+    center Z(G) = ker(inner).  Backtracking assigns the non-identity pairs of
+    f row-major, each over the center in ascending order, with forward
+    checking: a cocycle triple is checked as soon as all but the last of its
+    f-values are assigned, and it narrows that last value's candidates to
+    those that satisfy it.  Narrowing is undone on backtrack, and a branch
+    is pruned as soon as some candidate list is empty.  Every triple is
+    still checked for every kept value, and the list comes out in the order
+    of a search that checks each triple only when its last value is set.
     """
     if H.order * G.order > bound:
         raise BoundExceeded("enumerate_cocycles", H.order * G.order, bound)
     A = aut_xmod(G)
     center = [g for g in range(G.order) if A.boundary.map[g] == 0]
-    nH = H.order
-    free = [(x, y) for x in range(1, nH) for y in range(1, nH)]
-    slot = {p: i for i, p in enumerate(free)}
+    nH, t, ht = H.order, G.table, H.table
+    n = (nH - 1) ** 2
+    # slot of f(x, y) in row-major order; the identity row and column read
+    # slot n, which stays 0
+    slot = [[n if x == 0 or y == 0 else (x - 1) * (nH - 1) + y - 1 for y in range(nH)] for x in range(nH)]
 
-    def needed(x: int, y: int):
-        return None if (x == 0 or y == 0) else slot[(x, y)]
-
-    # bucket each cocycle triple by the last slot among its required f-values
-    buckets: list[list[tuple[int, int, int]]] = [[] for _ in free]
+    # each cocycle triple checks f(b,c), f(a,bc), f(a,b), f(ab,c); it is
+    # filed under its second-last slot and narrows its last slot, and a
+    # triple with one slot only narrows it before the search starts
+    initial: list[tuple[int, ...]] = []
+    checks: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for a, b, c in itertools.product(range(1, nH), repeat=3):
-        slots = {
-            needed(b, c),
-            needed(a, H.table[b][c]),
-            needed(a, b),
-            needed(H.table[a][b], c),
-        }
-        slots.discard(None)
-        if slots:
-            buckets[max(slots)].append((a, b, c))
+        pos = (slot[b][c], slot[a][ht[b][c]], slot[a][b], slot[ht[a][b]][c])
+        slots = sorted(set(pos) - {n})
+        (checks[slots[-2]] if len(slots) > 1 else initial).append((a, *pos, slots[-1]))
 
     results: list[FactorSet] = []
     for phi_hom in all_homomorphisms(H, A.G0):
         phi = phi_hom.map
         act = [A.action.act[phi[x]] for x in range(nH)]
-        fvals = [0] * len(free)
+        fv = [0] * (n + 1)
+        cand = [center] * n
 
-        def value(x: int, y: int) -> int:
-            return 0 if (x == 0 or y == 0) else fvals[slot[(x, y)]]
-
-        def triple_ok(a: int, b: int, c: int) -> bool:
-            lhs = G.table[act[a][value(b, c)]][value(a, H.table[b][c])]
-            rhs = G.table[value(a, b)][value(H.table[a][b], c)]
-            return lhs == rhs
+        def narrow(triples, trail) -> bool:
+            for a, s1, s2, s3, s4, last in triples:
+                row = act[a]
+                keep = []
+                for v in cand[last]:
+                    fv[last] = v
+                    if t[row[fv[s1]]][fv[s2]] == t[fv[s3]][fv[s4]]:
+                        keep.append(v)
+                if len(keep) < len(cand[last]):
+                    trail.append((last, cand[last]))
+                    cand[last] = keep
+                    if not keep:
+                        return False
+            return True
 
         def backtrack(k: int):
-            if k == len(free):
-                f = tuple(tuple(value(x, y) for y in range(nH)) for x in range(nH))
+            if k == n:
+                f = tuple(tuple(fv[s] for s in row) for row in slot)
                 results.append(FactorSet(H, G, tuple(phi), f))
                 return
-            for g in center:
-                fvals[k] = g
-                if all(triple_ok(*t) for t in buckets[k]):
+            for g in cand[k]:
+                fv[k] = g
+                trail: list = []
+                if narrow(checks[k], trail):
                     backtrack(k + 1)
-            fvals[k] = 0
+                for s, old in reversed(trail):
+                    cand[s] = old
 
-        backtrack(0)
+        if narrow(initial, []):
+            backtrack(0)
     return results
 
 
@@ -367,6 +379,18 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Exten
     Every cocycle is reconstructed into an extension and then a butterfly;
     classes are orbits under butterfly morphisms, found by backtracking
     search, independently of the coboundary calculus of the oracle.
+
+    A butterfly is searched against only the representatives that share its
+    invariant, the sorted triples (sigma e, rho e, iota^-1(e^m)) over e in E
+    with m the order of sigma e in H.  A butterfly morphism f: E -> E' is an
+    isomorphism with f iota = iota', sigma' f = sigma and rho' f = rho.  As
+    sigma(e^m) = 1, e^m lies in the image of iota, and f(e)^m = f(e^m) =
+    iota'(iota^-1(e^m)).  So f carries the triple of e to that of f(e), and
+    isomorphic butterflies have equal invariants.  The proof uses only the
+    morphism triangles, so it holds for non-abelian G too.  Representatives
+    are searched in order of appearance and the witness search still decides
+    membership, so the classes, their order and their counts are those of a
+    search against every representative.
     """
     if H.order * G.order > bound:
         raise BoundExceeded("classify_extensions", H.order * G.order, bound)
@@ -374,14 +398,17 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Exten
     reps: list[Butterfly] = []
     data: list[tuple[ExtensionDatum, FactorSet]] = []
     counts: list[int] = []
+    buckets: dict[tuple, list[int]] = {}
     for fs in cocycles:
         datum = factor_set_to_extension(fs, validated=True)
         B = butterfly_from_extension(datum)
-        for k, rep in enumerate(reps):
-            if isomorphic_butterflies(B, rep) is not None:
+        bucket = buckets.setdefault(_morphism_invariant(B), [])
+        for k in bucket:
+            if isomorphic_butterflies(B, reps[k]) is not None:
                 counts[k] += 1
                 break
         else:
+            bucket.append(len(reps))
             reps.append(B)
             data.append((datum, fs))
             counts.append(1)
@@ -400,6 +427,21 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Exten
             )
         )
     return out
+
+
+def _morphism_invariant(B: Butterfly) -> tuple[tuple[int, int, int], ...]:
+    """The isomorphism invariant of ``classify_extensions`` for a butterfly
+    D(H) -> A(G)."""
+    E, s, r = B.E, B.sigma.map, B.rho.map
+    orders = B.sigma.cod.element_orders
+    iota_inv = {e: g for g, e in enumerate(B.iota.map)}
+    triples = []
+    for e in range(E.order):
+        p = e
+        for _ in range(orders[s[e]] - 1):
+            p = E.table[p][e]
+        triples.append((s[e], r[e], iota_inv[p]))
+    return tuple(sorted(triples))
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,7 @@ def check_monoidal(M: MonoidalFunctor) -> ValidationReport:
     report = ValidationReport("monoidal functor")
     T, U = M.dom, M.cod
     for sub in (validate_two_group(T), validate_two_group(U)):
-        for f in sub.findings:
-            report.add(f"underlying-2group:{f.condition}", f.witness, f.detail)
+        report.merge(sub, "underlying-2group:")
     if not report.ok:
         return report
     F0, F1, F2 = M.F0, M.F1, M.F2

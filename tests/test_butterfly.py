@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import ONE, Z2, Z3, Z4, trivial_extension_butterfly, z4_extension_butterfly
+from helpers import ONE, S3, Z2, Z3, Z4, trivial_extension_butterfly, z4_extension_butterfly
 
 from butterflies.butterfly import (
     Butterfly,
@@ -35,6 +35,7 @@ from butterflies.errors import (
 )
 from butterflies.extension import aut_xmod, conjugation_xmod, discrete_xmod
 from butterflies.fingroup import GroupHom, identity_hom, zero_hom
+from butterflies.report import KEEP_PER_CONDITION, ValidationReport
 from butterflies.xmod import (
     XModMorphism,
     all_xmod_morphisms,
@@ -85,6 +86,38 @@ class TestValidation:
         )
         report = validate_butterfly(broken)
         assert "i-complex" in report.conditions() or "right-wing" in report.conditions()
+
+    def test_report_keeps_a_bounded_number_of_findings_per_condition(self):
+        # both wings the identity of S3: the 18 non-commuting pairs (h, g)
+        # fail the cooperator condition
+        CS3 = conjugation_xmod(S3)
+        ident = identity_hom(S3)
+        broken = Butterfly(dom=CS3, cod=CS3, E=S3, kappa=ident, iota=ident, sigma=ident, rho=ident)
+        report = validate_butterfly(broken)
+        cooperator = [f for f in report.findings if f.condition == "cooperator"]
+        assert len(cooperator) == KEEP_PER_CONDITION
+        assert report.dropped == 18 - KEEP_PER_CONDITION
+        # the witnesses kept are the first ones found, and each replays
+        assert [f.witness for f in cooperator] == sorted(f.witness for f in cooperator)
+        assert all(S3.table[h][g] != S3.table[g][h] for h, g in (f.witness for f in cooperator))
+        assert report.to_json()["dropped"] == report.dropped
+        text = str(report)
+        assert f"{len(report.findings) + report.dropped} violation(s)" in text.splitlines()[0]
+        assert text.splitlines()[-1].strip().startswith(f"... {report.dropped} more")
+        outer = ValidationReport("outer")
+        outer.merge(report, "sub:")
+        assert outer.dropped == report.dropped
+        assert [f.condition for f in outer.findings] == ["sub:" + f.condition for f in report.findings]
+
+    def test_report_without_drops_has_no_dropped_field(self):
+        I = identity_butterfly(CZ2)
+        broken = Butterfly(
+            dom=I.dom, cod=I.cod, E=I.E, kappa=I.iota, iota=I.iota, sigma=I.sigma, rho=I.sigma
+        )
+        report = validate_butterfly(broken)
+        assert report.dropped == 0
+        assert set(report.to_json()) == {"subject", "ok", "findings"}
+        assert str(report).count("\n") == len(report.findings)
 
 
 class TestIdentityButterfly:

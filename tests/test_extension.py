@@ -245,6 +245,36 @@ class TestClassify:
         with pytest.raises(BoundExceeded):
             classify_extensions(Z4, dicyclic_group(2))
 
+    @pytest.mark.parametrize(
+        "pair, pinned",
+        # (classes, factor sets) as pinned by the classify-grid benchmark
+        [(("Z2", "Z8"), (6, 16)), (("Z8", "Z2"), (2, 128)), (("S3", "Z2"), (2, 32))],
+        ids=["Z2,Z8", "Z8,Z2", "S3,Z2"],
+    )
+    def test_both_routes_on_benchmark_only_pairs(self, pair, pinned):
+        groups = {"Z2": Z2, "Z8": fingroup.cyclic_group(8), "S3": S3}
+        H, G = groups[pair[0]], groups[pair[1]]
+        butterfly_classes = classify_extensions(H, G)
+        oracle_classes = factor_set_oracle(H, G)
+        assert (len(butterfly_classes), sum(c.count for c in butterfly_classes)) == pinned
+        assert (len(oracle_classes), sum(len(orbit) for orbit in oracle_classes)) == pinned
+
+    def test_one_confirming_search_per_cocycle_on_v4_by_v4(self, monkeypatch):
+        # the invariant buckets separate all 82 classes, so a representative
+        # is searched against nothing and every other cocycle against its
+        # own class's representative only
+        calls = []
+        original = extension.isomorphic_butterflies
+
+        def counting(B, B2):
+            calls.append(1)
+            return original(B, B2)
+
+        monkeypatch.setattr(extension, "isomorphic_butterflies", counting)
+        classes = classify_extensions(V4, V4)
+        assert (len(classes), sum(c.count for c in classes)) == (82, 544)
+        assert len(calls) == 544 - 82
+
     def test_generating_sequence_computed_once_per_group_and_key(self, monkeypatch):
         # each cocycle's E is compared with several representatives under the
         # same forced wing images; its generating sequence is computed once
