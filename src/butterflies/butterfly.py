@@ -27,6 +27,7 @@ from .fingroup import (
     GroupAction,
     GroupHom,
     _generator_images,
+    _is_pullback,
     direct_product,
     identity_hom,
     kernel,
@@ -452,20 +453,6 @@ def to_fractor(B: Butterfly) -> Fractor:
     )
 
 
-def _is_discrete_fibration_functor(F: TwoGroupFunctor) -> bool:
-    """The target square is a pullback: arrows biject with (arrow below, object above)."""
-    pairs = {
-        (F.p1.map[a], F.dom.c.map[a]) for a in range(F.dom.G1.order)
-    }
-    wanted = {
-        (b, x)
-        for b in range(F.cod.G1.order)
-        for x in range(F.dom.G0.order)
-        if F.cod.c.map[b] == F.p0.map[x]
-    }
-    return len(pairs) == F.dom.G1.order and pairs == wanted
-
-
 def validate_fractor(F: Fractor) -> ValidationReport:
     report = ValidationReport("fractor")
     for T, label in ((F.R, "R"), (F.Rsigma, "Rsigma")):
@@ -476,19 +463,13 @@ def validate_fractor(F: Fractor) -> ValidationReport:
         sub = validate_two_group_functor(leg)
         if not sub.ok:
             report.add("1-functor", label, f"{label} leg is not a functor: {sub.findings[0]}")
-        if not _is_discrete_fibration_functor(leg):
+        # a discrete fibration: the target square is a pullback
+        if not _is_pullback(leg.cod.c, leg.p0, leg.p1, leg.dom.c):
             report.add("1-fibration", label, f"{label} leg is not a discrete fibration")
     sigma = F.left.p0
     if not sigma.is_surjective:
         report.add("2-surjection", None, "sigma is not surjective")
-    arrows = {(F.Rsigma.d.map[a], F.Rsigma.c.map[a]) for a in range(F.Rsigma.G1.order)}
-    wanted = {
-        (e1, e2)
-        for e1 in range(F.E.order)
-        for e2 in range(F.E.order)
-        if sigma.map[e1] == sigma.map[e2]
-    }
-    if arrows != wanted or F.Rsigma.G1.order != len(wanted):
+    if not _is_pullback(sigma, sigma, F.Rsigma.d, F.Rsigma.c):
         report.add("2-kernel-pair", None, "Rsigma is not the kernel pair of sigma")
     rho = F.right.p0
     for a in range(F.R.G1.order):
@@ -512,13 +493,9 @@ def from_fractor(F: Fractor) -> Butterfly:
     sigma, rho = F.left.p0, F.right.p0
     wings = []
     for T, leg, base in ((F.R, F.left, F.H2), (F.Rsigma, F.right, F.G2)):
-        wing = []
-        for el in kernel(base.c).elements:
-            lifts = [a for a in range(T.G1.order) if leg.p1.map[a] == el and T.c.map[a] == 0]
-            if len(lifts) != 1:
-                raise FractorConditionFailed(1, f"no unique lift of kernel arrow {el}")
-            wing.append(T.d.map[lifts[0]])
-        wings.append(tuple(wing))
+        # the leg's target square is a pullback, so each kernel arrow has one lift ending at 0
+        lift = {(b, x): a for a, (b, x) in enumerate(zip(leg.p1.map, T.c.map))}
+        wings.append(tuple(T.d.map[lift[el, 0]] for el in kernel(base.c).elements))
     kappa_map, iota_map = wings
     return Butterfly(
         dom=dom,

@@ -144,6 +144,8 @@ def _load_json_arg(arg: str, ws: Workspace) -> dict:
             return json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ParseError(f"{arg}: malformed JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{arg}: unreadable: {exc}") from exc
     return ws.get(arg)
 
 

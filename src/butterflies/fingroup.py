@@ -456,6 +456,17 @@ def pullback_quotient(
     return pairs, pos, coset_of, FinGroup(table, name, labels, _validated=True)
 
 
+def _is_pullback(f: GroupHom, g: GroupHom, u: GroupHom, v: GroupHom) -> bool:
+    """Whether x -> (u x, v x) is a bijection onto the pairs {(a,c) : f(a)=g(c)}
+    of :func:`product_and_pullback`, i.e. the square f u = g v is a pullback.
+    False, never an error, when f and g do not share a codomain."""
+    if f.cod != g.cod:
+        return False
+    images = set(zip(u.map, v.map))
+    pairs = {(a, c) for a, y in enumerate(f.map) for c, z in enumerate(g.map) if y == z}
+    return len(images) == len(u.map) == len(v.map) and images == pairs
+
+
 def direct_product(A: FinGroup, B: FinGroup) -> tuple[FinGroup, GroupHom, GroupHom]:
     T = trivial_group()
     P, p1, p2, _ = product_and_pullback(zero_hom(A, T), zero_hom(B, T))

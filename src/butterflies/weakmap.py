@@ -259,12 +259,9 @@ def find_monoidal_natural_iso(M: MonoidalFunctor, N: MonoidalFunctor):
     if M.dom != N.dom or M.cod != N.cod:
         return None
     T, U = M.dom, M.cod
-    fibers = []
-    for x in range(T.G0.order):
-        fiber = U.hom_set(M.F0[x], N.F0[x])
-        if not fiber:
-            return None
-        fibers.append(fiber)
+    fibers = U.hom_sets(M.F0, N.F0)
+    if fibers is None:
+        return None
     u1 = U.G1.table
     t0 = T.G0.table
     for combo in itertools.product(*fibers):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import ConstructionError
 from .fingroup import (
@@ -34,6 +34,7 @@ from .fingroup import (
     GroupAction,
     GroupHom,
     Subgroup,
+    _generator_images,
     _hom_defect,
     all_homomorphisms,
     identity_hom,
@@ -176,6 +177,11 @@ class Strict2Group:
     def hom_set(self, x: int, y: int) -> list[int]:
         """Arrows with source x and target y."""
         return [f for f in range(self.G1.order) if self.d.map[f] == x and self.c.map[f] == y]
+
+    def hom_sets(self, src: Sequence[int], dst: Sequence[int]) -> Optional[list[list[int]]]:
+        """The arrows src[x] -> dst[x] for each x, or None when one of them is empty."""
+        sets = [self.hom_set(x, y) for x, y in zip(src, dst)]
+        return sets if all(sets) else None
 
     @property
     def size(self) -> int:
@@ -391,7 +397,7 @@ def pullback_crossed_module(X: CrossedModule, sigma: GroupHom) -> tuple[CrossedM
 
 @dataclass(frozen=True)
 class XModTwoCell:
-    """A 2-cell between parallel morphisms: a map H0 -> G1, not a homomorphism."""
+    """A 2-cell between parallel morphisms: a map H0 -> G1, a homomorphism when valid."""
 
     P: XModMorphism
     Q: XModMorphism
@@ -403,6 +409,8 @@ class XModTwoCell:
         object.__setattr__(self, "alpha", tuple(self.alpha))
         if len(self.alpha) != self.P.dom.G0.order:
             raise ValueError("alpha must be defined on all of H0")
+        if any(not 0 <= a < self.P.cod.size for a in self.alpha):
+            raise ValueError("alpha value out of the codomain's arrow range")
 
 
 def pointwise_division_arrow(X: CrossedModule, a: int, b: int) -> int:
@@ -452,50 +460,21 @@ def identity_two_cell(P: XModMorphism) -> XModTwoCell:
     return XModTwoCell(P, P, tuple(TG.e.map[P.p0.map[x]] for x in range(P.dom.G0.order)))
 
 
-def _arrow_fibers(P: XModMorphism, Q: XModMorphism) -> Optional[list[list[int]]]:
-    """For each x in H0, the arrows from p0(x) to q0(x) in the codomain 2-group."""
-    TG = denormalize(P.cod)
-    fibers = []
-    for x in range(P.dom.G0.order):
-        fiber = TG.hom_set(P.p0.map[x], Q.p0.map[x])
-        if not fiber:
-            return None
-        fibers.append(fiber)
-    return fibers
-
-
 def enumerate_two_cells(P: XModMorphism, Q: XModMorphism) -> list[XModTwoCell]:
-    """All 2-cells between the parallel morphisms, exhaustively.
+    """All 2-cells between the parallel morphisms, in lexicographic order of alpha.
 
-    The Peiffer-graph condition pins alpha on the image of the boundary; the
-    remaining values range over the matching hom-sets.
+    A 2-cell is a homomorphism alpha: H0 -> G1 found by the generator search:
+    the Peiffer-graph condition fixes alpha on the image of the boundary, and
+    d alpha = p0 and c alpha = q0 hold everywhere once they hold on generators.
     """
     if P.dom != Q.dom or P.cod != Q.cod:
         return []
-    fibers = _arrow_fibers(P, Q)
-    if fibers is None:
-        return []
-    H0 = P.dom.G0
-    forced: dict[int, int] = {}
-    bd = P.dom.boundary.map
-    for h in range(P.dom.G.order):
-        value = pointwise_division_arrow(P.cod, P.p.map[h], Q.p.map[h])
-        if forced.setdefault(bd[h], value) != value:
-            return []
-    choices = []
-    for x in range(H0.order):
-        if x in forced:
-            if forced[x] not in fibers[x]:
-                return []
-            choices.append([forced[x]])
-        else:
-            choices.append(fibers[x])
-    cells = []
-    for combo in itertools.product(*choices):
-        cell = XModTwoCell(P, Q, combo)
-        if validate_two_cell(cell).ok:
-            cells.append(cell)
-    return cells
+    TG, bd = denormalize(P.cod), P.dom.boundary.map
+    d, c, p0, q0 = TG.d.map, TG.c.map, P.p0.map, Q.p0.map
+    fixed = [(bd[h], pointwise_division_arrow(P.cod, P.p.map[h], Q.p.map[h])) for h in range(P.dom.G.order)]
+    accept = lambda x, a: d[a] == p0[x] and c[a] == q0[x]
+    maps = _generator_images(P.dom.G0, TG.G1, bijective=False, fixed=fixed, accept=accept)
+    return [XModTwoCell(P, Q, m) for m in maps]
 
 
 def enumerate_natural_transformations(P: XModMorphism, Q: XModMorphism) -> list[tuple[int, ...]]:
@@ -508,7 +487,7 @@ def enumerate_natural_transformations(P: XModMorphism, Q: XModMorphism) -> list[
     """
     if P.dom != Q.dom or P.cod != Q.cod:
         return []
-    fibers = _arrow_fibers(P, Q)
+    fibers = denormalize(P.cod).hom_sets(P.p0.map, Q.p0.map)
     if fibers is None:
         return []
     FP, FQ = denormalize_morphism(P), denormalize_morphism(Q)

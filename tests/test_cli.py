@@ -179,6 +179,21 @@ class TestMalformedInput:
         assert run(ws, "validate", write_json(tmp_path, "x.json", data)) == 2
         assert "identity at index 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("validate", "DIR"), ("classify", "DIR", "Z2"), ("compose", "DIR", "DIR")])
+    def test_directory_argument_exit_2(self, ws, tmp_path, argv):
+        proc = run_process(ws, *(tmp_path if a == "DIR" else a for a in argv))
+        assert proc.returncode == 2
+        assert "unreadable" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_non_utf8_file_exit_2(self, ws, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"kind": "group", "name": "Z\xe9"}'.encode("latin-1"))
+        proc = run_process(ws, "validate", path)
+        assert proc.returncode == 2
+        assert "unreadable" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestInvalidOperands:
     """Operands are validated once on load: an invalid one exits 1 and names a

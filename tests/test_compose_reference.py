@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from butterflies import butterfly, laws, xmod
+from butterflies import butterfly, fingroup, laws, xmod
 from butterflies.butterfly import Butterfly, compose, to_fractor
 from butterflies.fingroup import FinGroup, GroupHom, Subgroup, product_and_pullback, quotient
 from butterflies.jsonio import canonical_bytes, to_jsonable
@@ -119,11 +119,12 @@ def test_associativity_triples_both_bracketings(fixture_sets):
     assert triples == 1875
 
 
-# the consumers of product_and_pullback, by the module that imports it
+# the consumers of product_and_pullback, by the module that imports or defines it
 CONSUMERS = {
     butterfly: {"_split", "reduced_compose", "to_fractor"},
+    fingroup: {"direct_product"},
     xmod: {"pullback_crossed_module"},
-    laws: {"_square_is_pullback", "ef3_coincidence"},
+    laws: {"ef3_coincidence"},
 }
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from butterflies.fingroup import (
     GroupAction,
     GroupHom,
@@ -235,6 +237,12 @@ class TestTwoCells:
         report = validate_two_cell(XModTwoCell(P, P, tuple(bad)))
         assert not report.ok
         assert any(f.condition == "source" and f.witness == 1 for f in report.findings)
+
+    @pytest.mark.parametrize("value", [-1, 4, 99])
+    def test_alpha_out_of_range_rejected(self, value):
+        P = identity_morphism(conj_xmod(Z2))  # 4 arrows
+        with pytest.raises(ValueError, match="arrow range"):
+            XModTwoCell(P, P, (0, value))
 
     def test_two_cells_match_natural_transformations(self):
         # both exhaustive enumerations agree as sets of maps
