@@ -104,11 +104,10 @@ def butterfly_from_extension(X: ExtensionDatum) -> Butterfly:
     conjugation representation and is uniquely determined."""
     dom = discrete_xmod(X.H)
     cod = aut_xmod(X.G)
-    iota_inv = {e: g for g, e in enumerate(X.iota.map)}
+    t, iota = X.E.table, X.iota.map
+    iota_inv = {e: g for g, e in enumerate(iota)}
     pos = {p: i for i, p in enumerate(cod.action.act)}
-    rho_map = tuple(
-        pos[tuple(iota_inv[X.E.conj(e, X.iota.map[g])] for g in range(X.G.order))] for e in range(X.E.order)
-    )
+    rho_map = tuple(pos[tuple(iota_inv[t[row[a]][inv]] for a in iota)] for row, inv in zip(t, X.E.inverse))
     return Butterfly(
         dom=dom,
         cod=cod,
@@ -192,33 +191,24 @@ def validate_factor_set(fs: FactorSet, aut: FinGroup, ev: GroupAction) -> bool:
 
 
 def factor_set_to_extension(fs: FactorSet, validated: bool = False) -> ExtensionDatum:
-    """Schreier reconstruction: the twisted product on G x H.
+    """Schreier reconstruction: the twisted product on G x H, (g, x) at g*|H| + x.
 
     With validated=False the full group axioms are re-checked by
     construct_group; otherwise associativity is certified by the Schreier
     conditions and only the cheap checks run.
     """
     H, G = fs.H, fs.G
-    ev = aut_xmod(G).action
-    nH = H.order
-    idx = lambda g, x: g * nH + x
-    table = [[0] * (G.order * nH) for _ in range(G.order * nH)]
-    for g1 in range(G.order):
-        for x1 in range(nH):
-            row = table[idx(g1, x1)]
-            for g2 in range(G.order):
-                twisted = G.table[g1][ev.act[fs.phi[x1]][g2]]
-                for x2 in range(nH):
-                    row[idx(g2, x2)] = idx(G.table[twisted][fs.f[x1][x2]], H.table[x1][x2])
-    if validated:
-        E = FinGroup(table, f"E({G.name},{H.name})", _validated=True)
-        if E.table[0][0] != 0:
-            raise ConstructionError("reconstructed table lost the identity")
-    else:
-        E = construct_group(table, f"E({G.name},{H.name})")
-        if E.relabeling is not None:
-            raise ConstructionError("reconstructed identity was not at index 0")
-    iota = GroupHom._trusted(G, E, tuple(idx(g, 0) for g in range(G.order)))
+    act, nH, Gt = aut_xmod(G).action.act, H.order, G.table
+    # row (g1, x1) holds (g1 phi(x1)(g2) f(x1, x2), x1 x2) for each (g2, x2)
+    twists = [(act[fs.phi[x1]], fs.f[x1], H.table[x1]) for x1 in range(nH)]
+    table = [
+        [Gt[tg[t]][f] * nH + x for t in twist for f, x in zip(fx, hx)] for tg in Gt for twist, fx, hx in twists
+    ]
+    name = f"E({G.name},{H.name})"
+    E = FinGroup(table, name, _validated=True) if validated else construct_group(table, name)
+    if E.table[0][0] != 0 or E.relabeling is not None:
+        raise ConstructionError("reconstructed identity was not at index 0")
+    iota = GroupHom._trusted(G, E, tuple(g * nH for g in range(G.order)))
     sigma = GroupHom._trusted(E, H, tuple(x for g in range(G.order) for x in range(nH)))
     return ExtensionDatum(H=H, G=G, E=E, iota=iota, sigma=sigma)
 
@@ -415,7 +405,8 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Exten
     out = []
     for k, B in enumerate(reps):
         datum, fs = data[k]
-        factor_set_to_extension(fs, validated=False)  # full re-validation per class
+        if construct_group(datum.E.table).relabeling is not None:  # full re-validation per class
+            raise ConstructionError("reconstructed identity was not at index 0")
         out.append(
             ExtensionClass(
                 representative=datum,
@@ -459,11 +450,10 @@ def standard_catalog(order: int) -> tuple[tuple[str, FinGroup], ...]:
             groups.append((name, G))
 
     for parts in _abelian_factorizations(order):
-        name = "x".join(f"Z{p}" for p in parts)
-        G = cyclic_group(parts[0])
+        G = cyclic_group(parts[0]) if parts else trivial_group()
         for p in parts[1:]:
             G = direct_product(G, cyclic_group(p))[0]
-        add(name, G)
+        add("x".join(f"Z{p}" for p in parts) or "1", G)
     if order % 2 == 0 and order > 2:
         n = order // 2
         Zn = cyclic_group(n)
@@ -512,10 +502,22 @@ def _abelian_factorizations(order: int, smallest: int = 2) -> list[tuple[int, ..
 
 
 def identify_group(E: FinGroup) -> str:
-    """A display name for E, via the catalog; Dic2 is reported as Q8."""
-    if E.order == 1:
-        return "1"
+    """A display name for E: the first catalog group isomorphic to E, Dic2
+    reported as Q8.  Catalog groups whose class invariant differs from E's
+    are skipped unsearched, which cannot change the first match."""
     for name, K in standard_catalog(E.order):
-        if isomorphism_search(E, K, bound=max(32, E.order)) is not None:
+        if _class_invariant(K) == _class_invariant(E) and isomorphism_search(E, K, bound=max(32, E.order)):
             return "Q8" if name == "Dic2" else name
     return f"order{E.order}-unrecognized"
+
+
+def _class_invariant(G: FinGroup) -> tuple[tuple[int, int, int], ...]:
+    """The sorted triples (order x, |C(x)|, #{y : y^2 = x}) over x in G,
+    memoized on G.  An isomorphism f keeps orders and maps C(x) onto C(f x)
+    and the square roots of x onto those of f x, so it carries each triple
+    to an equal one: isomorphic groups have equal invariants."""
+    t, o, rn, memo = G.table, G.element_orders, range(G.order), G.__dict__
+    if "_class_invariant" not in memo:
+        triples = [(o[x], sum(t[x][y] == t[y][x] for y in rn), sum(t[y][y] == x for y in rn)) for x in rn]
+        memo["_class_invariant"] = tuple(sorted(triples))
+    return memo["_class_invariant"]

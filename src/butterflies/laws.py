@@ -303,12 +303,10 @@ def _iso_or_none(B1: Butterfly, B2: Butterfly):
 
 def _corrupt_middle_group(B: Butterfly) -> Butterfly:
     """Relabel E by the transposition (1 2) without adjusting the maps."""
-    perm = list(range(B.E.order))
+    perm, t = list(range(B.E.order)), B.E.table
     perm[1], perm[2] = 2, 1
-    table = [
-        [perm.index(B.E.table[perm[a]][perm[b]]) for b in range(B.E.order)]
-        for a in range(B.E.order)
-    ]
+    # (1 2) is its own inverse, so perm also maps old entries to new labels
+    table = [[perm[t[a][b]] for b in perm] for a in perm]
     E2 = FinGroup(table, B.E.name + "!corrupt", _validated=True)
     # keep the map arrays on the relabeled group: the trusted path skips the
     # homomorphism checks, so the corrupted object reaches the validators

@@ -228,6 +228,13 @@ class TwoGroupFunctor:
 def validate_two_group_functor(F: TwoGroupFunctor) -> ValidationReport:
     report = ValidationReport("2-group functor")
     T, U = F.dom, F.cod
+    # the compatibility checks index U's maps by the legs' values
+    for leg, D, C in (("p1", T.G1, U.G1), ("p0", T.G0, U.G0)):
+        m = getattr(F, leg).map
+        if len(m) != D.order or not all(0 <= y < C.order for y in m):
+            report.add("leg-range", leg, f"{leg} is not a map {D.name} -> {C.name}")
+    if not report.ok:
+        return report
     for f in range(T.G1.order):
         if U.d.map[F.p1.map[f]] != F.p0.map[T.d.map[f]]:
             report.add("source-compat", f, "d(p1 f) != p0(d f)")

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 from butterflies import jsonio
 from butterflies.butterfly import identity_butterfly
 from butterflies.extension import ExtensionDatum, butterfly_from_extension, conjugation_xmod
 from butterflies.fingroup import (
+    GroupAction,
     GroupHom,
+    construct_group,
     cyclic_group,
+    dicyclic_group,
     klein_four,
+    semidirect_product,
     symmetric_group,
     trivial_group,
 )
@@ -44,3 +50,44 @@ def invalid_butterfly_json():
     data = jsonio.to_jsonable(identity_butterfly(conjugation_xmod(Z3)))
     data["rho"] = data["sigma"]
     return data
+
+
+# the (H, G) pairs of the classify-grid benchmark, with their bounds
+GRID = [
+    ("Z2", "Z2"), ("Z2", "Z3"), ("Z2", "Z4"), ("Z2", "V4"),
+    ("Z3", "Z2"), ("Z3", "Z3"), ("Z3", "Z4"), ("Z3", "V4"),
+    ("Z4", "Z2"), ("Z4", "Z3"), ("Z4", "Z4"), ("Z4", "V4"),
+    ("V4", "Z2"), ("V4", "Z3"), ("V4", "Z4"), ("V4", "V4"),
+    ("Z2", "Z8"), ("Z8", "Z2"), ("S3", "Z2"),
+    ("Z2", "S3"), ("Z2", "D4"), ("Z2", "Q8"), ("Z3", "S3"),
+]
+GRID_BOUND = {("Z3", "S3"): 18}
+
+
+def grid_groups() -> dict:
+    """The grid's groups with their non-identity elements permuted by one
+    fixed draw, in the classify-grid benchmark's order."""
+    Z4 = cyclic_group(4)
+    named = {
+        "Z2": cyclic_group(2),
+        "Z3": cyclic_group(3),
+        "Z4": Z4,
+        "Z8": cyclic_group(8),
+        "V4": klein_four(),
+        "S3": symmetric_group(3),
+        "D4": semidirect_product(
+            GroupAction(cyclic_group(2), Z4, (tuple(range(4)), tuple((-a) % 4 for a in range(4))))
+        )[0],
+        "Q8": dicyclic_group(2),
+    }
+    rng = random.Random("classify-grid/relabel")
+    out = {}
+    for name, G in named.items():
+        n = G.order
+        perm = [0] + rng.sample(range(1, n), n - 1)
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[perm[a]][perm[b]] = perm[G.table[a][b]]
+        out[name] = construct_group(table, name)
+    return out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from helpers import ONE, S3, Z2, Z3, Z4, trivial_extension_butterfly, z4_extension_butterfly
@@ -422,3 +424,13 @@ class TestFractor:
         )
         report = validate_fractor(bad)
         assert not report.ok
+
+    @pytest.mark.parametrize("leg_map", ["p1", "p0"])
+    def test_leg_out_of_range_is_a_finding(self, leg_map):
+        # a trusted leg whose values leave the codomain is reported, not an IndexError
+        F = to_fractor(identity_butterfly(CZ2))
+        old = getattr(F.left, leg_map)
+        bad = GroupHom._trusted(old.dom, old.cod, (99,) * len(old.map))
+        report = validate_fractor(dataclasses.replace(F, left=dataclasses.replace(F.left, **{leg_map: bad})))
+        assert "1-functor" in report.conditions()
+        assert "leg-range" in str(report)

@@ -1,23 +1,29 @@
-"""The forward-checked cocycle enumerator and the invariant-bucketed
-classification against the searches they replaced.
+"""The butterfly route of the classification against the code it replaced.
 
 ``reference_enumerate_cocycles`` checks each cocycle triple only when the
-last of its f-values is assigned, and ``reference_classify_extensions``
-searches every new butterfly against every representative found so far.
-On every pair of the classification grid, with the groups relabeled as the
-classify-grid benchmark relabels them, the cocycle lists must agree in
-content and order, and the class lists in factor set, count, splitting and
-extension group: bucketing never separates two cocycles that the
-unbucketed search joins.
+last of its f-values is assigned, ``reference_classify_extensions``
+searches every new butterfly against every representative found so far,
+``reference_twisted_product`` fills the twisted product cell by cell through
+an index function, ``reference_rho`` reads the Aut-leg of its butterfly
+through ``E.conj``, and ``reference_identify_group`` searches every catalog
+group of the order in turn.  On every pair of the classification grid, with
+the groups relabeled as the classify-grid benchmark relabels them, the
+cocycle lists must agree in content and order, the twisted products and
+Aut-legs cell for cell, and the class lists in factor set, count, splitting
+and extension group: bucketing never separates two cocycles that the
+unbucketed search joins, and the invariant that prunes the catalog never
+skips a match.  The names must also agree on every catalog group of orders
+2 to 24.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from functools import cache
 
 import pytest
+
+from helpers import GRID, GRID_BOUND, grid_groups
 
 from butterflies.butterfly import isomorphic_butterflies
 from butterflies.errors import BoundExceeded
@@ -29,59 +35,11 @@ from butterflies.extension import (
     enumerate_cocycles,
     factor_set_to_extension,
     identify_group,
+    standard_catalog,
 )
-from butterflies.fingroup import (
-    GroupAction,
-    all_homomorphisms,
-    construct_group,
-    cyclic_group,
-    dicyclic_group,
-    klein_four,
-    semidirect_product,
-    symmetric_group,
-)
+from butterflies.fingroup import all_homomorphisms, isomorphism_search
 
-GRID = [
-    ("Z2", "Z2"), ("Z2", "Z3"), ("Z2", "Z4"), ("Z2", "V4"),
-    ("Z3", "Z2"), ("Z3", "Z3"), ("Z3", "Z4"), ("Z3", "V4"),
-    ("Z4", "Z2"), ("Z4", "Z3"), ("Z4", "Z4"), ("Z4", "V4"),
-    ("V4", "Z2"), ("V4", "Z3"), ("V4", "Z4"), ("V4", "V4"),
-    ("Z2", "Z8"), ("Z8", "Z2"), ("S3", "Z2"),
-    ("Z2", "S3"), ("Z2", "D4"), ("Z2", "Q8"), ("Z3", "S3"),
-]
-BOUND = {("Z3", "S3"): 18}
-
-
-def _grid_groups() -> dict:
-    """The grid's groups with their non-identity elements permuted by one
-    fixed draw, in the classify-grid benchmark's order."""
-    Z4 = cyclic_group(4)
-    named = {
-        "Z2": cyclic_group(2),
-        "Z3": cyclic_group(3),
-        "Z4": Z4,
-        "Z8": cyclic_group(8),
-        "V4": klein_four(),
-        "S3": symmetric_group(3),
-        "D4": semidirect_product(
-            GroupAction(cyclic_group(2), Z4, (tuple(range(4)), tuple((-a) % 4 for a in range(4))))
-        )[0],
-        "Q8": dicyclic_group(2),
-    }
-    rng = random.Random("classify-grid/relabel")
-    out = {}
-    for name, G in named.items():
-        n = G.order
-        perm = [0] + rng.sample(range(1, n), n - 1)
-        table = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                table[perm[a]][perm[b]] = perm[G.table[a][b]]
-        out[name] = construct_group(table, name)
-    return out
-
-
-GROUPS = _grid_groups()
+GROUPS = grid_groups()
 
 
 def reference_enumerate_cocycles(H, G, bound: int = 16) -> list[FactorSet]:
@@ -155,20 +113,61 @@ def reference_classify_extensions(cocycles) -> list[tuple]:
             data.append((datum, fs))
             counts.append(1)
     return [
-        (fs, counts[k], datum.is_split(), identify_group(datum.E))
+        (fs, counts[k], datum.is_split(), reference_identify_group(datum.E))
         for k, (datum, fs) in enumerate(data)
     ]
 
 
+def reference_twisted_product(fs: FactorSet) -> list[list[int]]:
+    """The table of the twisted product on G x H, (g, x) at g*|H| + x,
+    filled cell by cell."""
+    H, G = fs.H, fs.G
+    ev = aut_xmod(G).action
+    nH = H.order
+    idx = lambda g, x: g * nH + x
+    table = [[0] * (G.order * nH) for _ in range(G.order * nH)]
+    for g1 in range(G.order):
+        for x1 in range(nH):
+            row = table[idx(g1, x1)]
+            for g2 in range(G.order):
+                twisted = G.table[g1][ev.act[fs.phi[x1]][g2]]
+                for x2 in range(nH):
+                    row[idx(g2, x2)] = idx(G.table[twisted][fs.f[x1][x2]], H.table[x1][x2])
+    return table
+
+
+def reference_rho(datum) -> tuple[int, ...]:
+    """The Aut-leg of the butterfly of an extension, conjugation read
+    through ``E.conj`` one element of G at a time."""
+    A = aut_xmod(datum.G)
+    iota_inv = {e: g for g, e in enumerate(datum.iota.map)}
+    pos = {p: i for i, p in enumerate(A.action.act)}
+    return tuple(
+        pos[tuple(iota_inv[datum.E.conj(e, datum.iota.map[g])] for g in range(datum.G.order))]
+        for e in range(datum.E.order)
+    )
+
+
+def reference_identify_group(E) -> str:
+    """The name of the first catalog group isomorphic to E, every catalog
+    group searched."""
+    if E.order == 1:
+        return "1"
+    for name, K in standard_catalog(E.order):
+        if isomorphism_search(E, K, bound=max(32, E.order)) is not None:
+            return "Q8" if name == "Dic2" else name
+    return f"order{E.order}-unrecognized"
+
+
 @cache
 def reference_cocycles(pair) -> list[FactorSet]:
-    return reference_enumerate_cocycles(GROUPS[pair[0]], GROUPS[pair[1]], BOUND.get(pair, 16))
+    return reference_enumerate_cocycles(GROUPS[pair[0]], GROUPS[pair[1]], GRID_BOUND.get(pair, 16))
 
 
 @pytest.mark.parametrize("pair", GRID, ids=[f"{h},{g}" for h, g in GRID])
 def test_cocycles_equal_last_slot_search(pair):
     H, G = GROUPS[pair[0]], GROUPS[pair[1]]
-    assert enumerate_cocycles(H, G, BOUND.get(pair, 16)) == reference_cocycles(pair)
+    assert enumerate_cocycles(H, G, GRID_BOUND.get(pair, 16)) == reference_cocycles(pair)
 
 
 @pytest.mark.parametrize("pair", GRID, ids=[f"{h},{g}" for h, g in GRID])
@@ -176,7 +175,24 @@ def test_classes_equal_unbucketed_search(pair):
     H, G = GROUPS[pair[0]], GROUPS[pair[1]]
     got = [
         (c.factor_set, c.count, c.split, c.e_group)
-        for c in classify_extensions(H, G, BOUND.get(pair, 16))
+        for c in classify_extensions(H, G, GRID_BOUND.get(pair, 16))
     ]
     assert got == reference_classify_extensions(reference_cocycles(pair))
 
+
+
+@pytest.mark.parametrize("pair", GRID, ids=[f"{h},{g}" for h, g in GRID])
+def test_twisted_products_and_rho_equal_cell_by_cell(pair):
+    for k, fs in enumerate(reference_cocycles(pair)):
+        expected = tuple(map(tuple, reference_twisted_product(fs)))
+        datum = factor_set_to_extension(fs, validated=True)
+        assert datum.E.table == expected
+        assert butterfly_from_extension(datum).rho.map == reference_rho(datum)
+        if k < 3:  # the fully checked path builds the same table
+            assert factor_set_to_extension(fs, validated=False).E.table == expected
+
+
+@pytest.mark.parametrize("order", range(2, 25))
+def test_catalog_names_equal_linear_scan(order):
+    for name, K in standard_catalog(order):
+        assert identify_group(K) == reference_identify_group(K) == ("Q8" if name == "Dic2" else name)

@@ -340,6 +340,10 @@ class TestIdentify:
         assert identify_group(dicyclic_group(2)) == "Q8"
         assert identify_group(ONE) == "1"
 
+    def test_catalog_of_order_one(self):
+        assert standard_catalog(1) == (("1", ONE),)
+        assert standard_catalog(1)[0][1].name == "1"
+
     def test_catalog_order_16_has_classics(self):
         names = {n for n, _ in standard_catalog(16)}
         assert {"Z16", "Z4xZ4", "D8", "Dic4", "SD16", "M16"} <= names
