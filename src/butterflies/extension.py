@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .butterfly import (
     Butterfly,
@@ -190,12 +191,12 @@ def validate_factor_set(fs: FactorSet, aut: FinGroup, ev: GroupAction) -> bool:
     return True
 
 
-def factor_set_to_extension(fs: FactorSet, validated: bool = False) -> ExtensionDatum:
+def factor_set_to_extension(fs: FactorSet) -> ExtensionDatum:
     """Schreier reconstruction: the twisted product on G x H, (g, x) at g*|H| + x.
 
-    With validated=False the full group axioms are re-checked by
-    construct_group; otherwise associativity is certified by the Schreier
-    conditions and only the cheap checks run.
+    The Schreier conditions make it a group, so it is built unchecked; both
+    classification routes re-validate each class representative with
+    :func:`_revalidate`.
     """
     H, G = fs.H, fs.G
     act, nH, Gt = aut_xmod(G).action.act, H.order, G.table
@@ -204,13 +205,16 @@ def factor_set_to_extension(fs: FactorSet, validated: bool = False) -> Extension
     table = [
         [Gt[tg[t]][f] * nH + x for t in twist for f, x in zip(fx, hx)] for tg in Gt for twist, fx, hx in twists
     ]
-    name = f"E({G.name},{H.name})"
-    E = FinGroup(table, name, _validated=True) if validated else construct_group(table, name)
-    if E.table[0][0] != 0 or E.relabeling is not None:
-        raise ConstructionError("reconstructed identity was not at index 0")
+    E = FinGroup(table, f"E({G.name},{H.name})", _validated=True)
     iota = GroupHom._trusted(G, E, tuple(g * nH for g in range(G.order)))
     sigma = GroupHom._trusted(E, H, tuple(x for g in range(G.order) for x in range(nH)))
     return ExtensionDatum(H=H, G=G, E=E, iota=iota, sigma=sigma)
+
+
+def _revalidate(E: FinGroup) -> None:
+    """The full group-axiom check of a class representative's twisted product."""
+    if construct_group(E.table).relabeling is not None:
+        raise ConstructionError("reconstructed identity was not at index 0")
 
 
 def factor_set_of_extension(X: ExtensionDatum, section: tuple[int, ...]) -> FactorSet:
@@ -224,6 +228,21 @@ def factor_set_of_extension(X: ExtensionDatum, section: tuple[int, ...]) -> Fact
         for x in range(H.order)
     )
     return FactorSet(H, X.G, tuple(rho[e] for e in s), f)
+
+
+def _assignments(k: int, fv: list, cand: list, checks: list, narrow) -> Iterator[None]:
+    """Yield once per assignment of slots k.. of fv that passes narrowing.
+    A module-level generator, so the search holds no reference cycle."""
+    if k == len(cand):
+        yield
+        return
+    for g in cand[k]:
+        fv[k] = g
+        trail: list = []
+        if narrow(checks[k], trail):
+            yield from _assignments(k + 1, fv, cand, checks, narrow)
+        for s, old in reversed(trail):
+            cand[s] = old
 
 
 def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = 16) -> list[FactorSet]:
@@ -282,21 +301,9 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Factor
                         return False
             return True
 
-        def backtrack(k: int):
-            if k == n:
-                f = tuple(tuple(fv[s] for s in row) for row in slot)
-                results.append(FactorSet(H, G, tuple(phi), f))
-                return
-            for g in cand[k]:
-                fv[k] = g
-                trail: list = []
-                if narrow(checks[k], trail):
-                    backtrack(k + 1)
-                for s, old in reversed(trail):
-                    cand[s] = old
-
         if narrow(initial, []):
-            backtrack(0)
+            for _ in _assignments(0, fv, cand, checks, narrow):
+                results.append(FactorSet(H, G, tuple(phi), tuple(tuple(fv[s] for s in row) for row in slot)))
     return results
 
 
@@ -345,7 +352,7 @@ def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = 16) -> list[list[Fa
                 assigned[j] = label
                 members.append(cocycles[j])
         classes.append(members)
-        factor_set_to_extension(fs, validated=False)
+        _revalidate(factor_set_to_extension(fs).E)
     return classes
 
 
@@ -390,7 +397,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Exten
     counts: list[int] = []
     buckets: dict[tuple, list[int]] = {}
     for fs in cocycles:
-        datum = factor_set_to_extension(fs, validated=True)
+        datum = factor_set_to_extension(fs)
         B = butterfly_from_extension(datum)
         bucket = buckets.setdefault(_morphism_invariant(B), [])
         for k in bucket:
@@ -405,8 +412,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Exten
     out = []
     for k, B in enumerate(reps):
         datum, fs = data[k]
-        if construct_group(datum.E.table).relabeling is not None:  # full re-validation per class
-            raise ConstructionError("reconstructed identity was not at index 0")
+        _revalidate(datum.E)
         out.append(
             ExtensionClass(
                 representative=datum,

@@ -1,6 +1,8 @@
 """JSON encodings of groups, crossed modules, 2-groups, butterflies and
 monoidal functors, plus the canonical serialization used by the object store.
 
+``_KINDS`` is where the fields of every kind but group and fractor are
+stated, once: ``to_jsonable`` writes them and ``_load_fields`` loads them.
 Group tables are written verbatim.  A top-level group's identity is moved to
 index 0 if needed, with the permutation recorded; a nested group must have it
 there already, as the maps beside it index the table as written.  2-groups
@@ -13,77 +15,34 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any, Callable, Optional
 
 from .butterfly import Butterfly, Fractor, from_fractor, to_fractor, validate_butterfly
 from .errors import ParseError, UnknownKind
-from .extension import ExtensionDatum, FactorSet
 from .fingroup import FinGroup, GroupAction, GroupHom, construct_group
 from .weakmap import MonoidalFunctor
 from .xmod import CrossedModule, Strict2Group, XModMorphism
 
 Resolver = Callable[[str], dict]
+Loader = Callable[[Any, str, Optional[Resolver], SimpleNamespace], Any]
 
 
 def to_jsonable(obj: Any) -> dict:
+    spec = _KIND_OF.get(type(obj))
+    if spec is not None:
+        kind, fields = spec
+        out = {"kind": kind}
+        for key, _ in fields:
+            value = getattr(obj, key)
+            out[key] = _DUMP.get(type(value), _unchecked)(value)
+        return out
     if isinstance(obj, FinGroup):
         out = {"kind": "group", "name": obj.name, "order": obj.order, "table": [list(r) for r in obj.table]}
         if obj.element_labels is not None:
             out["labels"] = list(obj.element_labels)
         return out
-    if isinstance(obj, GroupHom):
-        return {
-            "kind": "hom",
-            "dom": to_jsonable(obj.dom),
-            "cod": to_jsonable(obj.cod),
-            "map": list(obj.map),
-        }
-    if isinstance(obj, CrossedModule):
-        return {
-            "kind": "xmod",
-            "name": obj.name,
-            "G": to_jsonable(obj.G),
-            "G0": to_jsonable(obj.G0),
-            "boundary": list(obj.boundary.map),
-            "action": [list(p) for p in obj.action.act],
-        }
-    if isinstance(obj, Strict2Group):
-        return {
-            "kind": "2group",
-            "G1": to_jsonable(obj.G1),
-            "G0": to_jsonable(obj.G0),
-            "d": list(obj.d.map),
-            "c": list(obj.c.map),
-            "e": list(obj.e.map),
-        }
-    if isinstance(obj, Butterfly):
-        return {
-            "kind": "butterfly",
-            "dom": to_jsonable(obj.dom),
-            "cod": to_jsonable(obj.cod),
-            "E": to_jsonable(obj.E),
-            "kappa": list(obj.kappa.map),
-            "iota": list(obj.iota.map),
-            "sigma": list(obj.sigma.map),
-            "rho": list(obj.rho.map),
-        }
-    if isinstance(obj, XModMorphism):
-        return {
-            "kind": "xmod-morphism",
-            "dom": to_jsonable(obj.dom),
-            "cod": to_jsonable(obj.cod),
-            "p": list(obj.p.map),
-            "p0": list(obj.p0.map),
-        }
-    if isinstance(obj, MonoidalFunctor):
-        return {
-            "kind": "monoidal",
-            "dom": to_jsonable(obj.dom),
-            "cod": to_jsonable(obj.cod),
-            "F0": list(obj.F0),
-            "F1": list(obj.F1),
-            "F2": [list(r) for r in obj.F2],
-        }
     if isinstance(obj, Fractor):
         return {
             "kind": "fractor",
@@ -94,23 +53,6 @@ def to_jsonable(obj: Any) -> dict:
                 "sigma_bar": list(obj.left.p1.map),
                 "rho_bar": list(obj.right.p1.map),
             },
-        }
-    if isinstance(obj, ExtensionDatum):
-        return {
-            "kind": "extension",
-            "H": to_jsonable(obj.H),
-            "G": to_jsonable(obj.G),
-            "E": to_jsonable(obj.E),
-            "iota": list(obj.iota.map),
-            "sigma": list(obj.sigma.map),
-        }
-    if isinstance(obj, FactorSet):
-        return {
-            "kind": "factor-set",
-            "H": to_jsonable(obj.H),
-            "G": to_jsonable(obj.G),
-            "phi": list(obj.phi),
-            "f": [list(r) for r in obj.f],
         }
     raise UnknownKind(f"cannot serialize {type(obj).__name__}")
 
@@ -159,13 +101,13 @@ def _require(data: dict, *fields: str) -> None:
             raise ParseError(f"missing field {field!r}")
 
 
-def _ints(value: Any, field: str) -> tuple[int, ...]:
+def _ints(value: Any, field: str, *_: Any) -> tuple[int, ...]:
     if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
         raise ParseError(f"field {field!r} must be a list of integers")
     return tuple(value)
 
 
-def _int_rows(value: Any, field: str) -> tuple[tuple[int, ...], ...]:
+def _int_rows(value: Any, field: str, *_: Any) -> tuple[tuple[int, ...], ...]:
     if not isinstance(value, list):
         raise ParseError(f"field {field!r} must be a list of integer lists")
     return tuple(_ints(row, field) for row in value)
@@ -185,62 +127,84 @@ def group_from_json(data: Any, resolver: Optional[Resolver] = None) -> FinGroup:
     return construct_group(table, data.get("name", "G"), labels)
 
 
-def _nested_group(data: Any, resolver: Optional[Resolver]) -> FinGroup:
+def _nested_group(data: Any, key: str, resolver: Optional[Resolver], loaded: SimpleNamespace) -> FinGroup:
     G = group_from_json(data, resolver)
     if G.relabeling is not None:
         raise ParseError(f"group {G.name!r} inside another object must have its identity at index 0")
     return G
 
 
-def xmod_from_json(data: Any, resolver: Optional[Resolver] = None) -> CrossedModule:
+def _nested(kind: str) -> Loader:
+    return lambda value, key, resolver, loaded: _load_fields(kind, value, resolver)
+
+
+def _hom(dom: str, cod: str) -> Loader:
+    dom_of, cod_of = attrgetter(dom), attrgetter(cod)
+    return lambda value, key, resolver, loaded: GroupHom(dom_of(loaded), cod_of(loaded), _ints(value, key))
+
+
+def _action(value: Any, key: str, resolver: Optional[Resolver], loaded: SimpleNamespace) -> GroupAction:
+    return GroupAction(loaded.G0, loaded.G, _int_rows(value, key))
+
+
+def _unchecked(value: Any, *_: Any) -> Any:
+    """An xmod's optional name, loaded and written as it is."""
+    return value
+
+
+def _kind(cls: type, **fields: Loader) -> tuple[type, tuple[tuple[str, Loader], ...], tuple[str, ...]]:
+    """A kind's class, its fields in load order, and its required keys: all
+    but an xmod's name."""
+    return cls, tuple(fields.items()), tuple(key for key, load in fields.items() if load is not _unchecked)
+
+
+# Each kind's class and its fields in load order.  JSON keys are attribute
+# names; loader(value, key, resolver, loaded) builds a field from its JSON
+# value and the namespace of the fields loaded before it.
+_KINDS = {
+    "xmod": _kind(
+        CrossedModule, name=_unchecked, G=_nested_group, G0=_nested_group, boundary=_hom("G", "G0"), action=_action
+    ),
+    "2group": _kind(
+        Strict2Group, G1=_nested_group, G0=_nested_group, d=_hom("G1", "G0"), c=_hom("G1", "G0"), e=_hom("G0", "G1")
+    ),
+    "butterfly": _kind(
+        Butterfly,
+        dom=_nested("xmod"),
+        cod=_nested("xmod"),
+        E=_nested_group,
+        kappa=_hom("dom.G", "E"),
+        iota=_hom("cod.G", "E"),
+        sigma=_hom("E", "dom.G0"),
+        rho=_hom("E", "cod.G0"),
+    ),
+    "xmod-morphism": _kind(
+        XModMorphism, dom=_nested("xmod"), cod=_nested("xmod"), p=_hom("dom.G", "cod.G"), p0=_hom("dom.G0", "cod.G0")
+    ),
+    "monoidal": _kind(MonoidalFunctor, dom=_nested("2group"), cod=_nested("2group"), F0=_ints, F1=_ints, F2=_int_rows),
+}
+_KIND_OF = {cls: (kind, fields) for kind, (cls, fields, _) in _KINDS.items()}
+
+# the writer's dumper of a field value, by its type
+_DUMP: dict[type, Callable[[Any], Any]] = {
+    GroupHom: lambda hom: list(hom.map),
+    GroupAction: lambda action: [list(p) for p in action.act],
+    tuple: lambda ints: [list(row) for row in ints] if ints and type(ints[0]) is tuple else list(ints),
+    **dict.fromkeys((FinGroup, *_KIND_OF), to_jsonable),
+}
+
+
+def _load_fields(kind: str, data: Any, resolver: Optional[Resolver]) -> Any:
+    """Every required key is checked before any field loads, so malformed
+    input raises its first missing key's error ahead of any field's."""
+    cls, fields, required = _KINDS[kind]
     data = _resolve(data, resolver)
-    _require(data, "G", "G0", "boundary", "action")
-    G = _nested_group(data["G"], resolver)
-    G0 = _nested_group(data["G0"], resolver)
-    boundary = GroupHom(G, G0, _ints(data["boundary"], "boundary"))
-    action = GroupAction(G0, G, _int_rows(data["action"], "action"))
-    return CrossedModule(G, G0, boundary, action, name=data.get("name", ""))
-
-
-def two_group_from_json(data: Any, resolver: Optional[Resolver] = None) -> Strict2Group:
-    data = _resolve(data, resolver)
-    _require(data, "G1", "G0", "d", "c", "e")
-    G1 = _nested_group(data["G1"], resolver)
-    G0 = _nested_group(data["G0"], resolver)
-    d = GroupHom(G1, G0, _ints(data["d"], "d"))
-    c = GroupHom(G1, G0, _ints(data["c"], "c"))
-    e = GroupHom(G0, G1, _ints(data["e"], "e"))
-    return Strict2Group(G1, G0, d, c, e)
-
-
-def butterfly_from_json(data: Any, resolver: Optional[Resolver] = None) -> Butterfly:
-    data = _resolve(data, resolver)
-    _require(data, "dom", "cod", "E", "kappa", "iota", "sigma", "rho")
-    dom = xmod_from_json(data["dom"], resolver)
-    cod = xmod_from_json(data["cod"], resolver)
-    E = _nested_group(data["E"], resolver)
-    return Butterfly(
-        dom=dom,
-        cod=cod,
-        E=E,
-        kappa=GroupHom(dom.G, E, _ints(data["kappa"], "kappa")),
-        iota=GroupHom(cod.G, E, _ints(data["iota"], "iota")),
-        sigma=GroupHom(E, dom.G0, _ints(data["sigma"], "sigma")),
-        rho=GroupHom(E, cod.G0, _ints(data["rho"], "rho")),
-    )
-
-
-def xmod_morphism_from_json(data: Any, resolver: Optional[Resolver] = None) -> XModMorphism:
-    data = _resolve(data, resolver)
-    _require(data, "dom", "cod", "p", "p0")
-    dom = xmod_from_json(data["dom"], resolver)
-    cod = xmod_from_json(data["cod"], resolver)
-    return XModMorphism(
-        dom,
-        cod,
-        GroupHom(dom.G, cod.G, _ints(data["p"], "p")),
-        GroupHom(dom.G0, cod.G0, _ints(data["p0"], "p0")),
-    )
+    _require(data, *required)
+    loaded = SimpleNamespace()
+    for key, load in fields:
+        # the one optional key, an xmod's name, defaults to ""
+        setattr(loaded, key, load(data.get(key, ""), key, resolver, loaded))
+    return cls(**vars(loaded))
 
 
 def fractor_from_json(data: Any, resolver: Optional[Resolver] = None) -> Fractor:
@@ -248,7 +212,7 @@ def fractor_from_json(data: Any, resolver: Optional[Resolver] = None) -> Fractor
     the derived block, if present, is cross-checked against the reconstruction."""
     data = _resolve(data, resolver)
     _require(data, "butterfly")
-    B = butterfly_from_json(data["butterfly"], resolver)
+    B = _load_fields("butterfly", data["butterfly"], resolver)
     report = validate_butterfly(B)
     if not report.ok:
         raise ValueError(f"fractor of an invalid butterfly:\n{report}")
@@ -262,31 +226,15 @@ def fractor_from_json(data: Any, resolver: Optional[Resolver] = None) -> Fractor
     return F
 
 
-def monoidal_from_json(data: Any, resolver: Optional[Resolver] = None) -> MonoidalFunctor:
-    data = _resolve(data, resolver)
-    _require(data, "dom", "cod", "F0", "F1", "F2")
-    dom = two_group_from_json(data["dom"], resolver)
-    cod = two_group_from_json(data["cod"], resolver)
-    return MonoidalFunctor(
-        dom, cod, _ints(data["F0"], "F0"), _ints(data["F1"], "F1"), _int_rows(data["F2"], "F2")
-    )
-
-
-_LOADERS = {
-    "group": group_from_json,
-    "xmod": xmod_from_json,
-    "2group": two_group_from_json,
-    "butterfly": butterfly_from_json,
-    "xmod-morphism": xmod_morphism_from_json,
-    "monoidal": monoidal_from_json,
-    "fractor": fractor_from_json,
-}
+_LOADERS = {"group": group_from_json, "fractor": fractor_from_json}
 
 
 def from_jsonable(data: Any, resolver: Optional[Resolver] = None):
     if isinstance(data, str):
         data = _resolve(data, resolver)
     kind = detect_kind(data)
+    if kind in _KINDS:
+        return _load_fields(kind, data, resolver)
     loader = _LOADERS.get(kind)
     if loader is None:
         raise UnknownKind(f"no loader for kind {kind!r}")

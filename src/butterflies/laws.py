@@ -192,7 +192,7 @@ def _small_extensions(H: FinGroup, G: FinGroup) -> list[ExtensionDatum]:
     out = []
     seen_tables = set()
     for fs in enumerate_cocycles(H, G):
-        datum = factor_set_to_extension(fs, validated=True)
+        datum = factor_set_to_extension(fs)
         if datum.E.table not in seen_tables:
             seen_tables.add(datum.E.table)
             out.append(datum)

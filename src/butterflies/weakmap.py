@@ -17,7 +17,7 @@ from .butterfly import Butterfly
 from .errors import GroupLawSearchFailed, SectionInvalid
 from .fingroup import FinGroup, GroupHom, kernel
 from .report import ValidationReport
-from .xmod import Strict2Group, denormalize, normalize, validate_two_group
+from .xmod import Strict2Group, _functor_laws, denormalize, normalize, validate_two_group
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,7 @@ def check_monoidal(M: MonoidalFunctor) -> ValidationReport:
     if not report.ok:
         return report
     F0, F1, F2 = M.F0, M.F1, M.F2
-    for u in range(T.G1.order):
-        if U.d.map[F1[u]] != F0[T.d.map[u]]:
-            report.add("functor-source", u, "d(F1 u) != F0(d u)")
-        if U.c.map[F1[u]] != F0[T.c.map[u]]:
-            report.add("functor-target", u, "c(F1 u) != F0(c u)")
-    for x in range(T.G0.order):
-        if F1[T.e.map[x]] != U.e.map[F0[x]]:
-            report.add("functor-unit", x, "F1(e x) != e(F0 x)")
-    if not report.ok:
-        return report
-    for (u, v), w in T.m.items():
-        if F1[w] != U.m[(F1[u], F1[v])]:
-            report.add("functor-composition", (u, v), "F1 does not preserve m")
+    _functor_laws(report, T, U, F0, F1)
     if not report.ok:
         return report
     t0, u0, u1 = T.G0.table, U.G0.table, U.G1.table

@@ -225,27 +225,37 @@ class TwoGroupFunctor:
     p0: GroupHom
 
 
+def _functor_laws(
+    report: ValidationReport, T: Strict2Group, U: Strict2Group, F0: Sequence[int], F1: Sequence[int]
+) -> None:
+    """The laws of a functor T -> U that is F0 on objects and F1 on arrows.
+    Composition is checked only once sources, targets and units hold, as it
+    looks up composites of U that exist only then."""
+    for u in range(T.G1.order):
+        if U.d.map[F1[u]] != F0[T.d.map[u]]:
+            report.add("functor-source", u, "d(F1 u) != F0(d u)")
+        if U.c.map[F1[u]] != F0[T.c.map[u]]:
+            report.add("functor-target", u, "c(F1 u) != F0(c u)")
+    for x in range(T.G0.order):
+        if F1[T.e.map[x]] != U.e.map[F0[x]]:
+            report.add("functor-unit", x, "F1(e x) != e(F0 x)")
+    if not report.ok:
+        return
+    for (u, v), w in T.m.items():
+        if F1[w] != U.m[(F1[u], F1[v])]:
+            report.add("functor-composition", (u, v), "F1 does not preserve m")
+
+
 def validate_two_group_functor(F: TwoGroupFunctor) -> ValidationReport:
     report = ValidationReport("2-group functor")
     T, U = F.dom, F.cod
-    # the compatibility checks index U's maps by the legs' values
+    # the functor laws index U's maps by the legs' values
     for leg, D, C in (("p1", T.G1, U.G1), ("p0", T.G0, U.G0)):
         m = getattr(F, leg).map
         if len(m) != D.order or not all(0 <= y < C.order for y in m):
             report.add("leg-range", leg, f"{leg} is not a map {D.name} -> {C.name}")
-    if not report.ok:
-        return report
-    for f in range(T.G1.order):
-        if U.d.map[F.p1.map[f]] != F.p0.map[T.d.map[f]]:
-            report.add("source-compat", f, "d(p1 f) != p0(d f)")
-        if U.c.map[F.p1.map[f]] != F.p0.map[T.c.map[f]]:
-            report.add("target-compat", f, "c(p1 f) != p0(c f)")
-    for x in range(T.G0.order):
-        if F.p1.map[T.e.map[x]] != U.e.map[F.p0.map[x]]:
-            report.add("unit-compat", x, "p1(e x) != e(p0 x)")
-    for (f, g), h in T.m.items():
-        if F.p1.map[h] != U.m[(F.p1.map[f], F.p1.map[g])]:
-            report.add("composition-compat", (f, g), "p1 does not preserve m")
+    if report.ok:
+        _functor_laws(report, T, U, F.p0.map, F.p1.map)
     return report
 
 

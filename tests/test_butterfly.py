@@ -434,3 +434,11 @@ class TestFractor:
         report = validate_fractor(dataclasses.replace(F, left=dataclasses.replace(F.left, **{leg_map: bad})))
         assert "1-functor" in report.conditions()
         assert "leg-range" in str(report)
+
+    def test_leg_breaking_sources_is_a_finding(self):
+        F = to_fractor(identity_butterfly(conjugation_xmod(Z3)))
+        old = F.left.p1
+        bad = GroupHom._trusted(old.dom, old.cod, tuple(2 * a % old.cod.order for a in range(old.dom.order)))
+        report = validate_fractor(dataclasses.replace(F, left=dataclasses.replace(F.left, p1=bad)))
+        assert "1-functor" in report.conditions()
+        assert "functor-source" in str(report)

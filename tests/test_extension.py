@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from helpers import ONE, S3, V4, Z2, Z3, Z4
@@ -143,6 +146,18 @@ class TestFactorSets:
     def test_cocycle_counts_z2_z2(self):
         cocycles = enumerate_cocycles(Z2, Z2)
         assert len(cocycles) == 2  # one free value in Z2
+
+    def test_cocycles_die_with_the_callers_list(self):
+        # the search keeps no reference cycle, so reference counting alone
+        # frees every factor set once the caller drops the list
+        gc.disable()
+        try:
+            cocycles = enumerate_cocycles(fingroup.cyclic_group(8), Z2)
+            refs = [weakref.ref(fs) for fs in cocycles]
+            del cocycles
+            assert len(refs) == 128 and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
     def test_cocycle_validation(self):
         aut, ev = automorphism_group(Z3)

@@ -68,7 +68,7 @@ def test_fixture_pairs(seed, bound):
 @pytest.mark.parametrize("H, G", [(V4, Z2), (Z2, Z4)], ids=["V4-by-Z2", "Z2-by-Z4"])
 def test_extension_pairs(H, G):
     butterflies = [
-        butterfly_from_extension(factor_set_to_extension(fs, validated=True))
+        butterfly_from_extension(factor_set_to_extension(fs))
         for fs in enumerate_cocycles(H, G)
     ]
     assert assert_search_matches_reference(parallel_pairs(butterflies)) > 0

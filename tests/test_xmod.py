@@ -25,6 +25,7 @@ from butterflies.fingroup import (
 from butterflies.xmod import (
     CrossedModule,
     Strict2Group,
+    TwoGroupFunctor,
     XModMorphism,
     XModTwoCell,
     all_xmod_morphisms,
@@ -172,6 +173,14 @@ class TestMorphisms:
         X, Y = conj_xmod(Z2), aut_like(Z2)
         for P in all_xmod_morphisms(X, Y):
             assert validate_two_group_functor(denormalize_morphism(P)).ok
+
+    def test_functor_breaking_sources_is_a_finding(self):
+        # composition is checked only once sources, targets and units hold:
+        # before that, U.m has no entry for the image of a composable pair
+        T = denormalize(conj_xmod(Z3))
+        p1 = GroupHom._trusted(T.G1, T.G1, tuple(2 * a % 9 for a in range(9)))
+        report = validate_two_group_functor(TwoGroupFunctor(T, T, p1, identity_hom(T.G0)))
+        assert report.conditions() == {"functor-source", "functor-target", "functor-unit"}
 
 
 class TestPullbackXMod:
