@@ -48,6 +48,16 @@ from .xmod import validate_crossed_module, validate_two_group, validate_xmod_mor
 ENV_WORKSPACE = "BUTTERFLY_WORKSPACE"
 
 
+def _read_json(path: Path) -> Any:
+    """A file's JSON; a file that cannot be read or parsed is a ParseError."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: malformed JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: unreadable: {exc}") from exc
+
+
 class Workspace:
     """Content-addressed store: objects/<sha256>.json plus an index file."""
 
@@ -58,49 +68,49 @@ class Workspace:
         self.lock_path = self.root / ".lock"
 
     def _ensure(self) -> None:
-        self.objects.mkdir(parents=True, exist_ok=True)
-        if not self.index_path.exists():
-            self.index_path.write_text("{}")
+        try:
+            self.objects.mkdir(parents=True, exist_ok=True)
+            if not self.index_path.exists():
+                self.index_path.write_text("{}")
+        except OSError as exc:
+            raise ParseError(f"workspace {self.root} is unusable: {exc}") from exc
 
-    def _locked(self):
-        self._ensure()
-        fd = open(self.lock_path, "w")
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        return fd
+    def _index(self) -> dict[str, dict]:
+        index = _read_json(self.index_path)
+        if not isinstance(index, dict) or not all(isinstance(entry, dict) for entry in index.values()):
+            raise ParseError(f"{self.index_path}: not a workspace index")
+        return index
 
     def put(self, obj: Any) -> str:
         data = jsonio.to_jsonable(obj)
         blob = jsonio.canonical_bytes(data)
         ref = jsonio.content_ref(data)
-        lock = self._locked()
-        try:
+        self._ensure()
+        with open(self.lock_path, "w") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
             path = self.objects / f"{ref}.json"
             if not path.exists():
                 path.write_bytes(blob)
-            index = json.loads(self.index_path.read_text())
+            index = self._index()
             if ref not in index:
                 index[ref] = {"kind": data.get("kind", "unknown")}
                 tmp = self.index_path.with_suffix(".tmp")
                 tmp.write_text(json.dumps(index, sort_keys=True, indent=1))
                 tmp.replace(self.index_path)
-        finally:
-            fcntl.flock(lock, fcntl.LOCK_UN)
-            lock.close()
         return ref
 
     def get(self, ref: str) -> dict:
         self._ensure()
-        index = json.loads(self.index_path.read_text())
-        matches = [r for r in sorted(index) if r.startswith(ref)]
+        matches = [r for r in sorted(self._index()) if r.startswith(ref)]
         if not matches:
             raise ParseError(f"no stored object matches {ref!r}")
         if len(matches) > 1:
             raise ParseError(f"ambiguous ref {ref!r}: {len(matches)} matches")
-        return json.loads((self.objects / f"{matches[0]}.json").read_text())
+        return _read_json(self.objects / f"{matches[0]}.json")
 
     def ls(self) -> list[tuple[str, str]]:
         self._ensure()
-        index = json.loads(self.index_path.read_text())
+        index = self._index()
         return [(ref, index[ref].get("kind", "?")) for ref in sorted(index)]
 
 
@@ -139,14 +149,7 @@ def parse_group_spec(spec: str) -> Optional[FinGroup]:
 
 def _load_json_arg(arg: str, ws: Workspace) -> dict:
     path = Path(arg)
-    if path.exists():
-        try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{arg}: malformed JSON: {exc}") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"{arg}: unreadable: {exc}") from exc
-    return ws.get(arg)
+    return _read_json(path) if path.exists() else ws.get(arg)
 
 
 def _load_object(arg: str, ws: Workspace):

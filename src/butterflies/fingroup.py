@@ -5,10 +5,10 @@ the identity pinned at index 0.  Constructed groups (quotients, pullbacks,
 semidirect products) carry a canonical element order so that equal inputs
 produce bit-identical outputs.
 
-The public constructors check their input in full.  Results that are groups,
-homomorphisms, actions or subgroups by construction (quotient maps,
-projections, composites, kernels, search results) skip the checks through
-``FinGroup(..., _validated=True)`` and ``_trusted(...)``.
+The public constructors, ``FinGroup(...)`` included, check their input in
+full.  Results that are groups, homomorphisms, actions or subgroups by
+construction (quotients, products, projections, composites, kernels, search
+results) skip the checks through the classmethod ``_trusted(...)``.
 """
 
 from __future__ import annotations
@@ -32,19 +32,22 @@ class FinGroup:
 
     __slots__ = ("order", "table", "name", "element_labels", "inverse", "relabeling", "__dict__")
 
-    def __init__(
-        self,
-        table: Sequence[Sequence[int]],
-        name: str = "G",
-        element_labels: Optional[Sequence[str]] = None,
-        _validated: bool = False,
-    ):
+    def __init__(self, table: Sequence[Sequence[int]], name: str = "G", element_labels: Optional[Sequence[str]] = None):
         self.order = len(table)
-        if _validated:
-            self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, table))
-        else:
-            self.table = tuple(tuple(int(x) for x in row) for row in table)
-            _check_group_table(self)
+        self.table: tuple[tuple[int, ...], ...] = tuple(tuple(int(x) for x in row) for row in table)
+        _check_group_table(self)
+        self._finish(name, element_labels)
+
+    @classmethod
+    def _trusted(cls, table: Sequence[Sequence[int]], name: str, element_labels: Optional[Sequence[str]] = None):
+        """A group whose table is a group table by construction; rows may be lists."""
+        G = object.__new__(cls)
+        G.order, G.table = len(table), tuple(map(tuple, table))
+        G._finish(name, element_labels)
+        return G
+
+    def _finish(self, name: str, element_labels: Optional[Sequence[str]]) -> None:
+        """Set the fields that follow a group table: names, relabeling, inverses."""
         self.name = name
         self.element_labels = tuple(element_labels) if element_labels is not None else None
         self.relabeling: Optional[tuple[int, ...]] = None
@@ -169,13 +172,13 @@ def construct_group(
 
 
 def trivial_group(name: str = "1") -> FinGroup:
-    return FinGroup([[0]], name, ("1",), _validated=True)
+    return FinGroup._trusted([[0]], name, ("1",))
 
 
 def cyclic_group(n: int, name: Optional[str] = None) -> FinGroup:
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     labels = tuple(str(a) for a in range(n))
-    return FinGroup(table, name or f"Z{n}", labels, _validated=True)
+    return FinGroup._trusted(table, name or f"Z{n}", labels)
 
 
 def symmetric_group(n: int) -> FinGroup:
@@ -187,7 +190,7 @@ def symmetric_group(n: int) -> FinGroup:
         for p in perms
     ]
     labels = tuple("".join(map(str, p)) for p in perms)
-    return FinGroup(table, f"S{n}", labels, _validated=True)
+    return FinGroup._trusted(table, f"S{n}", labels)
 
 
 def dicyclic_group(n: int) -> FinGroup:
@@ -201,13 +204,13 @@ def dicyclic_group(n: int) -> FinGroup:
             table[idx(a, 0)][idx(b, 1)] = idx((b - a) % m, 1)
             table[idx(a, 1)][idx(b, 0)] = idx((a + b) % m, 1)
             table[idx(a, 1)][idx(b, 1)] = idx((b - a + n) % m, 0)
-    return FinGroup(table, f"Dic{n}")
+    return FinGroup._trusted(table, f"Dic{n}")
 
 
 class _Trusted:
     """``cls._trusted(*fields)`` builds an instance whose invariants hold by
-    construction without running ``__post_init__``, the counterpart of
-    ``FinGroup(..., _validated=True)``.  Fields must already be in normal
+    construction without running ``__post_init__``, as ``FinGroup._trusted``
+    builds a group without the table check.  Fields must already be in normal
     form: tuples of ints, subgroup elements sorted without repeats."""
 
     @classmethod
@@ -354,7 +357,7 @@ class Subgroup(_Trusted):
         pos = {e: i for i, e in enumerate(elems)}
         table = [[pos[self.ambient.table[a][b]] for b in elems] for a in elems]
         labels = tuple(self.ambient.label(e) for e in elems)
-        grp = FinGroup(table, name or f"{self.ambient.name}|sub{len(elems)}", labels, _validated=True)
+        grp = FinGroup._trusted(table, name or f"{self.ambient.name}|sub{len(elems)}", labels)
         return grp, GroupHom._trusted(grp, self.ambient, elems)
 
 
@@ -405,7 +408,7 @@ def quotient(G: FinGroup, N: Subgroup) -> tuple[FinGroup, GroupHom]:
             coset_of[G.table[a][n]] = idx
     table = [[coset_of[G.table[ra][rb]] for rb in reps] for ra in reps]
     labels = tuple(f"[{G.label(r)}]" for r in reps)
-    Q = FinGroup(table, f"{G.name}/N{N.order}", labels, _validated=True)
+    Q = FinGroup._trusted(table, f"{G.name}/N{N.order}", labels)
     return Q, GroupHom._trusted(G, Q, tuple(coset_of))
 
 
@@ -453,7 +456,7 @@ def pullback_quotient(
             reps.append((a, c))
     table = [[coset_of[pos[At[a][a2] * nc + Ct[c][c2]]] for a2, c2 in reps] for a, c in reps]
     labels = tuple(label.format(A.label(a), C.label(c)) for a, c in reps)
-    return pairs, pos, coset_of, FinGroup(table, name, labels, _validated=True)
+    return pairs, pos, coset_of, FinGroup._trusted(table, name, labels)
 
 
 def _is_pullback(f: GroupHom, g: GroupHom, u: GroupHom, v: GroupHom) -> bool:
@@ -494,7 +497,7 @@ def semidirect_product(xi: GroupAction) -> tuple[FinGroup, GroupHom, GroupHom, G
             offsets = [ta[xb] * n0 for xb in xi.act[x]]
             table.append([offset + y for offset in offsets for y in G0.table[x]])
     labels = tuple(f"({G.label(a)},{G0.label(x)})" for a in range(n) for x in range(n0))
-    S = FinGroup(table, f"{G.name}x|{G0.name}", labels, _validated=True)
+    S = FinGroup._trusted(table, f"{G.name}x|{G0.name}", labels)
     c = GroupHom._trusted(S, G0, tuple(x for _ in range(n) for x in range(n0)))
     e = GroupHom._trusted(G0, S, tuple(range(n0)))
     g = GroupHom._trusted(G, S, tuple(a * n0 for a in range(n)))
@@ -635,7 +638,7 @@ def automorphism_group(G: FinGroup, bound: int = DEFAULT_BOUND) -> tuple[FinGrou
     pos = {p: i for i, p in enumerate(autos)}
     table = [[pos[tuple(p[q[a]] for a in range(G.order))] for q in autos] for p in autos]
     labels = tuple("id" if p == tuple(range(G.order)) else "f" + "".join(map(str, p)) for p in autos)
-    A = FinGroup(table, f"Aut({G.name})", labels, _validated=True)
+    A = FinGroup._trusted(table, f"Aut({G.name})", labels)
     ev = GroupAction._trusted(A, G, tuple(autos))
     return A, ev
 

@@ -48,6 +48,7 @@ from .fingroup import (
     product_and_pullback,
 )
 from .jsonio import to_jsonable
+from .report import KEEP_PER_CONDITION
 from .xmod import (
     CrossedModule,
     XModMorphism,
@@ -89,6 +90,7 @@ class SuiteReport:
     cases: int = 0
     failures: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
+    dropped: int = 0  # failures counted but not kept, past KEEP_PER_CONDITION per check
 
     @property
     def ok(self) -> bool:
@@ -98,7 +100,10 @@ class SuiteReport:
         self.cases += 1
 
     def fail(self, check: str, witness: dict) -> None:
-        self.failures.append({"check": check, "witness": witness})
+        if sum(f["check"] == check for f in self.failures) < KEEP_PER_CONDITION:
+            self.failures.append({"check": check, "witness": witness})
+        else:
+            self.dropped += 1
 
     def to_json(self) -> dict:
         return {
@@ -106,18 +111,31 @@ class SuiteReport:
             "cases": self.cases,
             "failures": self.failures,
             "wall_time": self.wall_time,
+            **({"dropped": self.dropped} if self.dropped else {}),
         }
 
+    def done(self, start: float, fault: str | None, fired: bool) -> SuiteReport:
+        """Stop the clock.  A fault run whose fault never fired proves nothing, so it fails."""
+        if fault is not None and not fired:
+            self.fail("fault-not-exercised", {"fault": fault})
+        self.wall_time = time.perf_counter() - start
+        return self
+
     def __str__(self) -> str:
-        status = "ok" if self.ok else f"{len(self.failures)} failure(s)"
+        status = "ok" if self.ok else f"{len(self.failures) + self.dropped} failure(s)"
+        if self.dropped:
+            status += f", {self.dropped} not kept"
         return f"suite {self.suite}: {self.cases} cases, {status} ({self.wall_time:.2f}s)"
 
 
 def generate_fixtures(seed: int, size_bound: int) -> FixtureSet:
     """Deterministic fixture set: the mandated crossed modules, morphisms
-    between them, and identity / extension / split / composite butterflies."""
+    between them, and identity / extension / split / composite butterflies.
+    The bound must admit the smallest fixture, D(Z2) of size 2."""
     if size_bound > 16:
         raise BoundExceeded("generate_fixtures", size_bound, 16)
+    if size_bound < 2:
+        raise BoundExceeded("generate_fixtures", 2, size_bound)
     rng = random.Random(seed)
     fx = FixtureSet(seed=seed, size_bound=size_bound)
     Z2, Z3, Z4, V4 = cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four()
@@ -224,11 +242,13 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
     _check_fault("bicategory", fault)
     report = SuiteReport("bicategory")
     start = time.perf_counter()
+    corrupted = []  # whether each corruption changed E: not when (1 2) is an automorphism
 
     def composer(B1: Butterfly, B2: Butterfly) -> Butterfly:
         C = compose(B1, B2)
         if fault == "compose" and C.E.order > 2:
-            C = _corrupt_middle_group(C)
+            C, before = _corrupt_middle_group(C), C.E
+            corrupted.append(C.E != before)
         return C
 
     for B in fx.butterflies:
@@ -288,8 +308,7 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
         ):
             report.fail("flip-equivalence", {"butterfly": to_jsonable(B)})
 
-    report.wall_time = time.perf_counter() - start
-    return report
+    return report.done(start, fault, any(corrupted))
 
 
 def _iso_or_none(B1: Butterfly, B2: Butterfly):
@@ -307,7 +326,7 @@ def _corrupt_middle_group(B: Butterfly) -> Butterfly:
     perm[1], perm[2] = 2, 1
     # (1 2) is its own inverse, so perm also maps old entries to new labels
     table = [[perm[t[a][b]] for b in perm] for a in perm]
-    E2 = FinGroup(table, B.E.name + "!corrupt", _validated=True)
+    E2 = FinGroup._trusted(table, B.E.name + "!corrupt")
     # keep the map arrays on the relabeled group: the trusted path skips the
     # homomorphism checks, so the corrupted object reaches the validators
     return Butterfly(
@@ -351,11 +370,14 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
 
     # EF2: double counting on parallel pairs, each pair's 2-cells enumerated once
     pairs = []
+    dropped_cells = 0
     for P, Q in _parallel_pairs(fx, limit=16):
         if denormalize(P.cod).G1.order <= fx.size_bound:
             cells = enumerate_two_cells(P, Q)
             # the cells come in lexicographic order of alpha: this drops the least
-            pairs.append((P, Q, cells[1:] if fault == "two-cell-count" else cells))
+            kept = cells[1:] if fault == "two-cell-count" else cells
+            pairs.append((P, Q, kept))
+            dropped_cells += len(cells) - len(kept)
     for P, Q, cells in pairs:
         report.case()
         BP, _ = split_from_morphism(P)
@@ -452,8 +474,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
                         {"xmod": to_jsonable(X), "sigma": list(sigma.map)},
                     )
 
-    report.wall_time = time.perf_counter() - start
-    return report
+    return report.done(start, fault, dropped_cells > 0)
 
 
 def ef3_coincidence(B: Butterfly) -> bool:

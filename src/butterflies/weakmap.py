@@ -220,7 +220,7 @@ def butterfly_from_monoidal(M: MonoidalFunctor) -> Butterfly:
         [pos[(t0[y1][y2], U.m[(u1[g1][g2], M.F2[y1][y2])], u0[x1][x2])] for (y2, g2, x2) in triples]
         for (y1, g1, x1) in triples
     ]
-    P0 = FinGroup(table, f"P0({T.G1.name}->{U.G1.name})", _validated=True)
+    P0 = FinGroup._trusted(table, f"P0({T.G1.name}->{U.G1.name})")
     sigma = GroupHom._trusted(P0, T.G0, tuple(y for (y, _, _) in triples))
     rho = GroupHom._trusted(P0, U.G0, tuple(x for (_, _, x) in triples))
     kappa = GroupHom._trusted(

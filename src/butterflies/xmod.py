@@ -18,7 +18,8 @@ target c(g,x) = x; the derived composition is then m((a,x),(b,y)) = (a*b, y)
 whenever x = dG(b)*y, and the inverse is i(g,x) = (g^-1, dG(g)*x).
 
 Constructions here build their maps and actions unchecked, except where
-whether a map is a homomorphism is the question asked.
+whether a map is a homomorphism is the question asked, and the records do not
+check their wiring: the loaders build each map between the groups it joins.
 """
 
 from __future__ import annotations
@@ -56,12 +57,6 @@ class CrossedModule:
     action: GroupAction
     name: str = field(default="", compare=False)
 
-    def __post_init__(self):
-        if self.boundary.dom != self.G or self.boundary.cod != self.G0:
-            raise ValueError("boundary must map G to G0")
-        if self.action.actor != self.G0 or self.action.target != self.G:
-            raise ValueError("action must let G0 act on G")
-
     def act(self, x: int, g: int) -> int:
         return self.action.act[x][g]
 
@@ -97,12 +92,6 @@ class XModMorphism:
     cod: CrossedModule
     p: GroupHom
     p0: GroupHom
-
-    def __post_init__(self):
-        if self.p.dom != self.dom.G or self.p.cod != self.cod.G:
-            raise ValueError("p must map dom.G to cod.G")
-        if self.p0.dom != self.dom.G0 or self.p0.cod != self.cod.G0:
-            raise ValueError("p0 must map dom.G0 to cod.G0")
 
 
 def validate_xmod_morphism(P: XModMorphism) -> ValidationReport:
@@ -150,14 +139,6 @@ class Strict2Group:
     d: GroupHom
     c: GroupHom
     e: GroupHom
-
-    def __post_init__(self):
-        if self.d.dom != self.G1 or self.d.cod != self.G0:
-            raise ValueError("d must map G1 to G0")
-        if self.c.dom != self.G1 or self.c.cod != self.G0:
-            raise ValueError("c must map G1 to G0")
-        if self.e.dom != self.G0 or self.e.cod != self.G1:
-            raise ValueError("e must map G0 to G1")
 
     @cached_property
     def m(self) -> dict[tuple[int, int], int]:

@@ -381,3 +381,49 @@ class TestSuite:
 
     def test_fault_of_unselected_suite_exit_2(self, ws):
         assert run(ws, "suite", "--suite", "fractions", "--bound", "4", "--fault", "compose") == 2
+
+    @pytest.mark.parametrize("bound", [2, 3])
+    def test_fault_that_never_fires_exit_1(self, ws, capsys, bound):
+        argv = ("--json", "suite", "--suite", "bicategory", "--bound", bound, "--fault", "compose")
+        assert run(ws, *argv) == 1
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert [f["check"] for f in report["failures"]] == ["fault-not-exercised"]
+
+    @pytest.mark.parametrize("bound", [0, 1])
+    def test_bound_below_smallest_fixture_exit_1(self, ws, capsys, bound):
+        assert run(ws, "suite", "--bound", bound) == 1
+        assert "BoundExceeded" in capsys.readouterr().err
+
+
+class TestWorkspaceFaults:
+    """A workspace that cannot hold a store, or whose index or objects are
+    damaged, is a usage error (exit 2) for every store operation."""
+
+    @pytest.fixture(params=["ls", "get", "put"])
+    def store_op(self, request, tmp_path):
+        xmod = write_json(tmp_path, "xmod.json", jsonio.to_jsonable(conjugation_xmod(Z2)))
+        return {"ls": ("store", "ls"), "get": ("store", "get", "ab"), "put": ("identity", xmod)}[request.param]
+
+    def test_workspace_is_a_file_exit_2(self, tmp_path, capsys, store_op):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        assert run(not_a_dir, *store_op) == 2
+        assert "unusable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", [b"5", b'{"abc": 5}', b"[]", b"not json", b"\xff"])
+    def test_damaged_index_exit_2(self, ws, capsys, store_op, index):
+        ws.mkdir()
+        (ws / "index.json").write_bytes(index)
+        assert run(ws, *store_op) == 2
+        assert "index.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "not json"])
+    def test_damaged_object_exit_2(self, ws, capsys, content):
+        ref = Workspace(ws).put(Z4)
+        path = ws / "objects" / f"{ref}.json"
+        if content is None:
+            path.unlink()
+        else:
+            path.write_text(content)
+        assert run(ws, "store", "get", ref[:8]) == 2
+        assert f"{ref}.json" in capsys.readouterr().err

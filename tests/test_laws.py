@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from butterflies import jsonio, laws
 from butterflies.errors import BoundExceeded, UnknownSuite
+from butterflies.report import KEEP_PER_CONDITION
 from butterflies.laws import (
     FixtureSet,
     ef3_coincidence,
@@ -43,6 +46,10 @@ class TestFixtures:
     def test_bound_enforced(self):
         with pytest.raises(BoundExceeded):
             generate_fixtures(0, 32)
+        # below the smallest fixture, D(Z2) of size 2, a suite would run no case
+        for bound in (0, 1):
+            with pytest.raises(BoundExceeded):
+                generate_fixtures(0, bound)
 
     def test_members_validated(self):
         from butterflies.butterfly import validate_butterfly
@@ -80,6 +87,25 @@ class TestSuites:
     def test_two_cell_fault_detected(self):
         report = run_fractions_suite(generate_fixtures(0, 8), fault="two-cell-count")
         assert not report.ok
+
+    @pytest.mark.parametrize("seed, bound", [(seed, bound) for seed in range(4) for bound in (2, 3)])
+    def test_fault_that_never_fires_fails(self, seed, bound):
+        # composites of order <= 2 are never corrupted, and the (1 2) relabeling
+        # of Z3 is an automorphism, so the compose fault changes nothing here
+        fx = generate_fixtures(seed, bound)
+        report = run_bicategory_suite(fx, fault="compose")
+        assert [f["check"] for f in report.failures] == ["fault-not-exercised"]
+        assert report.cases == run_bicategory_suite(fx).cases
+
+    def test_failures_bounded_per_check(self):
+        fx = generate_fixtures(1, 16)
+        report = run_bicategory_suite(fx, fault="compose")
+        kept = Counter(f["check"] for f in report.failures)
+        assert max(kept.values()) == KEEP_PER_CONDITION
+        assert len(report.failures) + report.dropped == 127
+        assert report.to_json()["dropped"] == report.dropped
+        assert f"127 failure(s), {report.dropped} not kept" in str(report)
+        assert "dropped" not in run_bicategory_suite(fx).to_json()
 
     @pytest.mark.parametrize(
         "suite, fault",
