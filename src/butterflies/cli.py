@@ -4,7 +4,7 @@ Objects are stored under their canonical-serialization hash, so identical
 objects share one entry and refs are reproducible across machines.  The
 workspace root comes from --workspace, else BUTTERFLY_WORKSPACE, else
 ./.butterfly_workspace.  Exit codes: 0 ok, 1 domain failure, 2 usage or
-parse error.
+parse error, or a standard output closed before the output was written.
 
 Each operand of identity, compose, flip, split, span and weakmap extract is
 validated once on load; the operations themselves assume valid operands.
@@ -86,17 +86,20 @@ class Workspace:
         blob = jsonio.canonical_bytes(data)
         ref = jsonio.content_ref(data)
         self._ensure()
-        with open(self.lock_path, "w") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-            path = self.objects / f"{ref}.json"
-            if not path.exists():
-                path.write_bytes(blob)
-            index = self._index()
-            if ref not in index:
-                index[ref] = {"kind": data.get("kind", "unknown")}
-                tmp = self.index_path.with_suffix(".tmp")
-                tmp.write_text(json.dumps(index, sort_keys=True, indent=1))
-                tmp.replace(self.index_path)
+        try:
+            with open(self.lock_path, "w") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+                path = self.objects / f"{ref}.json"
+                if not path.exists():
+                    path.write_bytes(blob)
+                index = self._index()
+                if ref not in index:
+                    index[ref] = {"kind": data.get("kind", "unknown")}
+                    tmp = self.index_path.with_suffix(".tmp")
+                    tmp.write_text(json.dumps(index, sort_keys=True, indent=1))
+                    tmp.replace(self.index_path)
+        except OSError as exc:
+            raise ParseError(f"workspace {self.root} is unusable: {exc}") from exc
         return ref
 
     def get(self, ref: str) -> dict:
@@ -451,7 +454,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     root = args.workspace or os.environ.get(ENV_WORKSPACE) or ".butterfly_workspace"
     ws = Workspace(Path(root))
     try:
-        return args.func(args, ws)
+        status = args.func(args, ws)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader left early (`| head`); send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ParseError, UnknownKind, UnknownSuite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

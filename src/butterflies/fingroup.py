@@ -27,10 +27,11 @@ class FinGroup:
     """A finite group given by its Cayley table, identity at index 0.
 
     Equality is table equality; sameness up to relabeling is decided by
-    :func:`isomorphism_search`.
+    :func:`isomorphism_search`.  The trusted constructions give element labels
+    as a function, run on the first read of ``element_labels``, if ever.
     """
 
-    __slots__ = ("order", "table", "name", "element_labels", "inverse", "relabeling", "__dict__")
+    __slots__ = ("order", "table", "name", "_labels", "inverse", "relabeling", "__dict__")
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G", element_labels: Optional[Sequence[str]] = None):
         self.order = len(table)
@@ -39,19 +40,25 @@ class FinGroup:
         self._finish(name, element_labels)
 
     @classmethod
-    def _trusted(cls, table: Sequence[Sequence[int]], name: str, element_labels: Optional[Sequence[str]] = None):
+    def _trusted(cls, table: Sequence[Sequence[int]], name: str, labels: Optional[Callable[[], Iterable[str]]] = None):
         """A group whose table is a group table by construction; rows may be lists."""
         G = object.__new__(cls)
         G.order, G.table = len(table), tuple(map(tuple, table))
-        G._finish(name, element_labels)
+        G._finish(name, labels)
         return G
 
-    def _finish(self, name: str, element_labels: Optional[Sequence[str]]) -> None:
+    def _finish(self, name: str, labels: Optional[Sequence[str] | Callable[[], Iterable[str]]]) -> None:
         """Set the fields that follow a group table: names, relabeling, inverses."""
         self.name = name
-        self.element_labels = tuple(element_labels) if element_labels is not None else None
+        self._labels = labels if labels is None or callable(labels) else tuple(labels)
         self.relabeling: Optional[tuple[int, ...]] = None
         self.inverse = tuple(row.index(0) for row in self.table)
+
+    @property
+    def element_labels(self) -> Optional[tuple[str, ...]]:
+        if callable(self._labels):
+            self._labels = tuple(self._labels())
+        return self._labels
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -172,12 +179,12 @@ def construct_group(
 
 
 def trivial_group(name: str = "1") -> FinGroup:
-    return FinGroup._trusted([[0]], name, ("1",))
+    return FinGroup._trusted([[0]], name, lambda: ("1",))
 
 
 def cyclic_group(n: int, name: Optional[str] = None) -> FinGroup:
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    labels = tuple(str(a) for a in range(n))
+    labels = lambda: (str(a) for a in range(n))
     return FinGroup._trusted(table, name or f"Z{n}", labels)
 
 
@@ -189,7 +196,7 @@ def symmetric_group(n: int) -> FinGroup:
         [index[tuple(p[q[i]] for i in range(n))] for q in perms]
         for p in perms
     ]
-    labels = tuple("".join(map(str, p)) for p in perms)
+    labels = lambda: ("".join(map(str, p)) for p in perms)
     return FinGroup._trusted(table, f"S{n}", labels)
 
 
@@ -356,7 +363,7 @@ class Subgroup(_Trusted):
         elems = self.elements
         pos = {e: i for i, e in enumerate(elems)}
         table = [[pos[self.ambient.table[a][b]] for b in elems] for a in elems]
-        labels = tuple(self.ambient.label(e) for e in elems)
+        labels = lambda: (self.ambient.label(e) for e in elems)
         grp = FinGroup._trusted(table, name or f"{self.ambient.name}|sub{len(elems)}", labels)
         return grp, GroupHom._trusted(grp, self.ambient, elems)
 
@@ -407,7 +414,7 @@ def quotient(G: FinGroup, N: Subgroup) -> tuple[FinGroup, GroupHom]:
         for n in N.elements:
             coset_of[G.table[a][n]] = idx
     table = [[coset_of[G.table[ra][rb]] for rb in reps] for ra in reps]
-    labels = tuple(f"[{G.label(r)}]" for r in reps)
+    labels = lambda: (f"[{G.label(r)}]" for r in reps)
     Q = FinGroup._trusted(table, f"{G.name}/N{N.order}", labels)
     return Q, GroupHom._trusted(G, Q, tuple(coset_of))
 
@@ -439,23 +446,32 @@ def pullback_quotient(
     each pair (None off P), the coset of each pair, and P/N named `name`.
     Cosets are numbered by minimal pair index, as :func:`quotient` numbers
     them, and the coset of minimal pair (a, c) is labeled
-    ``label.format(A.label(a), C.label(c))``.
+    ``label.format(A.label(a), C.label(c))``, built on the first read of
+    the quotient's ``element_labels``.  A trivial N needs no coset pass.
     """
     A, C = f.dom, g.dom
     nc, At, Ct = C.order, A.table, C.table
-    pairs = [(a, c) for a in range(A.order) for c in range(nc) if f.map[a] == g.map[c]]
+    fibres: dict[int, list[int]] = {}
+    for c, y in enumerate(g.map):
+        fibres.setdefault(y, []).append(c)
+    pairs = [(a, c) for a, y in enumerate(f.map) for c in fibres.get(y, ())]
     pos: list[Optional[int]] = [None] * (A.order * nc)
     for i, (a, c) in enumerate(pairs):
         pos[a * nc + c] = i
-    coset_of = [-1] * len(pairs)
-    reps: list[tuple[int, int]] = []
-    for i, (a, c) in enumerate(pairs):
-        if coset_of[i] == -1:
-            for na, nn in normal:
-                coset_of[pos[At[a][na] * nc + Ct[c][nn]]] = len(reps)
-            reps.append((a, c))
-    table = [[coset_of[pos[At[a][a2] * nc + Ct[c][c2]]] for a2, c2 in reps] for a, c in reps]
-    labels = tuple(label.format(A.label(a), C.label(c)) for a, c in reps)
+    if len(normal) == 1:
+        # a list, not a range: off P (a faulted operand) indexing it raises the
+        # TypeError whose message the compose-fault witnesses record
+        coset_of, reps = list(range(len(pairs))), pairs
+    else:
+        coset_of, reps = [-1] * len(pairs), []
+        for i, (a, c) in enumerate(pairs):
+            if coset_of[i] == -1:
+                for na, nn in normal:
+                    coset_of[pos[At[a][na] * nc + Ct[c][nn]]] = len(reps)
+                reps.append((a, c))
+    rows = [(At[a], Ct[c]) for a, c in reps]
+    table = [[coset_of[pos[ta[a2] * nc + tc[c2]]] for a2, c2 in reps] for ta, tc in rows]
+    labels = lambda: (label.format(A.label(a), C.label(c)) for a, c in reps)
     return pairs, pos, coset_of, FinGroup._trusted(table, name, labels)
 
 
@@ -496,7 +512,7 @@ def semidirect_product(xi: GroupAction) -> tuple[FinGroup, GroupHom, GroupHom, G
             # row (a,x) is, for each b, the offset of a*(x|>b) plus the row of x in G0
             offsets = [ta[xb] * n0 for xb in xi.act[x]]
             table.append([offset + y for offset in offsets for y in G0.table[x]])
-    labels = tuple(f"({G.label(a)},{G0.label(x)})" for a in range(n) for x in range(n0))
+    labels = lambda: (f"({G.label(a)},{G0.label(x)})" for a in range(n) for x in range(n0))
     S = FinGroup._trusted(table, f"{G.name}x|{G0.name}", labels)
     c = GroupHom._trusted(S, G0, tuple(x for _ in range(n) for x in range(n0)))
     e = GroupHom._trusted(G0, S, tuple(range(n0)))
@@ -637,7 +653,7 @@ def automorphism_group(G: FinGroup, bound: int = DEFAULT_BOUND) -> tuple[FinGrou
     autos = sorted(_generator_images(G, G, bijective=True))
     pos = {p: i for i, p in enumerate(autos)}
     table = [[pos[tuple(p[q[a]] for a in range(G.order))] for q in autos] for p in autos]
-    labels = tuple("id" if p == tuple(range(G.order)) else "f" + "".join(map(str, p)) for p in autos)
+    labels = lambda: ("id" if p == tuple(range(G.order)) else "f" + "".join(map(str, p)) for p in autos)
     A = FinGroup._trusted(table, f"Aut({G.name})", labels)
     ev = GroupAction._trusted(A, G, tuple(autos))
     return A, ev

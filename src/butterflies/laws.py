@@ -12,6 +12,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .butterfly import (
     Butterfly,
@@ -99,9 +100,10 @@ class SuiteReport:
     def case(self) -> None:
         self.cases += 1
 
-    def fail(self, check: str, witness: dict) -> None:
+    def fail(self, check: str, witness: Callable[[], dict]) -> None:
+        """Count a failure; its witness is built only if the failure is kept."""
         if sum(f["check"] == check for f in self.failures) < KEEP_PER_CONDITION:
-            self.failures.append({"check": check, "witness": witness})
+            self.failures.append({"check": check, "witness": witness()})
         else:
             self.dropped += 1
 
@@ -117,7 +119,7 @@ class SuiteReport:
     def done(self, start: float, fault: str | None, fired: bool) -> SuiteReport:
         """Stop the clock.  A fault run whose fault never fired proves nothing, so it fails."""
         if fault is not None and not fired:
-            self.fail("fault-not-exercised", {"fault": fault})
+            self.fail("fault-not-exercised", lambda: {"fault": fault})
         self.wall_time = time.perf_counter() - start
         return self
 
@@ -255,7 +257,7 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
         report.case()
         check = validate_butterfly(B)
         if not check.ok:
-            report.fail("butterfly-valid", {"butterfly": to_jsonable(B), "report": check.to_json()})
+            report.fail("butterfly-valid", lambda: {"butterfly": to_jsonable(B), "report": check.to_json()})
 
     bounded = [B for B in fx.butterflies if B.E.order <= 2 * fx.size_bound]
     for B in bounded:
@@ -263,14 +265,15 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
         left = composer(identity_butterfly(B.dom), B)
         w = _iso_or_none(left, B)
         if w is None:
-            report.fail("left-unit", {"butterfly": to_jsonable(B)})
+            report.fail("left-unit", lambda: {"butterfly": to_jsonable(B)})
         elif not w.f.is_isomorphism:
-            report.fail("witness-bijective", {"butterfly": to_jsonable(B)})
+            report.fail("witness-bijective", lambda: {"butterfly": to_jsonable(B)})
         report.case()
         right = composer(B, identity_butterfly(B.cod))
         if _iso_or_none(right, B) is None:
-            report.fail("right-unit", {"butterfly": to_jsonable(B)})
+            report.fail("right-unit", lambda: {"butterfly": to_jsonable(B)})
 
+    composites: dict[tuple[int, int], Butterfly] = {}  # composer(B2, B3) by operand identity, for this run
     for B1 in bounded:
         for B2 in bounded:
             if B1.cod != B2.dom:
@@ -284,18 +287,21 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
                     if B12 is None:
                         B12 = composer(B1, B2)
                     lhs = composer(B12, B3)
-                    rhs = composer(B1, composer(B2, B3))
+                    B23 = composites.get((id(B2), id(B3)))
+                    if B23 is None:
+                        B23 = composites[id(B2), id(B3)] = composer(B2, B3)
+                    rhs = composer(B1, B23)
                     w = _iso_or_none(lhs, rhs)
                 except Exception as exc:  # corrupt composites may fail later stages
                     report.fail(
                         "associativity",
-                        {"error": str(exc), "triple": [to_jsonable(B) for B in (B1, B2, B3)]},
+                        lambda: {"error": str(exc), "triple": [to_jsonable(B) for B in (B1, B2, B3)]},
                     )
                     continue
                 if w is None:
-                    report.fail("associativity", {"triple": [to_jsonable(B) for B in (B1, B2, B3)]})
+                    report.fail("associativity", lambda: {"triple": [to_jsonable(B) for B in (B1, B2, B3)]})
                 elif not w.f.is_isomorphism:
-                    report.fail("witness-bijective", {"triple": [to_jsonable(B) for B in (B1, B2, B3)]})
+                    report.fail("witness-bijective", lambda: {"triple": [to_jsonable(B) for B in (B1, B2, B3)]})
 
     for B in bounded:
         if not is_flippable(B):
@@ -306,7 +312,7 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
             _iso_or_none(composer(B, Bstar), identity_butterfly(B.dom)) is None
             or _iso_or_none(composer(Bstar, B), identity_butterfly(B.cod)) is None
         ):
-            report.fail("flip-equivalence", {"butterfly": to_jsonable(B)})
+            report.fail("flip-equivalence", lambda: {"butterfly": to_jsonable(B)})
 
     return report.done(start, fault, any(corrupted))
 
@@ -356,17 +362,18 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
     small_morphisms = [
         P for P in fx.morphisms if P.dom.size <= fx.size_bound and P.cod.size <= fx.size_bound
     ]
+    splits: dict[int, Butterfly] = {}  # the split butterfly by morphism identity, for this run
+    split = lambda P: splits.get(id(P)) or splits.setdefault(id(P), split_from_morphism(P)[0])
 
     # EF0 and its converse as a negative control
     for P in small_morphisms:
         report.case()
         weak, _, _ = is_weak_equivalence(P)
-        B, _ = split_from_morphism(P)
-        if weak != is_flippable(B):
-            report.fail("ef0-flippable", {"morphism": to_jsonable(P), "weak": weak})
+        if weak != is_flippable(split(P)):
+            report.fail("ef0-flippable", lambda: {"morphism": to_jsonable(P), "weak": weak})
         # the square of boundaries against (p, p0) is a pullback
         if weak and not _is_pullback(P.p0, P.cod.boundary, P.dom.boundary, P.p):
-            report.fail("ef0-pullback-square", {"morphism": to_jsonable(P)})
+            report.fail("ef0-pullback-square", lambda: {"morphism": to_jsonable(P)})
 
     # EF2: double counting on parallel pairs, each pair's 2-cells enumerated once
     pairs = []
@@ -380,16 +387,14 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
             dropped_cells += len(cells) - len(kept)
     for P, Q, cells in pairs:
         report.case()
-        BP, _ = split_from_morphism(P)
-        BQ, _ = split_from_morphism(Q)
-        morphisms = butterfly_morphisms(BP, BQ)
+        morphisms = butterfly_morphisms(split(P), split(Q))
         images = {two_cell_image(c).f.map for c in cells}
         if len(images) != len(cells):
-            report.fail("ef2-faithful", {"P": to_jsonable(P), "Q": to_jsonable(Q)})
+            report.fail("ef2-faithful", lambda: {"P": to_jsonable(P), "Q": to_jsonable(Q)})
         if images != {w.f.map for w in morphisms}:
             report.fail(
                 "ef2-full",
-                {
+                lambda: {
                     "P": to_jsonable(P),
                     "Q": to_jsonable(Q),
                     "cells": len(cells),
@@ -401,7 +406,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
     for P, Q, cells in pairs:
         report.case()
         if {c.alpha for c in cells} != set(enumerate_natural_transformations(P, Q)):
-            report.fail("two-cell-naturality", {"P": to_jsonable(P), "Q": to_jsonable(Q)})
+            report.fail("two-cell-naturality", lambda: {"P": to_jsonable(P), "Q": to_jsonable(Q)})
 
     # EF3: literal coincidence of the two reduced composites
     for B in fx.butterflies:
@@ -409,20 +414,18 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
             continue
         report.case()
         if not ef3_coincidence(B):
-            report.fail("ef3-literal", {"butterfly": to_jsonable(B)})
+            report.fail("ef3-literal", lambda: {"butterfly": to_jsonable(B)})
 
     # action laws
     bounded = [B for B in fx.butterflies if B.E.order <= fx.size_bound]
     for B in bounded:
         report.case()
         if _iso_or_none(reduced_compose(identity_morphism(B.dom), B), B) is None:
-            report.fail("a3-unit", {"butterfly": to_jsonable(B)})
+            report.fail("a3-unit", lambda: {"butterfly": to_jsonable(B)})
     for P in small_morphisms:
         report.case()
-        lhs = reduced_compose(P, identity_butterfly(P.cod))
-        rhs, _ = split_from_morphism(P)
-        if lhs != rhs:
-            report.fail("reduced-vs-split", {"morphism": to_jsonable(P)})
+        if reduced_compose(P, identity_butterfly(P.cod)) != split(P):
+            report.fail("reduced-vs-split", lambda: {"morphism": to_jsonable(P)})
     composable_pq = ((P, Q) for P in small_morphisms for Q in small_morphisms if P.cod == Q.dom)
     for P, Q in itertools.islice(composable_pq, 10):
         targets = [B for B in bounded if B.dom == Q.cod][:2]
@@ -433,7 +436,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
             if _iso_or_none(lhs, rhs) is None:
                 report.fail(
                     "a2-associativity",
-                    {"P": to_jsonable(P), "Q": to_jsonable(Q), "butterfly": to_jsonable(B)},
+                    lambda: {"P": to_jsonable(P), "Q": to_jsonable(Q), "butterfly": to_jsonable(B)},
                 )
     # A1: Q .rc (E1 E2) vs (Q .rc E1) E2 on composable data
     a1_triples = (
@@ -451,7 +454,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
         if _iso_or_none(lhs, rhs) is None:
             report.fail(
                 "a1-compat",
-                {
+                lambda: {
                     "P": to_jsonable(P),
                     "B1": to_jsonable(B1),
                     "B2": to_jsonable(B2),
@@ -471,7 +474,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
                 if not validate_crossed_module(pulled).ok or not is_weak_equivalence(comparison)[0]:
                     report.fail(
                         "pullback-weak-equivalence",
-                        {"xmod": to_jsonable(X), "sigma": list(sigma.map)},
+                        lambda: {"xmod": to_jsonable(X), "sigma": list(sigma.map)},
                     )
 
     return report.done(start, fault, dropped_cells > 0)
@@ -481,11 +484,11 @@ def ef3_coincidence(B: Butterfly) -> bool:
     """reduced_compose(left leg, B) equals reduced_compose(right leg, I) on
     the nose after the canonical relabeling (e1,e2) -> (e1, arrow e2->e1)."""
     _, left, right = span_of_butterfly(B)
+    I = identity_butterfly(B.cod)
     L = reduced_compose(left, B)
-    R = reduced_compose(right, identity_butterfly(B.cod))
+    R = reduced_compose(right, I)
     E = B.E
     LP, l1, l2, _ = product_and_pullback(B.sigma, B.sigma)
-    I = identity_butterfly(B.cod)
     RP, _, _, posR = product_and_pullback(B.rho, I.sigma)
     if L.E != LP or R.E != RP:
         return False

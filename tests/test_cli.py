@@ -16,7 +16,7 @@ import butterflies
 from butterflies import cli, fingroup, jsonio
 from butterflies.butterfly import identity_butterfly, to_fractor
 from butterflies.cli import Workspace, main, parse_group_spec
-from butterflies.extension import conjugation_xmod, discrete_xmod
+from butterflies.extension import aut_xmod, conjugation_xmod, discrete_xmod
 
 
 @pytest.fixture()
@@ -34,12 +34,13 @@ def write_json(tmp_path, name, data):
     return path
 
 
-def run_process(ws, *argv):
+def run_process(ws, *argv, stdout=subprocess.PIPE):
     """Run the CLI in a fresh interpreter, so that stderr shows any traceback."""
     src = str(Path(butterflies.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "butterflies.cli", "--workspace", str(ws), *map(str, argv)],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -427,3 +428,24 @@ class TestWorkspaceFaults:
             path.write_text(content)
         assert run(ws, "store", "get", ref[:8]) == 2
         assert f"{ref}.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blocked", [".lock", "index.tmp"])
+    def test_unwritable_store_file_exit_2(self, ws, tmp_path, capsys, blocked):
+        # a directory where put opens the lock file or writes the new index
+        (ws / blocked).mkdir(parents=True)
+        xmod = write_json(tmp_path, "xmod.json", jsonio.to_jsonable(conjugation_xmod(Z2)))
+        assert run(ws, "identity", xmod) == 2
+        assert "unusable" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("action", ["get", "ls"])
+    def test_reader_gone_exit_2_without_traceback(self, ws, action):
+        ref = Workspace(ws).put(identity_butterfly(aut_xmod(S3)))
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the CLI writes
+        try:
+            proc = run_process(ws, "store", action, *([ref] if action == "get" else []), stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (2, "")

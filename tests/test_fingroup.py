@@ -26,6 +26,7 @@ from butterflies.fingroup import (
     kernel,
     klein_four,
     product_and_pullback,
+    pullback_quotient,
     quotient,
     semidirect_product,
     subgroup_generated,
@@ -212,6 +213,19 @@ class TestPullback:
     def test_codomain_mismatch(self):
         with pytest.raises(CodomainMismatch):
             product_and_pullback(identity_hom(Z2), identity_hom(Z3))
+
+    @pytest.mark.parametrize("against, normal", [("Z4", {(0, 0)}), ("Z4", {(0, 0), (2, 2)}), ("S3", {(0, 0)})])
+    def test_labels_match_the_eager_format(self, against, normal):
+        # labels are built on first read: the format of each coset's minimal pair
+        parity = GroupHom(Z4, Z2, (0, 1, 0, 1))
+        sign = GroupHom(S3, Z2, tuple(int(S3.element_orders[p] == 2) for p in range(6)))
+        g = parity if against == "Z4" else sign
+        pairs, _, coset_of, Q = pullback_quotient(parity, g, normal, "Q", "[({},{})]")
+        minimal: dict[int, tuple[int, int]] = {}
+        for pair, q in zip(pairs, coset_of):
+            minimal.setdefault(q, pair)
+        eager = tuple("[({},{})]".format(Z4.label(a), g.dom.label(c)) for a, c in minimal.values())
+        assert len(eager) == Q.order and Q.element_labels == eager
 
     def test_universal_property_random_cones(self):
         rng = random.Random(7)

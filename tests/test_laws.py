@@ -142,6 +142,44 @@ class TestSuites:
                     replayed += 1
         assert replayed
 
+    def test_witnesses_built_only_for_kept_failures(self, monkeypatch):
+        fx = generate_fixtures(1, 16)
+        expected = run_bicategory_suite(fx, fault="compose")
+        made = []
+
+        def recording(obj):
+            made.append(jsonio.to_jsonable(obj))
+            return made[-1]
+
+        monkeypatch.setattr(laws, "to_jsonable", recording)
+        report = run_bicategory_suite(fx, fault="compose")
+        assert (report.failures, report.dropped) == (expected.failures, expected.dropped)
+        assert report.dropped
+        kept = {
+            id(item)
+            for f in report.failures
+            for value in f["witness"].values()
+            for item in (value if isinstance(value, list) else [value])
+        }
+        assert made and all(id(data) in kept for data in made)
+
+    def test_no_memo_outlives_a_run(self):
+        # the suites share derived structure only within one run
+        fx = generate_fixtures(0, 8)
+
+        def snapshot():
+            return (
+                {key: [id(x) for x in value] if isinstance(value, list) else value for key, value in vars(fx).items()},
+                [{key: id(value) for key, value in vars(x).items()} for x in (*fx.morphisms, *fx.butterflies)],
+            )
+
+        before = snapshot()
+        for fault in (None, "compose"):
+            run_bicategory_suite(fx, fault=fault)
+        for fault in (None, "two-cell-count"):
+            run_fractions_suite(fx, fault=fault)
+        assert snapshot() == before
+
 
 class TestEF3:
     def test_literal_coincidence_examples(self):
