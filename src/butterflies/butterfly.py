@@ -45,6 +45,7 @@ from .xmod import (
     XModTwoCell,
     cokernel_embedding,
     denormalize,
+    denormalize_morphism,
     kernel_embedding,
     normalize,
     validate_two_group,
@@ -125,13 +126,15 @@ def butterfly_morphism(src: Butterfly, dst: Butterfly, f: GroupHom) -> Butterfly
         raise ValueError("butterfly morphisms require parallel butterflies")
     if f.dom != src.E or f.cod != dst.E:
         raise ValueError("f must map the middle groups")
-    if src.kappa.then(f) != dst.kappa:
+    # with the ends checked, each triangle is an equality of maps
+    m = f.map
+    if tuple([m[x] for x in src.kappa.map]) != dst.kappa.map:
         raise ConstructionError("kappa triangle does not commute")
-    if src.iota.then(f) != dst.iota:
+    if tuple([m[x] for x in src.iota.map]) != dst.iota.map:
         raise ConstructionError("iota triangle does not commute")
-    if f.then(dst.sigma) != src.sigma:
+    if tuple([dst.sigma.map[x] for x in m]) != src.sigma.map:
         raise ConstructionError("sigma triangle does not commute")
-    if f.then(dst.rho) != src.rho:
+    if tuple([dst.rho.map[x] for x in m]) != src.rho.map:
         raise ConstructionError("rho triangle does not commute")
     if not f.is_isomorphism:
         raise ConstructionError("a butterfly morphism must be bijective")
@@ -174,12 +177,13 @@ def compose(B: Butterfly, B2: Butterfly) -> Butterfly:
 
 def _composite(B: Butterfly, B2: Butterfly, parts) -> Butterfly:
     """The composite butterfly on the quotient of ``_pullback_parts(B, B2)``."""
-    pairs, pos, coset_of, Q = parts
-    H, K, nc = B.dom.G, B2.cod.G, B2.E.order
+    pairs, coset_of, pair, Q = parts
+    H, K = B.dom.G, B2.cod.G
     # kappa h is the coset of (kappa h, 1) and iota k that of (1, iota2 k)
-    kappa = GroupHom._trusted(H, Q, tuple(coset_of[pos[B.kappa.map[h] * nc]] for h in range(H.order)))
-    iota = GroupHom._trusted(K, Q, tuple(coset_of[pos[B2.iota.map[k]]] for k in range(K.order)))
-    # both legs are constant on the cosets of N, so any representative will do
+    kappa = GroupHom._trusted(H, Q, pair(B.kappa.map, (0,) * H.order))
+    iota = GroupHom._trusted(K, Q, pair((0,) * K.order, B2.iota.map))
+    # both legs are constant on the cosets of N, so any pair will do; they are
+    # read from the last pair of each coset, which a compose-faulted report shows
     legs = {q: (B.sigma.map[a], B2.rho.map[c]) for (a, c), q in zip(pairs, coset_of)}
     sigma_map, rho_map = zip(*(legs[q] for q in range(Q.order)))
     return Butterfly(
@@ -261,15 +265,13 @@ def split_from_morphism(P: XModMorphism) -> tuple[Butterfly, GroupHom]:
 
 def _split(P: XModMorphism):
     """split_from_morphism's butterfly and section, plus the codomain 2-group,
-    the arrow projection of E and the index of E's pairs."""
+    the arrow projection of E and the pair map into E."""
     TG = denormalize(P.cod)
-    EP, prH0, prG1, pos = product_and_pullback(P.p0, TG.c)
-    H, G, n1 = P.dom.G, P.cod.G, TG.G1.order
-    gbul = cokernel_embedding(P.cod)
-    gemb = kernel_embedding(P.cod)
-    bd = P.dom.boundary.map
-    kappa = GroupHom._trusted(H, EP, tuple(pos[bd[h] * n1 + gbul.map[P.p.map[h]]] for h in range(H.order)))
-    iota = GroupHom._trusted(G, EP, tuple(pos[gemb.map[g]] for g in range(G.order)))
+    EP, prH0, prG1, pair = product_and_pullback(P.p0, TG.c)
+    H, G, H0 = P.dom.G, P.cod.G, P.dom.G0
+    gbul = cokernel_embedding(P.cod).map
+    kappa = GroupHom._trusted(H, EP, pair(P.dom.boundary.map, [gbul[y] for y in P.p.map]))
+    iota = GroupHom._trusted(G, EP, pair((0,) * G.order, kernel_embedding(P.cod).map))
     B = Butterfly(
         dom=P.dom,
         cod=P.cod,
@@ -279,10 +281,8 @@ def _split(P: XModMorphism):
         sigma=prH0,
         rho=prG1.then(TG.d),
     )
-    section = GroupHom._trusted(
-        P.dom.G0, EP, tuple(pos[x * n1 + TG.e.map[P.p0.map[x]]] for x in range(P.dom.G0.order))
-    )
-    return B, section, TG, prG1, pos
+    section = GroupHom._trusted(H0, EP, pair(range(H0.order), [TG.e.map[y] for y in P.p0.map]))
+    return B, section, TG, prG1, pair
 
 
 def morphism_from_split(B: Butterfly, s: GroupHom) -> XModMorphism:
@@ -309,11 +309,10 @@ def reduced_compose(Q: XModMorphism, B: Butterfly) -> Butterfly:
     middle group is the pullback of q0 against sigma."""
     if Q.cod != B.dom:
         raise NotComposable("the morphism must land in the butterfly's domain")
-    E2, prK0, prE, pos = product_and_pullback(Q.p0, B.sigma)
-    K, G, nE = Q.dom.G, B.cod.G, B.E.order
-    bd = Q.dom.boundary.map
-    kappa = GroupHom._trusted(K, E2, tuple(pos[bd[k] * nE + B.kappa.map[Q.p.map[k]]] for k in range(K.order)))
-    iota = GroupHom._trusted(G, E2, tuple(pos[B.iota.map[g]] for g in range(G.order)))
+    E2, prK0, prE, pair = product_and_pullback(Q.p0, B.sigma)
+    K, G, k = Q.dom.G, B.cod.G, B.kappa.map
+    kappa = GroupHom._trusted(K, E2, pair(Q.dom.boundary.map, [k[y] for y in Q.p.map]))
+    iota = GroupHom._trusted(G, E2, pair((0,) * G.order, B.iota.map))
     return Butterfly(
         dom=Q.dom,
         cod=B.cod,
@@ -362,34 +361,29 @@ def two_cell_image(cell: XModTwoCell) -> ButterflyMorphism:
     """The butterfly morphism E_P -> E_Q induced by a 2-cell: postcompose the
     arrow component with alpha at the base point."""
     BP, _, TG, prG1, _ = _split(cell.P)
-    BQ, _, _, _, posQ = _split(cell.Q)
-    n1 = TG.G1.order
-    f_map = tuple(posQ[x * n1 + TG.m[(j, cell.alpha[x])]] for x, j in zip(BP.sigma.map, prG1.map))
+    BQ, _, _, _, pairQ = _split(cell.Q)
+    f_map = pairQ(BP.sigma.map, [TG.m[(j, cell.alpha[x])] for x, j in zip(BP.sigma.map, prG1.map)])
     return butterfly_morphism(BP, BQ, GroupHom._trusted(BP.E, BQ.E, f_map))
 
 
-def _whisker(src, dst, flat_image) -> ButterflyMorphism:
-    """The morphism compose(*src) -> compose(*dst) induced by a map of the pullbacks,
-    given as the flat index (see ``pullback_quotient``) of each pair's image."""
+def _whisker(src, dst, left, right) -> ButterflyMorphism:
+    """The morphism compose(*src) -> compose(*dst) induced by the maps `left`
+    and `right` of the two middle groups: (a, c) -> (left a, right c)."""
     parts, parts2 = _pullback_parts(*src), _pullback_parts(*dst)
-    (pairs, _, coset_of, Q), (_, pos2, coset_of2, Q2) = parts, parts2
-    out = [0] * Q.order
-    for (a, c), q in zip(pairs, coset_of):
-        out[q] = coset_of2[pos2[flat_image(a, c)]]
-    g = GroupHom._trusted(Q, Q2, tuple(out))
+    (pairs, coset_of, _, Q), (_, _, pair2, Q2) = parts, parts2
+    out = dict(zip(coset_of, pair2([left[a] for a, _ in pairs], [right[c] for _, c in pairs])))
+    g = GroupHom._trusted(Q, Q2, tuple(out[q] for q in range(Q.order)))
     return butterfly_morphism(_composite(*src, parts), _composite(*dst, parts2), g)
 
 
 def whisker_right(f: ButterflyMorphism, B2: Butterfly) -> ButterflyMorphism:
     """The induced morphism compose(src, B2) -> compose(dst, B2)."""
-    n2 = B2.E.order
-    return _whisker((f.src, B2), (f.dst, B2), lambda e, e2: f.f.map[e] * n2 + e2)
+    return _whisker((f.src, B2), (f.dst, B2), f.f.map, range(B2.E.order))
 
 
 def whisker_left(B: Butterfly, f: ButterflyMorphism) -> ButterflyMorphism:
     """The induced morphism compose(B, src) -> compose(B, dst)."""
-    n2 = f.dst.E.order
-    return _whisker((B, f.src), (B, f.dst), lambda e, e2: e * n2 + f.f.map[e2])
+    return _whisker((B, f.src), (B, f.dst), range(B.E.order), f.f.map)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +411,10 @@ def to_fractor(B: Butterfly) -> Fractor:
         tuple(B.dom.act(B.sigma.map[e], h) for h in range(B.dom.G.order)) for e in range(E.order)
     )
     wing = CrossedModule(B.dom.G, E, B.kappa, GroupAction._trusted(E, B.dom.G, perms))
-    R = denormalize(wing)
-    nH0, nE = B.dom.G0.order, E.order
-    sigma_bar = GroupHom._trusted(
-        R.G1, H2.G1,
-        tuple(h * nH0 + B.sigma.map[e] for h in range(B.dom.G.order) for e in range(nE)),
-    )
-    RS, pr1, pr2, pos = product_and_pullback(B.sigma, B.sigma)
-    diagonal = GroupHom._trusted(E, RS, tuple(pos[x * E.order + x] for x in range(E.order)))
+    # the left leg (h, e) -> (h, sigma e) is the functor of (id, sigma): wing -> dom
+    left = denormalize_morphism(XModMorphism(wing, B.dom, identity_hom(B.dom.G), B.sigma))
+    RS, pr1, pr2, pair = product_and_pullback(B.sigma, B.sigma)
+    diagonal = GroupHom._trusted(E, RS, pair(range(E.order), range(E.order)))
     Rsigma = Strict2Group(RS, E, pr1, pr2, diagonal)
     iota_inv = {e: g for g, e in enumerate(B.iota.map)}
     nG0 = B.cod.G0.order
@@ -438,9 +428,9 @@ def to_fractor(B: Butterfly) -> Fractor:
         H2=H2,
         G2=G2,
         E=E,
-        R=R,
+        R=left.dom,
         Rsigma=Rsigma,
-        left=TwoGroupFunctor(R, H2, sigma_bar, B.sigma),
+        left=left,
         right=TwoGroupFunctor(Rsigma, G2, rho_bar, B.rho),
     )
 

@@ -17,6 +17,7 @@ import fcntl
 import json
 import math
 import os
+import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -46,6 +47,7 @@ from .xmod import CrossedModule, Strict2Group, XModMorphism
 from .xmod import validate_crossed_module, validate_two_group, validate_xmod_morphism
 
 ENV_WORKSPACE = "BUTTERFLY_WORKSPACE"
+_SHA256_REF = re.compile("[0-9a-f]{64}")
 
 
 def _read_json(path: Path) -> Any:
@@ -77,7 +79,10 @@ class Workspace:
 
     def _index(self) -> dict[str, dict]:
         index = _read_json(self.index_path)
-        if not isinstance(index, dict) or not all(isinstance(entry, dict) for entry in index.values()):
+        # a key that is not a sha256 ref could name a file outside the workspace
+        if not isinstance(index, dict) or not all(
+            _SHA256_REF.fullmatch(ref) and isinstance(entry, dict) for ref, entry in index.items()
+        ):
             raise ParseError(f"{self.index_path}: not a workspace index")
         return index
 

@@ -419,35 +419,39 @@ def quotient(G: FinGroup, N: Subgroup) -> tuple[FinGroup, GroupHom]:
     return Q, GroupHom._trusted(G, Q, tuple(coset_of))
 
 
-def product_and_pullback(
-    f: GroupHom, g: GroupHom
-) -> tuple[FinGroup, GroupHom, GroupHom, list[Optional[int]]]:
-    """The pullback {(a,c) : f(a)=g(c)} with its two projections and the
-    index ``pos[a*|C| + c]`` of each pair (a, c) in it (None off the pullback).
+# the map into a pullback induced by a pair of maps into its two factors
+PairMap = Callable[[Sequence[int], Sequence[int]], tuple[int, ...]]
+
+
+def product_and_pullback(f: GroupHom, g: GroupHom) -> tuple[FinGroup, GroupHom, GroupHom, PairMap]:
+    """The pullback {(a,c) : f(a)=g(c)} with its two projections and its pair
+    map: ``pair(us, vs)`` is the element (u, v) of the pullback for each u, v
+    of two equal-length sequences, the map into the pullback that (us, vs) induce.
 
     Taking both maps into the trivial group yields the direct product.
     """
     if f.cod != g.cod:
         raise CodomainMismatch(f"codomains differ: {f.cod.name} vs {g.cod.name}")
     A, C = f.dom, g.dom
-    pairs, pos, _, P = pullback_quotient(f, g, {(0, 0)}, f"PB({A.name},{C.name})", "({},{})")
+    pairs, _, pair, P = pullback_quotient(f, g, {(0, 0)}, f"PB({A.name},{C.name})", "({},{})")
     proj1 = GroupHom._trusted(P, A, tuple(a for a, _ in pairs))
     proj2 = GroupHom._trusted(P, C, tuple(c for _, c in pairs))
-    return P, proj1, proj2, pos
+    return P, proj1, proj2, pair
 
 
 def pullback_quotient(
     f: GroupHom, g: GroupHom, normal: Collection[tuple[int, int]], name: str, label: str
-) -> tuple[list[tuple[int, int]], list[Optional[int]], list[int], FinGroup]:
+) -> tuple[list[tuple[int, int]], list[int], PairMap, FinGroup]:
     """The pullback P = {(a,c) : f(a)=g(c)} modulo its normal subgroup N,
     given by its pairs and trusted to be normal, without P's table.
 
-    Returns P's pairs in lexicographic order, the index ``pos[a*|C| + c]`` of
-    each pair (None off P), the coset of each pair, and P/N named `name`.
-    Cosets are numbered by minimal pair index, as :func:`quotient` numbers
-    them, and the coset of minimal pair (a, c) is labeled
-    ``label.format(A.label(a), C.label(c))``, built on the first read of
-    the quotient's ``element_labels``.  A trivial N needs no coset pass.
+    Returns P's pairs in lexicographic order, the coset of each pair, the
+    pair map, and P/N named `name`.  ``pair(us, vs)`` is the coset of each
+    pair (u, v) of two equal-length sequences; a pair off P raises
+    ``TypeError``.  Cosets are numbered by minimal pair index, as
+    :func:`quotient` numbers them, and the coset of minimal pair (a, c) is
+    labeled ``label.format(A.label(a), C.label(c))``, built on the first
+    read of the quotient's ``element_labels``.  A trivial N needs no coset pass.
     """
     A, C = f.dom, g.dom
     nc, At, Ct = C.order, A.table, C.table
@@ -469,10 +473,12 @@ def pullback_quotient(
                 for na, nn in normal:
                     coset_of[pos[At[a][na] * nc + Ct[c][nn]]] = len(reps)
                 reps.append((a, c))
+    # the flat index pos[a*|C| + c] of the pairs stays here: callers map in by pairs
+    pair = lambda us, vs: tuple([coset_of[pos[u * nc + v]] for u, v in zip(us, vs)])
     rows = [(At[a], Ct[c]) for a, c in reps]
     table = [[coset_of[pos[ta[a2] * nc + tc[c2]]] for a2, c2 in reps] for ta, tc in rows]
     labels = lambda: (label.format(A.label(a), C.label(c)) for a, c in reps)
-    return pairs, pos, coset_of, FinGroup._trusted(table, name, labels)
+    return pairs, coset_of, pair, FinGroup._trusted(table, name, labels)
 
 
 def _is_pullback(f: GroupHom, g: GroupHom, u: GroupHom, v: GroupHom) -> bool:

@@ -16,6 +16,7 @@ from typing import Callable
 
 from .butterfly import (
     Butterfly,
+    butterfly_morphism,
     butterfly_morphisms,
     compose,
     flip,
@@ -489,32 +490,25 @@ def ef3_coincidence(B: Butterfly) -> bool:
     R = reduced_compose(right, I)
     E = B.E
     LP, l1, l2, _ = product_and_pullback(B.sigma, B.sigma)
-    RP, _, _, posR = product_and_pullback(B.rho, I.sigma)
+    RP, _, _, pairR = product_and_pullback(B.rho, I.sigma)
     if L.E != LP or R.E != RP:
         return False
     iota_inv = {e: g for g, e in enumerate(B.iota.map)}
     nG0 = B.cod.G0.order
-    theta = []
-    for idx in range(LP.order):
-        e1, e2 = l1.map[idx], l2.map[idx]
+    arrows = []
+    for e1, e2 in zip(l1.map, l2.map):
         g = iota_inv.get(E.table[e2][E.inv(e1)])
         if g is None:
             return False
-        i = posR[e1 * I.E.order + g * nG0 + B.rho.map[e1]]
-        if i is None:
-            return False
-        theta.append(i)
-    if len(set(theta)) != LP.order or LP.order != RP.order:
-        return False
+        arrows.append(g * nG0 + B.rho.map[e1])
+    # the arrow (g, rho e1) of the identity butterfly ends at rho(e1), so each
+    # pair (e1, arrow) lies on RP
+    theta = pairR(l1.map, arrows)
     if _hom_defect(L.E, R.E, theta) is not None:
         return False
-    if tuple(theta[x] for x in L.kappa.map) != R.kappa.map:
-        return False
-    if tuple(theta[x] for x in L.iota.map) != R.iota.map:
-        return False
-    if tuple(R.sigma.map[theta[a]] for a in range(LP.order)) != L.sigma.map:
-        return False
-    if tuple(R.rho.map[theta[a]] for a in range(LP.order)) != L.rho.map:
+    try:  # a bijection commuting with both wings and both legs
+        butterfly_morphism(L, R, GroupHom._trusted(L.E, R.E, theta))
+    except ConstructionError:
         return False
     return True
 

@@ -17,7 +17,7 @@ from .butterfly import Butterfly
 from .errors import GroupLawSearchFailed, SectionInvalid
 from .fingroup import FinGroup, GroupHom, kernel
 from .report import ValidationReport
-from .xmod import Strict2Group, _functor_laws, denormalize, normalize, validate_two_group
+from .xmod import Strict2Group, _functor_laws, _natural_families, denormalize, normalize, validate_two_group
 
 
 @dataclass(frozen=True)
@@ -247,22 +247,12 @@ def find_monoidal_natural_iso(M: MonoidalFunctor, N: MonoidalFunctor):
     if M.dom != N.dom or M.cod != N.cod:
         return None
     T, U = M.dom, M.cod
-    fibers = U.hom_sets(M.F0, N.F0)
-    if fibers is None:
-        return None
-    u1 = U.G1.table
-    t0 = T.G0.table
-    for combo in itertools.product(*fibers):
-        if any(
-            U.m[(M.F1[u], combo[T.c.map[u]])] != U.m[(combo[T.d.map[u]], N.F1[u])]
-            for u in range(T.G1.order)
+    u1, t0, objects = U.G1.table, T.G0.table, range(T.G0.order)
+    for theta in _natural_families(T, U, M.F0, N.F0, M.F1, N.F1):
+        if all(
+            U.m[(M.F2[x][y], theta[t0[x][y]])] == U.m[(u1[theta[x]][theta[y]], N.F2[x][y])]
+            for x in objects
+            for y in objects
         ):
-            continue
-        if any(
-            U.m[(M.F2[x][y], combo[t0[x][y]])] != U.m[(u1[combo[x]][combo[y]], N.F2[x][y])]
-            for x in range(T.G0.order)
-            for y in range(T.G0.order)
-        ):
-            continue
-        return combo
+            return theta
     return None

@@ -159,11 +159,6 @@ class Strict2Group:
         """Arrows with source x and target y."""
         return [f for f in range(self.G1.order) if self.d.map[f] == x and self.c.map[f] == y]
 
-    def hom_sets(self, src: Sequence[int], dst: Sequence[int]) -> Optional[list[list[int]]]:
-        """The arrows src[x] -> dst[x] for each x, or None when one of them is empty."""
-        sets = [self.hom_set(x, y) for x, y in zip(src, dst)]
-        return sets if all(sets) else None
-
     @property
     def size(self) -> int:
         return self.G1.order
@@ -225,6 +220,19 @@ def _functor_laws(
     for (u, v), w in T.m.items():
         if F1[w] != U.m[(F1[u], F1[v])]:
             report.add("functor-composition", (u, v), "F1 does not preserve m")
+
+
+def _natural_families(
+    T: Strict2Group, U: Strict2Group, src: Sequence[int], dst: Sequence[int], F1: Sequence[int], G1: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """The families theta(x): src[x] -> dst[x] of arrows of U, x an object of
+    T, natural from the functor with arrow map F1 to the one with arrow map
+    G1: F1(u) then theta(c u) is theta(d u) then G1(u) for every arrow u of T.
+    In the order of the product of the hom-sets."""
+    d, c, m, arrows = T.d.map, T.c.map, U.m, range(T.G1.order)
+    for theta in itertools.product(*(U.hom_set(x, y) for x, y in zip(src, dst))):
+        if all(m[(F1[u], theta[c[u]])] == m[(theta[d[u]], G1[u])] for u in arrows):
+            yield theta
 
 
 def validate_two_group_functor(F: TwoGroupFunctor) -> ValidationReport:
@@ -373,16 +381,8 @@ def pullback_crossed_module(X: CrossedModule, sigma: GroupHom) -> tuple[CrossedM
     if sigma.cod != X.G0:
         raise ValueError("sigma must land in the base of the crossed module")
     E = sigma.dom
-    P, prE, prH, pos = product_and_pullback(sigma, X.boundary)
-    nH = X.G.order
-    perms = []
-    for ebar in range(E.order):
-        perms.append(
-            tuple(
-                pos[E.conj(ebar, e) * nH + X.act(sigma.map[ebar], h)]
-                for e, h in zip(prE.map, prH.map)
-            )
-        )
+    P, prE, prH, pair = product_and_pullback(sigma, X.boundary)
+    perms = [pair([E.conj(x, e) for e in prE.map], [X.act(sigma.map[x], h) for h in prH.map]) for x in range(E.order)]
     action = GroupAction._trusted(E, P, tuple(perms))
     pulled = CrossedModule(P, E, prE, action, name=f"{X.name or 'X'}^*({sigma.dom.name})")
     comparison = XModMorphism(pulled, X, prH, sigma)
@@ -479,33 +479,16 @@ def enumerate_natural_transformations(P: XModMorphism, Q: XModMorphism) -> list[
     """All internal natural transformations between the denormalized functors.
 
     Enumerated independently of the 2-cell conditions: candidates range over
-    matching hom-sets, must be arrows of the base category (group
-    homomorphisms H0 -> G1), and are filtered by the naturality square on
-    every arrow of the domain 2-group.
+    matching hom-sets, are filtered by the naturality square on every arrow
+    of the domain 2-group, and must be arrows of the base category (group
+    homomorphisms H0 -> G1).
     """
     if P.dom != Q.dom or P.cod != Q.cod:
         return []
-    fibers = denormalize(P.cod).hom_sets(P.p0.map, Q.p0.map)
-    if fibers is None:
-        return []
     FP, FQ = denormalize_morphism(P), denormalize_morphism(Q)
     TH, TG = FP.dom, FP.cod
-    H0, t1 = P.dom.G0, TG.G1.table
-    arrows = range(TH.G1.order)
-    out = []
-    for combo in itertools.product(*fibers):
-        if any(
-            combo[H0.table[x][y]] != t1[combo[x]][combo[y]]
-            for x in range(H0.order)
-            for y in range(H0.order)
-        ):
-            continue
-        if all(
-            TG.m[(FP.p1.map[u], combo[TH.c.map[u]])] == TG.m[(combo[TH.d.map[u]], FQ.p1.map[u])]
-            for u in arrows
-        ):
-            out.append(tuple(combo))
-    return out
+    families = _natural_families(TH, TG, P.p0.map, Q.p0.map, FP.p1.map, FQ.p1.map)
+    return [theta for theta in families if _hom_defect(TH.G0, TG.G1, theta) is None]
 
 
 def all_xmod_morphisms(dom: CrossedModule, cod: CrossedModule) -> Iterator[XModMorphism]:

@@ -411,7 +411,9 @@ class TestWorkspaceFaults:
         assert run(not_a_dir, *store_op) == 2
         assert "unusable" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("index", [b"5", b'{"abc": 5}', b"[]", b"not json", b"\xff"])
+    @pytest.mark.parametrize(
+        "index", [b"5", b'{"abc": 5}', b"[]", b"not json", b"\xff", b'{"ab/../../outside": {"kind": "group"}}']
+    )
     def test_damaged_index_exit_2(self, ws, capsys, store_op, index):
         ws.mkdir()
         (ws / "index.json").write_bytes(index)

@@ -202,13 +202,32 @@ class TestPullback:
 
     def test_parity_pullback(self):
         f = GroupHom(Z4, Z2, (0, 1, 0, 1))
-        P, p1, p2, pos = product_and_pullback(f, f)
+        P, p1, p2, pair = product_and_pullback(f, f)
         # oracle: count pairs with equal parity
-        expected = sum(1 for a in range(4) for b in range(4) if a % 2 == b % 2)
-        assert P.order == expected == 8
-        assert all(pos[p1.map[i] * 4 + p2.map[i]] == i for i in range(P.order))
-        assert pos[1 * 4 + 2] is None  # (1, 2) has mixed parity: off P
-        assert sum(i is not None for i in pos) == P.order
+        on = [(a, b) for a in range(4) for b in range(4) if a % 2 == b % 2]
+        assert P.order == len(on) == 8
+        assert pair(p1.map, p2.map) == tuple(range(P.order))
+        assert sorted(pair(*zip(*on))) == list(range(P.order))
+        with pytest.raises(TypeError):
+            pair([1], [2])  # (1, 2) has mixed parity: off P
+
+    @pytest.mark.parametrize("normal", [{(0, 0)}, {(0, 0), (2, 2)}])
+    def test_pair_off_the_pullback_raises_type_error(self, normal):
+        # the error the compose-fault witnesses record for a pair off P
+        parity = GroupHom(Z4, Z2, (0, 1, 0, 1))
+        _, _, pair, _ = pullback_quotient(parity, parity, normal, "Q", "({},{})")
+        with pytest.raises(TypeError, match="not NoneType"):
+            pair([0, 1], [0, 2])
+
+    def test_pair_is_constant_on_cosets(self):
+        # N = {(0,0), (2,2)}: (a, c) and (a+2, c+2) are one coset of Q
+        parity = GroupHom(Z4, Z2, (0, 1, 0, 1))
+        pairs, coset_of, pair, Q = pullback_quotient(parity, parity, {(0, 0), (2, 2)}, "Q", "({},{})")
+        us, vs = zip(*pairs)
+        assert Q.order == len(pairs) // 2 == 4
+        assert pair(us, vs) == tuple(coset_of)
+        assert pair(us, vs) == pair([(u + 2) % 4 for u in us], [(v + 2) % 4 for v in vs])
+        assert set(pair(us, vs)) == set(range(Q.order))
 
     def test_codomain_mismatch(self):
         with pytest.raises(CodomainMismatch):
@@ -220,7 +239,7 @@ class TestPullback:
         parity = GroupHom(Z4, Z2, (0, 1, 0, 1))
         sign = GroupHom(S3, Z2, tuple(int(S3.element_orders[p] == 2) for p in range(6)))
         g = parity if against == "Z4" else sign
-        pairs, _, coset_of, Q = pullback_quotient(parity, g, normal, "Q", "[({},{})]")
+        pairs, coset_of, _, Q = pullback_quotient(parity, g, normal, "Q", "[({},{})]")
         minimal: dict[int, tuple[int, int]] = {}
         for pair, q in zip(pairs, coset_of):
             minimal.setdefault(q, pair)
@@ -231,7 +250,8 @@ class TestPullback:
         rng = random.Random(7)
         f = GroupHom(Z4, Z2, (0, 1, 0, 1))
         g = GroupHom(S3, Z2, tuple(0 if S3.element_orders[p] != 2 else 1 for p in range(6)))
-        P, p1, p2, _ = product_and_pullback(f, g)
+        P, p1, p2, pair = product_and_pullback(f, g)
+        assert pair(p1.map, p2.map) == tuple(range(P.order))
         X = cyclic_group(6)
         cones = [
             (u, v)
@@ -241,11 +261,12 @@ class TestPullback:
         ]
         for u, v in rng.sample(cones, min(10, len(cones))):
             factored = [
-                m
+                m.map
                 for m in all_homomorphisms(X, P)
                 if m.then(p1).map == u.map and m.then(p2).map == v.map
             ]
-            assert len(factored) == 1
+            # the unique factorization is the pair map of (u, v)
+            assert factored == [pair(u.map, v.map)]
 
 
 class TestSemidirect:

@@ -90,14 +90,11 @@ def test_two_cells_match_reference(fixture_sets):
 def reference_ef0_square(P: XModMorphism) -> bool:
     """h -> (boundary h, p h) is a bijection onto the pullback of p0 and the
     codomain boundary."""
-    PB, _, _, pos = product_and_pullback(P.p0, P.cod.boundary)
-    images = set()
-    bd, n = P.dom.boundary.map, P.cod.G.order
-    for h in range(P.dom.G.order):
-        i = pos[bd[h] * n + P.p.map[h]]
-        if i is None:
-            return False
-        images.add(i)
+    PB, _, _, pair = product_and_pullback(P.p0, P.cod.boundary)
+    bd, p = P.dom.boundary.map, P.p.map
+    if any(P.p0.map[bd[h]] != P.cod.boundary.map[p[h]] for h in range(P.dom.G.order)):
+        return False
+    images = set(pair(bd, p))
     return len(images) == P.dom.G.order == PB.order
 
 
