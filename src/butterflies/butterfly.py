@@ -30,6 +30,7 @@ from .fingroup import (
     GroupHom,
     _generator_images,
     _is_pullback,
+    _per_operand,
     direct_product,
     identity_hom,
     kernel,
@@ -145,6 +146,7 @@ def butterfly_morphism(src: Butterfly, dst: Butterfly, f: GroupHom) -> Butterfly
 # identity, composition, flips
 
 
+@_per_operand
 def identity_butterfly(X: CrossedModule) -> Butterfly:
     """The identity butterfly: E is the arrow group of X, wings are the two
     kernel embeddings, legs are target and source."""
@@ -184,8 +186,8 @@ def _composite(B: Butterfly, B2: Butterfly, parts) -> Butterfly:
     iota = GroupHom._trusted(K, Q, pair((0,) * K.order, B2.iota.map))
     # both legs are constant on the cosets of N, so any pair will do; they are
     # read from the last pair of each coset, which a compose-faulted report shows
-    legs = {q: (B.sigma.map[a], B2.rho.map[c]) for (a, c), q in zip(pairs, coset_of)}
-    sigma_map, rho_map = zip(*(legs[q] for q in range(Q.order)))
+    reps = map(dict(zip(coset_of, pairs)).__getitem__, range(Q.order))
+    sigma_map, rho_map = zip(*((B.sigma.map[a], B2.rho.map[c]) for a, c in reps))
     return Butterfly(
         dom=B.dom,
         cod=B2.cod,
@@ -263,6 +265,7 @@ def split_from_morphism(P: XModMorphism) -> tuple[Butterfly, GroupHom]:
     return _split(P)[:2]
 
 
+@_per_operand
 def _split(P: XModMorphism):
     """split_from_morphism's butterfly and section, plus the codomain 2-group,
     the arrow projection of E and the pair map into E."""

@@ -14,13 +14,43 @@ results) skip the checks through the classmethod ``_trusted(...)``.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import BoundExceeded, CodomainMismatch, NotAGroup, NotNormal
 
 DEFAULT_BOUND = 24
+AUT_LIMIT = 336  # the most automorphisms automorphism_group tabulates, |Aut(Z2xZ2xZ2xZ3)|
+# the innermost _run_memo() scope's memo, None outside one; each entry keeps its
+# operands alive, so the ids in a key are not reused while the memo lives
+_memo: ContextVar[Optional[dict]] = ContextVar("_memo", default=None)
+
+
+@contextmanager
+def _run_memo():
+    """A scope, also a decorator, in which ``_per_operand`` results live."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _per_operand(f):
+    """``f`` once per ids of its positional operands in a ``_run_memo()`` scope, else ``f``."""
+
+    @wraps(f)
+    def memoized(*operands, **options):
+        memo = _memo.get()
+        if memo is None or options:
+            return f(*operands, **options)
+        key = (f, *map(id, operands))
+        return (memo.get(key) or memo.setdefault(key, (f(*operands), operands)))[0]
+
+    return memoized
 
 
 class FinGroup:
@@ -423,6 +453,7 @@ def quotient(G: FinGroup, N: Subgroup) -> tuple[FinGroup, GroupHom]:
 PairMap = Callable[[Sequence[int], Sequence[int]], tuple[int, ...]]
 
 
+@_per_operand
 def product_and_pullback(f: GroupHom, g: GroupHom) -> tuple[FinGroup, GroupHom, GroupHom, PairMap]:
     """The pullback {(a,c) : f(a)=g(c)} with its two projections and its pair
     map: ``pair(us, vs)`` is the element (u, v) of the pullback for each u, v
@@ -657,6 +688,8 @@ def automorphism_group(G: FinGroup, bound: int = DEFAULT_BOUND) -> tuple[FinGrou
     if G.order > bound:
         raise BoundExceeded("automorphism_group", G.order, bound)
     autos = sorted(_generator_images(G, G, bijective=True))
+    if len(autos) > AUT_LIMIT:
+        raise BoundExceeded(f"automorphism_group: automorphisms of {G.name}", len(autos), AUT_LIMIT)
     pos = {p: i for i, p in enumerate(autos)}
     table = [[pos[tuple(p[q[a]] for a in range(G.order))] for q in autos] for p in autos]
     labels = lambda: ("id" if p == tuple(range(G.order)) else "f" + "".join(map(str, p)) for p in autos)

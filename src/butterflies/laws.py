@@ -4,6 +4,9 @@ laws of reduced composition, and the fraction conditions EF0 - EF3.
 
 Every failure carries a machine-replayable witness (serialized inputs).
 A fault-injection mode exists solely to prove the suites can fail.
+Within one suite run (a ``_run_memo()`` scope) each operand's derived
+structure is built once; the memo dies with the run, and nothing is memoized
+outside one.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from .fingroup import (
     GroupHom,
     _hom_defect,
     _is_pullback,
+    _per_operand,
+    _run_memo,
     all_homomorphisms,
     cyclic_group,
     klein_four,
@@ -239,6 +244,7 @@ def _parallel_pairs(fx: FixtureSet, limit: int) -> list[tuple[XModMorphism, XMod
 # bicategory suite
 
 
+@_run_memo()
 def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport:
     """Unit and associativity laws of butterfly composition, flippable
     equivalences, and validity of every fixture butterfly."""
@@ -274,24 +280,18 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
         if _iso_or_none(right, B) is None:
             report.fail("right-unit", lambda: {"butterfly": to_jsonable(B)})
 
-    composites: dict[tuple[int, int], Butterfly] = {}  # composer(B2, B3) by operand identity, for this run
+    inner = _per_operand(composer)  # B1 B2 and B2 B3, each built once per run
     for B1 in bounded:
         for B2 in bounded:
             if B1.cod != B2.dom:
                 continue
-            B12 = None  # composer(B1, B2), built at the first third operand
             for B3 in bounded:
                 if B2.cod != B3.dom or B1.E.order * B2.E.order * B3.E.order > 64 * fx.size_bound:
                     continue
                 report.case()
                 try:
-                    if B12 is None:
-                        B12 = composer(B1, B2)
-                    lhs = composer(B12, B3)
-                    B23 = composites.get((id(B2), id(B3)))
-                    if B23 is None:
-                        B23 = composites[id(B2), id(B3)] = composer(B2, B3)
-                    rhs = composer(B1, B23)
+                    lhs = composer(inner(B1, B2), B3)
+                    rhs = composer(B1, inner(B2, B3))
                     w = _iso_or_none(lhs, rhs)
                 except Exception as exc:  # corrupt composites may fail later stages
                     report.fail(
@@ -351,6 +351,7 @@ def _corrupt_middle_group(B: Butterfly) -> Butterfly:
 # fractions suite
 
 
+@_run_memo()
 def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport:
     """EF0 (weak equivalences give flippable splits, and their squares are
     pullbacks), EF2 (2-cells biject with butterfly morphisms), EF3 (the span
@@ -363,14 +364,12 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
     small_morphisms = [
         P for P in fx.morphisms if P.dom.size <= fx.size_bound and P.cod.size <= fx.size_bound
     ]
-    splits: dict[int, Butterfly] = {}  # the split butterfly by morphism identity, for this run
-    split = lambda P: splits.get(id(P)) or splits.setdefault(id(P), split_from_morphism(P)[0])
 
     # EF0 and its converse as a negative control
     for P in small_morphisms:
         report.case()
         weak, _, _ = is_weak_equivalence(P)
-        if weak != is_flippable(split(P)):
+        if weak != is_flippable(split_from_morphism(P)[0]):
             report.fail("ef0-flippable", lambda: {"morphism": to_jsonable(P), "weak": weak})
         # the square of boundaries against (p, p0) is a pullback
         if weak and not _is_pullback(P.p0, P.cod.boundary, P.dom.boundary, P.p):
@@ -388,7 +387,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
             dropped_cells += len(cells) - len(kept)
     for P, Q, cells in pairs:
         report.case()
-        morphisms = butterfly_morphisms(split(P), split(Q))
+        morphisms = butterfly_morphisms(split_from_morphism(P)[0], split_from_morphism(Q)[0])
         images = {two_cell_image(c).f.map for c in cells}
         if len(images) != len(cells):
             report.fail("ef2-faithful", lambda: {"P": to_jsonable(P), "Q": to_jsonable(Q)})
@@ -425,7 +424,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
             report.fail("a3-unit", lambda: {"butterfly": to_jsonable(B)})
     for P in small_morphisms:
         report.case()
-        if reduced_compose(P, identity_butterfly(P.cod)) != split(P):
+        if reduced_compose(P, identity_butterfly(P.cod)) != split_from_morphism(P)[0]:
             report.fail("reduced-vs-split", lambda: {"morphism": to_jsonable(P)})
     composable_pq = ((P, Q) for P in small_morphisms for Q in small_morphisms if P.cod == Q.dom)
     for P, Q in itertools.islice(composable_pq, 10):

@@ -37,6 +37,7 @@ from .fingroup import (
     Subgroup,
     _generator_images,
     _hom_defect,
+    _per_operand,
     all_homomorphisms,
     identity_hom,
     kernel,
@@ -258,6 +259,7 @@ def denormalize(X: CrossedModule) -> Strict2Group:
     return Strict2Group(S, X.G0, d, c, e)
 
 
+@_per_operand
 def kernel_embedding(X: CrossedModule) -> GroupHom:
     """The inclusion g: G -> G1 of the arrow group's c-kernel, a |-> (a, 1)."""
     T = denormalize(X)
@@ -265,6 +267,7 @@ def kernel_embedding(X: CrossedModule) -> GroupHom:
     return GroupHom._trusted(X.G, T.G1, tuple(a * n0 for a in range(X.G.order)))
 
 
+@_per_operand
 def cokernel_embedding(X: CrossedModule) -> GroupHom:
     """The d-kernel inclusion g-bullet: G -> G1, a |-> (a^-1, d(a))."""
     T = denormalize(X)
@@ -341,10 +344,12 @@ def denormalization_round_trip_iso(T: Strict2Group) -> Optional[TwoGroupFunctor]
 # weak equivalences, discrete fibrations, pullbacks
 
 
+@_per_operand
 def kernel_of_boundary(X: CrossedModule) -> tuple[FinGroup, GroupHom]:
     return kernel(X.boundary).as_group(f"ker({X.name or X.G.name})")
 
 
+@_per_operand
 def cokernel_of_boundary(X: CrossedModule) -> tuple[FinGroup, GroupHom]:
     """G0 / image(boundary); the image is normal by the precrossed condition."""
     image = Subgroup._trusted(X.G0, tuple(sorted(set(X.boundary.map))))

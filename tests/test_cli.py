@@ -34,7 +34,7 @@ def write_json(tmp_path, name, data):
     return path
 
 
-def run_process(ws, *argv, stdout=subprocess.PIPE):
+def run_process(ws, *argv, stdout=subprocess.PIPE, timeout=None):
     """Run the CLI in a fresh interpreter, so that stderr shows any traceback."""
     src = str(Path(butterflies.__file__).resolve().parents[1])
     return subprocess.run(
@@ -43,6 +43,7 @@ def run_process(ws, *argv, stdout=subprocess.PIPE):
         stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
+        timeout=timeout,
     )
 
 
@@ -334,6 +335,13 @@ class TestClassify:
 
     def test_bound_exceeded_exit_1(self, ws):
         assert run(ws, "classify", "Z4", "Z4", "--bound", "8") == 1
+
+    def test_automorphism_limit_exit_1(self, ws):
+        # inside |H|*|G| <= 16, but Aut(Z2^4) = GL(4,2) has 20,160 elements:
+        # counted and refused before its table is built
+        proc = run_process(ws, "classify", "1", "Z2xZ2xZ2xZ2", timeout=10)
+        assert proc.returncode == 1
+        assert proc.stderr == "BoundExceeded: automorphism_group: automorphisms of Z2xZ2xZ2xZ2: size 20160 exceeds bound 336\n"
 
     def test_spec_bound_checked_before_building(self, ws, capsys, monkeypatch):
         def no_products(*_):

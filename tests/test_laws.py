@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 
-from butterflies import jsonio, laws
+from butterflies import fingroup, jsonio, laws
+from butterflies.butterfly import identity_butterfly
+from butterflies.extension import conjugation_xmod, discrete_xmod
+from butterflies.fingroup import _per_operand, _run_memo, cyclic_group
+from butterflies.xmod import kernel_of_boundary
 from butterflies.errors import BoundExceeded, UnknownSuite
 from butterflies.report import KEEP_PER_CONDITION
 from butterflies.laws import (
@@ -179,6 +185,66 @@ class TestSuites:
         for fault in (None, "two-cell-count"):
             run_fractions_suite(fx, fault=fault)
         assert snapshot() == before
+
+
+class TestRunMemo:
+    def test_once_per_operand_within_a_scope(self):
+        calls = []
+
+        @_per_operand
+        def derived(X, Y):
+            calls.append((X, Y))
+            return [X, Y]
+
+        X, Y = conjugation_xmod(cyclic_group(2)), conjugation_xmod(cyclic_group(2))
+        with _run_memo():
+            first = derived(X, Y)
+            assert derived(X, Y) is first
+            # keyed by identity: an equal operand is another key
+            assert X == Y and derived(Y, X) is not first
+            assert identity_butterfly(X) is identity_butterfly(X)
+            assert identity_butterfly(Y) is not identity_butterfly(X)
+            assert identity_butterfly(X=X) is not identity_butterfly(X)  # a keyword call is not memoized
+        assert calls == [(X, Y), (Y, X)]
+
+    def test_outside_a_scope_every_call_computes(self):
+        X = discrete_xmod(cyclic_group(3))
+        assert identity_butterfly(X) is not identity_butterfly(X)
+        assert identity_butterfly(X) == identity_butterfly(X)
+        assert kernel_of_boundary(X) is not kernel_of_boundary(X)
+
+    def test_memo_dies_with_its_scope(self):
+        class Box:
+            pass
+
+        boxed = _per_operand(lambda x: Box())
+        with _run_memo():
+            x, X = Box(), conjugation_xmod(cyclic_group(2))
+            refs = [weakref.ref(r) for r in (x, boxed(x), X, kernel_of_boundary(X)[1])]
+            del x, X
+            gc.collect()
+            assert all(r() is not None for r in refs)  # the memo holds operands and results
+        gc.collect()
+        assert all(r() is None for r in refs)
+
+    @pytest.mark.parametrize(
+        "suite, attr",
+        [(run_bicategory_suite, "isomorphic_butterflies"), (run_fractions_suite, "is_weak_equivalence")],
+    )
+    def test_a_suite_resets_its_scope(self, monkeypatch, suite, attr):
+        fx = generate_fixtures(0, 4)
+        suite(fx)
+        assert fingroup._memo.get() is None
+        seen = []
+
+        def broken(*operands):
+            seen.append(fingroup._memo.get())
+            raise KeyError("defect")
+
+        monkeypatch.setattr(laws, attr, broken)
+        with pytest.raises(KeyError):
+            suite(fx)
+        assert isinstance(seen[0], dict) and fingroup._memo.get() is None
 
 
 class TestEF3:

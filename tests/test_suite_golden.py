@@ -52,3 +52,12 @@ def test_reports_match_pins(seed, bound):
     fx = generate_fixtures(seed, bound)
     digests = tuple(report_digest(SUITES[suite](fx, fault=fault)) for suite, fault in RUNS)
     assert digests == PINS[seed, bound]
+
+
+@pytest.mark.parametrize("seed, bound", sorted(PINS))
+def test_fault_runs_first_leave_clean_reports_unchanged(seed, bound):
+    # a faulted value dies with its run, so no later clean run reads it
+    fx = generate_fixtures(seed, bound)
+    faulted = tuple(report_digest(SUITES[suite](fx, fault=fault)) for suite, fault in RUNS[2:])
+    clean = tuple(report_digest(SUITES[suite](fx, fault=fault)) for suite, fault in RUNS[:2])
+    assert clean + faulted == PINS[seed, bound]
