@@ -15,7 +15,7 @@ between the groups it joins, and the validator reports the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     ConstructionError,
@@ -127,19 +127,31 @@ def butterfly_morphism(src: Butterfly, dst: Butterfly, f: GroupHom) -> Butterfly
         raise ValueError("butterfly morphisms require parallel butterflies")
     if f.dom != src.E or f.cod != dst.E:
         raise ValueError("f must map the middle groups")
-    # with the ends checked, each triangle is an equality of maps
-    m = f.map
-    if tuple([m[x] for x in src.kappa.map]) != dst.kappa.map:
-        raise ConstructionError("kappa triangle does not commute")
-    if tuple([m[x] for x in src.iota.map]) != dst.iota.map:
-        raise ConstructionError("iota triangle does not commute")
-    if tuple([dst.sigma.map[x] for x in m]) != src.sigma.map:
-        raise ConstructionError("sigma triangle does not commute")
-    if tuple([dst.rho.map[x] for x in m]) != src.rho.map:
-        raise ConstructionError("rho triangle does not commute")
-    if not f.is_isomorphism:
-        raise ConstructionError("a butterfly morphism must be bijective")
+    _check_triangles(f.map, _legs(src), _legs(dst))
     return ButterflyMorphism(src, dst, f)
+
+
+def _legs(B: Butterfly) -> tuple[tuple[int, ...], ...]:
+    """The maps of kappa, iota, sigma and rho."""
+    return B.kappa.map, B.iota.map, B.sigma.map, B.rho.map
+
+
+def _check_triangles(m: Sequence[int], legs, legs2) -> None:
+    """Raise ``ConstructionError`` unless the map m of middle groups commutes
+    with both wings and both legs, given as the maps of ``_legs``, and is a
+    bijection onto the middle group of `legs2`."""
+    (k, i, s, r), (k2, i2, s2, r2) = legs, legs2
+    # with the ends checked, each triangle is an equality of maps
+    if tuple([m[x] for x in k]) != k2:
+        raise ConstructionError("kappa triangle does not commute")
+    if tuple([m[x] for x in i]) != i2:
+        raise ConstructionError("iota triangle does not commute")
+    if tuple([s2[x] for x in m]) != s:
+        raise ConstructionError("sigma triangle does not commute")
+    if tuple([r2[x] for x in m]) != r:
+        raise ConstructionError("rho triangle does not commute")
+    if len(m) != len(s2) or len(set(m)) != len(m):
+        raise ConstructionError("a butterfly morphism must be bijective")
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +196,13 @@ def _composite(B: Butterfly, B2: Butterfly, parts) -> Butterfly:
     # kappa h is the coset of (kappa h, 1) and iota k that of (1, iota2 k)
     kappa = GroupHom._trusted(H, Q, pair(B.kappa.map, (0,) * H.order))
     iota = GroupHom._trusted(K, Q, pair((0,) * K.order, B2.iota.map))
-    # both legs are constant on the cosets of N, so any pair will do; they are
-    # read from the last pair of each coset, which a compose-faulted report shows
-    reps = map(dict(zip(coset_of, pairs)).__getitem__, range(Q.order))
-    sigma_map, rho_map = zip(*((B.sigma.map[a], B2.rho.map[c]) for a, c in reps))
+    # the legs are defined on Q only when they are constant on the cosets of N,
+    # as they are for valid operands: one (coset, sigma, rho) triple per coset
+    s, r = B.sigma.map, B2.rho.map
+    legs = set(zip(coset_of, [s[a] for a, _ in pairs], [r[c] for _, c in pairs]))
+    if len(legs) != Q.order:
+        raise ConstructionError("the legs are not constant on the cosets of N")
+    _, sigma_map, rho_map = zip(*sorted(legs))
     return Butterfly(
         dom=B.dom,
         cod=B2.cod,
@@ -227,32 +242,47 @@ def flip(B: Butterfly) -> Butterfly:
 # morphism search
 
 
-def _morphism_maps(B: Butterfly, B2: Butterfly) -> Iterator[tuple[int, ...]]:
-    """The maps of the butterfly morphisms B -> B2, in lexicographic order:
-    bijections E -> E2 fixed on the wing images that agree with both legs
-    on generators, hence everywhere."""
-    if B.dom != B2.dom or B.cod != B2.cod or B.E.order != B2.E.order:
-        return iter(())
-    s1, r1, s2, r2 = B.sigma.map, B.rho.map, B2.sigma.map, B2.rho.map
+def _parallel(B: Butterfly, B2: Butterfly) -> bool:
+    return B.dom == B2.dom and B.cod == B2.cod and B.E.order == B2.E.order
+
+
+def _morphism_maps(source, legs, B2: Butterfly) -> Iterator[tuple[int, ...]]:
+    """The maps of the butterfly morphisms to the parallel B2 from the
+    butterfly over the middle group `source` whose wings and legs have the
+    maps `legs` (as ``_legs`` gives them), in lexicographic order: bijections
+    fixed on the wing images that agree with both legs on generators, hence
+    everywhere.  `source` is the middle group, or its generator-columns
+    record with the wing images first (see ``_generator_images``)."""
+    (k, i, s, r), (k2, i2, s2, r2) = legs, _legs(B2)
     return _generator_images(
-        B.E,
+        source,
         B2.E,
         bijective=True,
-        fixed=[*zip(B.iota.map, B2.iota.map), *zip(B.kappa.map, B2.kappa.map)],
-        accept=lambda a, b: s2[b] == s1[a] and r2[b] == r1[a],
+        fixed=[*zip(i, i2), *zip(k, k2)],
+        accept=lambda a, b: s2[b] == s[a] and r2[b] == r[a],
     )
+
+
+def _witness_map(source, legs, B2: Butterfly) -> Optional[tuple[int, ...]]:
+    """The least map of ``_morphism_maps(source, legs, B2)``, checked by
+    ``_check_triangles``, or None when there is none."""
+    m = next(_morphism_maps(source, legs, B2), None)
+    if m is not None:
+        _check_triangles(m, legs, _legs(B2))
+    return m
 
 
 def isomorphic_butterflies(B: Butterfly, B2: Butterfly) -> ButterflyMorphism | None:
     """A witness morphism (necessarily iso) between parallel butterflies, or
     None; the witness is the least morphism in lexicographic order of maps."""
-    m = next(_morphism_maps(B, B2), None)
-    return None if m is None else butterfly_morphism(B, B2, GroupHom._trusted(B.E, B2.E, m))
+    m = _witness_map(B.E, _legs(B), B2) if _parallel(B, B2) else None
+    return None if m is None else ButterflyMorphism(B, B2, GroupHom._trusted(B.E, B2.E, m))
 
 
 def butterfly_morphisms(B: Butterfly, B2: Butterfly) -> list[ButterflyMorphism]:
     """Every morphism between the parallel butterflies, exhaustively."""
-    return [butterfly_morphism(B, B2, GroupHom._trusted(B.E, B2.E, m)) for m in _morphism_maps(B, B2)]
+    maps = _morphism_maps(B.E, _legs(B), B2) if _parallel(B, B2) else ()
+    return [butterfly_morphism(B, B2, GroupHom._trusted(B.E, B2.E, m)) for m in maps]
 
 
 # ---------------------------------------------------------------------------

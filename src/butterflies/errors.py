@@ -73,8 +73,9 @@ class FractorConditionFailed(ButterflyError):
 
 class ConstructionError(ButterflyError):
     """A condition that a construction checks fails (``xmod_morphism``,
-    ``butterfly_morphism``).  Constructions assume valid operands and do not
-    re-validate their results, so callers validate untrusted operands first."""
+    ``butterfly_morphism``, ``compose``).  Constructions assume valid operands
+    and do not re-validate their results, so callers validate untrusted
+    operands first."""
 
 
 class UnknownSuite(ButterflyError):

@@ -15,15 +15,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .butterfly import Butterfly, isomorphic_butterflies
+from .butterfly import Butterfly, _witness_map
 from .errors import BoundExceeded, ShapeMismatch, TwistLeavesCocycles
 from .fingroup import (
     FinGroup,
     GroupAction,
     GroupHom,
+    _Columns,
+    _columns_record,
     _generator_images,
+    _generators,
     all_homomorphisms,
     automorphism_group,
     conjugation_action,
@@ -177,16 +180,22 @@ def factor_set_to_extension(fs: FactorSet) -> ExtensionDatum:
     ``FinGroup(...)``.
     """
     H, G = fs.H, fs.G
-    act, nH, Gt = aut_xmod(G).action.act, H.order, G.table
+    nH, Gt = H.order, G.table
     # row (g1, x1) holds (g1 phi(x1)(g2) f(x1, x2), x1 x2) for each (g2, x2)
-    twists = [(act[fs.phi[x1]], fs.f[x1], H.table[x1]) for x1 in range(nH)]
     table = [
-        [Gt[tg[t]][f] * nH + x for t in twist for f, x in zip(fx, hx)] for tg in Gt for twist, fx, hx in twists
+        [Gt[tg[t]][f] * nH + x for t in twist for f, x in zip(fx, hx)] for tg in Gt for twist, fx, hx in _twists(fs)
     ]
     E = FinGroup._trusted(table, f"E({G.name},{H.name})")
     iota = GroupHom._trusted(G, E, tuple(g * nH for g in range(G.order)))
     sigma = GroupHom._trusted(E, H, tuple(x for g in range(G.order) for x in range(nH)))
     return ExtensionDatum(H=H, G=G, E=E, iota=iota, sigma=sigma)
+
+
+def _twists(fs: FactorSet) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """Per x1 in H: phi(x1) as a permutation of G, f(x1, -) and x1's row of H,
+    what the product (g1, x1)(g2, x2) = (g1 phi(x1)(g2) f(x1, x2), x1 x2) reads."""
+    act = aut_xmod(fs.G).action.act
+    return [(act[p], fx, hx) for p, fx, hx in zip(fs.phi, fs.f, fs.H.table)]
 
 
 def factor_set_of_extension(X: ExtensionDatum, section: tuple[int, ...]) -> FactorSet:
@@ -282,15 +291,20 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Factor
 def twist_factor_set(fs: FactorSet, h: tuple[int, ...], A: CrossedModule) -> FactorSet:
     """The equivalent factor set obtained by changing the section by h: H -> G,
     with A = aut_xmod(G).  The new phi(x) is inner(h(x)) * phi(x) in Aut(G)."""
-    H, G = fs.H, fs.G
-    act, inner, aut, t = A.action.act, A.boundary.map, A.G0.table, G.table
-    phi, f = fs.phi, fs.f
-    phi2 = tuple(aut[inner[h[x]]][phi[x]] for x in range(H.order))
-    f2 = tuple(
-        tuple(t[t[t[h[x]][act[phi[x]][h[y]]]][f[x][y]]][G.inv(h[H.table[x][y]])] for y in range(H.order))
-        for x in range(H.order)
-    )
-    return FactorSet(H, G, phi2, f2)
+    return FactorSet(fs.H, fs.G, *_twist(fs, h, A))
+
+
+def _twist(fs: FactorSet, h: tuple[int, ...], A: CrossedModule) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The (phi, f) of ``twist_factor_set(fs, h, A)``:
+    f'(x, y) = h(x) phi(x)(h(y)) f(x, y) h(xy)^-1."""
+    t, inv, inner, aut = fs.G.table, fs.G.inverse, A.boundary.map, A.G0.table
+    rows = [A.action.act[p] for p in fs.phi]
+    phi2 = tuple([aut[inner[hx]][p] for hx, p in zip(h, fs.phi)])
+    f2 = tuple([
+        tuple([t[t[t[hx][row[hy]]][fxy]][inv[h[xy]]] for hy, fxy, xy in zip(h, fx, hrow)])
+        for hx, row, fx, hrow in zip(h, rows, fs.f, fs.H.table)
+    ])
+    return phi2, f2
 
 
 def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = 16) -> list[list[FactorSet]]:
@@ -313,8 +327,7 @@ def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = 16) -> list[list[Fa
         members = []
         for tail in h_candidates:
             h = (0,) + tail
-            twisted = twist_factor_set(fs, h, A)
-            j = index.get((twisted.phi, twisted.f))
+            j = index.get(_twist(fs, h, A))
             if j is None:
                 raise TwistLeavesCocycles(
                     f"section change h={h} leaves the enumerated cocycles of {H.name} by {G.name}: "
@@ -345,40 +358,66 @@ class ExtensionClass:
 def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[ExtensionClass]:
     """Classify extensions of H by G on the butterfly side.
 
-    Every cocycle is reconstructed into an extension and then a butterfly;
-    classes are orbits under butterfly morphisms, found by backtracking
-    search, independently of the coboundary calculus of the oracle.
+    Each cocycle (phi, f) stands for the butterfly D(H) -> A(G) of its
+    twisted product E on G x H, (g, x) at g*|H| + x, with the product
+    (g1, x1)(g2, x2) = (g1 phi(x1)(g2) f(x1, x2), x1 x2).  Every such E has
+    the same wings, the same sigma and, with the wing images first, the same
+    generating sequence (``_wing_first_generators``).  Its Aut-leg is
+    rho(g, x) = inner(g) phi(x), since (g, x)(a, 1)(g, x)^-1 =
+    (g phi(x)(a) g^-1, 1).  So a cocycle's butterfly is read off (phi, f):
+    rho, the generator columns the morphism search reads of its source, and
+    the invariant below.  Only a cocycle that starts a class gets E's full
+    table, the butterfly of its extension, and the checks of its
+    representative: ``FinGroup`` re-validates the table, then ``is_split``
+    and ``identify_group`` run on it.
 
-    A butterfly is searched against only the representatives that share its
+    Classes are orbits under butterfly morphisms, found by backtracking
+    search, independently of the coboundary calculus of the oracle.  A
+    cocycle joins a class when the search finds a morphism to the class's
+    representative, and that witness must pass the four triangle equalities
+    and the bijectivity check of :func:`butterfly_morphism`.
+
+    A cocycle is searched against only the representatives that share its
     invariant, the sorted triples (sigma e, rho e, iota^-1(e^m)) over e in E
     with m the order of sigma e in H.  A butterfly morphism f: E -> E' is an
     isomorphism with f iota = iota', sigma' f = sigma and rho' f = rho.  As
     sigma(e^m) = 1, e^m lies in the image of iota, and f(e)^m = f(e^m) =
     iota'(iota^-1(e^m)).  So f carries the triple of e to that of f(e), and
     isomorphic butterflies have equal invariants.  The proof uses only the
-    morphism triangles, so it holds for non-abelian G too.  Representatives
-    are searched in order of appearance and the witness search still decides
-    membership, so the classes, their order and their counts are those of a
-    search against every representative.
+    morphism triangles, so it holds for non-abelian G too.  For e = (g, x),
+    sigma e = x, rho e is as above, and e^m is read off the product formula
+    (``_morphism_invariant``): the triples are those of the table.
+    Representatives are searched in order of appearance and the witness
+    search still decides membership, so the classes, their order and their
+    counts are those of a search against every representative.
     """
     if H.order * G.order > bound:
         raise BoundExceeded("classify_extensions", H.order * G.order, bound)
     cocycles = enumerate_cocycles(H, G, bound)
+    A, dom, nH = aut_xmod(G), discrete_xmod(H), H.order
+    gens = _wing_first_generators(H, G)
+    iota = tuple(g * nH for g in range(G.order))
+    sigma = tuple(x for _ in range(G.order) for x in range(nH))
     reps: list[Butterfly] = []
     data: list[tuple[ExtensionDatum, FactorSet]] = []
     counts: list[int] = []
     buckets: dict[tuple, list[int]] = {}
     for fs in cocycles:
-        datum = factor_set_to_extension(fs)
-        B = butterfly_from_extension(datum)
-        bucket = buckets.setdefault(_morphism_invariant(B), [])
+        rho = _twisted_rho(fs, A)
+        legs = ((0,), iota, sigma, rho)
+        bucket = buckets.setdefault(_morphism_invariant(fs, rho), [])
+        source = _twisted_columns(fs, gens) if bucket else None
         for k in bucket:
-            if isomorphic_butterflies(B, reps[k]) is not None:
+            if _witness_map(source, legs, reps[k]) is not None:
                 counts[k] += 1
                 break
         else:
+            datum = factor_set_to_extension(fs)
+            E = datum.E
             bucket.append(len(reps))
-            reps.append(B)
+            # the butterfly of the extension, butterfly_from_extension(datum)
+            rho_hom = GroupHom._trusted(E, A.G0, rho)
+            reps.append(Butterfly(dom, A, E, zero_hom(_ONE, E), datum.iota, datum.sigma, rho_hom))
             data.append((datum, fs))
             counts.append(1)
     out = []
@@ -398,18 +437,53 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Exten
     return out
 
 
-def _morphism_invariant(B: Butterfly) -> tuple[tuple[int, int, int], ...]:
-    """The isomorphism invariant of ``classify_extensions`` for a butterfly
-    D(H) -> A(G)."""
-    E, s, r = B.E, B.sigma.map, B.rho.map
-    orders = B.sigma.cod.element_orders
-    iota_inv = {e: g for g, e in enumerate(B.iota.map)}
+def _wing_first_generators(H: FinGroup, G: FinGroup) -> tuple[int, ...]:
+    """The generating sequence, wing images first, shared by every twisted
+    product over (H, G): iota of G's generators, then (1, x) = x for H's.
+    The span of iota(G) is the kernel of sigma, and a subgroup containing it
+    is the preimage of its image in H; the elements (1, x) come first in index
+    order, so the greedy choice continues as H's own does."""
+    return (*(g * H.order for g in _generators(G)), *_generators(H))
+
+
+def _twisted_rho(fs: FactorSet, A: CrossedModule) -> tuple[int, ...]:
+    """The Aut-leg of the butterfly of fs's twisted product, A = aut_xmod(G):
+    rho(g, x) = inner(g) phi(x), one lookup in Aut(G)'s table per element."""
+    aut = A.G0.table
+    return tuple([aut[i][p] for i in A.boundary.map for p in fs.phi])
+
+
+def _twisted_columns(fs: FactorSet, gens: Sequence[int]) -> _Columns:
+    """The generator-columns record of fs's twisted product for the
+    generating sequence `gens`, built from (phi, f) without its table."""
+    nH, Gt, twists = fs.H.order, fs.G.table, _twists(fs)
+    columns = []
+    for e in gens:
+        g2, x2 = divmod(e, nH)
+        # (g1, x1)(g2, x2) for each x1, then for each g1
+        parts = [(twist[g2], fx[x2], hx[x2]) for twist, fx, hx in twists]
+        columns.append([Gt[tg[t]][f] * nH + x for tg in Gt for t, f, x in parts])
+    return _columns_record(len(Gt) * nH, gens, columns)
+
+
+def _morphism_invariant(fs: FactorSet, rho: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
+    """The isomorphism invariant of ``classify_extensions`` for the butterfly
+    of fs's twisted product, whose Aut-leg is rho: the powers e^m come from
+    the product formula."""
+    H, G, nH, Gt = fs.H, fs.G, fs.H.order, fs.G.table
+    twists = _twists(fs)
     triples = []
-    for e in range(E.order):
-        p = e
-        for _ in range(orders[s[e]] - 1):
-            p = E.table[p][e]
-        triples.append((s[e], r[e], iota_inv[p]))
+    for x in range(nH):
+        # with y = x^k != 1, (p, y)(g, x) = (p phi(y)(g) f(y, x), y x)
+        steps, y = [], x
+        while y:
+            steps.append((twists[y][0], twists[y][1][x]))
+            y = H.table[y][x]
+        for g in range(G.order):
+            p = g
+            for twist, c in steps:
+                p = Gt[Gt[p][twist[g]]][c]
+            triples.append((x, rho[g * nH + x], p))
     return tuple(sorted(triples))
 
 

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BoundExceeded, CodomainMismatch, NotAGroup, NotNormal
 
@@ -463,10 +463,14 @@ def product_and_pullback(f: GroupHom, g: GroupHom) -> tuple[FinGroup, GroupHom, 
     """
     if f.cod != g.cod:
         raise CodomainMismatch(f"codomains differ: {f.cod.name} vs {g.cod.name}")
-    A, C = f.dom, g.dom
-    pairs, _, pair, P = pullback_quotient(f, g, {(0, 0)}, f"PB({A.name},{C.name})", "({},{})")
-    proj1 = GroupHom._trusted(P, A, tuple(a for a, _ in pairs))
-    proj2 = GroupHom._trusted(P, C, tuple(c for _, c in pairs))
+    return _pullback(f, g, f"PB({f.dom.name},{g.dom.name})")
+
+
+def _pullback(f: GroupHom, g: GroupHom, name: str) -> tuple[FinGroup, GroupHom, GroupHom, PairMap]:
+    """``product_and_pullback`` of maps with one codomain, unmemoized, named `name`."""
+    pairs, _, pair, P = pullback_quotient(f, g, {(0, 0)}, name, "({},{})")
+    proj1 = GroupHom._trusted(P, f.dom, tuple(a for a, _ in pairs))
+    proj2 = GroupHom._trusted(P, g.dom, tuple(c for _, c in pairs))
     return P, proj1, proj2, pair
 
 
@@ -524,10 +528,10 @@ def _is_pullback(f: GroupHom, g: GroupHom, u: GroupHom, v: GroupHom) -> bool:
 
 
 def direct_product(A: FinGroup, B: FinGroup) -> tuple[FinGroup, GroupHom, GroupHom]:
+    """A x B as the pullback over the trivial group, built afresh: inside a
+    ``_run_memo()`` scope it stores no entry, since its operands are new."""
     T = trivial_group()
-    P, p1, p2, _ = product_and_pullback(zero_hom(A, T), zero_hom(B, T))
-    P.name = f"{A.name}x{B.name}"
-    return P, p1, p2
+    return _pullback(zero_hom(A, T), zero_hom(B, T), f"{A.name}x{B.name}")[:3]
 
 
 def klein_four() -> FinGroup:
@@ -574,12 +578,42 @@ def _generating_sequence(G: FinGroup, first: Iterable[int] = ()) -> list[int]:
     return gens
 
 
-def _generators(G: FinGroup, first: tuple[int, ...] = ()) -> list[int]:
-    """The generating sequence of G with `first` entering first, memoized on G."""
-    memo = G.__dict__.setdefault("_generating_sequences", {})
+class _Columns(NamedTuple):
+    """A group as the homomorphism search reads it: its order, a generating
+    sequence, the column a -> a*g of each generator g, and each generator's
+    order.  A group that is never tabulated in full can be searched from
+    this record alone."""
+
+    order: int
+    gens: tuple[int, ...]
+    columns: tuple[Sequence[int], ...]
+    orders: tuple[int, ...]
+
+
+def _columns_record(order: int, gens: Sequence[int], columns: Sequence[Sequence[int]]) -> _Columns:
+    """The record of a group of `order` elements with generating sequence
+    `gens` and their columns; each order is read off its column."""
+    orders = []
+    for col in columns:
+        k, a = 1, col[0]
+        while a:
+            a, k = col[a], k + 1
+        orders.append(k)
+    return _Columns(order, tuple(gens), tuple(columns), tuple(orders))
+
+
+def _columns(G: FinGroup, first: tuple[int, ...] = ()) -> _Columns:
+    """The generator-columns record of G with `first` entering first, memoized on G."""
+    memo = G.__dict__.setdefault("_columns", {})
     if first not in memo:
-        memo[first] = _generating_sequence(G, first)
+        gens = _generating_sequence(G, first)
+        memo[first] = _columns_record(G.order, gens, [[row[g] for row in G.table] for g in gens])
     return memo[first]
+
+
+def _generators(G: FinGroup, first: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """The generating sequence of G with `first` entering first, memoized on G."""
+    return _columns(G, first).gens
 
 
 def _hom_defect(G: FinGroup, H: FinGroup, m: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -597,24 +631,26 @@ def _hom_defect(G: FinGroup, H: FinGroup, m: Sequence[int]) -> Optional[tuple[in
     return None
 
 
-def _extend_hom(G: FinGroup, H: FinGroup, gens: Sequence[int], images: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Grow a partial map on generators to a full map, or detect inconsistency.
+def _extend_hom(src: _Columns, H: FinGroup, images: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Grow a partial map on the generators of `src` to a full map, or detect
+    inconsistency.
 
     The closure sets m(a*g) = m(a)*h for every element a and generator g and
     rejects any conflict, so a returned map is a homomorphism.
     """
-    m = [-1] * G.order
+    m = [-1] * src.order
     m[0] = 0
-    for g, h in zip(gens, images):
+    for g, h in zip(src.gens, images):
         if m[g] not in (-1, h):
             return None
         m[g] = h
-    frontier = [0] + list(gens)
+    steps = list(zip(src.columns, images))
+    frontier = [0, *src.gens]
     while frontier:
         a = frontier.pop()
-        for g, h in zip(gens, images):
-            b = G.table[a][g]
-            image = H.table[m[a]][h]
+        row = H.table[m[a]]
+        for col, h in steps:
+            b, image = col[a], row[h]
             if m[b] == -1:
                 m[b] = image
                 frontier.append(b)
@@ -624,7 +660,7 @@ def _extend_hom(G: FinGroup, H: FinGroup, gens: Sequence[int], images: Sequence[
 
 
 def _generator_images(
-    G: FinGroup,
+    G: FinGroup | _Columns,
     H: FinGroup,
     bijective: bool,
     fixed: Sequence[tuple[int, int]] = (),
@@ -632,6 +668,15 @@ def _generator_images(
 ) -> Iterator[tuple[int, ...]]:
     """Every homomorphism G -> H (only the bijections when `bijective`), as maps,
     in lexicographic order.
+
+    The source is read only through its generator-columns record
+    (:class:`_Columns`): its order, its generating sequence, each
+    generator's column a -> a*g, which is all the closure of
+    :func:`_extend_hom` reads, and each generator's order.  G may be a group,
+    whose record is memoized on it with the elements of `fixed` entering
+    first, or a record of a group that is not tabulated, whose sequence must
+    be the one that group would give, ``_generating_sequence(G, elements of
+    fixed)``.  The target H is a group.
 
     A generator's image must have order dividing its own (equal for
     bijections) and pass `accept(generator, image)` when given.  Each pair
@@ -641,22 +686,22 @@ def _generator_images(
     images is lexicographic order on maps.
     """
     forced = dict(fixed)
-    gens = _generators(G, tuple(forced))
-    go, ho = G.element_orders, H.element_orders
+    src = G if isinstance(G, _Columns) else _columns(G, tuple(forced))
+    ho = H.element_orders
     candidates = [
         [
             b
             for b in ((forced[g],) if g in forced else range(H.order))
-            if (ho[b] == go[g] if bijective else go[g] % ho[b] == 0)
+            if (ho[b] == o if bijective else o % ho[b] == 0)
             and (accept is None or accept(g, b))
         ]
-        for g in gens
+        for g, o in zip(src.gens, src.orders)
     ]
     for images in itertools.product(*candidates):
-        m = _extend_hom(G, H, gens, images)
+        m = _extend_hom(src, H, images)
         if (
             m is not None
-            and (not bijective or len(set(m)) == G.order)
+            and (not bijective or len(set(m)) == src.order)
             and all(m[a] == b for a, b in fixed)
         ):
             yield m

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import ONE, S3, Z2, Z3, Z4, trivial_extension_butterfly, z4_extension_butterfly
 
+from butterflies import butterfly
 from butterflies.butterfly import (
     Butterfly,
     butterfly_morphism,
@@ -182,6 +183,17 @@ class TestMorphismSearch:
 
     def test_different_e_groups_not_isomorphic(self):
         assert isomorphic_butterflies(z4_extension_butterfly(), trivial_extension_butterfly()) is None
+
+    def test_witness_must_pass_the_triangles(self):
+        # the search compares the legs on generators only (2 and 1 here); a
+        # leg that is wrong off them is caught by the check of the witness
+        B = z4_extension_butterfly()
+        kappa, iota, sigma, rho = butterfly._legs(B)
+        assert butterfly._witness_map(B.E, (kappa, iota, sigma, rho), B) == (0, 1, 2, 3)
+        with pytest.raises(ConstructionError, match="rho triangle"):
+            butterfly._witness_map(B.E, (kappa, iota, sigma, rho[:3] + (1,)), B)
+        with pytest.raises(ConstructionError, match="sigma triangle"):
+            butterfly._witness_map(B.E, (kappa, iota, sigma[:3] + (0,), rho), B)
 
     def test_underlying_map_bijective(self):
         B = trivial_extension_butterfly()

@@ -9,7 +9,8 @@ constructors.  The two must serialize identically.
 
 ``product_and_pullback`` is the same builder as ``compose``'s, taken modulo
 the trivial subgroup; it is checked against that tuple-keyed routine on
-every pullback its consumers build over the fixture sets.
+every pullback its consumers build over the fixture sets, and so is every
+direct product, which is built by the same code without the run memo.
 """
 
 from __future__ import annotations
@@ -119,10 +120,9 @@ def test_associativity_triples_both_bracketings(fixture_sets):
     assert triples == 1875
 
 
-# the consumers of product_and_pullback, by the module that imports or defines it
+# the consumers of product_and_pullback, by the module that imports it
 CONSUMERS = {
     butterfly: {"_split", "reduced_compose", "to_fractor"},
-    fingroup: {"direct_product"},
     xmod: {"pullback_crossed_module"},
     laws: {"ef3_coincidence"},
 }
@@ -139,8 +139,19 @@ def test_plain_pullback_matches_reference(monkeypatch):
         seen.setdefault((f.dom, f.map, g.dom, g.map), (f, g))
         return product_and_pullback(f, g)
 
+    products = []
+    pullback = fingroup._pullback
+
+    def recording_product(f, g, name):
+        # direct_product's pullback, over the trivial group and unmemoized
+        built = pullback(f, g, name)
+        if sys._getframe(1).f_code.co_name == "direct_product":
+            products.append((f, g, name, built))
+        return built
+
     for module in CONSUMERS:
         monkeypatch.setattr(module, "product_and_pullback", recording)
+    monkeypatch.setattr(fingroup, "_pullback", recording_product)
     for seed, bound in CASES:
         fx = generate_fixtures(seed, bound)
         run_bicategory_suite(fx)
@@ -163,3 +174,9 @@ def test_plain_pullback_matches_reference(monkeypatch):
                     got = None
                 assert got == ref.get((a, c))
     assert len(seen) > 100
+    for f, g, name, (P, p1, p2, _) in products:
+        R, r1, r2, _ = reference_pullback(f, g)
+        assert (P.name, P.element_labels, P.table) == (name, R.element_labels, R.table)
+        assert (p1.map, p2.map) == (r1.map, r2.map)
+        assert p1.dom is P and p1.cod is f.dom and p2.cod is g.dom
+    assert len(products) > 100

@@ -279,32 +279,57 @@ class TestClassify:
         # is searched against nothing and every other cocycle against its
         # own class's representative only
         calls = []
-        original = extension.isomorphic_butterflies
+        original = extension._witness_map
 
-        def counting(B, B2):
+        def counting(source, legs, B2):
             calls.append(1)
-            return original(B, B2)
+            return original(source, legs, B2)
 
-        monkeypatch.setattr(extension, "isomorphic_butterflies", counting)
+        monkeypatch.setattr(extension, "_witness_map", counting)
         classes = classify_extensions(V4, V4)
         assert (len(classes), sum(c.count for c in classes)) == (82, 544)
         assert len(calls) == 544 - 82
 
+    def test_full_tables_only_for_representatives_on_v4_by_v4(self, monkeypatch):
+        # a cocycle that joins a class is searched from its generator columns
+        built = []
+        original = extension.factor_set_to_extension
+
+        def counting(fs):
+            built.append(fs)
+            return original(fs)
+
+        monkeypatch.setattr(extension, "factor_set_to_extension", counting)
+        classes = classify_extensions(V4, V4)
+        assert len(built) == len(classes) == 82
+        assert built == [c.factor_set for c in classes]
+
     def test_generating_sequence_computed_once_per_group_and_key(self, monkeypatch):
-        # each cocycle's E is compared with several representatives under the
-        # same forced wing images; its generating sequence is computed once
-        computed = []
-        original = fingroup._generating_sequence
+        # every twisted product over (H, G) shares one generating sequence with
+        # the wing images first, built once per classification from H's and
+        # G's own: no cocycle's E computes a sequence keyed by its wings, and
+        # the only sequences of groups of order 8 are those of the class
+        # representatives, which are validated and named
+        standard_catalog(8), aut_xmod(Z2), enumerate_cocycles(V4, Z2)  # outside the count
+        computed, shared = [], []
+        original, original_shared = fingroup._generating_sequence, extension._wing_first_generators
 
         def counting(G, first=()):
             computed.append((G, tuple(first)))
             return original(G, first)
 
+        def counting_shared(H, G):
+            shared.append((H, G))
+            return original_shared(H, G)
+
         monkeypatch.setattr(fingroup, "_generating_sequence", counting)
-        classify_extensions(V4, Z2)
+        monkeypatch.setattr(extension, "_wing_first_generators", counting_shared)
+        classes = classify_extensions(V4, Z2)
         keys = [(id(G), key) for G, key in computed]  # computed keeps every G alive
-        assert len(computed) > 1
         assert len(keys) == len(set(keys))
+        assert shared == [(V4, Z2)]
+        assert all(key == () for _, key in computed)
+        assert 0 < sum(G.order == 8 for G, _ in computed) <= 2 * len(classes)
 
 
 class TestMorphismLevelCorrespondence:
