@@ -15,7 +15,7 @@ between the groups it joins, and the validator reports the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import (
     ConstructionError,
@@ -367,19 +367,15 @@ def span_of_butterfly(B: Butterfly) -> tuple[CrossedModule, XModMorphism, XModMo
     a weak equivalence."""
     E, H, G = B.E, B.dom.G, B.cod.G
     k, i = B.kappa.map, B.iota.map
-    HxG, piH, piG = direct_product(H, G)
-    # the pair (h, g) of the direct product is the element h*|G| + g
+    HxG, piH, piG, pair = direct_product(H, G)
     phi = GroupHom._trusted(HxG, E, tuple(E.table[k[h]][i[g]] for h, g in zip(piH.map, piG.map)))
     iota_inv = {e: g for g, e in enumerate(i)}
     perms = []
     for e in range(E.order):
-        se = B.sigma.map[e]
-        perm = []
-        for h, x in zip(piH.map, phi.map):
-            h2 = B.dom.act(se, h)
-            value = E.table[E.inv(k[h2])][E.conj(e, x)]
-            perm.append(h2 * G.order + iota_inv[value])
-        perms.append(tuple(perm))
+        # e sends (h, g) to (h2, g2) with h2 = sigma(e)|>h and kappa(h2) iota(g2) = e phi(h, g) e^-1
+        hs = [B.dom.act(B.sigma.map[e], h) for h in piH.map]
+        gs = [iota_inv[E.table[E.inv(k[h2])][E.conj(e, x)]] for h2, x in zip(hs, phi.map)]
+        perms.append(pair(hs, gs))
     middle = CrossedModule(HxG, E, phi, GroupAction._trusted(E, HxG, tuple(perms)), name=f"[{B.E.name}]")
     left = XModMorphism(middle, B.dom, piH, B.sigma)
     right = XModMorphism(middle, B.cod, piG, B.rho)
@@ -423,6 +419,16 @@ def whisker_left(B: Butterfly, f: ButterflyMorphism) -> ButterflyMorphism:
 # fractors: the groupoid-level presentation
 
 
+def _arrow(B: Butterfly) -> Callable[[int, int], int]:
+    """The arrow map of B: ``arrow(e1, e2)`` is the arrow
+    (iota^-1(e1 e2^-1), rho e2) from rho(e1) to rho(e2) in the codomain's
+    2-group G x| G0.  On the kernel pair R[sigma] it is the fractor's
+    rho-bar.  Raises ``KeyError`` when e1 e2^-1 is not in the image of iota."""
+    iota_inv = {e: g for g, e in enumerate(B.iota.map)}
+    t, inv, rho, n0 = B.E.table, B.E.inverse, B.rho.map, B.cod.G0.order
+    return lambda e1, e2: iota_inv[t[e1][inv[e2]]] * n0 + rho[e2]
+
+
 @dataclass(frozen=True)
 class Fractor:
     """Two discrete fibrations out of the groupoids R => E and R[sigma] => E."""
@@ -449,14 +455,7 @@ def to_fractor(B: Butterfly) -> Fractor:
     RS, pr1, pr2, pair = product_and_pullback(B.sigma, B.sigma)
     diagonal = GroupHom._trusted(E, RS, pair(range(E.order), range(E.order)))
     Rsigma = Strict2Group(RS, E, pr1, pr2, diagonal)
-    iota_inv = {e: g for g, e in enumerate(B.iota.map)}
-    nG0 = B.cod.G0.order
-    rho_bar_map = []
-    for a in range(Rsigma.G1.order):
-        e1, e2 = pr1.map[a], pr2.map[a]
-        g = iota_inv[E.table[e1][E.inv(e2)]]
-        rho_bar_map.append(g * nG0 + B.rho.map[e2])
-    rho_bar = GroupHom._trusted(Rsigma.G1, G2.G1, tuple(rho_bar_map))
+    rho_bar = GroupHom._trusted(Rsigma.G1, G2.G1, tuple(map(_arrow(B), pr1.map, pr2.map)))
     return Fractor(
         H2=H2,
         G2=G2,

@@ -27,6 +27,8 @@ from .fingroup import (
     _columns_record,
     _generator_images,
     _generators,
+    _twisted_pairs,
+    _twisted_product,
     all_homomorphisms,
     automorphism_group,
     conjugation_action,
@@ -173,29 +175,22 @@ def validate_factor_set(fs: FactorSet, aut: FinGroup, ev: GroupAction) -> bool:
 
 
 def factor_set_to_extension(fs: FactorSet) -> ExtensionDatum:
-    """Schreier reconstruction: the twisted product on G x H, (g, x) at g*|H| + x.
+    """Schreier reconstruction: the twisted product on G x H, (g, x) at g*|H| + x,
+    of phi's automorphisms and f.
 
     The Schreier conditions make it a group, so it is built unchecked; both
     classification routes re-check each class representative's table with
     ``FinGroup(...)``.
     """
     H, G = fs.H, fs.G
-    nH, Gt = H.order, G.table
-    # row (g1, x1) holds (g1 phi(x1)(g2) f(x1, x2), x1 x2) for each (g2, x2)
-    table = [
-        [Gt[tg[t]][f] * nH + x for t in twist for f, x in zip(fx, hx)] for tg in Gt for twist, fx, hx in _twists(fs)
-    ]
-    E = FinGroup._trusted(table, f"E({G.name},{H.name})")
-    iota = GroupHom._trusted(G, E, tuple(g * nH for g in range(G.order)))
-    sigma = GroupHom._trusted(E, H, tuple(x for g in range(G.order) for x in range(nH)))
+    E, sigma, iota = _twisted_product(G, H, _aut_rows(fs), fs.f, f"E({G.name},{H.name})")
     return ExtensionDatum(H=H, G=G, E=E, iota=iota, sigma=sigma)
 
 
-def _twists(fs: FactorSet) -> list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Per x1 in H: phi(x1) as a permutation of G, f(x1, -) and x1's row of H,
-    what the product (g1, x1)(g2, x2) = (g1 phi(x1)(g2) f(x1, x2), x1 x2) reads."""
+def _aut_rows(fs: FactorSet) -> list[tuple[int, ...]]:
+    """phi(x) as a permutation of G for each x in H."""
     act = aut_xmod(fs.G).action.act
-    return [(act[p], fx, hx) for p, fx, hx in zip(fs.phi, fs.f, fs.H.table)]
+    return [act[p] for p in fs.phi]
 
 
 def factor_set_of_extension(X: ExtensionDatum, section: tuple[int, ...]) -> FactorSet:
@@ -455,15 +450,12 @@ def _twisted_rho(fs: FactorSet, A: CrossedModule) -> tuple[int, ...]:
 
 def _twisted_columns(fs: FactorSet, gens: Sequence[int]) -> _Columns:
     """The generator-columns record of fs's twisted product for the
-    generating sequence `gens`, built from (phi, f) without its table."""
-    nH, Gt, twists = fs.H.order, fs.G.table, _twists(fs)
-    columns = []
-    for e in gens:
-        g2, x2 = divmod(e, nH)
-        # (g1, x1)(g2, x2) for each x1, then for each g1
-        parts = [(twist[g2], fx[x2], hx[x2]) for twist, fx, hx in twists]
-        columns.append([Gt[tg[t]][f] * nH + x for tg in Gt for t, f, x in parts])
-    return _columns_record(len(Gt) * nH, gens, columns)
+    generating sequence `gens`: only the columns of `gens`, not the table."""
+    H, G, nH = fs.H, fs.G, fs.H.order
+    pairs = _twisted_pairs(G, H, _aut_rows(fs), fs.f, gens)
+    # the column of e2 holds (g1, x1) e2 = (g1 g, x) for the (g, x) = (1, x1) e2 of each x1
+    columns = [[tg[g] * nH + x for tg in G.table for g, x in col] for col in zip(*pairs)]
+    return _columns_record(G.order * nH, gens, columns)
 
 
 def _morphism_invariant(fs: FactorSet, rho: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
@@ -471,13 +463,13 @@ def _morphism_invariant(fs: FactorSet, rho: Sequence[int]) -> tuple[tuple[int, i
     of fs's twisted product, whose Aut-leg is rho: the powers e^m come from
     the product formula."""
     H, G, nH, Gt = fs.H, fs.G, fs.H.order, fs.G.table
-    twists = _twists(fs)
+    rows = _aut_rows(fs)
     triples = []
     for x in range(nH):
         # with y = x^k != 1, (p, y)(g, x) = (p phi(y)(g) f(y, x), y x)
         steps, y = [], x
         while y:
-            steps.append((twists[y][0], twists[y][1][x]))
+            steps.append((rows[y], fs.f[y][x]))
             y = H.table[y][x]
         for g in range(G.order):
             p = g
@@ -507,10 +499,7 @@ def standard_catalog(order: int) -> tuple[tuple[str, FinGroup], ...]:
             G = direct_product(G, cyclic_group(p))[0]
         add("x".join(f"Z{p}" for p in parts) or "1", G)
     if order % 2 == 0 and order > 2:
-        n = order // 2
-        Zn = cyclic_group(n)
-        inv = GroupAction(cyclic_group(2), Zn, (tuple(range(n)), tuple((-a) % n for a in range(n))))
-        add(f"D{n}", semidirect_product(inv)[0])
+        add(f"D{order // 2}", _cyclic_semidirect(order // 2, 2, -1))
     if order % 4 == 0 and order >= 8:
         add(f"Dic{order // 4}", dicyclic_group(order // 4))
     if order == 12:
@@ -521,23 +510,21 @@ def standard_catalog(order: int) -> tuple[tuple[str, FinGroup], ...]:
         act = GroupAction(cyclic_group(3), V4, tuple(ev.act[rot.map[x]] for x in range(3)))
         add("A4", semidirect_product(act)[0])
     if order == 16:
-        Z8 = cyclic_group(8)
-        for name, mult in (("SD16", 3), ("M16", 5)):
-            act = GroupAction(
-                cyclic_group(2), Z8, (tuple(range(8)), tuple((mult * a) % 8 for a in range(8)))
-            )
-            add(name, semidirect_product(act)[0])
-        Z4 = cyclic_group(4)
-        act = GroupAction(Z4, Z4, tuple(
-            tuple(a if x % 2 == 0 else (-a) % 4 for a in range(4)) for x in range(4)
-        ))
-        add("Z4:Z4", semidirect_product(act)[0])
+        add("SD16", _cyclic_semidirect(8, 2, 3))
+        add("M16", _cyclic_semidirect(8, 2, 5))
+        add("Z4:Z4", _cyclic_semidirect(4, 4, -1))
         D4 = standard_catalog(8)
         for name, K in D4:
             if name in ("D4", "Dic2"):
                 pretty = "Q8" if name == "Dic2" else name
                 add(f"{pretty}xZ2", direct_product(K, cyclic_group(2))[0])
     return tuple(groups)
+
+
+def _cyclic_semidirect(n: int, k: int, m: int) -> FinGroup:
+    """Zn x| Zk, where x acts by a -> m^x a."""
+    act = tuple(tuple(pow(m, x, n) * a % n for a in range(n)) for x in range(k))
+    return semidirect_product(GroupAction(cyclic_group(k), cyclic_group(n), act))[0]
 
 
 def _abelian_factorizations(order: int, smallest: int = 2) -> list[tuple[int, ...]]:

@@ -221,13 +221,14 @@ def cyclic_group(n: int, name: Optional[str] = None) -> FinGroup:
 def symmetric_group(n: int) -> FinGroup:
     """S_n on tuples, identity first, remaining permutations in lex order."""
     perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(n))] for q in perms]
-        for p in perms
-    ]
-    labels = lambda: ("".join(map(str, p)) for p in perms)
-    return FinGroup._trusted(table, f"S{n}", labels)
+    return _permutation_group(perms, f"S{n}", lambda: ("".join(map(str, p)) for p in perms))
+
+
+def _permutation_group(perms: Sequence[tuple[int, ...]], name: str, labels: Callable[[], Iterable[str]]) -> FinGroup:
+    """The group of `perms`, a list closed under composition with the identity
+    first, multiplied by (pq)(a) = p(q(a))."""
+    pos = {p: i for i, p in enumerate(perms)}
+    return FinGroup._trusted([[pos[tuple(map(p.__getitem__, q))] for q in perms] for p in perms], name, labels)
 
 
 def dicyclic_group(n: int) -> FinGroup:
@@ -429,23 +430,15 @@ def image_and_normal_closure(f: GroupHom) -> tuple[Subgroup, Subgroup]:
 
 
 def quotient(G: FinGroup, N: Subgroup) -> tuple[FinGroup, GroupHom]:
-    """Quotient by a normal subgroup, cosets ordered by minimal representative."""
+    """Quotient by a normal subgroup, cosets ordered by minimal representative:
+    the pullback of G -> 1 <- 1 modulo {(n, 1) : n in N}."""
     if N.ambient != G:
         raise NotNormal("subgroup is not a subgroup of the given group")
     if not N.is_normal():
         raise NotNormal(f"subgroup {N.elements} is not normal in {G.name}")
-    coset_of = [-1] * G.order
-    reps: list[int] = []
-    for a in range(G.order):
-        if coset_of[a] != -1:
-            continue
-        idx = len(reps)
-        reps.append(a)
-        for n in N.elements:
-            coset_of[G.table[a][n]] = idx
-    table = [[coset_of[G.table[ra][rb]] for rb in reps] for ra in reps]
-    labels = lambda: (f"[{G.label(r)}]" for r in reps)
-    Q = FinGroup._trusted(table, f"{G.name}/N{N.order}", labels)
+    T = trivial_group()
+    normal = [(n, 0) for n in N.elements]
+    _, coset_of, _, Q = pullback_quotient(zero_hom(G, T), identity_hom(T), normal, f"{G.name}/N{N.order}", "[{}]")
     return Q, GroupHom._trusted(G, Q, tuple(coset_of))
 
 
@@ -483,10 +476,10 @@ def pullback_quotient(
     Returns P's pairs in lexicographic order, the coset of each pair, the
     pair map, and P/N named `name`.  ``pair(us, vs)`` is the coset of each
     pair (u, v) of two equal-length sequences; a pair off P raises
-    ``TypeError``.  Cosets are numbered by minimal pair index, as
-    :func:`quotient` numbers them, and the coset of minimal pair (a, c) is
-    labeled ``label.format(A.label(a), C.label(c))``, built on the first
-    read of the quotient's ``element_labels``.  A trivial N needs no coset pass.
+    ``TypeError``.  Cosets are numbered by minimal pair index, and the coset
+    of minimal pair (a, c) is labeled ``label.format(A.label(a), C.label(c))``,
+    built on the first read of the quotient's ``element_labels``.  A trivial N
+    needs no coset pass.
     """
     A, C = f.dom, g.dom
     nc, At, Ct = C.order, A.table, C.table
@@ -527,11 +520,12 @@ def _is_pullback(f: GroupHom, g: GroupHom, u: GroupHom, v: GroupHom) -> bool:
     return len(images) == len(u.map) == len(v.map) and images == pairs
 
 
-def direct_product(A: FinGroup, B: FinGroup) -> tuple[FinGroup, GroupHom, GroupHom]:
-    """A x B as the pullback over the trivial group, built afresh: inside a
-    ``_run_memo()`` scope it stores no entry, since its operands are new."""
+def direct_product(A: FinGroup, B: FinGroup) -> tuple[FinGroup, GroupHom, GroupHom, PairMap]:
+    """A x B as the pullback over the trivial group, with its projections and
+    pair map, built afresh: inside a ``_run_memo()`` scope it stores no
+    entry, since its operands are new."""
     T = trivial_group()
-    return _pullback(zero_hom(A, T), zero_hom(B, T), f"{A.name}x{B.name}")[:3]
+    return _pullback(zero_hom(A, T), zero_hom(B, T), f"{A.name}x{B.name}")
 
 
 def klein_four() -> FinGroup:
@@ -539,26 +533,49 @@ def klein_four() -> FinGroup:
 
 
 def semidirect_product(xi: GroupAction) -> tuple[FinGroup, GroupHom, GroupHom, GroupHom]:
-    """G x| G0 with (a,x)(b,y) = (a*(x|>b), x*y).
+    """G x| G0 with (a,x)(b,y) = (a*(x|>b), x*y): the twisted product of the
+    action's permutations with f = 1.
 
     Returns the group plus the projection c, its section e, and the kernel
     inclusion g; the sequence G -> G x| G0 -> G0 is split exact.
     """
     G, G0 = xi.target, xi.actor
     n, n0 = G.order, G0.order
-    table = []
-    for a in range(n):
-        ta = G.table[a]
-        for x in range(n0):
-            # row (a,x) is, for each b, the offset of a*(x|>b) plus the row of x in G0
-            offsets = [ta[xb] * n0 for xb in xi.act[x]]
-            table.append([offset + y for offset in offsets for y in G0.table[x]])
     labels = lambda: (f"({G.label(a)},{G0.label(x)})" for a in range(n) for x in range(n0))
-    S = FinGroup._trusted(table, f"{G.name}x|{G0.name}", labels)
-    c = GroupHom._trusted(S, G0, tuple(x for _ in range(n) for x in range(n0)))
-    e = GroupHom._trusted(G0, S, tuple(range(n0)))
-    g = GroupHom._trusted(G, S, tuple(a * n0 for a in range(n)))
-    return S, c, e, g
+    S, c, g = _twisted_product(G, G0, xi.act, ((0,) * n0,) * n0, f"{G.name}x|{G0.name}", labels)
+    return S, c, GroupHom._trusted(G0, S, tuple(range(n0))), g
+
+
+def _twisted_pairs(
+    G: FinGroup, H: FinGroup, perms: Sequence[Sequence[int]], f: Sequence[Sequence[int]], right: Iterable[int]
+) -> list[list[tuple[int, int]]]:
+    """The one product formula of the twisted product on G x H, (g, x) at
+    g*|H| + x, of the permutations perms[x] of G and the elements f[x][y] of G:
+
+        (g1, x1)(g2, x2) = (g1 perms[x1](g2) f[x1][x2], x1 x2).
+
+    Per x1 in H, the pair (g, x) of (1, x1) e2 for each element e2 in
+    `right`; then (g1, x1) e2 = (g1 g, x).  The caller vouches that the data
+    make a group: a normalized Schreier factor set, or an action with f = 1.
+    """
+    nH, Gt = H.order, G.table
+    right = [divmod(e, nH) for e in right]
+    return [[(Gt[p[g2]][fx[x2]], hx[x2]) for g2, x2 in right] for p, fx, hx in zip(perms, f, H.table)]
+
+
+def _twisted_product(
+    G: FinGroup, H: FinGroup, perms: Sequence[Sequence[int]], f: Sequence[Sequence[int]], name: str, labels=None
+) -> tuple[FinGroup, GroupHom, GroupHom]:
+    """The twisted product E of ``_twisted_pairs``, its projection
+    (g, x) -> x onto H and its inclusion g -> (g, 1) of G.  E's table is
+    built row by row: the row of (g1, x1) is the row of (1, x1) moved by
+    (g, x) -> (g1 g, x)."""
+    n, nH = G.order, H.order
+    firsts = [[g * nH + x for g, x in r] for r in _twisted_pairs(G, H, perms, f, range(n * nH))]
+    moves = [[g * nH + x for g in tg for x in range(nH)] for tg in G.table]
+    E = FinGroup._trusted([list(map(move.__getitem__, r)) for move in moves for r in firsts], name, labels)
+    sigma = GroupHom._trusted(E, H, tuple(x for _ in range(n) for x in range(nH)))
+    return E, sigma, GroupHom._trusted(G, E, tuple(g * nH for g in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -735,12 +752,9 @@ def automorphism_group(G: FinGroup, bound: int = DEFAULT_BOUND) -> tuple[FinGrou
     autos = sorted(_generator_images(G, G, bijective=True))
     if len(autos) > AUT_LIMIT:
         raise BoundExceeded(f"automorphism_group: automorphisms of {G.name}", len(autos), AUT_LIMIT)
-    pos = {p: i for i, p in enumerate(autos)}
-    table = [[pos[tuple(p[q[a]] for a in range(G.order))] for q in autos] for p in autos]
     labels = lambda: ("id" if p == tuple(range(G.order)) else "f" + "".join(map(str, p)) for p in autos)
-    A = FinGroup._trusted(table, f"Aut({G.name})", labels)
-    ev = GroupAction._trusted(A, G, tuple(autos))
-    return A, ev
+    A = _permutation_group(autos, f"Aut({G.name})", labels)
+    return A, GroupAction._trusted(A, G, tuple(autos))
 
 
 def hom_to_action(rho: GroupHom, ev: GroupAction) -> GroupAction:

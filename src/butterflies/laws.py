@@ -19,6 +19,7 @@ from typing import Callable
 
 from .butterfly import (
     Butterfly,
+    _arrow,
     butterfly_morphism,
     butterfly_morphisms,
     compose,
@@ -487,21 +488,15 @@ def ef3_coincidence(B: Butterfly) -> bool:
     I = identity_butterfly(B.cod)
     L = reduced_compose(left, B)
     R = reduced_compose(right, I)
-    E = B.E
     LP, l1, l2, _ = product_and_pullback(B.sigma, B.sigma)
     RP, _, _, pairR = product_and_pullback(B.rho, I.sigma)
     if L.E != LP or R.E != RP:
         return False
-    iota_inv = {e: g for g, e in enumerate(B.iota.map)}
-    nG0 = B.cod.G0.order
-    arrows = []
-    for e1, e2 in zip(l1.map, l2.map):
-        g = iota_inv.get(E.table[e2][E.inv(e1)])
-        if g is None:
-            return False
-        arrows.append(g * nG0 + B.rho.map[e1])
-    # the arrow (g, rho e1) of the identity butterfly ends at rho(e1), so each
-    # pair (e1, arrow) lies on RP
+    try:  # off the image of iota there is no arrow
+        arrows = list(map(_arrow(B), l2.map, l1.map))
+    except KeyError:
+        return False
+    # arrow(e2, e1) ends at rho(e1), so each pair (e1, arrow) lies on RP
     theta = pairR(l1.map, arrows)
     if _hom_defect(L.E, R.E, theta) is not None:
         return False

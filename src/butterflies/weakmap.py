@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .butterfly import Butterfly
+from .butterfly import Butterfly, _arrow
 from .errors import GroupLawSearchFailed, SectionInvalid
 from .fingroup import FinGroup, GroupHom, kernel
 from .report import ValidationReport
@@ -157,33 +157,20 @@ def identity_monoidal(T: Strict2Group) -> MonoidalFunctor:
 def extract_monoidal(B: Butterfly, section: SetSection) -> MonoidalFunctor:
     """The weak morphism of a butterfly along a set-theoretic section.
 
-    F0 = s;rho on objects; the arrow component F1(h, x) divides kappa(h) into
-    the section, and F2 measures the failure of s to be multiplicative; both
-    lie in ker sigma = image(iota), as B is assumed valid.
+    F0 = s;rho on objects.  The arrow component F1(h, x) is the arrow of
+    ``butterfly._arrow`` from kappa(h)^-1 s(boundary(h) x) to s(x), and F2(x, y)
+    the one from s(x) s(y) to s(xy), which measures the failure of s to be
+    multiplicative; both exist, as B is assumed valid.
     """
     if section.of != B:
         raise SectionInvalid("section belongs to a different butterfly")
     s = section.s
     TH, TG = denormalize(B.dom), denormalize(B.cod)
-    E, H0, G0 = B.E, B.dom.G0, B.cod.G0
-    k, r = B.kappa.map, B.rho.map
-    iota_inv = {e: g for g, e in enumerate(B.iota.map)}
-    bd = B.dom.boundary.map
-    F0 = tuple(r[s[x]] for x in range(H0.order))
-    nG0 = G0.order
-    F1 = []
-    for h in range(B.dom.G.order):
-        for x in range(H0.order):
-            value = E.table[E.table[E.inv(k[h])][s[H0.table[bd[h]][x]]]][E.inv(s[x])]
-            F1.append(iota_inv[value] * nG0 + F0[x])
-    F2 = []
-    for x in range(H0.order):
-        row = []
-        for y in range(H0.order):
-            xy = H0.table[x][y]
-            value = E.table[E.table[s[x]][s[y]]][E.inv(s[xy])]
-            row.append(iota_inv[value] * nG0 + r[s[xy]])
-        F2.append(tuple(row))
+    E, H0, t = B.E, B.dom.G0, B.dom.G0.table
+    k, bd, arrow = B.kappa.map, B.dom.boundary.map, _arrow(B)
+    F0 = tuple(B.rho.map[s[x]] for x in range(H0.order))
+    F1 = [arrow(E.table[E.inv(k[h])][s[t[bd[h]][x]]], s[x]) for h in range(B.dom.G.order) for x in range(H0.order)]
+    F2 = [tuple(arrow(E.table[s[x]][s[y]], s[xy]) for y, xy in enumerate(t[x])) for x in range(H0.order)]
     return MonoidalFunctor(TH, TG, F0, tuple(F1), tuple(F2))
 
 

@@ -296,12 +296,9 @@ def normalize(T: Strict2Group) -> CrossedModule:
 def denormalize_morphism(P: XModMorphism) -> TwoGroupFunctor:
     """The internal functor (p x| p0, p0) induced by a crossed module morphism."""
     TH, TG = denormalize(P.dom), denormalize(P.cod)
-    nH0, nG0 = P.dom.G0.order, P.cod.G0.order
-    p1 = [0] * TH.G1.order
-    for h in range(P.dom.G.order):
-        for x in range(nH0):
-            p1[h * nH0 + x] = P.p.map[h] * nG0 + P.p0.map[x]
-    return TwoGroupFunctor(TH, TG, GroupHom._trusted(TH.G1, TG.G1, tuple(p1)), P.p0)
+    # (h, x) -> (p h, p0 x), in the index order (h, x) at h*|H0| + x of both arrow groups
+    p1 = tuple(ph * P.cod.G0.order + px for ph in P.p.map for px in P.p0.map)
+    return TwoGroupFunctor(TH, TG, GroupHom._trusted(TH.G1, TG.G1, p1), P.p0)
 
 
 def normalization_round_trip_equal(X: CrossedModule) -> bool:
@@ -498,8 +495,9 @@ def enumerate_natural_transformations(P: XModMorphism, Q: XModMorphism) -> list[
 
 def all_xmod_morphisms(dom: CrossedModule, cod: CrossedModule) -> Iterator[XModMorphism]:
     """Every crossed module morphism dom -> cod, deterministically ordered."""
+    homs = all_homomorphisms(dom.G, cod.G)
     for p0 in all_homomorphisms(dom.G0, cod.G0):
-        for p in all_homomorphisms(dom.G, cod.G):
+        for p in homs:
             candidate = XModMorphism(dom, cod, p, p0)
             if validate_xmod_morphism(candidate).ok:
                 yield candidate

@@ -4,7 +4,8 @@
 the pairs of the pullback P, without P's table, and trusts N to be normal.
 Here the composite is rebuilt the long way, with every step checked: the
 full pullback group from its own tuple-keyed routine, N as a checked
-subgroup, ``quotient`` (which checks normality) and checking homomorphism
+subgroup checked to be normal, the coset loop of ``reference_quotient``
+(``quotient`` is now a pullback quotient itself) and checking homomorphism
 constructors.  The two must serialize identically.
 
 ``product_and_pullback`` is the same builder as ``compose``'s, taken modulo
@@ -19,9 +20,11 @@ import sys
 
 import pytest
 
+from test_construction_reference import reference_quotient
+
 from butterflies import butterfly, fingroup, laws, xmod
 from butterflies.butterfly import Butterfly, compose, to_fractor
-from butterflies.fingroup import FinGroup, GroupHom, Subgroup, product_and_pullback, quotient
+from butterflies.fingroup import FinGroup, GroupHom, Subgroup, product_and_pullback
 from butterflies.jsonio import canonical_bytes, to_jsonable
 from butterflies.laws import generate_fixtures, run_bicategory_suite, run_fractions_suite
 
@@ -60,7 +63,8 @@ def reference_compose(B: Butterfly, B2: Butterfly) -> Butterfly:
     P, pr1, pr2, pos = reference_pullback(B.rho, B2.sigma)
     G, H, K = B.cod.G, B.dom.G, B2.cod.G
     N = Subgroup(P, tuple(pos[(B.iota.map[g], B2.kappa.map[g])] for g in range(G.order)))
-    Q, pr = quotient(P, N)
+    assert N.is_normal()
+    Q, pr = reference_quotient(P, N)
     sigma_map = [0] * Q.order
     rho_map = [0] * Q.order
     for idx in range(P.order):

@@ -197,7 +197,7 @@ class TestPullback:
         assert p1.map == p2.map
 
     def test_full_product(self):
-        P, _, _ = direct_product(Z2, Z4)
+        P, _, _, _ = direct_product(Z2, Z4)
         assert P.order == 8
 
     def test_parity_pullback(self):

@@ -212,7 +212,7 @@ class TestRunMemo:
         A, B, T = cyclic_group(2), cyclic_group(3), fingroup.trivial_group()
         P0, p0, q0, _ = fingroup.product_and_pullback(fingroup.zero_hom(A, T), fingroup.zero_hom(B, T))
         with _run_memo():
-            P, p, q = fingroup.direct_product(A, B)
+            P, p, q, _ = fingroup.direct_product(A, B)
             assert fingroup._memo.get() == {}
         assert (P.table, P.element_labels, p.map, q.map) == (P0.table, P0.element_labels, p0.map, q0.map)
         assert (P.name, p.dom, p.cod, q.dom, q.cod) == ("Z2xZ3", P, A, P, B)

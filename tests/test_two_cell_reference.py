@@ -166,7 +166,7 @@ def test_codomains_differ_is_not_a_pullback():
     # Z2 x Z2 with its projections would be the pullback if the zero maps shared a codomain
     Z2, Z3 = cyclic_group(2), cyclic_group(3)
     f, g = zero_hom(Z2, Z2), zero_hom(Z2, Z3)
-    _, p1, p2 = direct_product(Z2, Z2)
+    _, p1, p2, _ = direct_product(Z2, Z2)
     assert _is_pullback(f, zero_hom(Z2, Z2), p1, p2)
     with pytest.raises(CodomainMismatch):
         product_and_pullback(f, g)
