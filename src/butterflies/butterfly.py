@@ -15,7 +15,7 @@ between the groups it joins, and the validator reports the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     ConstructionError,
@@ -31,6 +31,7 @@ from .fingroup import (
     _generator_images,
     _is_pullback,
     _per_operand,
+    _twisted_index,
     direct_product,
     identity_hom,
     kernel,
@@ -419,14 +420,16 @@ def whisker_left(B: Butterfly, f: ButterflyMorphism) -> ButterflyMorphism:
 # fractors: the groupoid-level presentation
 
 
-def _arrow(B: Butterfly) -> Callable[[int, int], int]:
-    """The arrow map of B: ``arrow(e1, e2)`` is the arrow
-    (iota^-1(e1 e2^-1), rho e2) from rho(e1) to rho(e2) in the codomain's
-    2-group G x| G0.  On the kernel pair R[sigma] it is the fractor's
-    rho-bar.  Raises ``KeyError`` when e1 e2^-1 is not in the image of iota."""
+def _arrows(B: Butterfly, e1s: Sequence[int], e2s: Sequence[int]) -> tuple[int, ...]:
+    """The arrow map of B over two equal-length sequences: for each e1, e2
+    the arrow (iota^-1(e1 e2^-1), rho e2) from rho(e1) to rho(e2) in the
+    codomain's 2-group G x| G0.  On the kernel pair R[sigma] it is the
+    fractor's rho-bar.  Raises ``KeyError`` when some e1 e2^-1 is not in the
+    image of iota."""
     iota_inv = {e: g for g, e in enumerate(B.iota.map)}
-    t, inv, rho, n0 = B.E.table, B.E.inverse, B.rho.map, B.cod.G0.order
-    return lambda e1, e2: iota_inv[t[e1][inv[e2]]] * n0 + rho[e2]
+    t, inv, rho = B.E.table, B.E.inverse, B.rho.map
+    _, _, pair = _twisted_index(B.cod.G.order, B.cod.G0.order)
+    return pair([iota_inv[t[e1][inv[e2]]] for e1, e2 in zip(e1s, e2s)], [rho[e2] for e2 in e2s])
 
 
 @dataclass(frozen=True)
@@ -455,7 +458,7 @@ def to_fractor(B: Butterfly) -> Fractor:
     RS, pr1, pr2, pair = product_and_pullback(B.sigma, B.sigma)
     diagonal = GroupHom._trusted(E, RS, pair(range(E.order), range(E.order)))
     Rsigma = Strict2Group(RS, E, pr1, pr2, diagonal)
-    rho_bar = GroupHom._trusted(Rsigma.G1, G2.G1, tuple(map(_arrow(B), pr1.map, pr2.map)))
+    rho_bar = GroupHom._trusted(Rsigma.G1, G2.G1, _arrows(B, pr1.map, pr2.map))
     return Fractor(
         H2=H2,
         G2=G2,

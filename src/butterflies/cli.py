@@ -89,7 +89,7 @@ class Workspace:
     def put(self, obj: Any) -> str:
         data = jsonio.to_jsonable(obj)
         blob = jsonio.canonical_bytes(data)
-        ref = jsonio.content_ref(data)
+        ref = jsonio.bytes_ref(blob)
         self._ensure()
         try:
             with open(self.lock_path, "w") as lock:

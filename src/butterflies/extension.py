@@ -23,11 +23,10 @@ from .fingroup import (
     FinGroup,
     GroupAction,
     GroupHom,
-    _Columns,
-    _columns_record,
     _generator_images,
     _generators,
-    _twisted_pairs,
+    _twisted_columns,
+    _twisted_index,
     _twisted_product,
     all_homomorphisms,
     automorphism_group,
@@ -175,8 +174,8 @@ def validate_factor_set(fs: FactorSet, aut: FinGroup, ev: GroupAction) -> bool:
 
 
 def factor_set_to_extension(fs: FactorSet) -> ExtensionDatum:
-    """Schreier reconstruction: the twisted product on G x H, (g, x) at g*|H| + x,
-    of phi's automorphisms and f.
+    """Schreier reconstruction: the twisted product on G x H of phi's
+    automorphisms and f.
 
     The Schreier conditions make it a group, so it is built unchecked; both
     classification routes re-check each class representative's table with
@@ -354,7 +353,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Exten
     """Classify extensions of H by G on the butterfly side.
 
     Each cocycle (phi, f) stands for the butterfly D(H) -> A(G) of its
-    twisted product E on G x H, (g, x) at g*|H| + x, with the product
+    twisted product E on G x H, with the product
     (g1, x1)(g2, x2) = (g1 phi(x1)(g2) f(x1, x2), x1 x2).  Every such E has
     the same wings, the same sigma and, with the wing images first, the same
     generating sequence (``_wing_first_generators``).  Its Aut-leg is
@@ -389,10 +388,10 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Exten
     if H.order * G.order > bound:
         raise BoundExceeded("classify_extensions", H.order * G.order, bound)
     cocycles = enumerate_cocycles(H, G, bound)
-    A, dom, nH = aut_xmod(G), discrete_xmod(H), H.order
+    A, dom = aut_xmod(G), discrete_xmod(H)
     gens = _wing_first_generators(H, G)
-    iota = tuple(g * nH for g in range(G.order))
-    sigma = tuple(x for _ in range(G.order) for x in range(nH))
+    _, sigma, pair = _twisted_index(G.order, H.order)
+    iota = pair(range(G.order), (0,) * G.order)
     reps: list[Butterfly] = []
     data: list[tuple[ExtensionDatum, FactorSet]] = []
     counts: list[int] = []
@@ -401,7 +400,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Exten
         rho = _twisted_rho(fs, A)
         legs = ((0,), iota, sigma, rho)
         bucket = buckets.setdefault(_morphism_invariant(fs, rho), [])
-        source = _twisted_columns(fs, gens) if bucket else None
+        source = _twisted_columns(G, H, _aut_rows(fs), fs.f, gens) if bucket else None
         for k in bucket:
             if _witness_map(source, legs, reps[k]) is not None:
                 counts[k] += 1
@@ -434,49 +433,44 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[Exten
 
 def _wing_first_generators(H: FinGroup, G: FinGroup) -> tuple[int, ...]:
     """The generating sequence, wing images first, shared by every twisted
-    product over (H, G): iota of G's generators, then (1, x) = x for H's.
+    product over (H, G): iota of G's generators, then (1, x) for H's.
     The span of iota(G) is the kernel of sigma, and a subgroup containing it
-    is the preimage of its image in H; the elements (1, x) come first in index
-    order, so the greedy choice continues as H's own does."""
-    return (*(g * H.order for g in _generators(G)), *_generators(H))
+    is the preimage of its image in H; the elements (1, x) come first in
+    element order, in H's order, so the greedy choice continues as H's does."""
+    gG, gH = _generators(G), _generators(H)
+    _, _, pair = _twisted_index(G.order, H.order)
+    return pair(gG + (0,) * len(gH), (0,) * len(gG) + gH)
 
 
 def _twisted_rho(fs: FactorSet, A: CrossedModule) -> tuple[int, ...]:
     """The Aut-leg of the butterfly of fs's twisted product, A = aut_xmod(G):
     rho(g, x) = inner(g) phi(x), one lookup in Aut(G)'s table per element."""
-    aut = A.G0.table
-    return tuple([aut[i][p] for i in A.boundary.map for p in fs.phi])
-
-
-def _twisted_columns(fs: FactorSet, gens: Sequence[int]) -> _Columns:
-    """The generator-columns record of fs's twisted product for the
-    generating sequence `gens`: only the columns of `gens`, not the table."""
-    H, G, nH = fs.H, fs.G, fs.H.order
-    pairs = _twisted_pairs(G, H, _aut_rows(fs), fs.f, gens)
-    # the column of e2 holds (g1, x1) e2 = (g1 g, x) for the (g, x) = (1, x1) e2 of each x1
-    columns = [[tg[g] * nH + x for tg in G.table for g, x in col] for col in zip(*pairs)]
-    return _columns_record(G.order * nH, gens, columns)
+    aut, inner, phi = A.G0.table, A.boundary.map, fs.phi
+    gs, xs, _ = _twisted_index(fs.G.order, fs.H.order)
+    return tuple([aut[inner[g]][phi[x]] for g, x in zip(gs, xs)])
 
 
 def _morphism_invariant(fs: FactorSet, rho: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
     """The isomorphism invariant of ``classify_extensions`` for the butterfly
     of fs's twisted product, whose Aut-leg is rho: the powers e^m come from
     the product formula."""
-    H, G, nH, Gt = fs.H, fs.G, fs.H.order, fs.G.table
+    H, Gt = fs.H, fs.G.table
     rows = _aut_rows(fs)
-    triples = []
-    for x in range(nH):
-        # with y = x^k != 1, (p, y)(g, x) = (p phi(y)(g) f(y, x), y x)
-        steps, y = [], x
+    steps = []  # per x, the (phi(y), f(y, x)) of y = x^k != 1: (p, y)(g, x) = (p phi(y)(g) f(y, x), y x)
+    for x in range(H.order):
+        steps.append([])
+        y = x
         while y:
-            steps.append((rows[y], fs.f[y][x]))
+            steps[x].append((rows[y], fs.f[y][x]))
             y = H.table[y][x]
-        for g in range(G.order):
-            p = g
-            for twist, c in steps:
-                p = Gt[Gt[p][twist[g]]][c]
-            triples.append((x, rho[g * nH + x], p))
-    return tuple(sorted(triples))
+    gs, xs, _ = _twisted_index(fs.G.order, H.order)
+    powers = []  # iota^-1(e^m) for each e = (g, x), m the order of x
+    for g, x in zip(gs, xs):
+        p = g
+        for twist, c in steps[x]:
+            p = Gt[Gt[p][twist[g]]][c]
+        powers.append(p)
+    return tuple(sorted(zip(xs, rho, powers)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BoundExceeded, CodomainMismatch, NotAGroup, NotNormal
@@ -268,12 +268,8 @@ class GroupHom(_Trusted):
 
     def __post_init__(self):
         object.__setattr__(self, "map", tuple(int(x) for x in self.map))
-        if len(self.map) != self.dom.order:
-            raise ValueError("map length does not match domain order")
-        if any(x < 0 or x >= self.cod.order for x in self.map):
-            raise ValueError("map value out of codomain range")
-        if self.map[0] != 0:
-            raise ValueError("map does not preserve the identity")
+        if not _maps_into(self.map, self.dom.order, self.cod.order):
+            raise ValueError("map is not one codomain element per domain element")
         defect = _hom_defect(self.dom, self.cod, self.map)
         if defect is not None:
             raise ValueError(f"map is not multiplicative at ({defect[0]},{defect[1]})")
@@ -540,17 +536,28 @@ def semidirect_product(xi: GroupAction) -> tuple[FinGroup, GroupHom, GroupHom, G
     inclusion g; the sequence G -> G x| G0 -> G0 is split exact.
     """
     G, G0 = xi.target, xi.actor
-    n, n0 = G.order, G0.order
-    labels = lambda: (f"({G.label(a)},{G0.label(x)})" for a in range(n) for x in range(n0))
+    n0 = G0.order
+    gs, xs, pair = _twisted_index(G.order, G0.order)
+    labels = lambda: (f"({G.label(a)},{G0.label(x)})" for a, x in zip(gs, xs))
     S, c, g = _twisted_product(G, G0, xi.act, ((0,) * n0,) * n0, f"{G.name}x|{G0.name}", labels)
-    return S, c, GroupHom._trusted(G0, S, tuple(range(n0))), g
+    return S, c, GroupHom._trusted(G0, S, pair((0,) * n0, range(n0))), g
+
+
+@lru_cache(maxsize=64)
+def _twisted_index(n: int, nH: int) -> tuple[tuple[int, ...], tuple[int, ...], PairMap]:
+    """The element order of every twisted product on G x H, |G| = n and |H| = nH,
+    each crossed module's arrow group among them: each element's g and x, and the
+    pair map, ``pair(gs, xs)`` the element (g, x) of each g, x of two equal-length
+    sequences.  Only the constructions below also write (g, x) at g*|H| + x out."""
+    pair = lambda gs, xs: tuple([g * nH + x for g, x in zip(gs, xs)])
+    return tuple(g for g in range(n) for _ in range(nH)), tuple(range(nH)) * n, pair
 
 
 def _twisted_pairs(
     G: FinGroup, H: FinGroup, perms: Sequence[Sequence[int]], f: Sequence[Sequence[int]], right: Iterable[int]
 ) -> list[list[tuple[int, int]]]:
-    """The one product formula of the twisted product on G x H, (g, x) at
-    g*|H| + x, of the permutations perms[x] of G and the elements f[x][y] of G:
+    """The one product formula of the twisted product on G x H (``_twisted_index``)
+    of the permutations perms[x] of G and the elements f[x][y] of G:
 
         (g1, x1)(g2, x2) = (g1 perms[x1](g2) f[x1][x2], x1 x2).
 
@@ -574,8 +581,19 @@ def _twisted_product(
     firsts = [[g * nH + x for g, x in r] for r in _twisted_pairs(G, H, perms, f, range(n * nH))]
     moves = [[g * nH + x for g in tg for x in range(nH)] for tg in G.table]
     E = FinGroup._trusted([list(map(move.__getitem__, r)) for move in moves for r in firsts], name, labels)
-    sigma = GroupHom._trusted(E, H, tuple(x for _ in range(n) for x in range(nH)))
-    return E, sigma, GroupHom._trusted(G, E, tuple(g * nH for g in range(n)))
+    _, xs, pair = _twisted_index(n, nH)
+    return E, GroupHom._trusted(E, H, xs), GroupHom._trusted(G, E, pair(range(n), (0,) * n))
+
+
+def _twisted_columns(G: FinGroup, H: FinGroup, perms, f, gens: Sequence[int]) -> _Columns:
+    """The generator-columns record of the twisted product of ``_twisted_pairs``
+    (perms and f as there) for the generating sequence `gens`: only their
+    columns, not the table."""
+    nH = H.order
+    pairs = _twisted_pairs(G, H, perms, f, gens)
+    # the column of e2 holds (g1, x1) e2 = (g1 g, x) for the (g, x) = (1, x1) e2 of each x1
+    columns = [[tg[g] * nH + x for tg in G.table for g, x in col] for col in zip(*pairs)]
+    return _columns_record(G.order * nH, gens, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +649,11 @@ def _columns(G: FinGroup, first: tuple[int, ...] = ()) -> _Columns:
 def _generators(G: FinGroup, first: tuple[int, ...] = ()) -> tuple[int, ...]:
     """The generating sequence of G with `first` entering first, memoized on G."""
     return _columns(G, first).gens
+
+
+def _maps_into(m: Sequence[int], n: int, k: int) -> bool:
+    """Whether m holds one value in range(k) for each of n domain elements."""
+    return len(m) == n and all(0 <= y < k for y in m)
 
 
 def _hom_defect(G: FinGroup, H: FinGroup, m: Sequence[int]) -> Optional[tuple[int, int]]:

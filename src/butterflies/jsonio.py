@@ -62,7 +62,11 @@ def canonical_bytes(data: dict) -> bytes:
 
 
 def content_ref(data: dict) -> str:
-    return hashlib.sha256(canonical_bytes(data)).hexdigest()
+    return bytes_ref(canonical_bytes(data))
+
+
+def bytes_ref(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
 
 
 def detect_kind(data: dict) -> str:

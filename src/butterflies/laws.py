@@ -19,7 +19,7 @@ from typing import Callable
 
 from .butterfly import (
     Butterfly,
-    _arrow,
+    _arrows,
     butterfly_morphism,
     butterfly_morphisms,
     compose,
@@ -493,7 +493,7 @@ def ef3_coincidence(B: Butterfly) -> bool:
     if L.E != LP or R.E != RP:
         return False
     try:  # off the image of iota there is no arrow
-        arrows = list(map(_arrow(B), l2.map, l1.map))
+        arrows = _arrows(B, l2.map, l1.map)
     except KeyError:
         return False
     # arrow(e2, e1) ends at rho(e1), so each pair (e1, arrow) lies on RP

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .butterfly import Butterfly, _arrow
+from .butterfly import Butterfly, _arrows
 from .errors import GroupLawSearchFailed, SectionInvalid
-from .fingroup import FinGroup, GroupHom, kernel
+from .fingroup import FinGroup, GroupHom, _maps_into, _twisted_index, kernel
 from .report import ValidationReport
 from .xmod import Strict2Group, _functor_laws, _natural_families, denormalize, normalize, validate_two_group
 
@@ -34,16 +34,12 @@ class MonoidalFunctor:
         object.__setattr__(self, "F0", tuple(self.F0))
         object.__setattr__(self, "F1", tuple(self.F1))
         object.__setattr__(self, "F2", tuple(tuple(row) for row in self.F2))
-        n0 = self.dom.G0.order
-        if len(self.F0) != n0 or len(self.F1) != self.dom.G1.order:
-            raise ValueError("F0/F1 must cover the domain")
-        if len(self.F2) != n0 or any(len(row) != n0 for row in self.F2):
-            raise ValueError("F2 must cover H0 x H0")
-        if any(not 0 <= v < self.cod.G0.order for v in self.F0):
-            raise ValueError("F0 value out of the codomain's object range")
-        n1 = self.cod.G1.order
-        if any(not 0 <= v < n1 for v in itertools.chain(self.F1, *self.F2)):
-            raise ValueError("F1/F2 value out of the codomain's arrow range")
+        n0, n1 = self.dom.G0.order, self.cod.G1.order
+        if not _maps_into(self.F0, n0, self.cod.G0.order):
+            raise ValueError("F0 is not a map into the codomain's object range")
+        F2_ok = len(self.F2) == n0 and all(_maps_into(row, n0, n1) for row in self.F2)
+        if not (_maps_into(self.F1, self.dom.G1.order, n1) and F2_ok):
+            raise ValueError("F1/F2 is not a map into the codomain's arrow range")
 
     def is_strict(self) -> bool:
         e, t = self.cod.e.map, self.dom.G0.table
@@ -117,13 +113,11 @@ class SetSection:
 
 def set_section(B: Butterfly, s) -> SetSection:
     s = tuple(s)
-    if len(s) != B.dom.G0.order:
-        raise SectionInvalid("section must be defined on all of H0")
+    if not _maps_into(s, B.dom.G0.order, B.E.order):
+        raise SectionInvalid(f"section is not a map from H0 into E (0..{B.E.order - 1})")
     if s[0] != 0:
         raise SectionInvalid("section must be normalized: s(1) = 1")
     for x, e in enumerate(s):
-        if not 0 <= e < B.E.order:
-            raise SectionInvalid(f"s({x}) = {e} is not an element of E (0..{B.E.order - 1})")
         if B.sigma.map[e] != x:
             raise SectionInvalid(f"s({x}) is not in the sigma-fiber of {x}")
     return SetSection(B, s)
@@ -158,7 +152,7 @@ def extract_monoidal(B: Butterfly, section: SetSection) -> MonoidalFunctor:
     """The weak morphism of a butterfly along a set-theoretic section.
 
     F0 = s;rho on objects.  The arrow component F1(h, x) is the arrow of
-    ``butterfly._arrow`` from kappa(h)^-1 s(boundary(h) x) to s(x), and F2(x, y)
+    ``butterfly._arrows`` from kappa(h)^-1 s(boundary(h) x) to s(x), and F2(x, y)
     the one from s(x) s(y) to s(xy), which measures the failure of s to be
     multiplicative; both exist, as B is assumed valid.
     """
@@ -167,11 +161,12 @@ def extract_monoidal(B: Butterfly, section: SetSection) -> MonoidalFunctor:
     s = section.s
     TH, TG = denormalize(B.dom), denormalize(B.cod)
     E, H0, t = B.E, B.dom.G0, B.dom.G0.table
-    k, bd, arrow = B.kappa.map, B.dom.boundary.map, _arrow(B)
-    F0 = tuple(B.rho.map[s[x]] for x in range(H0.order))
-    F1 = [arrow(E.table[E.inv(k[h])][s[t[bd[h]][x]]], s[x]) for h in range(B.dom.G.order) for x in range(H0.order)]
-    F2 = [tuple(arrow(E.table[s[x]][s[y]], s[xy]) for y, xy in enumerate(t[x])) for x in range(H0.order)]
-    return MonoidalFunctor(TH, TG, F0, tuple(F1), tuple(F2))
+    k, bd, objects = B.kappa.map, B.dom.boundary.map, range(H0.order)
+    F0 = tuple(B.rho.map[s[x]] for x in objects)
+    hs, xs, _ = _twisted_index(B.dom.G.order, H0.order)
+    F1 = _arrows(B, [E.table[E.inv(k[h])][s[t[bd[h]][x]]] for h, x in zip(hs, xs)], [s[x] for x in xs])
+    F2 = [_arrows(B, [E.table[s[x]][s[y]] for y in objects], [s[xy] for xy in t[x]]) for x in objects]
+    return MonoidalFunctor(TH, TG, F0, F1, tuple(F2))
 
 
 def _limit_triples(M: MonoidalFunctor) -> tuple[list[tuple[int, int, int]], dict[tuple[int, int, int], int]]:

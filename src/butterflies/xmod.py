@@ -37,7 +37,9 @@ from .fingroup import (
     Subgroup,
     _generator_images,
     _hom_defect,
+    _maps_into,
     _per_operand,
+    _twisted_index,
     all_homomorphisms,
     identity_hom,
     kernel,
@@ -241,8 +243,7 @@ def validate_two_group_functor(F: TwoGroupFunctor) -> ValidationReport:
     T, U = F.dom, F.cod
     # the functor laws index U's maps by the legs' values
     for leg, D, C in (("p1", T.G1, U.G1), ("p0", T.G0, U.G0)):
-        m = getattr(F, leg).map
-        if len(m) != D.order or not all(0 <= y < C.order for y in m):
+        if not _maps_into(getattr(F, leg).map, D.order, C.order):
             report.add("leg-range", leg, f"{leg} is not a map {D.name} -> {C.name}")
     if report.ok:
         _functor_laws(report, T, U, F.p0.map, F.p1.map)
@@ -255,27 +256,23 @@ def denormalize(X: CrossedModule) -> Strict2Group:
     """The 2-group G x| G0 => G0 of a crossed module."""
     S, c, e, _ = semidirect_product(X.action)
     t0, bd = X.G0.table, X.boundary.map
-    d = GroupHom._trusted(S, X.G0, tuple(t0[bd[a]][x] for a in range(X.G.order) for x in range(X.G0.order)))
+    gs, xs, _ = _twisted_index(X.G.order, X.G0.order)
+    d = GroupHom._trusted(S, X.G0, tuple(t0[bd[a]][x] for a, x in zip(gs, xs)))
     return Strict2Group(S, X.G0, d, c, e)
 
 
 @_per_operand
 def kernel_embedding(X: CrossedModule) -> GroupHom:
-    """The inclusion g: G -> G1 of the arrow group's c-kernel, a |-> (a, 1)."""
-    T = denormalize(X)
-    n0 = X.G0.order
-    return GroupHom._trusted(X.G, T.G1, tuple(a * n0 for a in range(X.G.order)))
+    """The inclusion g: G -> G1 of the arrow group's c-kernel, a |-> a / 1 = (a, 1)."""
+    n = X.G.order
+    return GroupHom._trusted(X.G, denormalize(X).G1, pointwise_division_arrow(X, range(n), (0,) * n))
 
 
 @_per_operand
 def cokernel_embedding(X: CrossedModule) -> GroupHom:
-    """The d-kernel inclusion g-bullet: G -> G1, a |-> (a^-1, d(a))."""
-    T = denormalize(X)
-    n0 = X.G0.order
-    bd = X.boundary.map
-    return GroupHom._trusted(
-        X.G, T.G1, tuple(X.G.inv(a) * n0 + bd[a] for a in range(X.G.order))
-    )
+    """The d-kernel inclusion g-bullet: G -> G1, a |-> 1 / a = (a^-1, d(a))."""
+    n = X.G.order
+    return GroupHom._trusted(X.G, denormalize(X).G1, pointwise_division_arrow(X, (0,) * n, range(n)))
 
 
 def normalize(T: Strict2Group) -> CrossedModule:
@@ -294,10 +291,12 @@ def normalize(T: Strict2Group) -> CrossedModule:
 
 
 def denormalize_morphism(P: XModMorphism) -> TwoGroupFunctor:
-    """The internal functor (p x| p0, p0) induced by a crossed module morphism."""
+    """The internal functor (p x| p0, p0) induced by a crossed module morphism:
+    (h, x) -> (p h, p0 x) on arrows."""
     TH, TG = denormalize(P.dom), denormalize(P.cod)
-    # (h, x) -> (p h, p0 x), in the index order (h, x) at h*|H0| + x of both arrow groups
-    p1 = tuple(ph * P.cod.G0.order + px for ph in P.p.map for px in P.p0.map)
+    hs, xs, _ = _twisted_index(P.dom.G.order, P.dom.G0.order)
+    _, _, pair = _twisted_index(P.cod.G.order, P.cod.G0.order)
+    p1 = pair([P.p.map[h] for h in hs], [P.p0.map[x] for x in xs])
     return TwoGroupFunctor(TH, TG, GroupHom._trusted(TH.G1, TG.G1, p1), P.p0)
 
 
@@ -321,12 +320,8 @@ def denormalization_round_trip_iso(T: Strict2Group) -> Optional[TwoGroupFunctor]
     X = normalize(T)
     U = denormalize(X)
     K = kernel(T.c)
-    n0 = X.G0.order
-    t1 = T.G1.table
-    f1_map = [0] * U.G1.order
-    for k, el in enumerate(K.elements):
-        for x in range(n0):
-            f1_map[k * n0 + x] = t1[el][T.e.map[x]]
+    ks, xs, _ = _twisted_index(X.G.order, X.G0.order)
+    f1_map = [T.G1.table[K.elements[k]][T.e.map[x]] for k, x in zip(ks, xs)]
     if len(set(f1_map)) != T.G1.order:
         return None
     try:
@@ -407,16 +402,16 @@ class XModTwoCell:
         if self.P.dom != self.Q.dom or self.P.cod != self.Q.cod:
             raise ValueError("2-cells require parallel morphisms")
         object.__setattr__(self, "alpha", tuple(self.alpha))
-        if len(self.alpha) != self.P.dom.G0.order:
-            raise ValueError("alpha must be defined on all of H0")
-        if any(not 0 <= a < self.P.cod.size for a in self.alpha):
-            raise ValueError("alpha value out of the codomain's arrow range")
+        if not _maps_into(self.alpha, self.P.dom.G0.order, self.P.cod.size):
+            raise ValueError("alpha is not a map from H0 into the codomain's arrow range")
 
 
-def pointwise_division_arrow(X: CrossedModule, a: int, b: int) -> int:
-    """The arrow (a*b^-1, boundary b) of the 2-group of X, i.e. the cooperator of g and g-bullet."""
-    n0 = X.G0.order
-    return X.G.table[a][X.G.inv(b)] * n0 + X.boundary.map[b]
+def pointwise_division_arrow(X: CrossedModule, as_: Sequence[int], bs: Sequence[int]) -> tuple[int, ...]:
+    """The arrows a / b = (a*b^-1, boundary b) of the 2-group of X for each a,
+    b of two equal-length sequences, i.e. the cooperator of g and g-bullet."""
+    t, inv, bd = X.G.table, X.G.inverse, X.boundary.map
+    _, _, pair = _twisted_index(X.G.order, X.G0.order)
+    return pair([t[a][inv[b]] for a, b in zip(as_, bs)], [bd[b] for b in bs])
 
 
 def validate_two_cell(cell: XModTwoCell) -> ValidationReport:
@@ -442,8 +437,8 @@ def validate_two_cell(cell: XModTwoCell) -> ValidationReport:
     if not report.ok:
         return report
     bd = P.dom.boundary.map
-    for h in range(P.dom.G.order):
-        if alpha[bd[h]] != pointwise_division_arrow(cod, P.p.map[h], Q.p.map[h]):
+    for h, arrow in enumerate(pointwise_division_arrow(cod, P.p.map, Q.p.map)):
+        if alpha[bd[h]] != arrow:
             report.add("peiffer-graph", h, "alpha(dh) != division of p(h) by q(h)")
     FP, FQ = denormalize_morphism(P), denormalize_morphism(Q)
     TH = FP.dom
@@ -471,7 +466,7 @@ def enumerate_two_cells(P: XModMorphism, Q: XModMorphism) -> list[XModTwoCell]:
         return []
     TG, bd = denormalize(P.cod), P.dom.boundary.map
     d, c, p0, q0 = TG.d.map, TG.c.map, P.p0.map, Q.p0.map
-    fixed = [(bd[h], pointwise_division_arrow(P.cod, P.p.map[h], Q.p.map[h])) for h in range(P.dom.G.order)]
+    fixed = list(zip(bd, pointwise_division_arrow(P.cod, P.p.map, Q.p.map)))
     accept = lambda x, a: d[a] == p0[x] and c[a] == q0[x]
     maps = _generator_images(P.dom.G0, TG.G1, bijective=False, fixed=fixed, accept=accept)
     return [XModTwoCell(P, Q, m) for m in maps]

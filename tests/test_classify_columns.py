@@ -19,14 +19,14 @@ from helpers import GRID, GRID_BOUND, grid_groups
 from test_classify_reference import reference_cocycles, reference_rho, reference_twisted_product
 
 from butterflies.extension import (
+    _aut_rows,
     _morphism_invariant,
-    _twisted_columns,
     _twisted_rho,
     _wing_first_generators,
     aut_xmod,
     factor_set_to_extension,
 )
-from butterflies.fingroup import _generating_sequence
+from butterflies.fingroup import _generating_sequence, _twisted_columns
 
 GROUPS = grid_groups()
 IDS = [f"{h},{g}" for h, g in GRID]
@@ -57,7 +57,7 @@ def test_columns_and_orders_equal_the_tables(pair):
     gens = _wing_first_generators(GROUPS[pair[0]], GROUPS[pair[1]])
     for fs in reference_cocycles(pair):
         table = reference_twisted_product(fs)
-        record = _twisted_columns(fs, gens)
+        record = _twisted_columns(fs.G, fs.H, _aut_rows(fs), fs.f, gens)
         assert record.order == len(table) and record.gens == gens
         assert [list(col) for col in record.columns] == [[row[g] for row in table] for g in gens]
         assert list(record.orders) == [_order(table, g) for g in gens]

@@ -3,20 +3,28 @@
 ``quotient`` is the pullback quotient of G -> 1 <- 1, the semidirect product
 and the Schreier reconstruction are one twisted product, and ``to_fractor``'s
 rho-bar, EF3's comparison arrows and ``extract_monoidal``'s F1 and F2 read
-one arrow map, ``butterfly._arrow``.  The former separate loops are kept
-below verbatim as oracles, and each result must equal its oracle in table,
-labels, name and maps on:
+one arrow map, ``butterfly._arrows``.  The arrows of a crossed module's
+2-group are indexed by ``fingroup._twisted_index`` alone: the kernel and
+cokernel embeddings are division arrows, and ``denormalize``'s d,
+``denormalize_morphism``'s arrow map and the round trip's comparison read
+their pairs from it.  The former separate loops, the index (a, x) ->
+a*|G0| + x written out in those of the 2-group, are kept below verbatim as
+oracles, and each result must equal its oracle in table, labels, name and
+maps on:
 
 - every normal subgroup of the catalog groups of order at most 16;
 - every fixture action, and every action of the catalog: the ones that
   build its semidirect products, conjugation in each catalog group, and
   Aut(G) on G for the catalog groups of order at most 8;
 - every cocycle of the classification grid;
-- every fixture butterfly at bounds 8 and 16, with each of its set sections.
+- every fixture butterfly at bounds 8 and 16, with each of its set sections;
+- every fixture crossed module, morphism and 2-cell at bounds 8 and 16, and
+  the round trip of the 2-group of each fixture crossed module.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -24,7 +32,7 @@ import pytest
 from helpers import GRID, GRID_BOUND, grid_groups
 
 from butterflies.butterfly import (
-    _arrow,
+    _arrows,
     butterfly_morphism,
     identity_butterfly,
     reduced_compose,
@@ -42,6 +50,7 @@ from butterflies.fingroup import (
     conjugation_action,
     cyclic_group,
     direct_product,
+    kernel,
     product_and_pullback,
     quotient,
     semidirect_product,
@@ -49,6 +58,15 @@ from butterflies.fingroup import (
 )
 from butterflies.laws import ef3_coincidence, generate_fixtures
 from butterflies.weakmap import all_set_sections, extract_monoidal
+from butterflies.xmod import (
+    cokernel_embedding,
+    denormalization_round_trip_iso,
+    denormalize,
+    denormalize_morphism,
+    kernel_embedding,
+    normalize,
+    pointwise_division_arrow,
+)
 
 CASES = [(seed, bound) for seed in range(4) for bound in (8, 16)]
 CATALOG = [K for order in range(1, 17) for _, K in standard_catalog(order)]
@@ -173,6 +191,55 @@ def reference_monoidal_components(B, s):
     return F0, tuple(F1), tuple(F2)
 
 
+def reference_kernel_embedding(X):
+    """``kernel_embedding`` with its own index."""
+    T = denormalize(X)
+    n0 = X.G0.order
+    return GroupHom._trusted(X.G, T.G1, tuple(a * n0 for a in range(X.G.order)))
+
+
+def reference_cokernel_embedding(X):
+    """``cokernel_embedding`` with its own index."""
+    T = denormalize(X)
+    n0 = X.G0.order
+    bd = X.boundary.map
+    return GroupHom._trusted(
+        X.G, T.G1, tuple(X.G.inv(a) * n0 + bd[a] for a in range(X.G.order))
+    )
+
+
+def reference_pointwise_division_arrow(X, a: int, b: int) -> int:
+    """``pointwise_division_arrow`` on one pair, with its own index."""
+    n0 = X.G0.order
+    return X.G.table[a][X.G.inv(b)] * n0 + X.boundary.map[b]
+
+
+def reference_denormalize_d(X) -> tuple[int, ...]:
+    """The source map d of ``denormalize(X)``, its loops nested in index order."""
+    t0, bd = X.G0.table, X.boundary.map
+    return tuple(t0[bd[a]][x] for a in range(X.G.order) for x in range(X.G0.order))
+
+
+def reference_denormalize_morphism_p1(P) -> tuple[int, ...]:
+    """The arrow map of ``denormalize_morphism(P)`` with its own index."""
+    # (h, x) -> (p h, p0 x), in the index order (h, x) at h*|H0| + x of both arrow groups
+    return tuple(ph * P.cod.G0.order + px for ph in P.p.map for px in P.p0.map)
+
+
+def reference_round_trip_f1(T) -> tuple[int, ...]:
+    """The arrow map of ``denormalization_round_trip_iso(T)`` with its own index."""
+    X = normalize(T)
+    U = denormalize(X)
+    K = kernel(T.c)
+    n0 = X.G0.order
+    t1 = T.G1.table
+    f1_map = [0] * U.G1.order
+    for k, el in enumerate(K.elements):
+        for x in range(n0):
+            f1_map[k * n0 + x] = t1[el][T.e.map[x]]
+    return tuple(f1_map)
+
+
 def same_group(G, K) -> bool:
     return (G.table, G.element_labels, G.name) == (K.table, K.element_labels, K.name)
 
@@ -270,9 +337,62 @@ def test_arrow_map_equals_the_former_loops(seed, bound):
             M = extract_monoidal(B, s)
             assert (M.F0, M.F1, M.F2) == reference_monoidal_components(B, s.s)
         # off the image of iota the arrow map raises KeyError
-        arrow, image, E = _arrow(B), set(B.iota.map), B.E
+        image, E = set(B.iota.map), B.E
         for e1, e2 in itertools.product(range(E.order), repeat=2):
             if E.table[e1][E.inv(e2)] in image:
                 continue
             with pytest.raises(KeyError):
-                arrow(e1, e2)
+                _arrows(B, [e1], [e2])
+
+
+
+@functools.lru_cache(maxsize=None)
+def fixtures(seed: int, bound: int):
+    return generate_fixtures(seed, bound)
+
+
+@pytest.mark.parametrize("seed, bound", CASES)
+def test_embeddings_equal_the_former_formulas(seed, bound):
+    for X in fixtures(seed, bound).crossed_modules:
+        assert same_hom(kernel_embedding(X), reference_kernel_embedding(X))
+        assert same_hom(cokernel_embedding(X), reference_cokernel_embedding(X))
+
+
+@pytest.mark.parametrize("seed, bound", CASES)
+def test_source_map_equals_the_former_loops(seed, bound):
+    for X in fixtures(seed, bound).crossed_modules:
+        assert denormalize(X).d.map == reference_denormalize_d(X)
+
+
+@pytest.mark.parametrize("seed, bound", CASES)
+def test_division_arrows_equal_the_former_formula(seed, bound):
+    for X in fixtures(seed, bound).crossed_modules:
+        pairs = list(itertools.product(range(X.G.order), repeat=2))
+        expected = tuple(reference_pointwise_division_arrow(X, a, b) for a, b in pairs)
+        assert pointwise_division_arrow(X, *zip(*pairs)) == expected
+
+
+@pytest.mark.parametrize("seed, bound", CASES)
+def test_peiffer_values_equal_the_former_formula(seed, bound):
+    # the values p(h) / q(h) that validate_two_cell checks and enumerate_two_cells
+    # pins, on every fixture 2-cell and every parallel pair of fixture morphisms:
+    # the fixture 2-cells all land in crossed modules with a trivial top group
+    fx = fixtures(seed, bound)
+    assert fx.two_cells
+    parallel = [(P, Q) for P in fx.morphisms for Q in fx.morphisms if P.dom == Q.dom and P.cod == Q.cod]
+    for P, Q in [(cell.P, cell.Q) for cell in fx.two_cells] + parallel:
+        expected = tuple(reference_pointwise_division_arrow(P.cod, a, b) for a, b in zip(P.p.map, Q.p.map))
+        assert pointwise_division_arrow(P.cod, P.p.map, Q.p.map) == expected
+
+
+@pytest.mark.parametrize("seed, bound", CASES)
+def test_functor_of_a_morphism_equals_the_former_formula(seed, bound):
+    for P in fixtures(seed, bound).morphisms:
+        assert denormalize_morphism(P).p1.map == reference_denormalize_morphism_p1(P)
+
+
+@pytest.mark.parametrize("seed, bound", CASES)
+def test_round_trip_comparison_equals_the_former_loops(seed, bound):
+    for X in fixtures(seed, bound).crossed_modules:
+        T = denormalize(X)
+        assert denormalization_round_trip_iso(T).p1.map == reference_round_trip_f1(T)

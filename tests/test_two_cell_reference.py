@@ -50,8 +50,7 @@ def reference_two_cells(P: XModMorphism, Q: XModMorphism) -> list[XModTwoCell]:
         return []
     forced: dict[int, int] = {}
     bd = P.dom.boundary.map
-    for h in range(P.dom.G.order):
-        value = pointwise_division_arrow(P.cod, P.p.map[h], Q.p.map[h])
+    for h, value in enumerate(pointwise_division_arrow(P.cod, P.p.map, Q.p.map)):
         if forced.setdefault(bd[h], value) != value:
             return []
     choices = []
