@@ -370,14 +370,13 @@ def span_of_butterfly(B: Butterfly) -> tuple[CrossedModule, XModMorphism, XModMo
     k, i = B.kappa.map, B.iota.map
     HxG, piH, piG, pair = direct_product(H, G)
     phi = GroupHom._trusted(HxG, E, tuple(E.table[k[h]][i[g]] for h, g in zip(piH.map, piG.map)))
-    iota_inv = {e: g for g, e in enumerate(i)}
-    perms = []
-    for e in range(E.order):
-        # e sends (h, g) to (h2, g2) with h2 = sigma(e)|>h and kappa(h2) iota(g2) = e phi(h, g) e^-1
-        hs = [B.dom.act(B.sigma.map[e], h) for h in piH.map]
-        gs = [iota_inv[E.table[E.inv(k[h2])][E.conj(e, x)]] for h2, x in zip(hs, phi.map)]
-        perms.append(pair(hs, gs))
-    middle = CrossedModule(HxG, E, phi, GroupAction._trusted(E, HxG, tuple(perms)), name=f"[{B.E.name}]")
+    # by axioms iii and iv, e phi(h, g) e^-1 = kappa(sigma(e)|>h) iota(rho(e)|>g): e sends (h, g) there
+    dom_act, cod_act = B.dom.action.act, B.cod.action.act
+    perms = tuple(
+        pair([dom_act[s][h] for h in piH.map], [cod_act[r][g] for g in piG.map])
+        for s, r in zip(B.sigma.map, B.rho.map)
+    )
+    middle = CrossedModule(HxG, E, phi, GroupAction._trusted(E, HxG, perms), name=f"[{B.E.name}]")
     left = XModMorphism(middle, B.dom, piH, B.sigma)
     right = XModMorphism(middle, B.cod, piG, B.rho)
     return middle, left, right

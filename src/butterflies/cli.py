@@ -38,7 +38,7 @@ from .butterfly import (
     validate_fractor,
 )
 from .errors import BoundExceeded, ButterflyError, ParseError, UnknownKind, UnknownSuite
-from .extension import classify_extensions, factor_set_oracle
+from .extension import CLASSIFY_BOUND, classify_extensions, factor_set_oracle
 from .fingroup import FinGroup, cyclic_group, direct_product, klein_four, symmetric_group, trivial_group
 from .laws import FAULTS, SUITES, generate_fixtures
 from .report import ValidationReport
@@ -101,7 +101,7 @@ class Workspace:
                 if ref not in index:
                     index[ref] = {"kind": data.get("kind", "unknown")}
                     tmp = self.index_path.with_suffix(".tmp")
-                    tmp.write_text(json.dumps(index, sort_keys=True, indent=1))
+                    tmp.write_bytes(jsonio.canonical_bytes(index))
                     tmp.replace(self.index_path)
         except OSError as exc:
             raise ParseError(f"workspace {self.root} is unusable: {exc}") from exc
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("H")
     p.add_argument("G")
     p.add_argument("--oracle", action="store_true", help="cross-check with the factor-set oracle")
-    p.add_argument("--bound", type=int, default=16)
+    p.add_argument("--bound", type=int, default=CLASSIFY_BOUND)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_classify)
 

@@ -44,6 +44,7 @@ from .fingroup import (
 from .xmod import CrossedModule
 
 _ONE = trivial_group()
+CLASSIFY_BOUND = 16  # the default bound on |H|*|G| of both classification routes
 
 
 def discrete_xmod(H: FinGroup) -> CrossedModule:
@@ -220,7 +221,7 @@ def _assignments(k: int, fv: list, cand: list, checks: list, narrow) -> Iterator
             cand[s] = old
 
 
-def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = 16) -> list[FactorSet]:
+def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -> list[FactorSet]:
     """All normalized pairs (phi, f) satisfying the Schreier conditions.
 
     phi ranges over the homomorphisms H -> Aut(G), so the first condition,
@@ -301,7 +302,7 @@ def _twist(fs: FactorSet, h: tuple[int, ...], A: CrossedModule) -> tuple[tuple[i
     return phi2, f2
 
 
-def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = 16) -> list[list[FactorSet]]:
+def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -> list[list[FactorSet]]:
     """Equivalence classes of factor sets under section changes.
 
     Classes are orbits of the twisting action of normalized maps h: H -> G;
@@ -349,7 +350,7 @@ class ExtensionClass:
     count: int
 
 
-def classify_extensions(H: FinGroup, G: FinGroup, bound: int = 16) -> list[ExtensionClass]:
+def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -> list[ExtensionClass]:
     """Classify extensions of H by G on the butterfly side.
 
     Each cocycle (phi, f) stands for the butterfly D(H) -> A(G) of its
@@ -484,7 +485,7 @@ def standard_catalog(order: int) -> tuple[tuple[str, FinGroup], ...]:
     groups: list[tuple[str, FinGroup]] = []
 
     def add(name: str, G: FinGroup):
-        if G.order == order and not any(isomorphism_search(G, K, bound=32) for _, K in groups):
+        if G.order == order and not any(isomorphism_search(G, K, bound=order) for _, K in groups):
             groups.append((name, G))
 
     for parts in _abelian_factorizations(order):
@@ -536,21 +537,8 @@ def _abelian_factorizations(order: int, smallest: int = 2) -> list[tuple[int, ..
 
 def identify_group(E: FinGroup) -> str:
     """A display name for E: the first catalog group isomorphic to E, Dic2
-    reported as Q8.  Catalog groups whose class invariant differs from E's
-    are skipped unsearched, which cannot change the first match."""
+    reported as Q8."""
     for name, K in standard_catalog(E.order):
-        if _class_invariant(K) == _class_invariant(E) and isomorphism_search(E, K, bound=max(32, E.order)):
+        if isomorphism_search(E, K, bound=E.order):
             return "Q8" if name == "Dic2" else name
     return f"order{E.order}-unrecognized"
-
-
-def _class_invariant(G: FinGroup) -> tuple[tuple[int, int, int], ...]:
-    """The sorted triples (order x, |C(x)|, #{y : y^2 = x}) over x in G,
-    memoized on G.  An isomorphism f keeps orders and maps C(x) onto C(f x)
-    and the square roots of x onto those of f x, so it carries each triple
-    to an equal one: isomorphic groups have equal invariants."""
-    t, o, rn, memo = G.table, G.element_orders, range(G.order), G.__dict__
-    if "_class_invariant" not in memo:
-        triples = [(o[x], sum(t[x][y] == t[y][x] for y in rn), sum(t[y][y] == x for y in rn)) for x in rn]
-        memo["_class_invariant"] = tuple(sorted(triples))
-    return memo["_class_invariant"]

@@ -118,11 +118,15 @@ class FinGroup:
             orders.append(k)
         return tuple(orders)
 
-    def order_profile(self) -> tuple[tuple[int, int], ...]:
-        counts: dict[int, int] = {}
-        for o in self.element_orders:
-            counts[o] = counts.get(o, 0) + 1
-        return tuple(sorted(counts.items()))
+    @cached_property
+    def class_invariant(self) -> tuple[tuple[int, int, int], ...]:
+        """The sorted triples (order x, |C(x)|, #{y : y^2 = x}) over x in G.
+        An isomorphism f keeps orders and maps C(x) onto C(f x) and the
+        square roots of x onto those of f x, so it carries each triple to an
+        equal one: isomorphic groups have equal invariants."""
+        t, o, rn = self.table, self.element_orders, range(self.order)
+        triples = [(o[x], sum(t[x][y] == t[y][x] for y in rn), sum(t[y][y] == x for y in rn)) for x in rn]
+        return tuple(sorted(triples))
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, FinGroup) and self.table == other.table)
@@ -192,10 +196,10 @@ def construct_group(
         raise NotAGroup("no two-sided identity element")
     relabeling = None
     if identity != 0:
-        # swap the identity into slot 0 and remember the permutation used
+        # swap the identity into slot 0 by a transposition, its own inverse
         perm = list(range(n))
         perm[0], perm[identity] = identity, 0
-        rows = [[perm.index(rows[perm[a]][perm[b]]) for b in range(n)] for a in range(n)]
+        rows = [[perm[rows[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
         if element_labels is not None:
             element_labels = [element_labels[perm[a]] for a in range(n)]
         relabeling = tuple(perm)
@@ -755,23 +759,23 @@ def all_homomorphisms(G: FinGroup, H: FinGroup) -> list[GroupHom]:
 def isomorphism_search(
     G: FinGroup, H: FinGroup, bound: int = DEFAULT_BOUND
 ) -> Optional[GroupHom]:
-    """A witness isomorphism G -> H, or None; order-profile pruned backtracking."""
+    """A witness isomorphism G -> H, or None; class-invariant pruned backtracking."""
     if G.order > bound or H.order > bound:
         raise BoundExceeded("isomorphism_search", max(G.order, H.order), bound)
-    if G.order != H.order or G.order_profile() != H.order_profile():
+    if G.order != H.order or G.class_invariant != H.class_invariant:
         return None
     m = next(_generator_images(G, H, bijective=True), None)
     return None if m is None else GroupHom._trusted(G, H, m)
 
 
-def automorphism_group(G: FinGroup, bound: int = DEFAULT_BOUND) -> tuple[FinGroup, GroupAction]:
+def automorphism_group(G: FinGroup) -> tuple[FinGroup, GroupAction]:
     """Aut(G) as a group over the canonically ordered automorphism list.
 
     Multiplication is composition: (alpha * beta)(a) = alpha(beta(a)), so the
     evaluation action satisfies act[x*y] = act[x] o act[y].
     """
-    if G.order > bound:
-        raise BoundExceeded("automorphism_group", G.order, bound)
+    if G.order > DEFAULT_BOUND:
+        raise BoundExceeded("automorphism_group", G.order, DEFAULT_BOUND)
     autos = sorted(_generator_images(G, G, bijective=True))
     if len(autos) > AUT_LIMIT:
         raise BoundExceeded(f"automorphism_group: automorphisms of {G.name}", len(autos), AUT_LIMIT)

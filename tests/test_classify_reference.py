@@ -37,7 +37,7 @@ from butterflies.extension import (
     identify_group,
     standard_catalog,
 )
-from butterflies.fingroup import all_homomorphisms, construct_group, isomorphism_search
+from butterflies.fingroup import _generator_images, all_homomorphisms, construct_group
 
 GROUPS = grid_groups()
 
@@ -154,7 +154,7 @@ def reference_identify_group(E) -> str:
     if E.order == 1:
         return "1"
     for name, K in standard_catalog(E.order):
-        if isomorphism_search(E, K, bound=max(32, E.order)) is not None:
+        if next(_generator_images(E, K, bijective=True), None) is not None:
             return "Q8" if name == "Dic2" else name
     return f"order{E.order}-unrecognized"
 

@@ -336,6 +336,18 @@ class TestClassify:
     def test_bound_exceeded_exit_1(self, ws):
         assert run(ws, "classify", "Z4", "Z4", "--bound", "8") == 1
 
+    @pytest.mark.parametrize(
+        "H, G, bound, names",
+        [("Z3", "Z11", 33, ["Z3xZ11"]), ("Z2", "Z17", 34, ["Z2xZ17", "D17"])],
+    )
+    def test_classes_named_past_order_32(self, ws, H, G, bound, names):
+        # naming is bounded by the order it names, not by the catalog's largest order
+        proc = run_process(ws, "--json", "classify", H, G, "--bound", bound, "--oracle")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        out = json.loads(proc.stdout)
+        assert out["agree"] is True
+        assert [c["E"] for c in out["classes"]] == names
+
     def test_automorphism_limit_exit_1(self, ws):
         # inside |H|*|G| <= 16, but Aut(Z2^4) = GL(4,2) has 20,160 elements:
         # counted and refused before its table is built

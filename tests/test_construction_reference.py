@@ -18,6 +18,8 @@ maps on:
   Aut(G) on G for the catalog groups of order at most 8;
 - every cocycle of the classification grid;
 - every fixture butterfly at bounds 8 and 16, with each of its set sections;
+  its span's action of E on H x G, read off axioms iii and iv, equals the
+  former conjugation in E;
 - every fixture crossed module, morphism and 2-cell at bounds 8 and 16, and
   the round trip of the 2-group of each fixture crossed module.
 """
@@ -165,6 +167,22 @@ def reference_ef3_coincidence(B) -> bool:
     except ConstructionError:
         return False
     return True
+
+
+def reference_span_action(B):
+    """``span_of_butterfly``'s action of E on H x G, found by conjugating in E."""
+    E, H, G = B.E, B.dom.G, B.cod.G
+    k, i = B.kappa.map, B.iota.map
+    HxG, piH, piG, pair = direct_product(H, G)
+    phi = GroupHom._trusted(HxG, E, tuple(E.table[k[h]][i[g]] for h, g in zip(piH.map, piG.map)))
+    iota_inv = {e: g for g, e in enumerate(i)}
+    perms = []
+    for e in range(E.order):
+        # e sends (h, g) to (h2, g2) with h2 = sigma(e)|>h and kappa(h2) iota(g2) = e phi(h, g) e^-1
+        hs = [B.dom.act(B.sigma.map[e], h) for h in piH.map]
+        gs = [iota_inv[E.table[E.inv(k[h2])][E.conj(e, x)]] for h2, x in zip(hs, phi.map)]
+        perms.append(pair(hs, gs))
+    return tuple(perms)
 
 
 def reference_monoidal_components(B, s):
@@ -349,6 +367,12 @@ def test_arrow_map_equals_the_former_loops(seed, bound):
 @functools.lru_cache(maxsize=None)
 def fixtures(seed: int, bound: int):
     return generate_fixtures(seed, bound)
+
+
+@pytest.mark.parametrize("seed, bound", CASES)
+def test_span_action_equals_the_former_conjugation(seed, bound):
+    for B in fixtures(seed, bound).butterflies:
+        assert span_of_butterfly(B)[0].action.act == reference_span_action(B)
 
 
 @pytest.mark.parametrize("seed, bound", CASES)

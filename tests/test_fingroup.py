@@ -302,7 +302,7 @@ class TestSemidirect:
         ]
         checked = 0
         for G in groups:
-            autG, ev = automorphism_group(G, bound=24)
+            autG, ev = automorphism_group(G)
             for G0 in groups:
                 for rho in all_homomorphisms(G0, autG):
                     xi = GroupAction(G0, G, tuple(ev.act[rho.map[x]] for x in range(G0.order)))
@@ -451,7 +451,7 @@ class TestMisc:
     def test_dicyclic_is_quaternion_like(self):
         Q8 = dicyclic_group(2)
         assert Q8.order == 8
-        assert Q8.order_profile() == ((1, 1), (2, 1), (4, 6))
+        assert [Q8.element_orders.count(o) for o in (1, 2, 4)] == [1, 1, 6]
 
     def test_group_equality_is_table_equality(self):
         assert cyclic_group(4, "A") == cyclic_group(4, "B")
