@@ -227,7 +227,7 @@ def is_flippable(B: Butterfly) -> bool:
 def flip(B: Butterfly) -> Butterfly:
     """The quasi-inverse of a flippable butterfly, obtained by twisting the wings."""
     if not is_flippable(B):
-        raise NotFlippable(repr(B))
+        raise NotFlippable("the (kappa, rho) diagonal is not an extension")
     return Butterfly(
         dom=B.cod,
         cod=B.dom,

@@ -30,7 +30,6 @@ from .butterfly import (
     compose,
     flip,
     identity_butterfly,
-    is_flippable,
     isomorphic_butterflies,
     span_of_butterfly,
     split_from_morphism,
@@ -243,20 +242,16 @@ def cmd_compose(args, ws: Workspace) -> int:
         lines.append(str(report))
     if args.witness:
         for label, other in (("first", B1), ("second", B2)):
-            if other.dom == C.dom and other.cod == C.cod:
-                w = isomorphic_butterflies(C, other)
-                if w is not None:
-                    payload[f"witness_{label}"] = list(w.f.map)
-                    lines.append(f"isomorphic to {label} input via {list(w.f.map)}")
+            w = isomorphic_butterflies(C, other)
+            if w is not None:
+                payload[f"witness_{label}"] = list(w.f.map)
+                lines.append(f"isomorphic to {label} input via {list(w.f.map)}")
     _emit(args, payload, "\n".join(lines))
     return 0
 
 
 def cmd_flip(args, ws: Workspace) -> int:
     B = _load_operand(args.butterfly, ws, Butterfly, "flip expects a butterfly")
-    if not is_flippable(B):
-        print("NotFlippable: the (kappa, rho) diagonal is not an extension", file=sys.stderr)
-        return 1
     ref = ws.put(flip(B))
     _emit(args, {"ref": ref}, ref)
     return 0
@@ -333,7 +328,7 @@ def cmd_classify(args, ws: Workspace) -> int:
     if args.oracle:
         oracle = factor_set_oracle(H, G, bound=args.bound)
         payload["oracle_classes"] = len(oracle)
-        agree = len(oracle) == len(classes)
+        agree = [(c.factor_set, c.count) for c in classes] == [(m[0], len(m)) for m in oracle]
         payload["agree"] = agree
         lines.append(f"oracle classes: {len(oracle)} ({'agree' if agree else 'MISMATCH'})")
         if not agree:

@@ -171,13 +171,13 @@ def generate_fixtures(seed: int, size_bound: int) -> FixtureSet:
         for Y in small
         if X.size * Y.size <= max(size_bound, 8) * 4
     ]
+    listed = set(morphisms)
     for X, Y in pairs:
         found = list(all_xmod_morphisms(X, Y))
-        if not found:
-            continue
         keep = found if len(found) <= 3 else rng.sample(found, 3)
         for P in keep:
-            if P not in morphisms:
+            if P not in listed:
+                listed.add(P)
                 morphisms.append(P)
     fx.morphisms = morphisms
 
@@ -202,11 +202,7 @@ def generate_fixtures(seed: int, size_bound: int) -> FixtureSet:
     ]
     for B1, B2 in rng.sample(composable, min(4, len(composable))):
         butterflies.append(compose(B1, B2))
-    seen: list[Butterfly] = []
-    for B in butterflies:
-        if B not in seen:
-            seen.append(B)
-    fx.butterflies = seen
+    fx.butterflies = list(dict.fromkeys(butterflies))
 
     cells: list[XModTwoCell] = []
     for P, Q in _parallel_pairs(fx, limit=12):
@@ -227,17 +223,10 @@ def _small_extensions(H: FinGroup, G: FinGroup) -> list[ExtensionDatum]:
 
 
 def _parallel_pairs(fx: FixtureSet, limit: int) -> list[tuple[XModMorphism, XModMorphism]]:
-    groups: dict[tuple, list[XModMorphism]] = {}
+    groups: dict[tuple[CrossedModule, CrossedModule], list[XModMorphism]] = {}
     for P in fx.morphisms:
-        key = (P.dom.G.table, P.dom.G0.table, P.cod.G.table, P.cod.G0.table,
-               P.dom.boundary.map, P.cod.boundary.map)
-        groups.setdefault(key, []).append(P)
-    pairs = []
-    for bucket in groups.values():
-        for P in bucket:
-            for Q in bucket:
-                if P.dom == Q.dom and P.cod == Q.cod:
-                    pairs.append((P, Q))
+        groups.setdefault((P.dom, P.cod), []).append(P)
+    pairs = [(P, Q) for bucket in groups.values() for P in bucket for Q in bucket]
     return pairs[:limit]
 
 

@@ -16,7 +16,7 @@ import butterflies
 from butterflies import cli, fingroup, jsonio
 from butterflies.butterfly import identity_butterfly, to_fractor
 from butterflies.cli import Workspace, main, parse_group_spec
-from butterflies.extension import aut_xmod, conjugation_xmod, discrete_xmod
+from butterflies.extension import aut_xmod, conjugation_xmod, discrete_xmod, factor_set_oracle
 
 
 @pytest.fixture()
@@ -278,6 +278,12 @@ class TestCommands:
         path = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
         assert run(ws, "flip", path) == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_flip_refusal_names_the_diagonal(self, ws, tmp_path, capsys, flags):
+        path = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
+        assert run(ws, *flags, "flip", path) == 1
+        assert capsys.readouterr() == ("", "NotFlippable: the (kappa, rho) diagonal is not an extension\n")
+
     def test_flip_flippable(self, ws, tmp_path, capsys):
         path = write_json(tmp_path, "b.json", jsonio.to_jsonable(identity_butterfly(conjugation_xmod(Z2))))
         assert run(ws, "flip", path) == 0
@@ -324,6 +330,17 @@ class TestClassify:
         assert len(out["classes"]) == 2
         assert out["agree"] is True
         assert sorted(c["E"] for c in out["classes"]) == ["Z2xZ2", "Z4"]
+
+    def test_oracle_agrees_class_by_class(self, ws, capsys, monkeypatch):
+        # one cocycle moves between two classes: the class count stays 4
+        def moved(H, G, bound):
+            classes = factor_set_oracle(H, G, bound=bound)
+            classes[2].append(classes[0].pop())
+            return classes
+
+        monkeypatch.setattr(cli, "factor_set_oracle", moved)
+        assert run(ws, "classify", "Z2", "Z4", "--oracle") == 1
+        assert capsys.readouterr().out.endswith("oracle classes: 4 (MISMATCH)\n")
 
     def test_trivial_group(self, ws, capsys):
         assert run(ws, "classify", "1", "Z4") == 0
