@@ -19,9 +19,9 @@ import math
 import os
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from . import jsonio
 from .butterfly import (
@@ -86,29 +86,39 @@ class Workspace:
         return index
 
     def put(self, obj: Any) -> str:
-        data = jsonio.to_jsonable(obj)
-        blob = jsonio.canonical_bytes(data)
-        ref = jsonio.bytes_ref(blob)
+        return self.put_all([obj])[0]
+
+    def put_all(self, objs: Iterable[Any]) -> list[str]:
+        """Store each object and return its ref, in order.  The index is read
+        once and rewritten at most once, under one lock; if a write fails,
+        object files written before it stay, unindexed."""
+        datas = [jsonio.to_jsonable(obj) for obj in objs]
+        blobs = [jsonio.canonical_bytes(data) for data in datas]
+        refs = [jsonio.bytes_ref(blob) for blob in blobs]
         self._ensure()
         try:
             with open(self.lock_path, "w") as lock:
                 fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-                path = self.objects / f"{ref}.json"
-                if not path.exists():
-                    path.write_bytes(blob)
                 index = self._index()
-                if ref not in index:
-                    index[ref] = {"kind": data.get("kind", "unknown")}
+                grew = False
+                for ref, data, blob in zip(refs, datas, blobs):
+                    path = self.objects / f"{ref}.json"
+                    if not path.exists():
+                        path.write_bytes(blob)
+                    if ref not in index:
+                        index[ref] = {"kind": data.get("kind", "unknown")}
+                        grew = True
+                if grew:
                     tmp = self.index_path.with_suffix(".tmp")
                     tmp.write_bytes(jsonio.canonical_bytes(index))
                     tmp.replace(self.index_path)
         except OSError as exc:
             raise ParseError(f"workspace {self.root} is unusable: {exc}") from exc
-        return ref
+        return refs
 
     def get(self, ref: str) -> dict:
         self._ensure()
-        matches = [r for r in sorted(self._index()) if r.startswith(ref)]
+        matches = sorted(r for r in self._index() if r.startswith(ref))
         if not matches:
             raise ParseError(f"no stored object matches {ref!r}")
         if len(matches) > 1:
@@ -271,12 +281,7 @@ def cmd_split(args, ws: Workspace) -> int:
 
 def cmd_span(args, ws: Workspace) -> int:
     B = _load_operand(args.butterfly, ws, Butterfly, "span expects a butterfly")
-    middle, left, right = span_of_butterfly(B)
-    refs = {
-        "middle": ws.put(middle),
-        "left": ws.put(left),
-        "right": ws.put(right),
-    }
+    refs = dict(zip(("middle", "left", "right"), ws.put_all(span_of_butterfly(B))))
     _emit(args, refs, "\n".join(f"{k} {v}" for k, v in refs.items()))
     return 0
 
@@ -309,17 +314,17 @@ def cmd_classify(args, ws: Workspace) -> int:
         raise BoundExceeded("classify_extensions", nH * nG, args.bound)
     H, G = build_H(), build_G()
     classes = classify_extensions(H, G, bound=args.bound)
-    rows = []
-    for cls in classes:
-        rows.append(
-            {
-                "E": cls.e_group,
-                "split": cls.split,
-                "count": cls.count,
-                "factor_set": {"phi": list(cls.factor_set.phi), "f": [list(r) for r in cls.factor_set.f]},
-                "butterfly": ws.put(cls.butterfly),
-            }
-        )
+    refs = ws.put_all([cls.butterfly for cls in classes])
+    rows = [
+        {
+            "E": cls.e_group,
+            "split": cls.split,
+            "count": cls.count,
+            "factor_set": {"phi": list(cls.factor_set.phi), "f": [list(r) for r in cls.factor_set.f]},
+            "butterfly": ref,
+        }
+        for cls, ref in zip(classes, refs)
+    ]
     payload: dict = {"H": H.name, "G": G.name, "classes": rows}
     lines = [f"{len(classes)} extension class(es) of {H.name} by {G.name}"]
     for row in rows:
@@ -379,7 +384,10 @@ def cmd_store(args, ws: Workspace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process."""
     parser = argparse.ArgumentParser(
         prog="butterflies",
         description="Exact computation with crossed modules, 2-groups and butterflies.",

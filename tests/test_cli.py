@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ import butterflies
 from butterflies import cli, fingroup, jsonio
 from butterflies.butterfly import identity_butterfly, to_fractor
 from butterflies.cli import Workspace, main, parse_group_spec
-from butterflies.extension import aut_xmod, conjugation_xmod, discrete_xmod, factor_set_oracle
+from butterflies.extension import CLASSIFY_BOUND, aut_xmod, conjugation_xmod, discrete_xmod, factor_set_oracle
 
 
 @pytest.fixture()
@@ -437,10 +438,17 @@ class TestWorkspaceFaults:
     """A workspace that cannot hold a store, or whose index or objects are
     damaged, is a usage error (exit 2) for every store operation."""
 
-    @pytest.fixture(params=["ls", "get", "put"])
+    @pytest.fixture(params=["ls", "get", "put", "span", "classify"])
     def store_op(self, request, tmp_path):
         xmod = write_json(tmp_path, "xmod.json", jsonio.to_jsonable(conjugation_xmod(Z2)))
-        return {"ls": ("store", "ls"), "get": ("store", "get", "ab"), "put": ("identity", xmod)}[request.param]
+        butterfly = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
+        return {
+            "ls": ("store", "ls"),
+            "get": ("store", "get", "ab"),
+            "put": ("identity", xmod),
+            "span": ("span", butterfly),
+            "classify": ("classify", "Z2", "Z2"),
+        }[request.param]
 
     def test_workspace_is_a_file_exit_2(self, tmp_path, capsys, store_op):
         not_a_dir = tmp_path / "file"
@@ -475,6 +483,109 @@ class TestWorkspaceFaults:
         xmod = write_json(tmp_path, "xmod.json", jsonio.to_jsonable(conjugation_xmod(Z2)))
         assert run(ws, "identity", xmod) == 2
         assert "unusable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blocked", [".lock", "index.tmp"])
+    @pytest.mark.parametrize("command", ["span", "classify"])
+    def test_unwritable_store_file_batched_exit_2(self, ws, tmp_path, capsys, blocked, command):
+        (ws / blocked).mkdir(parents=True)
+        butterfly = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
+        argv = {"span": ("span", butterfly), "classify": ("classify", "Z2", "Z2")}[command]
+        assert run(ws, *argv) == 2
+        assert "unusable" in capsys.readouterr().err
+
+
+def store_files(root: Path) -> dict[str, bytes]:
+    """The index and object files of a workspace, by name."""
+    return {p.name: p.read_bytes() for p in [root / "index.json", *(root / "objects").iterdir()]}
+
+
+def recorded(monkeypatch, name: str) -> list:
+    """Record what calls to `cli.<name>` return."""
+    made = []
+    fn = getattr(cli, name)
+
+    def record(*args, **kwargs):
+        made.append(fn(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, name, record)
+    return made
+
+
+class TestBatchedWrites:
+    """A command that stores several objects takes the store lock once and
+    rewrites the index once, leaving the files that one put per object would."""
+
+    @pytest.fixture()
+    def replaced(self, monkeypatch):
+        targets = []
+        replace = Path.replace
+
+        def counting(self, target):
+            targets.append(Path(target))
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", counting)
+        return targets
+
+    def assert_same_as_one_put_each(self, ws, root, objs):
+        one_each = Workspace(root)
+        for obj in objs:
+            one_each.put(obj)
+        assert store_files(ws) == store_files(root)
+
+    def test_classify(self, ws, tmp_path, monkeypatch, replaced):
+        made = recorded(monkeypatch, "classify_extensions")
+        assert run(ws, "classify", "V4", "V4", "--oracle") == 0
+        assert replaced == [ws / "index.json"]
+        self.assert_same_as_one_put_each(ws, tmp_path / "one", [cls.butterfly for cls in made[0]])
+
+    def test_span(self, ws, tmp_path, monkeypatch, replaced):
+        made = recorded(monkeypatch, "span_of_butterfly")
+        path = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
+        assert run(ws, "span", path) == 0
+        assert replaced == [ws / "index.json"]
+        self.assert_same_as_one_put_each(ws, tmp_path / "one", made[0])
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call leaves state for the next."""
+
+    def test_compose_flags_do_not_carry_over(self, ws, tmp_path, capsys):
+        xmod_path = write_json(tmp_path, "x.json", jsonio.to_jsonable(discrete_xmod(Z2)))
+        assert run(ws, "identity", xmod_path) == 0
+        ref = capsys.readouterr().out.strip()
+        assert run(ws, "--json", "compose", ref, ref, "--witness", "--check") == 0
+        composite = json.loads(capsys.readouterr().out)["ref"]
+        assert run(ws, "compose", ref, ref) == 0
+        assert capsys.readouterr().out == f"{composite}\n"
+
+    def test_bound_falls_back_to_default(self, ws, capsys):
+        assert run(ws, "classify", "Z2", "Z9", "--bound", "64") == 0
+        assert run(ws, "classify", "Z2", "Z9") == 1
+        assert f"size 18 exceeds bound {CLASSIFY_BOUND}" in capsys.readouterr().err
+
+    def test_usage_error_after_success_exit_2(self, ws):
+        assert run(ws, "classify", "Z2", "Z2") == 0
+        with pytest.raises(SystemExit) as exc:
+            run(ws, "classify", "Z2")
+        assert exc.value.code == 2
+
+    def test_no_parser_built_after_the_first_call(self, ws, monkeypatch):
+        assert run(ws, "store", "ls") == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (("store", "ls"), ("classify", "Z2", "Z2"), ("--json", "store", "ls")):
+            assert run(ws, *argv) == 0
+        assert built == []
+        argparse.ArgumentParser(prog="probe")  # the count does see a construction
+        assert built == ["probe"]
 
 
 class TestClosedStdout:
