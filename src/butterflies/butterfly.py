@@ -30,6 +30,7 @@ from .fingroup import (
     GroupHom,
     _generator_images,
     _is_pullback,
+    _maps_into,
     _per_operand,
     _twisted_index,
     direct_product,
@@ -76,40 +77,54 @@ def validate_butterfly(B: Butterfly) -> ValidationReport:
     """Check the wing commutativity and the four butterfly conditions.
 
     Also asserts the derived fact that the images of the two wings commute
-    elementwise in E (existence of the cooperator).
+    elementwise in E (existence of the cooperator).  A wing or leg that is
+    not a map between its groups is a finding, and the checks that would
+    index it are skipped.
     """
     report = ValidationReport(repr(B))
     E, H, G = B.E, B.dom.G, B.cod.G
-    k, i, s, r = B.kappa.map, B.iota.map, B.sigma.map, B.rho.map
-    for h in range(H.order):
-        if s[k[h]] != B.dom.boundary.map[h]:
-            report.add("left-wing", h, "sigma(kappa h) != boundary h")
-    for g in range(G.order):
-        if r[i[g]] != B.cod.boundary.map[g]:
-            report.add("right-wing", g, "rho(iota g) != boundary g")
-    for h in range(H.order):
-        if r[k[h]] != 0:
-            report.add("i-complex", h, "rho(kappa h) != 1")
+    k, i, s, r = _legs(B)
+    bad = set()
+    for leg, m, D, C in (("kappa", k, H, E), ("iota", i, G, E), ("sigma", s, E, B.dom.G0), ("rho", r, E, B.cod.G0)):
+        if not _maps_into(m, D.order, C.order):
+            report.add("leg-range", leg, f"{leg} is not a map {D.name} -> {C.name}")
+            bad.add(leg)
+    readable = bad.isdisjoint
+    if readable(("sigma", "kappa")):
+        for h in range(H.order):
+            if s[k[h]] != B.dom.boundary.map[h]:
+                report.add("left-wing", h, "sigma(kappa h) != boundary h")
+    if readable(("rho", "iota")):
+        for g in range(G.order):
+            if r[i[g]] != B.cod.boundary.map[g]:
+                report.add("right-wing", g, "rho(iota g) != boundary g")
+    if readable(("rho", "kappa")):
+        for h in range(H.order):
+            if r[k[h]] != 0:
+                report.add("i-complex", h, "rho(kappa h) != 1")
     if not B.iota.is_injective:
         report.add("ii-extension", None, "iota is not injective")
     if not B.sigma.is_surjective:
         report.add("ii-extension", None, "sigma is not surjective")
-    if frozenset(i) != frozenset(kernel(B.sigma).elements):
+    if readable(("sigma",)) and frozenset(i) != frozenset(kernel(B.sigma).elements):
         report.add("ii-extension", None, "image(iota) != kernel(sigma)")
-    for e in range(E.order):
-        se = s[e]
+    if readable(("sigma", "kappa")):
+        for e in range(E.order):
+            se = s[e]
+            for h in range(H.order):
+                if k[B.dom.act(se, h)] != E.conj(e, k[h]):
+                    report.add("iii-equivariance", (e, h), "kappa(sigma(e)|>h) != e kappa(h) e^-1")
+    if readable(("rho", "iota")):
+        for e in range(E.order):
+            re = r[e]
+            for g in range(G.order):
+                if i[B.cod.act(re, g)] != E.conj(e, i[g]):
+                    report.add("iv-equivariance", (e, g), "iota(rho(e)|>g) != e iota(g) e^-1")
+    if readable(("kappa", "iota")):
         for h in range(H.order):
-            if k[B.dom.act(se, h)] != E.conj(e, k[h]):
-                report.add("iii-equivariance", (e, h), "kappa(sigma(e)|>h) != e kappa(h) e^-1")
-    for e in range(E.order):
-        re = r[e]
-        for g in range(G.order):
-            if i[B.cod.act(re, g)] != E.conj(e, i[g]):
-                report.add("iv-equivariance", (e, g), "iota(rho(e)|>g) != e iota(g) e^-1")
-    for h in range(H.order):
-        for g in range(G.order):
-            if E.table[k[h]][i[g]] != E.table[i[g]][k[h]]:
-                report.add("cooperator", (h, g), "wing images do not commute elementwise")
+            for g in range(G.order):
+                if E.table[k[h]][i[g]] != E.table[i[g]][k[h]]:
+                    report.add("cooperator", (h, g), "wing images do not commute elementwise")
     return report
 
 

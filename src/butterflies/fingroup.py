@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
+from operator import eq, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BoundExceeded, CodomainMismatch, NotAGroup, NotNormal
@@ -65,7 +66,7 @@ class FinGroup:
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G", element_labels: Optional[Sequence[str]] = None):
         self.order = len(table)
-        self.table: tuple[tuple[int, ...], ...] = tuple(tuple(int(x) for x in row) for row in table)
+        self.table: tuple[tuple[int, ...], ...] = tuple(tuple(map(int, row)) for row in table)
         _check_group_table(self)
         self._finish(name, element_labels)
 
@@ -119,14 +120,22 @@ class FinGroup:
         return tuple(orders)
 
     @cached_property
-    def class_invariant(self) -> tuple[tuple[int, int, int], ...]:
-        """The sorted triples (order x, |C(x)|, #{y : y^2 = x}) over x in G.
+    def element_invariants(self) -> tuple[tuple[int, int, int], ...]:
+        """The triple (order x, |C(x)|, #{y : y^2 = x}) of each x in G.
         An isomorphism f keeps orders and maps C(x) onto C(f x) and the
-        square roots of x onto those of f x, so it carries each triple to an
-        equal one: isomorphic groups have equal invariants."""
-        t, o, rn = self.table, self.element_orders, range(self.order)
-        triples = [(o[x], sum(t[x][y] == t[y][x] for y in rn), sum(t[y][y] == x for y in rn)) for x in rn]
-        return tuple(sorted(triples))
+        square roots of x onto those of f x, so it carries each element's
+        triple to its image's.  |C(x)| counts the y where row x (x*y) and
+        column x (y*x) agree; the square roots come from the diagonal."""
+        t, roots = self.table, [0] * self.order
+        for y, row in enumerate(t):
+            roots[row[y]] += 1
+        centralizers = [sum(map(eq, row, column)) for row, column in zip(t, zip(*t))]
+        return tuple(zip(self.element_orders, centralizers, roots))
+
+    @cached_property
+    def class_invariant(self) -> tuple[tuple[int, int, int], ...]:
+        """The sorted element invariants: isomorphic groups have equal ones."""
+        return tuple(sorted(self.element_invariants))
 
     def __eq__(self, other: object) -> bool:
         return self is other or (isinstance(other, FinGroup) and self.table == other.table)
@@ -145,7 +154,8 @@ class FinGroup:
 def _check_group_table(G: FinGroup) -> None:
     """Latin square with identity 0, then Light's test: the s with (xs)y = x(sy)
     for all x, y are closed under the product, so the generators suffice
-    (Clifford-Preston, The Algebraic Theory of Semigroups I, 1.2)."""
+    (Clifford-Preston, The Algebraic Theory of Semigroups I, 1.2).  Rows and
+    columns are compared whole; a failing row is scanned for its first cell."""
     table, n = G.table, G.order
     if n == 0:
         raise NotAGroup("empty table")
@@ -155,20 +165,23 @@ def _check_group_table(G: FinGroup) -> None:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
         if set(row) != full:
             raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if {table[i][j] for i in range(n)} != full:
+    for j, column in enumerate(zip(*table)):
+        if set(column) != full:
             raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
-    for a in range(n):
-        if table[0][a] != a or table[a][0] != a:
-            raise NotAGroup("index 0 is not a two-sided identity")
+    identity = tuple(range(n))
+    if table[0] != identity or next(zip(*table)) != identity:
+        raise NotAGroup("index 0 is not a two-sided identity")
+    if n == 1:
+        return  # [[0]]; below, itemgetter of one index would return an int
     for s in _generators(G):
+        # row xs of the table is row x read at the entries of row s
         ts = table[s]
-        for x in range(n):
-            txs = table[table[x][s]]
-            tx = table[x]
-            for y in range(n):
-                if txs[y] != tx[ts[y]]:
-                    raise NotAGroup(f"associativity fails at ({x},{s},{y})")
+        x_sy = itemgetter(*ts)
+        for x, tx in enumerate(table):
+            txs = table[tx[s]]
+            if txs != x_sy(tx):
+                y = next(y for y in range(n) if txs[y] != tx[ts[y]])
+                raise NotAGroup(f"associativity fails at ({x},{s},{y})")
 
 
 def construct_group(
@@ -759,12 +772,19 @@ def all_homomorphisms(G: FinGroup, H: FinGroup) -> list[GroupHom]:
 def isomorphism_search(
     G: FinGroup, H: FinGroup, bound: int = DEFAULT_BOUND
 ) -> Optional[GroupHom]:
-    """A witness isomorphism G -> H, or None; class-invariant pruned backtracking."""
+    """The first isomorphism G -> H in lexicographic order, or None.
+
+    Groups with different class invariants are not searched, and a
+    generator's candidate images are only the elements with its element
+    invariant.  Every isomorphism keeps those, so the first one's generator
+    images pass the filter, and every map before it failed without it: the
+    pruning cannot change the witness."""
     if G.order > bound or H.order > bound:
         raise BoundExceeded("isomorphism_search", max(G.order, H.order), bound)
     if G.order != H.order or G.class_invariant != H.class_invariant:
         return None
-    m = next(_generator_images(G, H, bijective=True), None)
+    eG, eH = G.element_invariants, H.element_invariants
+    m = next(_generator_images(G, H, bijective=True, accept=lambda a, b: eG[a] == eH[b]), None)
     return None if m is None else GroupHom._trusted(G, H, m)
 
 

@@ -63,6 +63,14 @@ class CrossedModule:
     def act(self, x: int, g: int) -> int:
         return self.action.act[x][g]
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass-generated hash, which would rehash every map per call
+        return hash((self.G, self.G0, self.boundary, self.action))
+
     @property
     def size(self) -> int:
         return self.G.order * self.G0.order
@@ -76,6 +84,16 @@ def validate_crossed_module(X: CrossedModule) -> ValidationReport:
     """Check the precrossed and Peiffer conditions, reporting every violation."""
     report = ValidationReport(repr(X))
     bd, G, G0 = X.boundary.map, X.G, X.G0
+    # both conditions index the boundary and the action
+    if not _maps_into(bd, G.order, G0.order):
+        report.add("map-range", "boundary", f"boundary is not a map {G.name} -> {G0.name}")
+    if len(X.action.act) != G0.order:
+        report.add("map-range", "action", f"action has {len(X.action.act)} rows, expected {G0.order}")
+    for x, row in enumerate(X.action.act):
+        if not _maps_into(row, G.order, G.order):
+            report.add("map-range", ("action", x), f"action row {x} is not a map {G.name} -> {G.name}")
+    if not report.ok:
+        return report
     for x in range(G0.order):
         for g in range(G.order):
             if bd[X.act(x, g)] != G0.conj(x, bd[g]):

@@ -123,6 +123,18 @@ class TestValidation:
         assert str(report).count("\n") == len(report.findings)
 
 
+    @pytest.mark.parametrize("leg", ("kappa", "iota", "sigma", "rho"))
+    @pytest.mark.parametrize("corrupt", ("out-of-range", "short"))
+    def test_leg_off_its_groups_is_a_finding(self, leg, corrupt):
+        I = identity_butterfly(AZ3)
+        old = getattr(I, leg)
+        bad = (old.cod.order,) * old.dom.order if corrupt == "out-of-range" else old.map[:-1]
+        report = validate_butterfly(dataclasses.replace(I, **{leg: GroupHom._trusted(old.dom, old.cod, bad)}))
+        assert report.findings[0].condition == "leg-range"
+        assert report.findings[0].witness == leg
+        assert [f.condition for f in report.findings].count("leg-range") == 1
+
+
 class TestIdentityButterfly:
     def test_one_object_domain(self):
         X = conjugation_xmod(Z2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -98,6 +99,37 @@ class TestValidation:
             if f.condition == "precrossed":
                 x, g = f.witness
                 assert X.boundary.map[X.act(x, g)] != S3.conj(x, X.boundary.map[g])
+
+
+    @pytest.mark.parametrize("corrupt", ("out-of-range", "short"))
+    def test_boundary_off_its_groups_is_a_finding(self, corrupt):
+        X = aut_like(S3)
+        bd = X.boundary
+        bad = (bd.cod.order,) * bd.dom.order if corrupt == "out-of-range" else bd.map[:-1]
+        report = validate_crossed_module(dataclasses.replace(X, boundary=GroupHom._trusted(bd.dom, bd.cod, bad)))
+        assert [(f.condition, f.witness) for f in report.findings] == [("map-range", "boundary")]
+
+    def test_action_row_off_the_group_is_a_finding(self):
+        X = conj_xmod(S3)
+        act = list(X.action.act)
+        act[2] = act[2][:-1]
+        report = validate_crossed_module(dataclasses.replace(X, action=GroupAction._trusted(S3, S3, tuple(act))))
+        assert [(f.condition, f.witness) for f in report.findings] == [("map-range", ("action", 2))]
+        short = GroupAction._trusted(S3, S3, X.action.act[:-1])
+        report = validate_crossed_module(dataclasses.replace(X, action=short))
+        assert [(f.condition, f.witness) for f in report.findings] == [("map-range", "action")]
+
+    def test_hash_is_the_field_hash_computed_once(self, monkeypatch):
+        X = aut_like(S3)
+        assert hash(X) == hash((X.G, X.G0, X.boundary, X.action))
+        hashed = []
+        for cls in (GroupHom, GroupAction):
+            monkeypatch.setattr(cls, "__hash__", lambda self, h=cls.__hash__: hashed.append(self) or h(self))
+        assert hash(X) == hash(dataclasses.replace(X))
+        assert len(hashed) == 2
+        hashed.clear()
+        hash(X)
+        assert hashed == []
 
 
 class TestNormalization:
