@@ -28,6 +28,7 @@ from .fingroup import (
     FinGroup,
     GroupAction,
     GroupHom,
+    _Trusted,
     _generator_images,
     _is_pullback,
     _maps_into,
@@ -58,8 +59,10 @@ from .xmod import (
 
 
 @dataclass(frozen=True)
-class Butterfly:
-    """(E, kappa, iota, sigma, rho) between crossed modules dom and cod."""
+class Butterfly(_Trusted):
+    """(E, kappa, iota, sigma, rho) between crossed modules dom and cod.
+    Composition, reduced composition and splits build theirs through
+    ``_trusted``, without the dataclass ``__init__``."""
 
     dom: CrossedModule
     cod: CrossedModule
@@ -219,15 +222,8 @@ def _composite(B: Butterfly, B2: Butterfly, parts) -> Butterfly:
     if len(legs) != Q.order:
         raise ConstructionError("the legs are not constant on the cosets of N")
     _, sigma_map, rho_map = zip(*sorted(legs))
-    return Butterfly(
-        dom=B.dom,
-        cod=B2.cod,
-        E=Q,
-        kappa=kappa,
-        iota=iota,
-        sigma=GroupHom._trusted(Q, B.dom.G0, sigma_map),
-        rho=GroupHom._trusted(Q, B2.cod.G0, rho_map),
-    )
+    sigma, rho = GroupHom._trusted(Q, B.dom.G0, sigma_map), GroupHom._trusted(Q, B2.cod.G0, rho_map)
+    return Butterfly._trusted(B.dom, B2.cod, Q, kappa, iota, sigma, rho)
 
 
 def is_flippable(B: Butterfly) -> bool:
@@ -321,15 +317,7 @@ def _split(P: XModMorphism):
     gbul = cokernel_embedding(P.cod).map
     kappa = GroupHom._trusted(H, EP, pair(P.dom.boundary.map, [gbul[y] for y in P.p.map]))
     iota = GroupHom._trusted(G, EP, pair((0,) * G.order, kernel_embedding(P.cod).map))
-    B = Butterfly(
-        dom=P.dom,
-        cod=P.cod,
-        E=EP,
-        kappa=kappa,
-        iota=iota,
-        sigma=prH0,
-        rho=prG1.then(TG.d),
-    )
+    B = Butterfly._trusted(P.dom, P.cod, EP, kappa, iota, prH0, prG1.then(TG.d))
     section = GroupHom._trusted(H0, EP, pair(range(H0.order), [TG.e.map[y] for y in P.p0.map]))
     return B, section, TG, prG1, pair
 
@@ -362,15 +350,7 @@ def reduced_compose(Q: XModMorphism, B: Butterfly) -> Butterfly:
     K, G, k = Q.dom.G, B.cod.G, B.kappa.map
     kappa = GroupHom._trusted(K, E2, pair(Q.dom.boundary.map, [k[y] for y in Q.p.map]))
     iota = GroupHom._trusted(G, E2, pair((0,) * G.order, B.iota.map))
-    return Butterfly(
-        dom=Q.dom,
-        cod=B.cod,
-        E=E2,
-        kappa=kappa,
-        iota=iota,
-        sigma=prK0,
-        rho=prE.then(B.rho),
-    )
+    return Butterfly._trusted(Q.dom, B.cod, E2, kappa, iota, prK0, prE.then(B.rho))
 
 
 # ---------------------------------------------------------------------------

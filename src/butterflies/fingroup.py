@@ -68,22 +68,19 @@ class FinGroup:
         self.order = len(table)
         self.table: tuple[tuple[int, ...], ...] = tuple(tuple(map(int, row)) for row in table)
         _check_group_table(self)
-        self._finish(name, element_labels)
+        self.name, self.relabeling = name, None
+        # labels given as a function, as the trusted constructions give them, are read on first use
+        self._labels = element_labels if element_labels is None or callable(element_labels) else tuple(element_labels)
+        self.inverse = tuple([row.index(0) for row in self.table])
 
     @classmethod
     def _trusted(cls, table: Sequence[Sequence[int]], name: str, labels: Optional[Callable[[], Iterable[str]]] = None):
         """A group whose table is a group table by construction; rows may be lists."""
         G = object.__new__(cls)
         G.order, G.table = len(table), tuple(map(tuple, table))
-        G._finish(name, labels)
+        G.name, G._labels, G.relabeling = name, labels, None
+        G.inverse = tuple([row.index(0) for row in G.table])
         return G
-
-    def _finish(self, name: str, labels: Optional[Sequence[str] | Callable[[], Iterable[str]]]) -> None:
-        """Set the fields that follow a group table: names, relabeling, inverses."""
-        self.name = name
-        self._labels = labels if labels is None or callable(labels) else tuple(labels)
-        self.relabeling: Optional[tuple[int, ...]] = None
-        self.inverse = tuple(row.index(0) for row in self.table)
 
     @property
     def element_labels(self) -> Optional[tuple[str, ...]]:
@@ -283,6 +280,14 @@ class GroupHom(_Trusted):
     cod: FinGroup
     map: tuple[int, ...]
 
+    @classmethod
+    def _trusted(cls, dom: FinGroup, cod: FinGroup, map: tuple[int, ...]) -> "GroupHom":
+        """``_Trusted._trusted`` for the most often built record, its three fields stored directly."""
+        h = object.__new__(cls)
+        fields = h.__dict__
+        fields["dom"], fields["cod"], fields["map"] = dom, cod, map
+        return h
+
     def __post_init__(self):
         object.__setattr__(self, "map", tuple(int(x) for x in self.map))
         if not _maps_into(self.map, self.dom.order, self.cod.order):
@@ -298,7 +303,7 @@ class GroupHom(_Trusted):
         """Composite 'self first, then g'."""
         if g.dom is not self.cod and g.dom != self.cod:
             raise CodomainMismatch("cannot compose: middle groups differ")
-        return GroupHom._trusted(self.dom, g.cod, tuple(g.map[x] for x in self.map))
+        return GroupHom._trusted(self.dom, g.cod, tuple(map(g.map.__getitem__, self.map)))
 
     @property
     def is_injective(self) -> bool:
@@ -413,12 +418,16 @@ class Subgroup(_Trusted):
 
 
 def _close(G: FinGroup, span: set[int], gens: Sequence[int]) -> set[int]:
-    """Grow `span`, a subgroup of G contained in <gens>, in place to <gens>."""
-    frontier = list(span)
+    """Grow `span`, the subgroup of G generated by gens[:-1], in place to
+    <gens>.  It is closed under gens[:-1] and does not hold g = gens[-1], so
+    what is new is its coset span*g and what that reaches."""
+    t, g = G.table, gens[-1]
+    frontier = [t[a][g] for a in span]
+    span.update(frontier)
     while frontier:
         a = frontier.pop()
-        for g in gens:
-            b = G.table[a][g]
+        for h in gens:
+            b = t[a][h]
             if b not in span:
                 span.add(b)
                 frontier.append(b)
@@ -426,7 +435,12 @@ def _close(G: FinGroup, span: set[int], gens: Sequence[int]) -> set[int]:
 
 
 def subgroup_generated(G: FinGroup, gens: Iterable[int]) -> Subgroup:
-    return Subgroup._trusted(G, tuple(sorted(_close(G, {0}, list(gens)))))
+    span, taken = {0}, []
+    for g in gens:
+        if g not in span:
+            taken.append(g)
+            _close(G, span, taken)
+    return Subgroup._trusted(G, tuple(sorted(span)))
 
 
 def kernel(f: GroupHom) -> Subgroup:
@@ -669,8 +683,8 @@ def _generators(G: FinGroup, first: tuple[int, ...] = ()) -> tuple[int, ...]:
 
 
 def _maps_into(m: Sequence[int], n: int, k: int) -> bool:
-    """Whether m holds one value in range(k) for each of n domain elements."""
-    return len(m) == n and all(0 <= y < k for y in m)
+    """Whether m holds one value in range(k) for each of n >= 1 domain elements."""
+    return len(m) == n and min(m) >= 0 and max(m) < k
 
 
 def _hom_defect(G: FinGroup, H: FinGroup, m: Sequence[int]) -> Optional[tuple[int, int]]:

@@ -15,7 +15,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .butterfly import (
     Butterfly,
@@ -271,28 +271,22 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
             report.fail("right-unit", lambda: {"butterfly": to_jsonable(B)})
 
     inner = _per_operand(composer)  # B1 B2 and B2 B3, each built once per run
-    for B1 in bounded:
-        for B2 in bounded:
-            if B1.cod != B2.dom:
-                continue
-            for B3 in bounded:
-                if B2.cod != B3.dom or B1.E.order * B2.E.order * B3.E.order > 64 * fx.size_bound:
-                    continue
-                report.case()
-                try:
-                    lhs = composer(inner(B1, B2), B3)
-                    rhs = composer(B1, inner(B2, B3))
-                    w = _iso_or_none(lhs, rhs)
-                except Exception as exc:  # corrupt composites may fail later stages
-                    report.fail(
-                        "associativity",
-                        lambda: {"error": str(exc), "triple": [to_jsonable(B) for B in (B1, B2, B3)]},
-                    )
-                    continue
-                if w is None:
-                    report.fail("associativity", lambda: {"triple": [to_jsonable(B) for B in (B1, B2, B3)]})
-                elif not w.f.is_isomorphism:
-                    report.fail("witness-bijective", lambda: {"triple": [to_jsonable(B) for B in (B1, B2, B3)]})
+    for B1, B2, B3 in _composable_triples(bounded, 64 * fx.size_bound):
+        report.case()
+        try:
+            lhs = composer(inner(B1, B2), B3)
+            rhs = composer(B1, inner(B2, B3))
+            w = _iso_or_none(lhs, rhs)
+        except Exception as exc:  # corrupt composites may fail later stages
+            report.fail(
+                "associativity",
+                lambda: {"error": str(exc), "triple": [to_jsonable(B) for B in (B1, B2, B3)]},
+            )
+            continue
+        if w is None:
+            report.fail("associativity", lambda: {"triple": [to_jsonable(B) for B in (B1, B2, B3)]})
+        elif not w.f.is_isomorphism:
+            report.fail("witness-bijective", lambda: {"triple": [to_jsonable(B) for B in (B1, B2, B3)]})
 
     for B in bounded:
         if not is_flippable(B):
@@ -306,6 +300,20 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
             report.fail("flip-equivalence", lambda: {"butterfly": to_jsonable(B)})
 
     return report.done(start, fault, any(corrupted))
+
+
+def _composable_triples(butterflies: list[Butterfly], bound: int) -> Iterator[tuple[Butterfly, Butterfly, Butterfly]]:
+    """The triples (B1, B2, B3) of `butterflies` with B1.cod = B2.dom,
+    B2.cod = B3.dom and |E1||E2||E3| <= bound, in the order of a scan over
+    B1, then B2, then B3: each B2 and B3 is drawn from an index by domain."""
+    starting: dict[CrossedModule, list[Butterfly]] = {}
+    for B in butterflies:
+        starting.setdefault(B.dom, []).append(B)
+    for B1 in butterflies:
+        for B2 in starting.get(B1.cod, ()):
+            for B3 in starting.get(B2.cod, ()):
+                if B1.E.order * B2.E.order * B3.E.order <= bound:
+                    yield B1, B2, B3
 
 
 def _iso_or_none(B1: Butterfly, B2: Butterfly):
@@ -326,14 +334,14 @@ def _corrupt_middle_group(B: Butterfly) -> Butterfly:
     E2 = FinGroup._trusted(table, B.E.name + "!corrupt")
     # keep the map arrays on the relabeled group: the trusted path skips the
     # homomorphism checks, so the corrupted object reaches the validators
-    return Butterfly(
-        dom=B.dom,
-        cod=B.cod,
-        E=E2,
-        kappa=GroupHom._trusted(B.dom.G, E2, B.kappa.map),
-        iota=GroupHom._trusted(B.cod.G, E2, B.iota.map),
-        sigma=GroupHom._trusted(E2, B.dom.G0, B.sigma.map),
-        rho=GroupHom._trusted(E2, B.cod.G0, B.rho.map),
+    return Butterfly._trusted(
+        B.dom,
+        B.cod,
+        E2,
+        GroupHom._trusted(B.dom.G, E2, B.kappa.map),
+        GroupHom._trusted(B.cod.G, E2, B.iota.map),
+        GroupHom._trusted(E2, B.dom.G0, B.sigma.map),
+        GroupHom._trusted(E2, B.cod.G0, B.rho.map),
     )
 
 
@@ -378,10 +386,16 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
     for P, Q, cells in pairs:
         report.case()
         morphisms = butterfly_morphisms(split_from_morphism(P)[0], split_from_morphism(Q)[0])
-        images = {two_cell_image(c).f.map for c in cells}
-        if len(images) != len(cells):
+        images = []
+        for c in cells:
+            try:
+                images.append(two_cell_image(c).f.map)
+            except ConstructionError:  # the cell's map of middle groups is no butterfly morphism
+                report.fail("ef2-image", lambda: {"P": to_jsonable(P), "Q": to_jsonable(Q), "alpha": list(c.alpha)})
+        distinct = set(images)
+        if len(distinct) != len(images):
             report.fail("ef2-faithful", lambda: {"P": to_jsonable(P), "Q": to_jsonable(Q)})
-        if images != {w.f.map for w in morphisms}:
+        if distinct != {w.f.map for w in morphisms}:
             report.fail(
                 "ef2-full",
                 lambda: {

@@ -63,6 +63,13 @@ class CrossedModule:
     def act(self, x: int, g: int) -> int:
         return self.action.act[x][g]
 
+    def __eq__(self, other: object) -> bool:
+        # the dataclass-generated equality (the name excluded), returning at once on identity
+        return self is other or (
+            isinstance(other, CrossedModule)
+            and (self.G, self.G0, self.boundary, self.action) == (other.G, other.G0, other.boundary, other.action)
+        )
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -115,8 +122,21 @@ class XModMorphism:
     p0: GroupHom
 
 
+def _check_morphism_range(report: ValidationReport, P: XModMorphism, label: str = "") -> None:
+    """Report p or p0 as ``map-range`` when it is not a map between the groups
+    of P: the checks of a morphism index both."""
+    for leg, m, D, C in (("p", P.p.map, P.dom.G, P.cod.G), ("p0", P.p0.map, P.dom.G0, P.cod.G0)):
+        if not _maps_into(m, D.order, C.order):
+            report.add("map-range", label + leg, f"{label}{leg} is not a map {D.name} -> {C.name}")
+
+
 def validate_xmod_morphism(P: XModMorphism) -> ValidationReport:
+    """The boundary square and the equivariance of (p, p0); a map off its
+    groups is a finding, and the checks are skipped."""
     report = ValidationReport(f"morphism {P.dom!r} -> {P.cod!r}")
+    _check_morphism_range(report, P)
+    if not report.ok:
+        return report
     H, H0 = P.dom.G, P.dom.G0
     for h in range(H.order):
         if P.cod.boundary.map[P.p.map[h]] != P.p0.map[P.dom.boundary.map[h]]:
@@ -377,7 +397,8 @@ def is_weak_equivalence(P: XModMorphism) -> tuple[bool, GroupHom, GroupHom]:
     ker_map = GroupHom._trusted(KH, KG, tuple(pos[P.p.map[inclH.map[k]]] for k in range(KH.order)))
     QH, prH = cokernel_of_boundary(P.dom)
     QG, prG = cokernel_of_boundary(P.cod)
-    coker_map = GroupHom._trusted(QH, QG, tuple(prG.map[P.p0.map[prH.map.index(q)]] for q in range(QH.order)))
+    first = {q: x for x, q in reversed(list(enumerate(prH.map)))}  # the least preimage of each coset
+    coker_map = GroupHom._trusted(QH, QG, tuple(prG.map[P.p0.map[first[q]]] for q in range(QH.order)))
     return ker_map.is_isomorphism and coker_map.is_isomorphism, ker_map, coker_map
 
 
@@ -438,10 +459,15 @@ def validate_two_cell(cell: XModTwoCell) -> ValidationReport:
     A 2-cell is an arrow of the base category, so alpha must in particular be
     a group homomorphism H0 -> G1.  Also cross-checks, on the associated
     2-group functors, that the same map is an internal natural transformation
-    (naturality on every arrow).
+    (naturality on every arrow).  A map of P or Q off its groups is a
+    finding, and the checks are skipped.
     """
     report = ValidationReport("2-cell")
     P, Q, alpha = cell.P, cell.Q, cell.alpha
+    _check_morphism_range(report, P, "P.")
+    _check_morphism_range(report, Q, "Q.")
+    if not report.ok:
+        return report
     cod = P.cod
     TG = denormalize(cod)
     defect = _hom_defect(P.dom.G0, TG.G1, alpha)

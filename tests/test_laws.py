@@ -10,9 +10,16 @@ import pytest
 
 from butterflies import fingroup, jsonio, laws
 from butterflies.butterfly import identity_butterfly
-from butterflies.extension import conjugation_xmod, discrete_xmod
-from butterflies.fingroup import _per_operand, _run_memo, cyclic_group
-from butterflies.xmod import kernel_of_boundary
+from butterflies.extension import aut_xmod, conjugation_xmod, discrete_xmod
+from butterflies.fingroup import _per_operand, _run_memo, cyclic_group, identity_hom, zero_hom
+from butterflies.xmod import (
+    XModMorphism,
+    XModTwoCell,
+    enumerate_two_cells,
+    identity_morphism,
+    kernel_of_boundary,
+    pointwise_division_arrow,
+)
 from butterflies.errors import BoundExceeded, UnknownSuite
 from butterflies.report import KEEP_PER_CONDITION
 from butterflies.laws import (
@@ -133,6 +140,23 @@ class TestSuites:
         monkeypatch.setattr(laws, "isomorphic_butterflies", broken)
         with pytest.raises(KeyError):
             run_bicategory_suite(generate_fixtures(0, 8))
+
+    def test_cell_without_a_butterfly_morphism_is_an_ef2_failure(self, monkeypatch):
+        # on A(Z2) the division arrow of the identity by the zero map is
+        # nontrivial at 1, so the Peiffer-graph condition wants alpha(d 1) =
+        # alpha(0) = 1 / 0; this cell keeps the unit arrow there
+        X = aut_xmod(cyclic_group(2))
+        P = identity_morphism(X)
+        Q = XModMorphism(X, X, zero_hom(X.G, X.G), identity_hom(X.G0))
+        assert pointwise_division_arrow(X, P.p.map, Q.p.map) != (0, 0)
+        cell = XModTwoCell(P, Q, (0,))
+        assert cell not in enumerate_two_cells(P, Q)
+        monkeypatch.setattr(
+            laws, "enumerate_two_cells", lambda P2, Q2: [cell] if (P2, Q2) == (P, Q) else enumerate_two_cells(P2, Q2)
+        )
+        report = run_fractions_suite(FixtureSet(seed=0, size_bound=8, morphisms=[P, Q]))
+        witness = {"P": jsonio.to_jsonable(P), "Q": jsonio.to_jsonable(Q), "alpha": [0]}
+        assert {"check": "ef2-image", "witness": witness} in report.failures
 
     def test_failures_carry_replayable_witnesses(self):
         report = run_bicategory_suite(generate_fixtures(0, 8), fault="compose")

@@ -1,11 +1,12 @@
 """The trust test: what internal constructions build unchecked is valid.
 
-Constructions whose results are groups, homomorphisms, actions or subgroups
-by a theorem build them through ``_trusted`` and skip the checks: the table
-check of ``FinGroup(...)`` and the ``__post_init__`` of the others.  Here that
-one path is pointed back at the checking constructors, and the fixtures, both
-law suites, the spans and a classification must come out exactly as in a run
-without the checks.
+Constructions whose results are groups, homomorphisms, actions, subgroups or
+butterflies by a theorem build them through ``_trusted`` and skip the checks:
+the table check of ``FinGroup(...)``, the ``__post_init__`` of the others and
+the dataclass ``__init__``.  Here every ``_trusted`` (``GroupHom`` has its
+own, ``Butterfly`` inherits that of the records) is pointed back at the
+checking constructors, and the fixtures, both law suites, the spans and a
+classification must come out exactly as in a run without the checks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 from helpers import V4, Z4
 
-from butterflies import fingroup
+from butterflies import butterfly, fingroup
 from butterflies.butterfly import span_of_butterfly
 from butterflies.errors import NotAGroup
 from butterflies.extension import aut_xmod, classify_extensions, standard_catalog
@@ -72,6 +73,9 @@ def fails(suite, fx, fault: str) -> bool:
 
 
 def test_patch_reaches_every_trusted_class(checked):
+    # GroupHom has a _trusted of its own; Butterfly inherits that of the records
+    assert "_trusted" in vars(fingroup.GroupHom)
+    assert butterfly.Butterfly._trusted.__func__ is fingroup._Trusted._trusted.__func__
     # a Latin square with identity 0 in which every element is its own
     # inverse: of odd order, so not associative
     loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]

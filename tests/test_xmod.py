@@ -46,6 +46,7 @@ from butterflies.xmod import (
     validate_two_cell,
     validate_two_group,
     validate_two_group_functor,
+    validate_xmod_morphism,
     xmod_morphism,
 )
 
@@ -73,6 +74,13 @@ def aut_like(G):
     pos = {p: i for i, p in enumerate(ev.act)}
     inner = GroupHom(G, A, tuple(pos[tuple(G.conj(g, a) for a in range(G.order))] for g in range(G.order)))
     return CrossedModule(G, A, inner, ev, name=f"A({G.name})")
+
+
+def corrupt_leg(P, leg, corrupt):
+    """P with its map `leg` (p or p0) out of range or one entry short, built unchecked."""
+    h = getattr(P, leg)
+    bad = (h.cod.order,) * h.dom.order if corrupt == "out-of-range" else h.map[:-1]
+    return dataclasses.replace(P, **{leg: GroupHom._trusted(h.dom, h.cod, bad)})
 
 
 class TestValidation:
@@ -214,6 +222,12 @@ class TestMorphisms:
         report = validate_two_group_functor(TwoGroupFunctor(T, T, p1, identity_hom(T.G0)))
         assert report.conditions() == {"functor-source", "functor-target", "functor-unit"}
 
+    @pytest.mark.parametrize("corrupt", ("out-of-range", "short"))
+    @pytest.mark.parametrize("leg", ("p", "p0"))
+    def test_morphism_map_off_its_groups_is_a_finding(self, leg, corrupt):
+        report = validate_xmod_morphism(corrupt_leg(identity_morphism(conj_xmod(S3)), leg, corrupt))
+        assert [(f.condition, f.witness) for f in report.findings] == [("map-range", leg)]
+
 
 class TestPullbackXMod:
     def test_identity_sigma(self):
@@ -278,6 +292,13 @@ class TestTwoCells:
         report = validate_two_cell(XModTwoCell(P, P, tuple(bad)))
         assert not report.ok
         assert any(f.condition == "source" and f.witness == 1 for f in report.findings)
+
+    @pytest.mark.parametrize("corrupt", ("out-of-range", "short"))
+    @pytest.mark.parametrize("leg", ("p", "p0"))
+    def test_morphism_map_off_its_groups_is_a_finding(self, leg, corrupt):
+        P = identity_morphism(conj_xmod(S3))
+        report = validate_two_cell(XModTwoCell(corrupt_leg(P, leg, corrupt), P, identity_two_cell(P).alpha))
+        assert [(f.condition, f.witness) for f in report.findings] == [("map-range", f"P.{leg}")]
 
     @pytest.mark.parametrize("value", [-1, 4, 99])
     def test_alpha_out_of_range_rejected(self, value):
