@@ -31,7 +31,6 @@ from .fingroup import (
     _Trusted,
     _generator_images,
     _is_pullback,
-    _maps_into,
     _per_operand,
     _twisted_index,
     direct_product,
@@ -47,6 +46,7 @@ from .xmod import (
     TwoGroupFunctor,
     XModMorphism,
     XModTwoCell,
+    _check_ranges,
     cokernel_embedding,
     denormalize,
     denormalize_morphism,
@@ -87,12 +87,8 @@ def validate_butterfly(B: Butterfly) -> ValidationReport:
     report = ValidationReport(repr(B))
     E, H, G = B.E, B.dom.G, B.cod.G
     k, i, s, r = _legs(B)
-    bad = set()
-    for leg, m, D, C in (("kappa", k, H, E), ("iota", i, G, E), ("sigma", s, E, B.dom.G0), ("rho", r, E, B.cod.G0)):
-        if not _maps_into(m, D.order, C.order):
-            report.add("leg-range", leg, f"{leg} is not a map {D.name} -> {C.name}")
-            bad.add(leg)
-    readable = bad.isdisjoint
+    legs = (("kappa", k, H, E), ("iota", i, G, E), ("sigma", s, E, B.dom.G0), ("rho", r, E, B.cod.G0))
+    readable = _check_ranges(report, "leg-range", legs).isdisjoint
     if readable(("sigma", "kappa")):
         for h in range(H.order):
             if s[k[h]] != B.dom.boundary.map[h]:
@@ -470,6 +466,8 @@ def validate_fractor(F: Fractor) -> ValidationReport:
         sub = validate_two_group(T)
         if not sub.ok:
             report.add("1-groupoid", label, f"{label} is not a groupoid: {sub.findings[0]}")
+        if label == "R":
+            R_in_range = "map-range" not in sub.conditions()  # condition 3 indexes rho by R's d and c
     for leg, label in ((F.left, "left"), (F.right, "right")):
         sub = validate_two_group_functor(leg)
         if not sub.ok:
@@ -483,7 +481,7 @@ def validate_fractor(F: Fractor) -> ValidationReport:
     if not _is_pullback(sigma, sigma, F.Rsigma.d, F.Rsigma.c):
         report.add("2-kernel-pair", None, "Rsigma is not the kernel pair of sigma")
     rho = F.right.p0
-    for a in range(F.R.G1.order):
+    for a in range(F.R.G1.order if R_in_range else 0):
         if rho.map[F.R.d.map[a]] != rho.map[F.R.c.map[a]]:
             report.add("3-coequalizing", a, "rho does not coequalize the legs of R")
     return report

@@ -25,6 +25,7 @@ from .fingroup import (
     GroupHom,
     _generator_images,
     _generators,
+    _maps_into,
     _twisted_columns,
     _twisted_index,
     _twisted_product,
@@ -146,12 +147,12 @@ class FactorSet:
 
 
 def validate_factor_set(fs: FactorSet, aut: FinGroup, ev: GroupAction) -> bool:
-    """Normalization plus the two Schreier conditions."""
+    """Normalization plus the two Schreier conditions; False also when phi is
+    not a map into Aut(G) or f not a map H x H -> G."""
     H, G = fs.H, fs.G
     phi, f = fs.phi, fs.f
-    if phi[0] != 0 or any(f[0][y] != 0 for y in range(H.order)) or any(
-        f[x][0] != 0 for x in range(H.order)
-    ):
+    f_in_range = len(f) == H.order and all(_maps_into(row, H.order, G.order) for row in f)
+    if not (f_in_range and _maps_into(phi, H.order, aut.order)) or phi[0] != 0 or any(f[0]) or any(r[0] for r in f):
         return False
     conj_pos = {p: i for i, p in enumerate(ev.act)}
     for x in range(H.order):

@@ -15,7 +15,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .butterfly import (
     Butterfly,
@@ -107,10 +107,10 @@ class SuiteReport:
     def case(self) -> None:
         self.cases += 1
 
-    def fail(self, check: str, witness: Callable[[], dict]) -> None:
-        """Count a failure; its witness is built only if the failure is kept."""
+    def fail(self, check: str, **witness) -> None:
+        """Count a failure; its witness fields are serialized only if the failure is kept."""
         if sum(f["check"] == check for f in self.failures) < KEEP_PER_CONDITION:
-            self.failures.append({"check": check, "witness": witness()})
+            self.failures.append({"check": check, "witness": {k: _serialized(v) for k, v in witness.items()}})
         else:
             self.dropped += 1
 
@@ -126,7 +126,7 @@ class SuiteReport:
     def done(self, start: float, fault: str | None, fired: bool) -> SuiteReport:
         """Stop the clock.  A fault run whose fault never fired proves nothing, so it fails."""
         if fault is not None and not fired:
-            self.fail("fault-not-exercised", lambda: {"fault": fault})
+            self.fail("fault-not-exercised", fault=fault)
         self.wall_time = time.perf_counter() - start
         return self
 
@@ -135,6 +135,14 @@ class SuiteReport:
         if self.dropped:
             status += f", {self.dropped} not kept"
         return f"suite {self.suite}: {self.cases} cases, {status} ({self.wall_time:.2f}s)"
+
+
+def _serialized(value):
+    """A witness field: a record through ``to_jsonable``, a tuple of records
+    as a list of them, any other value as it is."""
+    if isinstance(value, tuple):
+        return [to_jsonable(R) for R in value]
+    return to_jsonable(value) if isinstance(value, (CrossedModule, XModMorphism, Butterfly)) else value
 
 
 def generate_fixtures(seed: int, size_bound: int) -> FixtureSet:
@@ -194,11 +202,9 @@ def generate_fixtures(seed: int, size_bound: int) -> FixtureSet:
     for B in butterflies[:]:
         if is_flippable(B) and B.E.order <= size_bound:
             butterflies.append(flip(B))
+    starting = _by_dom(butterflies)
     composable = [
-        (B1, B2)
-        for B1 in butterflies
-        for B2 in butterflies
-        if B1.cod == B2.dom and B1.E.order * B2.E.order <= 8 * size_bound
+        (B1, B2) for B1 in butterflies for B2 in starting.get(B1.cod, ()) if B1.E.order * B2.E.order <= 8 * size_bound
     ]
     for B1, B2 in rng.sample(composable, min(4, len(composable))):
         butterflies.append(compose(B1, B2))
@@ -220,6 +226,14 @@ def _small_extensions(H: FinGroup, G: FinGroup) -> list[ExtensionDatum]:
             seen_tables.add(datum.E.table)
             out.append(datum)
     return out
+
+
+def _by_dom(records: list) -> dict[CrossedModule, list]:
+    """The butterflies or morphisms of `records` listed by dom, each list in scan order."""
+    index: dict[CrossedModule, list] = {}
+    for R in records:
+        index.setdefault(R.dom, []).append(R)
+    return index
 
 
 def _parallel_pairs(fx: FixtureSet, limit: int) -> list[tuple[XModMorphism, XModMorphism]]:
@@ -254,7 +268,7 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
         report.case()
         check = validate_butterfly(B)
         if not check.ok:
-            report.fail("butterfly-valid", lambda: {"butterfly": to_jsonable(B), "report": check.to_json()})
+            report.fail("butterfly-valid", butterfly=B, report=check.to_json())
 
     bounded = [B for B in fx.butterflies if B.E.order <= 2 * fx.size_bound]
     for B in bounded:
@@ -262,13 +276,13 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
         left = composer(identity_butterfly(B.dom), B)
         w = _iso_or_none(left, B)
         if w is None:
-            report.fail("left-unit", lambda: {"butterfly": to_jsonable(B)})
+            report.fail("left-unit", butterfly=B)
         elif not w.f.is_isomorphism:
-            report.fail("witness-bijective", lambda: {"butterfly": to_jsonable(B)})
+            report.fail("witness-bijective", butterfly=B)
         report.case()
         right = composer(B, identity_butterfly(B.cod))
         if _iso_or_none(right, B) is None:
-            report.fail("right-unit", lambda: {"butterfly": to_jsonable(B)})
+            report.fail("right-unit", butterfly=B)
 
     inner = _per_operand(composer)  # B1 B2 and B2 B3, each built once per run
     for B1, B2, B3 in _composable_triples(bounded, 64 * fx.size_bound):
@@ -278,15 +292,12 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
             rhs = composer(B1, inner(B2, B3))
             w = _iso_or_none(lhs, rhs)
         except Exception as exc:  # corrupt composites may fail later stages
-            report.fail(
-                "associativity",
-                lambda: {"error": str(exc), "triple": [to_jsonable(B) for B in (B1, B2, B3)]},
-            )
+            report.fail("associativity", error=str(exc), triple=(B1, B2, B3))
             continue
         if w is None:
-            report.fail("associativity", lambda: {"triple": [to_jsonable(B) for B in (B1, B2, B3)]})
+            report.fail("associativity", triple=(B1, B2, B3))
         elif not w.f.is_isomorphism:
-            report.fail("witness-bijective", lambda: {"triple": [to_jsonable(B) for B in (B1, B2, B3)]})
+            report.fail("witness-bijective", triple=(B1, B2, B3))
 
     for B in bounded:
         if not is_flippable(B):
@@ -297,7 +308,7 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
             _iso_or_none(composer(B, Bstar), identity_butterfly(B.dom)) is None
             or _iso_or_none(composer(Bstar, B), identity_butterfly(B.cod)) is None
         ):
-            report.fail("flip-equivalence", lambda: {"butterfly": to_jsonable(B)})
+            report.fail("flip-equivalence", butterfly=B)
 
     return report.done(start, fault, any(corrupted))
 
@@ -306,9 +317,7 @@ def _composable_triples(butterflies: list[Butterfly], bound: int) -> Iterator[tu
     """The triples (B1, B2, B3) of `butterflies` with B1.cod = B2.dom,
     B2.cod = B3.dom and |E1||E2||E3| <= bound, in the order of a scan over
     B1, then B2, then B3: each B2 and B3 is drawn from an index by domain."""
-    starting: dict[CrossedModule, list[Butterfly]] = {}
-    for B in butterflies:
-        starting.setdefault(B.dom, []).append(B)
+    starting = _by_dom(butterflies)
     for B1 in butterflies:
         for B2 in starting.get(B1.cod, ()):
             for B3 in starting.get(B2.cod, ()):
@@ -368,10 +377,10 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
         report.case()
         weak, _, _ = is_weak_equivalence(P)
         if weak != is_flippable(split_from_morphism(P)[0]):
-            report.fail("ef0-flippable", lambda: {"morphism": to_jsonable(P), "weak": weak})
+            report.fail("ef0-flippable", morphism=P, weak=weak)
         # the square of boundaries against (p, p0) is a pullback
         if weak and not _is_pullback(P.p0, P.cod.boundary, P.dom.boundary, P.p):
-            report.fail("ef0-pullback-square", lambda: {"morphism": to_jsonable(P)})
+            report.fail("ef0-pullback-square", morphism=P)
 
     # EF2: double counting on parallel pairs, each pair's 2-cells enumerated once
     pairs = []
@@ -391,26 +400,18 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
             try:
                 images.append(two_cell_image(c).f.map)
             except ConstructionError:  # the cell's map of middle groups is no butterfly morphism
-                report.fail("ef2-image", lambda: {"P": to_jsonable(P), "Q": to_jsonable(Q), "alpha": list(c.alpha)})
+                report.fail("ef2-image", P=P, Q=Q, alpha=list(c.alpha))
         distinct = set(images)
         if len(distinct) != len(images):
-            report.fail("ef2-faithful", lambda: {"P": to_jsonable(P), "Q": to_jsonable(Q)})
+            report.fail("ef2-faithful", P=P, Q=Q)
         if distinct != {w.f.map for w in morphisms}:
-            report.fail(
-                "ef2-full",
-                lambda: {
-                    "P": to_jsonable(P),
-                    "Q": to_jsonable(Q),
-                    "cells": len(cells),
-                    "morphisms": len(morphisms),
-                },
-            )
+            report.fail("ef2-full", P=P, Q=Q, cells=len(cells), morphisms=len(morphisms))
 
     # cross-check: the two exhaustive enumerations agree as sets
     for P, Q, cells in pairs:
         report.case()
         if {c.alpha for c in cells} != set(enumerate_natural_transformations(P, Q)):
-            report.fail("two-cell-naturality", lambda: {"P": to_jsonable(P), "Q": to_jsonable(Q)})
+            report.fail("two-cell-naturality", P=P, Q=Q)
 
     # EF3: literal coincidence of the two reduced composites
     for B in fx.butterflies:
@@ -418,68 +419,55 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
             continue
         report.case()
         if not ef3_coincidence(B):
-            report.fail("ef3-literal", lambda: {"butterfly": to_jsonable(B)})
+            report.fail("ef3-literal", butterfly=B)
 
     # action laws
     bounded = [B for B in fx.butterflies if B.E.order <= fx.size_bound]
     for B in bounded:
         report.case()
         if _iso_or_none(reduced_compose(identity_morphism(B.dom), B), B) is None:
-            report.fail("a3-unit", lambda: {"butterfly": to_jsonable(B)})
+            report.fail("a3-unit", butterfly=B)
     for P in small_morphisms:
         report.case()
         if reduced_compose(P, identity_butterfly(P.cod)) != split_from_morphism(P)[0]:
-            report.fail("reduced-vs-split", lambda: {"morphism": to_jsonable(P)})
-    composable_pq = ((P, Q) for P in small_morphisms for Q in small_morphisms if P.cod == Q.dom)
+            report.fail("reduced-vs-split", morphism=P)
+    leaving, starting = _by_dom(small_morphisms), _by_dom(bounded)
+    composable_pq = ((P, Q) for P in small_morphisms for Q in leaving.get(P.cod, ()))
     for P, Q in itertools.islice(composable_pq, 10):
-        targets = [B for B in bounded if B.dom == Q.cod][:2]
-        for B in targets:
+        for B in starting.get(Q.cod, [])[:2]:
             report.case()
             lhs = reduced_compose(compose_morphisms(P, Q), B)
             rhs = reduced_compose(P, reduced_compose(Q, B))
             if _iso_or_none(lhs, rhs) is None:
-                report.fail(
-                    "a2-associativity",
-                    lambda: {"P": to_jsonable(P), "Q": to_jsonable(Q), "butterfly": to_jsonable(B)},
-                )
+                report.fail("a2-associativity", P=P, Q=Q, butterfly=B)
     # A1: Q .rc (E1 E2) vs (Q .rc E1) E2 on composable data
     a1_triples = (
         (P, B1, B2)
         for P in small_morphisms
-        for B1 in bounded
-        if P.cod == B1.dom
-        for B2 in bounded
-        if B1.cod == B2.dom and B1.E.order * B2.E.order <= 8 * fx.size_bound
+        for B1 in starting.get(P.cod, ())
+        for B2 in starting.get(B1.cod, ())
+        if B1.E.order * B2.E.order <= 8 * fx.size_bound
     )
     for P, B1, B2 in itertools.islice(a1_triples, 8):
         report.case()
         lhs = reduced_compose(P, compose(B1, B2))
         rhs = compose(reduced_compose(P, B1), B2)
         if _iso_or_none(lhs, rhs) is None:
-            report.fail(
-                "a1-compat",
-                lambda: {
-                    "P": to_jsonable(P),
-                    "B1": to_jsonable(B1),
-                    "B2": to_jsonable(B2),
-                },
-            )
+            report.fail("a1-compat", P=P, B1=B1, B2=B2)
 
     # pulling back along a surjection yields a weak equivalence
+    sources = (cyclic_group(4), klein_four())
     for X in fx.crossed_modules:
         if X.size > fx.size_bound:
             continue
-        for E in (cyclic_group(4), klein_four()):
+        for E in sources:
             for sigma in all_homomorphisms(E, X.G0):
                 if not sigma.is_surjective:
                     continue
                 report.case()
                 pulled, comparison = pullback_crossed_module(X, sigma)
                 if not validate_crossed_module(pulled).ok or not is_weak_equivalence(comparison)[0]:
-                    report.fail(
-                        "pullback-weak-equivalence",
-                        lambda: {"xmod": to_jsonable(X), "sigma": list(sigma.map)},
-                    )
+                    report.fail("pullback-weak-equivalence", xmod=X, sigma=list(sigma.map))
 
     return report.done(start, fault, dropped_cells > 0)
 

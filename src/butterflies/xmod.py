@@ -87,18 +87,28 @@ class CrossedModule:
         return f"CrossedModule{label}"
 
 
+def _check_ranges(report: ValidationReport, condition: str, maps) -> set:
+    """The one range gate of the validators: report as `condition` each
+    (witness, m, D, C) of `maps` whose m is not a map D -> C, and return
+    their witnesses, so that the checks which index m can be skipped."""
+    bad = set()
+    for witness, m, D, C in maps:
+        if not _maps_into(m, D.order, C.order):
+            what = witness if isinstance(witness, str) else "%s row %d" % witness
+            report.add(condition, witness, f"{what} is not a map {D.name} -> {C.name}")
+            bad.add(witness)
+    return bad
+
+
 def validate_crossed_module(X: CrossedModule) -> ValidationReport:
     """Check the precrossed and Peiffer conditions, reporting every violation."""
     report = ValidationReport(repr(X))
     bd, G, G0 = X.boundary.map, X.G, X.G0
     # both conditions index the boundary and the action
-    if not _maps_into(bd, G.order, G0.order):
-        report.add("map-range", "boundary", f"boundary is not a map {G.name} -> {G0.name}")
+    _check_ranges(report, "map-range", [("boundary", bd, G, G0)])
     if len(X.action.act) != G0.order:
         report.add("map-range", "action", f"action has {len(X.action.act)} rows, expected {G0.order}")
-    for x, row in enumerate(X.action.act):
-        if not _maps_into(row, G.order, G.order):
-            report.add("map-range", ("action", x), f"action row {x} is not a map {G.name} -> {G.name}")
+    _check_ranges(report, "map-range", [(("action", x), row, G, G) for x, row in enumerate(X.action.act)])
     if not report.ok:
         return report
     for x in range(G0.order):
@@ -122,20 +132,16 @@ class XModMorphism:
     p0: GroupHom
 
 
-def _check_morphism_range(report: ValidationReport, P: XModMorphism, label: str = "") -> None:
-    """Report p or p0 as ``map-range`` when it is not a map between the groups
-    of P: the checks of a morphism index both."""
-    for leg, m, D, C in (("p", P.p.map, P.dom.G, P.cod.G), ("p0", P.p0.map, P.dom.G0, P.cod.G0)):
-        if not _maps_into(m, D.order, C.order):
-            report.add("map-range", label + leg, f"{label}{leg} is not a map {D.name} -> {C.name}")
+def _morphism_maps(P: XModMorphism, label: str = "") -> list:
+    """p and p0 with the groups of P they join, for the range gate: the checks of a morphism index both."""
+    return [(label + "p", P.p.map, P.dom.G, P.cod.G), (label + "p0", P.p0.map, P.dom.G0, P.cod.G0)]
 
 
 def validate_xmod_morphism(P: XModMorphism) -> ValidationReport:
     """The boundary square and the equivariance of (p, p0); a map off its
     groups is a finding, and the checks are skipped."""
     report = ValidationReport(f"morphism {P.dom!r} -> {P.cod!r}")
-    _check_morphism_range(report, P)
-    if not report.ok:
+    if _check_ranges(report, "map-range", _morphism_maps(P)):
         return report
     H, H0 = P.dom.G, P.dom.G0
     for h in range(H.order):
@@ -208,6 +214,12 @@ class Strict2Group:
         return f"Strict2Group({self.G1.name} => {self.G0.name})"
 
 
+def _graph_maps(T: Strict2Group, label: str = "") -> list:
+    """d, c and e with the groups of T they join, for the range gate."""
+    G1, G0 = T.G1, T.G0
+    return [(label + "d", T.d.map, G1, G0), (label + "c", T.c.map, G1, G0), (label + "e", T.e.map, G0, G1)]
+
+
 def validate_two_group(T: Strict2Group) -> ValidationReport:
     """Whether the reflexive graph carries its (unique) internal composition.
 
@@ -216,6 +228,8 @@ def validate_two_group(T: Strict2Group) -> ValidationReport:
     interchange law then holds iff [ker d, ker c] = 1.
     """
     report = ValidationReport(repr(T))
+    if _check_ranges(report, "map-range", _graph_maps(T)):
+        return report
     d, c, e = T.d.map, T.c.map, T.e.map
     for x in range(T.G0.order):
         if d[e[x]] != x or c[e[x]] != x:
@@ -279,11 +293,10 @@ def _natural_families(
 def validate_two_group_functor(F: TwoGroupFunctor) -> ValidationReport:
     report = ValidationReport("2-group functor")
     T, U = F.dom, F.cod
-    # the functor laws index U's maps by the legs' values
-    for leg, D, C in (("p1", T.G1, U.G1), ("p0", T.G0, U.G0)):
-        if not _maps_into(getattr(F, leg).map, D.order, C.order):
-            report.add("leg-range", leg, f"{leg} is not a map {D.name} -> {C.name}")
-    if report.ok:
+    # the functor laws index both ends' graphs, and U's maps by the legs' values
+    legs = (("p1", F.p1.map, T.G1, U.G1), ("p0", F.p0.map, T.G0, U.G0))
+    ends = _graph_maps(T, "dom.") + _graph_maps(U, "cod.")
+    if not _check_ranges(report, "leg-range", legs) | _check_ranges(report, "map-range", ends):
         _functor_laws(report, T, U, F.p0.map, F.p1.map)
     return report
 
@@ -464,9 +477,7 @@ def validate_two_cell(cell: XModTwoCell) -> ValidationReport:
     """
     report = ValidationReport("2-cell")
     P, Q, alpha = cell.P, cell.Q, cell.alpha
-    _check_morphism_range(report, P, "P.")
-    _check_morphism_range(report, Q, "Q.")
-    if not report.ok:
+    if _check_ranges(report, "map-range", _morphism_maps(P, "P.") + _morphism_maps(Q, "Q.")):
         return report
     cod = P.cod
     TG = denormalize(cod)

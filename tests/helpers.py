@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from butterflies import jsonio
@@ -50,6 +51,19 @@ def invalid_butterfly_json():
     data = jsonio.to_jsonable(identity_butterfly(conjugation_xmod(Z3)))
     data["rho"] = data["sigma"]
     return data
+
+
+def corrupt_graph(T, leg, corrupt):
+    """The 2-group T with its map `leg` (d, c or e) out of range or one entry
+    short, built unchecked."""
+    h = getattr(T, leg)
+    bad = (h.cod.order,) * h.dom.order if corrupt == "out-of-range" else h.map[:-1]
+    return dataclasses.replace(T, **{leg: GroupHom._trusted(h.dom, h.cod, bad)})
+
+
+# the 2-group corruptions that once raised IndexError from the validators
+# reading the graph: an off-range unit map and a one-short source map
+GRAPH_CORRUPTIONS = (("e", "out-of-range"), ("d", "short"))
 
 
 # the (H, G) pairs of the classify-grid benchmark, with their bounds

@@ -6,7 +6,17 @@ import dataclasses
 
 import pytest
 
-from helpers import ONE, S3, Z2, Z3, Z4, trivial_extension_butterfly, z4_extension_butterfly
+from helpers import (
+    GRAPH_CORRUPTIONS,
+    ONE,
+    S3,
+    Z2,
+    Z3,
+    Z4,
+    corrupt_graph,
+    trivial_extension_butterfly,
+    z4_extension_butterfly,
+)
 
 from butterflies import butterfly
 from butterflies.butterfly import (
@@ -458,6 +468,18 @@ class TestFractor:
         report = validate_fractor(dataclasses.replace(F, left=dataclasses.replace(F.left, **{leg_map: bad})))
         assert "1-functor" in report.conditions()
         assert "leg-range" in str(report)
+
+    @pytest.mark.parametrize("leg, corrupt", GRAPH_CORRUPTIONS)
+    def test_groupoid_with_a_map_off_its_groups_is_a_finding(self, leg, corrupt):
+        F = to_fractor(identity_butterfly(aut_xmod(Z3)))
+        bad = corrupt_graph(F.R, leg, corrupt)
+        report = validate_fractor(dataclasses.replace(F, R=bad))
+        assert [(f.condition, f.witness) for f in report.findings] == [("1-groupoid", "R")]
+        assert f"map-range: witness {leg!r}" in report.findings[0].detail
+        # the left leg's domain is R too: its functor laws read the same graph
+        report = validate_fractor(dataclasses.replace(F, R=bad, left=dataclasses.replace(F.left, dom=bad)))
+        assert [(f.condition, f.witness) for f in report.findings] == [("1-groupoid", "R"), ("1-functor", "left")]
+        assert f"map-range: witness 'dom.{leg}'" in report.findings[1].detail
 
     def test_leg_breaking_sources_is_a_finding(self):
         F = to_fractor(identity_butterfly(conjugation_xmod(Z3)))

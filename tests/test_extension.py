@@ -164,6 +164,20 @@ class TestFactorSets:
         for fs in enumerate_cocycles(Z2, Z3):
             assert validate_factor_set(fs, aut, ev)
 
+    @pytest.mark.parametrize(
+        "phi, f",
+        [
+            ((0, 99), ((0, 0), (0, 0))),  # phi off the range of Aut(Z3)
+            ((0, 0), ((0, 0),)),  # one row of f
+            ((0, 0), ((0, 0), (0,))),  # a short row of f
+            ((0, 0), ((0, 0), (0, 3))),  # a value of f off Z3
+            ((0,), ((0, 0), (0, 0))),  # phi one short
+        ],
+    )
+    def test_malformed_factor_set_is_invalid(self, phi, f):
+        aut, ev = automorphism_group(Z3)
+        assert validate_factor_set(FactorSet(Z2, Z3, phi, f), aut, ev) is False
+
     def test_reconstruction_builds_groups(self):
         for fs in enumerate_cocycles(Z2, Z2):
             datum = factor_set_to_extension(fs)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from helpers import Z2, Z3, trivial_extension_butterfly, z4_extension_butterfly
+from helpers import GRAPH_CORRUPTIONS, Z2, Z3, corrupt_graph, trivial_extension_butterfly, z4_extension_butterfly
 
 from butterflies.butterfly import (
     identity_butterfly,
@@ -37,6 +39,14 @@ class TestCheckMonoidal:
     def test_identity_functor_valid(self):
         for X in (DZ2, CZ2, aut_xmod(Z3)):
             assert check_monoidal(identity_monoidal(denormalize(X))).ok
+
+    @pytest.mark.parametrize("end", ("dom", "cod"))
+    @pytest.mark.parametrize("leg, corrupt", GRAPH_CORRUPTIONS)
+    def test_end_with_a_graph_map_off_its_groups_is_a_finding(self, end, leg, corrupt):
+        T = denormalize(aut_xmod(Z3))
+        M = dataclasses.replace(identity_monoidal(T), **{end: corrupt_graph(T, leg, corrupt)})
+        report = check_monoidal(M)
+        assert [(f.condition, f.witness) for f in report.findings] == [("underlying-2group:map-range", leg)]
 
     def test_strict_functor_from_morphism(self):
         for P in all_xmod_morphisms(CZ2, AZ2):

@@ -7,6 +7,8 @@ import itertools
 
 import pytest
 
+from helpers import corrupt_graph
+
 from butterflies.fingroup import (
     GroupAction,
     GroupHom,
@@ -182,6 +184,23 @@ class TestNormalization:
     def test_round_trip_xmod_side(self):
         for X in (discrete(Z2), discrete(V4), conj_xmod(Z3), aut_like(Z4), conj_xmod(S3)):
             assert normalization_round_trip_equal(X)
+
+    @pytest.mark.parametrize("corrupt", ("out-of-range", "short"))
+    @pytest.mark.parametrize("leg", ("d", "c", "e"))
+    def test_graph_map_off_its_groups_is_a_finding(self, leg, corrupt):
+        # reported before the unit and interchange laws index the graph, not an IndexError
+        T = denormalize(aut_like(Z3))
+        report = validate_two_group(corrupt_graph(T, leg, corrupt))
+        assert [(f.condition, f.witness) for f in report.findings] == [("map-range", leg)]
+        D, C = (T.G0, T.G1) if leg == "e" else (T.G1, T.G0)
+        assert report.findings[0].detail == f"{leg} is not a map {D.name} -> {C.name}"
+
+    @pytest.mark.parametrize("end", ("dom", "cod"))
+    def test_functor_end_with_a_graph_map_off_its_groups_is_a_finding(self, end):
+        F = denormalize_morphism(identity_morphism(aut_like(Z3)))
+        bad = corrupt_graph(getattr(F, end), "d", "short")
+        report = validate_two_group_functor(dataclasses.replace(F, **{end: bad}))
+        assert [(f.condition, f.witness) for f in report.findings] == [("map-range", f"{end}.d")]
 
     def test_round_trip_2group_side(self):
         for X in (discrete(Z4), conj_xmod(Z2), aut_like(Z2), aut_like(Z3)):
