@@ -778,8 +778,10 @@ def _generator_images(
             yield m
 
 
+@_per_operand
 def all_homomorphisms(G: FinGroup, H: FinGroup) -> list[GroupHom]:
-    """Every homomorphism G -> H, in a deterministic order."""
+    """Every homomorphism G -> H, in a deterministic order; in a run scope,
+    one list per pair of operands, which callers must not change."""
     return [GroupHom._trusted(G, H, m) for m in _generator_images(G, H, bijective=False)]
 
 

@@ -4,9 +4,9 @@ laws of reduced composition, and the fraction conditions EF0 - EF3.
 
 Every failure carries a machine-replayable witness (serialized inputs).
 A fault-injection mode exists solely to prove the suites can fail.
-Within one suite run (a ``_run_memo()`` scope) each operand's derived
-structure is built once; the memo dies with the run, and nothing is memoized
-outside one.
+Within one fixture build or suite run (a ``_run_memo()`` scope) each
+operand's derived structure, and each Hom set, is built once; the memo dies
+with the run, and nothing is memoized outside one.
 """
 
 from __future__ import annotations
@@ -145,10 +145,12 @@ def _serialized(value):
     return to_jsonable(value) if isinstance(value, (CrossedModule, XModMorphism, Butterfly)) else value
 
 
+@_run_memo()
 def generate_fixtures(seed: int, size_bound: int) -> FixtureSet:
     """Deterministic fixture set: the mandated crossed modules, morphisms
     between them, and identity / extension / split / composite butterflies.
-    The bound must admit the smallest fixture, D(Z2) of size 2."""
+    The bound must admit the smallest fixture, D(Z2) of size 2.  A run scope:
+    each Hom set, and each operand's derived structure, is built once."""
     if size_bound > 16:
         raise BoundExceeded("generate_fixtures", size_bound, 16)
     if size_bound < 2:

@@ -36,6 +36,7 @@ from .fingroup import (
     GroupHom,
     Subgroup,
     _generator_images,
+    _generators,
     _hom_defect,
     _maps_into,
     _per_operand,
@@ -87,16 +88,22 @@ class CrossedModule:
         return f"CrossedModule{label}"
 
 
-def _check_ranges(report: ValidationReport, condition: str, maps) -> set:
-    """The one range gate of the validators: report as `condition` each
-    (witness, m, D, C) of `maps` whose m is not a map D -> C, and return
-    their witnesses, so that the checks which index m can be skipped."""
+def _check_ranges(report: ValidationReport, condition: str, maps, homs: bool = True) -> set:
+    """The one gate of the validators on the maps they index: report as
+    `condition` each (witness, m, D, C) of `maps` whose m is not a map
+    D -> C, and return their witnesses, so that the checks which index m can
+    be skipped.  With `homs`, each m that is such a map must also be a
+    homomorphism D -> C (an action row, an automorphism): one that is not is
+    a ``not-hom`` finding, with the first defect pair (a, g) of
+    m(a*g) != m(a)*m(g)."""
     bad = set()
     for witness, m, D, C in maps:
+        what = witness if isinstance(witness, str) else "%s row %d" % witness
         if not _maps_into(m, D.order, C.order):
-            what = witness if isinstance(witness, str) else "%s row %d" % witness
             report.add(condition, witness, f"{what} is not a map {D.name} -> {C.name}")
             bad.add(witness)
+        elif homs and (defect := _hom_defect(D, C, m)) is not None:
+            report.add("not-hom", (witness, defect), f"{what} is not a homomorphism {D.name} -> {C.name}")
     return bad
 
 
@@ -105,11 +112,11 @@ def validate_crossed_module(X: CrossedModule) -> ValidationReport:
     report = ValidationReport(repr(X))
     bd, G, G0 = X.boundary.map, X.G, X.G0
     # both conditions index the boundary and the action
-    _check_ranges(report, "map-range", [("boundary", bd, G, G0)])
+    bad = _check_ranges(report, "map-range", [("boundary", bd, G, G0)])
     if len(X.action.act) != G0.order:
         report.add("map-range", "action", f"action has {len(X.action.act)} rows, expected {G0.order}")
-    _check_ranges(report, "map-range", [(("action", x), row, G, G) for x, row in enumerate(X.action.act)])
-    if not report.ok:
+        bad.add("action")
+    if bad | _check_ranges(report, "map-range", [(("action", x), row, G, G) for x, row in enumerate(X.action.act)]):
         return report
     for x in range(G0.order):
         for g in range(G.order):
@@ -293,10 +300,11 @@ def _natural_families(
 def validate_two_group_functor(F: TwoGroupFunctor) -> ValidationReport:
     report = ValidationReport("2-group functor")
     T, U = F.dom, F.cod
-    # the functor laws index both ends' graphs, and U's maps by the legs' values
+    # the functor laws index both ends' graphs, and U's maps by the legs' values;
+    # the legs are range-checked only: a leg that does not multiply is not yet a finding
     legs = (("p1", F.p1.map, T.G1, U.G1), ("p0", F.p0.map, T.G0, U.G0))
     ends = _graph_maps(T, "dom.") + _graph_maps(U, "cod.")
-    if not _check_ranges(report, "leg-range", legs) | _check_ranges(report, "map-range", ends):
+    if not _check_ranges(report, "leg-range", legs, homs=False) | _check_ranges(report, "map-range", ends):
         _functor_laws(report, T, U, F.p0.map, F.p1.map)
     return report
 
@@ -544,10 +552,28 @@ def enumerate_natural_transformations(P: XModMorphism, Q: XModMorphism) -> list[
 
 
 def all_xmod_morphisms(dom: CrossedModule, cod: CrossedModule) -> Iterator[XModMorphism]:
-    """Every crossed module morphism dom -> cod, deterministically ordered."""
+    """Every crossed module morphism dom -> cod, p0 outer and p inner, each
+    in the order of :func:`all_homomorphisms`.
+
+    A pair of homomorphisms (p, p0) is kept when the boundary square
+    d'(p h) = p0(d h) holds for each generator h of dom.G, and equivariance
+    p(x|>h) = p0(x)|>p(h) for each generator x of dom.G0 and each such h.
+    That decides both conditions everywhere, given valid crossed modules:
+    each side of the square is a homomorphism G -> G0', so the two agree once
+    they agree on generators; for a fixed x both sides of equivariance are
+    homomorphisms G -> G', as action rows are automorphisms; and since
+    act[xy] = act[x] o act[y] on both ends, the x at which it holds are
+    closed under products.  :func:`validate_xmod_morphism` remains the
+    reporting check of a given pair.
+    """
     homs = all_homomorphisms(dom.G, cod.G)
+    hs, xs = _generators(dom.G), _generators(dom.G0)
+    bd, bd2, act, act2 = dom.boundary.map, cod.boundary.map, dom.action.act, cod.action.act
     for p0 in all_homomorphisms(dom.G0, cod.G0):
+        q0 = p0.map
         for p in homs:
-            candidate = XModMorphism(dom, cod, p, p0)
-            if validate_xmod_morphism(candidate).ok:
-                yield candidate
+            q = p.map
+            if all(bd2[q[h]] == q0[bd[h]] for h in hs) and all(
+                q[act[x][h]] == act2[q0[x]][q[h]] for x in xs for h in hs
+            ):
+                yield XModMorphism(dom, cod, p, p0)

@@ -64,6 +64,33 @@ class TestFixtures:
             with pytest.raises(BoundExceeded):
                 generate_fixtures(0, bound)
 
+    def test_build_decides_morphisms_on_generators_and_builds_each_hom_set_once(self, monkeypatch):
+        # a fixture build is a run scope: all_homomorphisms is memoized per
+        # operand pair, and all_xmod_morphisms runs no reporting validator
+        from butterflies import xmod
+
+        validated, built, operands = [], Counter(), []
+        validate, search = xmod.validate_xmod_morphism, fingroup._generator_images
+
+        def counted_validate(P):
+            validated.append(P)
+            return validate(P)
+
+        def counted_search(G, H, bijective, fixed=(), accept=None):
+            if not bijective and not fixed and accept is None:  # the search of all_homomorphisms
+                operands.append((G, H))  # keeps both alive, so their ids stay theirs
+                built[id(G), id(H)] += 1
+            return search(G, H, bijective, fixed, accept)
+
+        monkeypatch.setattr(xmod, "validate_xmod_morphism", counted_validate)
+        monkeypatch.setattr(fingroup, "_generator_images", counted_search)
+        generate_fixtures(0, 16)
+        assert validated == []
+        assert built and max(built.values()) == 1
+        assert fingroup._memo.get() is None
+        Z3 = cyclic_group(3)
+        assert fingroup.all_homomorphisms(Z3, Z3) is not fingroup.all_homomorphisms(Z3, Z3)
+
     def test_members_validated(self):
         from butterflies.butterfly import validate_butterfly
         from butterflies.xmod import validate_crossed_module, validate_two_cell, validate_xmod_morphism
