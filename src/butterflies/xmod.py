@@ -88,22 +88,25 @@ class CrossedModule:
         return f"CrossedModule{label}"
 
 
-def _check_ranges(report: ValidationReport, condition: str, maps, homs: bool = True) -> set:
+def _check_ranges(report: ValidationReport, condition: str, maps) -> set:
     """The one gate of the validators on the maps they index: report as
     `condition` each (witness, m, D, C) of `maps` whose m is not a map
     D -> C, and return their witnesses, so that the checks which index m can
-    be skipped.  With `homs`, each m that is such a map must also be a
-    homomorphism D -> C (an action row, an automorphism): one that is not is
-    a ``not-hom`` finding, with the first defect pair (a, g) of
+    be skipped.  Each m that is such a map must also be a homomorphism
+    D -> C (a leg, an action row, an automorphism): one that is not is a
+    ``not-hom`` finding, with the first defect pair (a, g) of
     m(a*g) != m(a)*m(g)."""
+
+    def named(witness) -> str:
+        return witness if isinstance(witness, str) else "%s row %d" % witness
+
     bad = set()
     for witness, m, D, C in maps:
-        what = witness if isinstance(witness, str) else "%s row %d" % witness
         if not _maps_into(m, D.order, C.order):
-            report.add(condition, witness, f"{what} is not a map {D.name} -> {C.name}")
+            report.add(condition, witness, f"{named(witness)} is not a map {D.name} -> {C.name}")
             bad.add(witness)
-        elif homs and (defect := _hom_defect(D, C, m)) is not None:
-            report.add("not-hom", (witness, defect), f"{what} is not a homomorphism {D.name} -> {C.name}")
+        elif (defect := _hom_defect(D, C, m)) is not None:
+            report.add("not-hom", (witness, defect), f"{named(witness)} is not a homomorphism {D.name} -> {C.name}")
     return bad
 
 
@@ -300,11 +303,10 @@ def _natural_families(
 def validate_two_group_functor(F: TwoGroupFunctor) -> ValidationReport:
     report = ValidationReport("2-group functor")
     T, U = F.dom, F.cod
-    # the functor laws index both ends' graphs, and U's maps by the legs' values;
-    # the legs are range-checked only: a leg that does not multiply is not yet a finding
+    # the functor laws index both ends' graphs, and U's maps by the legs' values
     legs = (("p1", F.p1.map, T.G1, U.G1), ("p0", F.p0.map, T.G0, U.G0))
     ends = _graph_maps(T, "dom.") + _graph_maps(U, "cod.")
-    if not _check_ranges(report, "leg-range", legs, homs=False) | _check_ranges(report, "map-range", ends):
+    if not _check_ranges(report, "leg-range", legs) | _check_ranges(report, "map-range", ends):
         _functor_laws(report, T, U, F.p0.map, F.p1.map)
     return report
 

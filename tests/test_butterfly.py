@@ -58,6 +58,7 @@ from butterflies.xmod import (
     is_discrete_fibration,
     is_weak_equivalence,
     validate_crossed_module,
+    validate_two_group_functor,
     validate_xmod_morphism,
     xmod_morphism,
 )
@@ -485,6 +486,9 @@ class TestFractor:
         F = to_fractor(identity_butterfly(conjugation_xmod(Z3)))
         old = F.left.p1
         bad = GroupHom._trusted(old.dom, old.cod, tuple(2 * a % old.cod.order for a in range(old.dom.order)))
-        report = validate_fractor(dataclasses.replace(F, left=dataclasses.replace(F.left, p1=bad)))
+        left = dataclasses.replace(F.left, p1=bad)
+        report = validate_fractor(dataclasses.replace(F, left=left))
         assert "1-functor" in report.conditions()
-        assert "functor-source" in str(report)
+        # the fractor quotes the leg's first finding, that this p1 does not multiply
+        assert "not-hom: witness ('p1', " in str(report)
+        assert "functor-source" in validate_two_group_functor(left).conditions()

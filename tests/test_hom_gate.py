@@ -28,11 +28,13 @@ from butterflies.fingroup import GroupAction, GroupHom, _hom_defect
 from butterflies.laws import generate_fixtures
 from butterflies.xmod import (
     denormalize,
+    denormalize_morphism,
     identity_morphism,
     identity_two_cell,
     validate_crossed_module,
     validate_two_cell,
     validate_two_group,
+    validate_two_group_functor,
     validate_xmod_morphism,
 )
 
@@ -98,12 +100,6 @@ def test_boundary_swaps_are_not_hom_findings():
     assert cases == 8
 
 
-def test_fixture_objects_have_no_not_hom_findings():
-    for fx in probe_sets():
-        assert all(validate_butterfly(B).ok for B in fx.butterflies)
-        assert all(validate_crossed_module(X).ok for X in fx.crossed_modules)
-
-
 def test_action_row_that_is_no_automorphism_is_a_finding():
     X = conjugation_xmod(S3)
     act = list(X.action.act)
@@ -137,5 +133,15 @@ def test_graph_map_that_does_not_multiply_is_a_finding(leg):
     bad = swapped(getattr(T, leg))
     assert _hom_defect(bad.dom, bad.cod, bad.map) is not None
     findings = not_hom(validate_two_group(dataclasses.replace(T, **{leg: bad})))
+    assert [f.witness[0] for f in findings] == [leg]
+    assert replays(findings[0], bad)
+
+
+@pytest.mark.parametrize("leg", ("p1", "p0"))
+def test_functor_leg_that_does_not_multiply_is_a_finding(leg):
+    F = denormalize_morphism(identity_morphism(conjugation_xmod(S3)))
+    bad = swapped(getattr(F, leg))
+    assert _hom_defect(bad.dom, bad.cod, bad.map) is not None
+    findings = not_hom(validate_two_group_functor(dataclasses.replace(F, **{leg: bad})))
     assert [f.witness[0] for f in findings] == [leg]
     assert replays(findings[0], bad)

@@ -235,11 +235,12 @@ class TestMorphisms:
 
     def test_functor_breaking_sources_is_a_finding(self):
         # composition is checked only once sources, targets and units hold:
-        # before that, U.m has no entry for the image of a composable pair
+        # before that, U.m has no entry for the image of a composable pair;
+        # this p1 does not multiply either, which the gate reports
         T = denormalize(conj_xmod(Z3))
         p1 = GroupHom._trusted(T.G1, T.G1, tuple(2 * a % 9 for a in range(9)))
         report = validate_two_group_functor(TwoGroupFunctor(T, T, p1, identity_hom(T.G0)))
-        assert report.conditions() == {"functor-source", "functor-target", "functor-unit"}
+        assert report.conditions() == {"not-hom", "functor-source", "functor-target", "functor-unit"}
 
     @pytest.mark.parametrize("corrupt", ("out-of-range", "short"))
     @pytest.mark.parametrize("leg", ("p", "p0"))
