@@ -20,7 +20,6 @@ from typing import Iterator, Optional, Sequence
 from .errors import (
     ConstructionError,
     FractorConditionFailed,
-    NotASection,
     NotComposable,
     NotFlippable,
 )
@@ -54,7 +53,6 @@ from .xmod import (
     normalize,
     validate_two_group,
     validate_two_group_functor,
-    xmod_morphism,
 )
 
 
@@ -316,25 +314,6 @@ def _split(P: XModMorphism):
     B = Butterfly._trusted(P.dom, P.cod, EP, kappa, iota, prH0, prG1.then(TG.d))
     section = GroupHom._trusted(H0, EP, pair(range(H0.order), [TG.e.map[y] for y in P.p0.map]))
     return B, section, TG, prG1, pair
-
-
-def morphism_from_split(B: Butterfly, s: GroupHom) -> XModMorphism:
-    """Recover a crossed module morphism from a split butterfly and a
-    homomorphism section s of sigma: p0 = s;rho and p(h) = iota^-1(kappa(h)^-1 * s(boundary h))."""
-    if s.dom != B.dom.G0 or s.cod != B.E:
-        raise NotASection("section must map the base of dom into E")
-    if s.then(B.sigma) != identity_hom(B.dom.G0):
-        raise NotASection("s is not a section of sigma")
-    iota_inv = {e: g for g, e in enumerate(B.iota.map)}
-    E, H = B.E, B.dom.G
-    bd = B.dom.boundary.map
-    p_map = []
-    for h in range(H.order):
-        value = E.table[E.inv(B.kappa.map[h])][s.map[bd[h]]]
-        if value not in iota_inv:
-            raise ConstructionError("kappa(h)^-1 s(boundary h) escapes the iota image")
-        p_map.append(iota_inv[value])
-    return xmod_morphism(B.dom, B.cod, GroupHom(H, B.cod.G, tuple(p_map)), s.then(B.rho))
 
 
 def reduced_compose(Q: XModMorphism, B: Butterfly) -> Butterfly:

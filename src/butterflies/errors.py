@@ -37,20 +37,12 @@ class NotFlippable(ButterflyError):
     """flip() was called on a butterfly whose other diagonal is not exact."""
 
 
-class NotASection(ButterflyError):
-    """The given homomorphism is not a section of the butterfly's surjection."""
-
-
 class SectionInvalid(ButterflyError):
     """A set-theoretic section does not hit the right fibers or is not normalized."""
 
 
 class GroupLawSearchFailed(ButterflyError):
     """The reconstructed multiplication on a limit object is not a group law."""
-
-
-class ShapeMismatch(ButterflyError):
-    """A butterfly does not have the discrete-source / automorphism-target shape."""
 
 
 class TwistLeavesCocycles(ButterflyError, KeyError):
@@ -72,8 +64,8 @@ class FractorConditionFailed(ButterflyError):
 
 
 class ConstructionError(ButterflyError):
-    """A condition that a construction checks fails (``xmod_morphism``,
-    ``butterfly_morphism``, ``compose``).  Constructions assume valid operands
+    """A condition that a construction checks fails (``butterfly_morphism``,
+    ``compose``).  Constructions assume valid operands
     and do not re-validate their results, so callers validate untrusted
     operands first."""
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .butterfly import Butterfly, _witness_map
-from .errors import BoundExceeded, ShapeMismatch, TwistLeavesCocycles
+from .errors import BoundExceeded, TwistLeavesCocycles
 from .fingroup import (
     FinGroup,
     GroupAction,
@@ -108,15 +108,6 @@ def butterfly_from_extension(X: ExtensionDatum) -> Butterfly:
         sigma=X.sigma,
         rho=GroupHom._trusted(X.E, cod.G0, rho_map),
     )
-
-
-def extension_from_butterfly(B: Butterfly) -> ExtensionDatum:
-    """Forget the Aut-leg of a butterfly D(H) -> A(G)."""
-    if B.dom.G.order != 1:
-        raise ShapeMismatch("domain is not a discrete crossed module")
-    if B.cod != aut_xmod(B.cod.G):
-        raise ShapeMismatch("codomain is not the automorphism crossed module of its top group")
-    return ExtensionDatum(H=B.dom.G0, G=B.cod.G, E=B.E, iota=B.iota, sigma=B.sigma)
 
 
 def extension_equivalences(X: ExtensionDatum, Y: ExtensionDatum) -> list[GroupHom]:

@@ -222,8 +222,8 @@ def construct_group(
 # standard constructions used by tests, fixtures and the CLI
 
 
-def trivial_group(name: str = "1") -> FinGroup:
-    return FinGroup._trusted([[0]], name, lambda: ("1",))
+def trivial_group() -> FinGroup:
+    return FinGroup._trusted([[0]], "1", lambda: ("1",))
 
 
 def cyclic_group(n: int, name: Optional[str] = None) -> FinGroup:
@@ -316,14 +316,6 @@ class GroupHom(_Trusted):
     @property
     def is_isomorphism(self) -> bool:
         return self.dom.order == self.cod.order and self.is_injective
-
-    def inverse_hom(self) -> "GroupHom":
-        if not self.is_isomorphism:
-            raise ValueError("not an isomorphism")
-        inv = [0] * self.cod.order
-        for a, b in enumerate(self.map):
-            inv[b] = a
-        return GroupHom._trusted(self.cod, self.dom, tuple(inv))
 
 
 def identity_hom(G: FinGroup) -> GroupHom:
@@ -446,14 +438,6 @@ def subgroup_generated(G: FinGroup, gens: Iterable[int]) -> Subgroup:
 def kernel(f: GroupHom) -> Subgroup:
     """The kernel subgroup {a : f(a) = 0}; always normal in the domain."""
     return Subgroup._trusted(f.dom, tuple(a for a in range(f.dom.order) if f.map[a] == 0))
-
-
-def image_and_normal_closure(f: GroupHom) -> tuple[Subgroup, Subgroup]:
-    """The image subgroup of f and its normal closure in the codomain."""
-    img = Subgroup._trusted(f.cod, tuple(sorted(set(f.map))))
-    G = f.cod
-    conjugates = {G.conj(x, a) for x in range(G.order) for a in img.elements}
-    return img, subgroup_generated(G, sorted(conjugates))
 
 
 def quotient(G: FinGroup, N: Subgroup) -> tuple[FinGroup, GroupHom]:
@@ -677,9 +661,9 @@ def _columns(G: FinGroup, first: tuple[int, ...] = ()) -> _Columns:
     return memo[first]
 
 
-def _generators(G: FinGroup, first: tuple[int, ...] = ()) -> tuple[int, ...]:
-    """The generating sequence of G with `first` entering first, memoized on G."""
-    return _columns(G, first).gens
+def _generators(G: FinGroup) -> tuple[int, ...]:
+    """The greedy generating sequence of G, memoized on G."""
+    return _columns(G).gens
 
 
 def _maps_into(m: Sequence[int], n: int, k: int) -> bool:
@@ -818,8 +802,3 @@ def automorphism_group(G: FinGroup) -> tuple[FinGroup, GroupAction]:
     labels = lambda: ("id" if p == tuple(range(G.order)) else "f" + "".join(map(str, p)) for p in autos)
     A = _permutation_group(autos, f"Aut({G.name})", labels)
     return A, GroupAction._trusted(A, G, tuple(autos))
-
-
-def hom_to_action(rho: GroupHom, ev: GroupAction) -> GroupAction:
-    """Turn a homomorphism into Aut(G) into an action via the evaluation action."""
-    return GroupAction._trusted(rho.dom, ev.target, tuple(ev.act[rho.map[x]] for x in range(rho.dom.order)))

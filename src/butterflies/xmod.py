@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .errors import ConstructionError
 from .fingroup import (
     FinGroup,
     GroupAction,
@@ -162,15 +161,6 @@ def validate_xmod_morphism(P: XModMorphism) -> ValidationReport:
             if P.p.map[P.dom.act(x, h)] != P.cod.act(P.p0.map[x], P.p.map[h]):
                 report.add("equivariance", (x, h), "p(x|>h) != p0(x)|>p(h)")
     return report
-
-
-def xmod_morphism(dom: CrossedModule, cod: CrossedModule, p: GroupHom, p0: GroupHom) -> XModMorphism:
-    """Construct a morphism and insist that it is valid."""
-    P = XModMorphism(dom, cod, p, p0)
-    report = validate_xmod_morphism(P)
-    if not report.ok:
-        raise ConstructionError(str(report))
-    return P
 
 
 def identity_morphism(X: CrossedModule) -> XModMorphism:
@@ -385,16 +375,12 @@ def denormalization_round_trip_iso(T: Strict2Group) -> Optional[TwoGroupFunctor]
     f1_map = [T.G1.table[K.elements[k]][T.e.map[x]] for k, x in zip(ks, xs)]
     if len(set(f1_map)) != T.G1.order:
         return None
-    try:
-        f1 = GroupHom(U.G1, T.G1, tuple(f1_map))
-    except ValueError:
-        return None
-    F = TwoGroupFunctor(U, T, f1, identity_hom(T.G0))
+    F = TwoGroupFunctor(U, T, GroupHom._trusted(U.G1, T.G1, tuple(f1_map)), identity_hom(T.G0))
     return F if validate_two_group_functor(F).ok else None
 
 
 # ---------------------------------------------------------------------------
-# weak equivalences, discrete fibrations, pullbacks
+# weak equivalences and pullbacks
 
 
 @_per_operand
@@ -423,11 +409,6 @@ def is_weak_equivalence(P: XModMorphism) -> tuple[bool, GroupHom, GroupHom]:
     first = {q: x for x, q in reversed(list(enumerate(prH.map)))}  # the least preimage of each coset
     coker_map = GroupHom._trusted(QH, QG, tuple(prG.map[P.p0.map[first[q]]] for q in range(QH.order)))
     return ker_map.is_isomorphism and coker_map.is_isomorphism, ker_map, coker_map
-
-
-def is_discrete_fibration(P: XModMorphism) -> bool:
-    """A morphism corresponds to a discrete fibration iff its top map is an isomorphism."""
-    return P.p.is_isomorphism
 
 
 def pullback_crossed_module(X: CrossedModule, sigma: GroupHom) -> tuple[CrossedModule, XModMorphism]:

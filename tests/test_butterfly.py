@@ -29,7 +29,6 @@ from butterflies.butterfly import (
     identity_butterfly,
     is_flippable,
     isomorphic_butterflies,
-    morphism_from_split,
     reduced_compose,
     span_of_butterfly,
     split_from_morphism,
@@ -42,25 +41,24 @@ from butterflies.butterfly import (
 )
 from butterflies.errors import (
     ConstructionError,
-    NotASection,
     NotComposable,
     NotFlippable,
 )
 from butterflies.extension import aut_xmod, conjugation_xmod, discrete_xmod
 from butterflies.fingroup import GroupHom, identity_hom, zero_hom
 from butterflies.report import KEEP_PER_CONDITION, ValidationReport
+from butterflies.weakmap import extract_monoidal, set_section
 from butterflies.xmod import (
     XModMorphism,
     all_xmod_morphisms,
+    denormalize_morphism,
     enumerate_two_cells,
     identity_morphism,
     identity_two_cell,
-    is_discrete_fibration,
     is_weak_equivalence,
     validate_crossed_module,
     validate_two_group_functor,
     validate_xmod_morphism,
-    xmod_morphism,
 )
 
 DZ2, DZ3, DZ4 = discrete_xmod(Z2), discrete_xmod(Z3), discrete_xmod(Z4)
@@ -252,7 +250,7 @@ class TestSplit:
         assert section.then(B.sigma) == identity_hom(Z4)
 
     def test_zero_morphism_trivial_extension(self):
-        P = xmod_morphism(DZ2, AZ2, zero_hom(ONE, Z2), zero_hom(Z2, AZ2.G0))
+        P = XModMorphism(DZ2, AZ2, zero_hom(ONE, Z2), zero_hom(Z2, AZ2.G0))
         B, _ = split_from_morphism(P)
         assert B.E.order == 4
         assert B.E.is_abelian
@@ -270,43 +268,23 @@ class TestSplit:
 
 
 class TestMorphismFromSplit:
+    """A split butterfly and its section give back the morphism: the functor
+    extracted along the section is the morphism's denormalized functor."""
+
     def test_identity_round_trip(self):
-        P = identity_morphism(DZ4)
-        B, section = split_from_morphism(P)
-        Q = morphism_from_split(B, section)
-        assert Q.p.map == P.p.map and Q.p0.map == P.p0.map
+        _assert_recovered(identity_morphism(DZ4))
 
     def test_canonical_section_recovers_morphism(self):
         for X, Y in [(DZ2, AZ2), (CZ2, AZ2), (CZ2, CZ2)]:
             for P in all_xmod_morphisms(X, Y):
-                B, section = split_from_morphism(P)
-                Q = morphism_from_split(B, section)
-                assert Q.p.map == P.p.map and Q.p0.map == P.p0.map
-
-    def test_not_a_section_rejected(self):
-        B, _ = split_from_morphism(identity_morphism(DZ2))
-        with pytest.raises(NotASection):
-            morphism_from_split(B, zero_hom(Z2, B.E))
-
-    def test_two_sections_isomorphic_splits(self):
-        B = trivial_extension_butterfly()
-        sections = [
-            s
-            for s in _hom_sections(B)
-        ]
-        assert len(sections) == 2
-        morphisms = [morphism_from_split(B, s) for s in sections]
-        splits = [split_from_morphism(Q)[0] for Q in morphisms]
-        assert isomorphic_butterflies(splits[0], splits[1]) is not None
-        for S in splits:
-            assert isomorphic_butterflies(S, B) is not None
+                _assert_recovered(P)
 
 
-def _hom_sections(B):
-    from butterflies.fingroup import all_homomorphisms
-
-    ident = identity_hom(B.dom.G0)
-    return [s for s in all_homomorphisms(B.dom.G0, B.E) if s.then(B.sigma) == ident]
+def _assert_recovered(P):
+    B, section = split_from_morphism(P)
+    M = extract_monoidal(B, set_section(B, section.map))
+    F = denormalize_morphism(P)
+    assert M.is_strict() and M.F0 == F.p0.map and M.F1 == F.p1.map
 
 
 class TestReducedCompose:
@@ -352,7 +330,7 @@ class TestSpan:
         middle, left, right = span_of_butterfly(B)
         assert validate_crossed_module(middle).ok
         assert is_weak_equivalence(left)[0]
-        assert is_discrete_fibration(left)
+        assert left.p.is_isomorphism  # a discrete fibration
 
     def test_extension_span(self):
         B = z4_extension_butterfly()

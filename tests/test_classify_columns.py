@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import GRID, GRID_BOUND, grid_groups
+from helpers import GRID, grid_groups
 from test_classify_reference import reference_cocycles, reference_rho, reference_twisted_product
 
 from butterflies.extension import (

@@ -26,12 +26,14 @@ maps on:
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import functools
 import itertools
 
 import pytest
 
-from helpers import GRID, GRID_BOUND, grid_groups
+from helpers import GRID, GRID_BOUND, S3, Z3, Z4, grid_groups
 
 from butterflies.butterfly import (
     _arrows,
@@ -42,7 +44,13 @@ from butterflies.butterfly import (
     to_fractor,
 )
 from butterflies.errors import ConstructionError
-from butterflies.extension import aut_xmod, enumerate_cocycles, factor_set_to_extension, standard_catalog
+from butterflies.extension import (
+    aut_xmod,
+    conjugation_xmod,
+    enumerate_cocycles,
+    factor_set_to_extension,
+    standard_catalog,
+)
 from butterflies.fingroup import (
     FinGroup,
     GroupAction,
@@ -68,6 +76,7 @@ from butterflies.xmod import (
     kernel_embedding,
     normalize,
     pointwise_division_arrow,
+    validate_two_group,
 )
 
 CASES = [(seed, bound) for seed in range(4) for bound in (8, 16)]
@@ -420,3 +429,28 @@ def test_round_trip_comparison_equals_the_former_loops(seed, bound):
     for X in fixtures(seed, bound).crossed_modules:
         T = denormalize(X)
         assert denormalization_round_trip_iso(T).p1.map == reference_round_trip_f1(T)
+
+
+def corrupted_units(T):
+    """T with one entry e(x) replaced by another arrow u, for every x and u."""
+    for x in range(T.G0.order):
+        for u in range(T.G1.order):
+            if u != T.e.map[x]:
+                e = T.e.map[:x] + (u,) + T.e.map[x + 1 :]
+                yield dataclasses.replace(T, e=GroupHom._trusted(T.G0, T.G1, e))
+
+
+def test_round_trip_of_a_corrupted_unit_map_is_decided_by_the_functor_check():
+    """The comparison is built unchecked and ``validate_two_group_functor``
+    decides it.  With one entry of e corrupted, in 308 cases, it is an
+    isomorphism exactly when the corrupted graph is still a 2-group, and none
+    raises; 51 comparisons are bijections but not homomorphisms and give None."""
+    outcomes = collections.Counter()
+    for X in (conjugation_xmod(Z3), conjugation_xmod(S3), aut_xmod(Z4), conjugation_xmod(Z4)):
+        for T in corrupted_units(denormalize(X)):
+            F = denormalization_round_trip_iso(T)
+            assert (F is not None) == validate_two_group(T).ok
+            f1, tu, tt = reference_round_trip_f1(T), denormalize(normalize(T)).G1.table, T.G1.table
+            hom = all(f1[tu[a][b]] == tt[f1[a]][f1[b]] for a in range(len(f1)) for b in range(len(f1)))
+            outcomes[F is not None, len(set(f1)) == len(tt) and not hom] += 1
+    assert outcomes == {(False, False): 254, (True, False): 3, (False, True): 51}

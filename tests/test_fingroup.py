@@ -21,7 +21,6 @@ from butterflies.fingroup import (
     dicyclic_group,
     direct_product,
     identity_hom,
-    image_and_normal_closure,
     isomorphism_search,
     kernel,
     klein_four,
@@ -150,44 +149,6 @@ def _normal_subgroups(G: FinGroup):
         if s.is_normal() and s.elements not in out:
             out.append(s.elements)
     return out
-
-
-class TestImageClosure:
-    def test_abelian_inclusion(self):
-        sub, incl = Subgroup(Z4, (0, 2)).as_group()
-        img, closure = image_and_normal_closure(incl)
-        assert img.elements == (0, 2)
-        assert closure.elements == (0, 2)
-
-    def test_transposition_closure_is_s3(self):
-        # independent oracle: close {transposition} under conjugation and products
-        transposition = next(a for a in range(6) if S3.element_orders[a] == 2)
-        f = GroupHom(Z2, S3, (0, transposition))
-        img, closure = image_and_normal_closure(f)
-        oracle = _brute_normal_closure(S3, {transposition})
-        assert img.order == 2
-        assert closure.order == 6
-        assert set(closure.elements) == oracle
-
-    def test_zero_hom(self):
-        img, closure = image_and_normal_closure(zero_hom(Z2, S3))
-        assert img.elements == (0,)
-        assert closure.elements == (0,)
-
-
-def _brute_normal_closure(G: FinGroup, seed: set[int]) -> set[int]:
-    closed = set(seed) | {0}
-    while True:
-        new = set(closed)
-        for x in range(G.order):
-            for a in closed:
-                new.add(G.conj(x, a))
-        for a in new.copy():
-            for b in new.copy():
-                new.add(G.table[a][b])
-        if new == closed:
-            return closed
-        closed = new
 
 
 class TestPullback:

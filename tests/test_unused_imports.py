@@ -1,4 +1,4 @@
-"""Every name a module of the library imports is used in that module."""
+"""Every name a module of the library or of its tests imports is used in that module."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "butterflies"
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(ROOT.glob("src/butterflies/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +42,6 @@ def test_detects_an_unused_import():
     assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []

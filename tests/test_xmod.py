@@ -15,9 +15,7 @@ from butterflies.fingroup import (
     automorphism_group,
     conjugation_action,
     cyclic_group,
-    hom_to_action,
     identity_hom,
-    isomorphism_search,
     klein_four,
     subgroup_generated,
     symmetric_group,
@@ -27,7 +25,6 @@ from butterflies.fingroup import (
 )
 from butterflies.xmod import (
     CrossedModule,
-    Strict2Group,
     TwoGroupFunctor,
     XModMorphism,
     XModTwoCell,
@@ -39,7 +36,6 @@ from butterflies.xmod import (
     enumerate_two_cells,
     identity_morphism,
     identity_two_cell,
-    is_discrete_fibration,
     is_weak_equivalence,
     normalization_round_trip_equal,
     normalize,
@@ -49,7 +45,6 @@ from butterflies.xmod import (
     validate_two_group,
     validate_two_group_functor,
     validate_xmod_morphism,
-    xmod_morphism,
 )
 
 Z2 = cyclic_group(2)
@@ -212,21 +207,23 @@ class TestNormalization:
 class TestMorphisms:
     def test_identity_is_morphism(self):
         P = identity_morphism(conj_xmod(S3))
-        assert is_discrete_fibration(P)
+        assert P.p.is_isomorphism  # a discrete fibration
         ok, _, _ = is_weak_equivalence(P)
         assert ok
 
     def test_inclusion_not_weak_equivalence(self):
         incl = GroupHom(Z2, Z4, (0, 2))
-        P = xmod_morphism(discrete(Z2), discrete(Z4), zero_hom(ONE, ONE), incl)
+        P = XModMorphism(discrete(Z2), discrete(Z4), zero_hom(ONE, ONE), incl)
+        assert validate_xmod_morphism(P).ok
         ok, ker_map, coker_map = is_weak_equivalence(P)
         assert not ok
         assert ker_map.is_isomorphism  # kernels are trivial on both sides
         assert not coker_map.is_isomorphism  # Z2 -> Z4 on cokernels
 
     def test_discrete_fibration_trivial_top(self):
-        P = xmod_morphism(discrete(Z2), discrete(Z4), zero_hom(ONE, ONE), GroupHom(Z2, Z4, (0, 2)))
-        assert is_discrete_fibration(P)
+        P = XModMorphism(discrete(Z2), discrete(Z4), zero_hom(ONE, ONE), GroupHom(Z2, Z4, (0, 2)))
+        assert validate_xmod_morphism(P).ok
+        assert P.p.is_isomorphism  # a discrete fibration
 
     def test_denormalized_functor_valid(self):
         X, Y = conj_xmod(Z2), aut_like(Z2)
