@@ -45,6 +45,7 @@ from .xmod import (
     TwoGroupFunctor,
     XModMorphism,
     XModTwoCell,
+    _check_groups,
     _check_ranges,
     cokernel_embedding,
     denormalize,
@@ -80,10 +81,12 @@ def validate_butterfly(B: Butterfly) -> ValidationReport:
     Also asserts the derived fact that the images of the two wings commute
     elementwise in E (existence of the cooperator).  A wing or leg that is
     not a map between its groups is a finding, and the checks that would
-    index it are skipped.
+    index it are skipped, as are all when a group's table is no group table.
     """
     report = ValidationReport(repr(B))
     E, H, G = B.E, B.dom.G, B.cod.G
+    if not _check_groups(report, (E, H, G, B.dom.G0, B.cod.G0)):
+        return report
     k, i, s, r = _legs(B)
     legs = (("kappa", k, H, E), ("iota", i, G, E), ("sigma", s, E, B.dom.G0), ("rho", r, E, B.cod.G0))
     readable = _check_ranges(report, "leg-range", legs).isdisjoint

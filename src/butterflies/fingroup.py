@@ -68,6 +68,7 @@ class FinGroup:
         self.order = len(table)
         self.table: tuple[tuple[int, ...], ...] = tuple(tuple(map(int, row)) for row in table)
         _check_group_table(self)
+        self._table_defect = None
         self.name, self.relabeling = name, None
         # labels given as a function, as the trusted constructions give them, are read on first use
         self._labels = element_labels if element_labels is None or callable(element_labels) else tuple(element_labels)
@@ -107,14 +108,17 @@ class FinGroup:
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
-        orders = []
-        for a in range(self.order):
-            k, x = 1, a
-            while x != 0:
-                x = self.table[x][a]
-                k += 1
-            orders.append(k)
-        return tuple(orders)
+        return tuple(_order(column, self.order) for column in zip(*self.table))
+
+    @cached_property
+    def _table_defect(self) -> Optional[str]:
+        """Why the table is no group table, or None.  ``__init__`` has checked
+        it; the table of a trusted construction is checked on first read."""
+        try:
+            _check_group_table(self)
+        except NotAGroup as exc:
+            return str(exc)
+        return None
 
     @cached_property
     def element_invariants(self) -> tuple[tuple[int, int, int], ...]:
@@ -643,13 +647,19 @@ class _Columns(NamedTuple):
 def _columns_record(order: int, gens: Sequence[int], columns: Sequence[Sequence[int]]) -> _Columns:
     """The record of a group of `order` elements with generating sequence
     `gens` and their columns; each order is read off its column."""
-    orders = []
-    for col in columns:
-        k, a = 1, col[0]
-        while a:
-            a, k = col[a], k + 1
-        orders.append(k)
-    return _Columns(order, tuple(gens), tuple(columns), tuple(orders))
+    return _Columns(order, tuple(gens), tuple(columns), tuple(_order(col, order) for col in columns))
+
+
+def _order(column: Sequence[int], n: int) -> int:
+    """The order of g, read off its column x -> x*g in a group of n elements:
+    the least k >= 1 with g^k = 1.  A column of a table that is no group
+    table may never reach 1, so the walk stops after n steps."""
+    x = column[0]
+    for k in range(1, n + 1):
+        if not x:
+            return k
+        x = column[x]
+    raise NotAGroup(f"element {column[0]} has no order <= {n}")
 
 
 def _columns(G: FinGroup, first: tuple[int, ...] = ()) -> _Columns:

@@ -109,10 +109,23 @@ def _check_ranges(report: ValidationReport, condition: str, maps) -> set:
     return bad
 
 
+def _check_groups(report: ValidationReport, groups) -> bool:
+    """Report as ``not-a-group`` each of `groups` whose table is no group
+    table, and return whether all are groups: a check that reads the table
+    of one that is not may index off it or never end, so it is skipped."""
+    defects = {G: G._table_defect for G in groups}
+    for G, defect in defects.items():
+        if defect is not None:
+            report.add("not-a-group", G.name, defect)
+    return not any(defects.values())
+
+
 def validate_crossed_module(X: CrossedModule) -> ValidationReport:
     """Check the precrossed and Peiffer conditions, reporting every violation."""
     report = ValidationReport(repr(X))
     bd, G, G0 = X.boundary.map, X.G, X.G0
+    if not _check_groups(report, (G, G0)):
+        return report
     # both conditions index the boundary and the action
     bad = _check_ranges(report, "map-range", [("boundary", bd, G, G0)])
     if len(X.action.act) != G0.order:

@@ -147,6 +147,31 @@ class TestSuites:
         assert f"127 failure(s), {report.dropped} not kept" in str(report)
         assert "dropped" not in run_bicategory_suite(fx).to_json()
 
+    @pytest.mark.parametrize("seed, bound, composites, searches", [(0, 16, 270, 93), (3, 16, 257, 90)])
+    def test_each_composite_and_witness_search_once_per_run(self, monkeypatch, seed, bound, composites, searches):
+        # composites are interned by value and memoized per pair of operands, an
+        # operand equal to a composite standing in as it, and witness searches
+        # per pair of interned butterflies: 568 and 291 calls on (0, 16), 752
+        # and 379 on (3, 16), when each law made its own
+        from butterflies import butterfly
+
+        fx = generate_fixtures(seed, bound)
+        calls = Counter()
+
+        def counted(name):
+            f = getattr(butterfly, name)
+
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return call
+
+        for name in ("_pullback_parts", "_witness_map"):
+            monkeypatch.setattr(butterfly, name, counted(name))
+        run_bicategory_suite(fx)
+        assert (calls["_pullback_parts"], calls["_witness_map"]) == (composites, searches)
+
     @pytest.mark.parametrize(
         "suite, fault",
         [

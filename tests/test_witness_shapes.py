@@ -69,7 +69,7 @@ CASES = {
         "6043dedc976c176c6995e69fb76c3c6bebbe5b677322a671a875d74970fb3449",
     ),
     "associativity-error": (
-        "bicategory", None, "_per_operand", lambda f: _raise,
+        "bicategory", None, "_bracketings", _raise,
         {"associativity"},
         "8a7e37ae3979819eb9467bdffe451bcb2d86346ea8cfe2a390a0a647b29d030c",
     ),
