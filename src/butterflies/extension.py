@@ -25,7 +25,6 @@ from .fingroup import (
     GroupHom,
     _generator_images,
     _generators,
-    _maps_into,
     _twisted_columns,
     _twisted_index,
     _twisted_product,
@@ -42,7 +41,8 @@ from .fingroup import (
     trivial_group,
     zero_hom,
 )
-from .xmod import CrossedModule
+from .report import ValidationReport
+from .xmod import CrossedModule, _check_ranges
 
 _ONE = trivial_group()
 CLASSIFY_BOUND = 16  # the default bound on |H|*|G| of both classification routes
@@ -138,12 +138,15 @@ class FactorSet:
 
 
 def validate_factor_set(fs: FactorSet, aut: FinGroup, ev: GroupAction) -> bool:
-    """Normalization plus the two Schreier conditions; False also when phi is
-    not a map into Aut(G) or f not a map H x H -> G."""
+    """Normalization plus the two Schreier conditions; False also when the
+    table of H, G or Aut(G) is no group table, phi is not a map into Aut(G)
+    or f not a map H x H -> G.  The gate's ``not-hom`` findings do not count:
+    phi and the rows of f need not be homomorphisms."""
     H, G = fs.H, fs.G
     phi, f = fs.phi, fs.f
-    f_in_range = len(f) == H.order and all(_maps_into(row, H.order, G.order) for row in f)
-    if not (f_in_range and _maps_into(phi, H.order, aut.order)) or phi[0] != 0 or any(f[0]) or any(r[0] for r in f):
+    maps = [("phi", phi, H, aut), *((("f", x), row, H, G) for x, row in enumerate(f))]
+    gated = len(f) == H.order and not _check_ranges(ValidationReport("factor set"), "map-range", maps)
+    if not gated or phi[0] != 0 or any(f[0]) or any(r[0] for r in f):
         return False
     conj_pos = {p: i for i, p in enumerate(ev.act)}
     for x in range(H.order):

@@ -44,10 +44,10 @@ def _per_operand(f):
     """``f`` once per ids of its positional operands in a ``_run_memo()`` scope, else ``f``."""
 
     @wraps(f)
-    def memoized(*operands, **options):
+    def memoized(*operands):
         memo = _memo.get()
-        if memo is None or options:
-            return f(*operands, **options)
+        if memo is None:
+            return f(*operands)
         key = (f, *map(id, operands))
         return (memo.get(key) or memo.setdefault(key, (f(*operands), operands)))[0]
 

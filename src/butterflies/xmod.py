@@ -47,7 +47,7 @@ from .fingroup import (
     quotient,
     semidirect_product,
 )
-from .report import ValidationReport
+from .report import Finding, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -88,17 +88,26 @@ class CrossedModule:
 
 
 def _check_ranges(report: ValidationReport, condition: str, maps) -> set:
-    """The one gate of the validators on the maps they index: report as
-    `condition` each (witness, m, D, C) of `maps` whose m is not a map
-    D -> C, and return their witnesses, so that the checks which index m can
-    be skipped.  Each m that is such a map must also be a homomorphism
-    D -> C (a leg, an action row, an automorphism): one that is not is a
-    ``not-hom`` finding, with the first defect pair (a, g) of
+    """The one gate of the validators on the tables and maps they read.
+    Each group that the rows (witness, m, D, C) of `maps` join must have a
+    group table: a check that reads one that has not may index off it, so
+    each such group is reported once per report as ``not-a-group`` and every
+    row's witness is returned.  Else report as `condition` each m that is
+    not a map D -> C, and return their witnesses, so that the checks which
+    index m can be skipped.  Each m that is such a map must also be a
+    homomorphism D -> C (a leg, an action row, an automorphism): one that is
+    not is a ``not-hom`` finding, with the first defect pair (a, g) of
     m(a*g) != m(a)*m(g)."""
 
     def named(witness) -> str:
         return witness if isinstance(witness, str) else "%s row %d" % witness
 
+    defects = {G: G._table_defect for row in maps for G in row[2:]}
+    for G, defect in defects.items():
+        if defect is not None and Finding("not-a-group", G.name, defect) not in report.findings:
+            report.add("not-a-group", G.name, defect)
+    if any(defects.values()):
+        return {witness for witness, *_ in maps}
     bad = set()
     for witness, m, D, C in maps:
         if not _maps_into(m, D.order, C.order):
@@ -109,23 +118,10 @@ def _check_ranges(report: ValidationReport, condition: str, maps) -> set:
     return bad
 
 
-def _check_groups(report: ValidationReport, groups) -> bool:
-    """Report as ``not-a-group`` each of `groups` whose table is no group
-    table, and return whether all are groups: a check that reads the table
-    of one that is not may index off it or never end, so it is skipped."""
-    defects = {G: G._table_defect for G in groups}
-    for G, defect in defects.items():
-        if defect is not None:
-            report.add("not-a-group", G.name, defect)
-    return not any(defects.values())
-
-
 def validate_crossed_module(X: CrossedModule) -> ValidationReport:
     """Check the precrossed and Peiffer conditions, reporting every violation."""
     report = ValidationReport(repr(X))
     bd, G, G0 = X.boundary.map, X.G, X.G0
-    if not _check_groups(report, (G, G0)):
-        return report
     # both conditions index the boundary and the action
     bad = _check_ranges(report, "map-range", [("boundary", bd, G, G0)])
     if len(X.action.act) != G0.order:

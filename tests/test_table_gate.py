@@ -1,8 +1,9 @@
 """The validators report a group whose table is no group table, and return.
 
 A trusted construction (``FinGroup._trusted``) does not check its table, so
-an in-process object can reach ``validate_butterfly`` or
-``validate_crossed_module`` with one that is no group table.  The probe
+an in-process object can reach a validator with one that is no group table.
+The one gate of the validators, ``xmod._check_ranges``, reads the table
+check of each group that its rows join before it reads any map.  The probe
 takes the butterflies of fixture set (0, 8) with |E| > 2, and its crossed
 modules, and edits row 1 of E's (or G's, or G0's) table in three ways: it
 swaps the entries of columns 1 and 2, puts an entry off range, or drops an
@@ -13,7 +14,8 @@ element's powers never came back to 1), the other two edits made 21 of their
 46 raise ``IndexError``, and 15 of those 46 reported the butterfly valid; of
 the 33 crossed-module cases 3 hung, 16 raised and 12 passed.  Now each is
 one ``not-a-group`` finding, and the checks that would read the table are
-skipped.
+skipped.  ``test_validator_totality`` sweeps the same edits over all nine
+validators.
 """
 
 from __future__ import annotations
