@@ -210,10 +210,32 @@ def _assignments(k: int, fv: list, cand: list, checks: list, narrow) -> Iterator
     for g in cand[k]:
         fv[k] = g
         trail: list = []
-        if narrow(checks[k], trail):
-            yield from _assignments(k + 1, fv, cand, checks, narrow)
-        for s, old in reversed(trail):
-            cand[s] = old
+        try:
+            if narrow(checks[k], trail):
+                yield from _assignments(k + 1, fv, cand, checks, narrow)
+        finally:
+            for s, old in reversed(trail):
+                cand[s] = old
+
+
+def _cocycle_group(fv: list, cand: list, checks: list, narrow, t) -> list[tuple[int, ...]]:
+    """The cocycles of one phi as slot vectors, sorted.  Walks the identity
+    path; the trivial cocycle passes every check, so narrowing leaves
+    identity first at every slot.  At slot k it searches the first cocycle
+    of each other value's branch, closing the search to undo its narrowing,
+    and multiplies the cocycles found into those listed so far."""
+    group = [(0,) * len(fv)]
+    for k, row in enumerate(cand):
+        found = []
+        for v in row[1:]:
+            cand[k] = [v]
+            search = _assignments(k, fv, cand, checks, narrow)
+            found += [tuple(fv) for _ in itertools.islice(search, 1)]
+            search.close()
+        cand[k], fv[k] = row, 0
+        narrow(checks[k], [])
+        group += [tuple([t[a][b] for a, b in zip(s, c)]) for s in found for c in group]
+    return sorted(group)
 
 
 def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -> list[FactorSet]:
@@ -221,14 +243,19 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) ->
 
     phi ranges over the homomorphisms H -> Aut(G), so the first condition,
     conj(f(x, y)) = phi(x) phi(y) phi(xy)^-1 = 1, puts every f-value in the
-    center Z(G) = ker(inner).  Backtracking assigns the non-identity pairs of
-    f row-major, each over the center in ascending order, with forward
-    checking: a cocycle triple is checked as soon as all but the last of its
-    f-values are assigned, and it narrows that last value's candidates to
-    those that satisfy it.  Narrowing is undone on backtrack, and a branch
-    is pruned as soon as some candidate list is empty.  Every triple is
-    still checked for every kept value, and the list comes out in the order
-    of a search that checks each triple only when its last value is set.
+    center Z(G) = ker(inner).  Each phi(x) is an automorphism of the abelian
+    group Z(G), so the second, phi(x)(f(y, z)) f(x, yz) = f(x, y) f(xy, z),
+    holds for the pointwise product of two solutions and for the inverse of
+    one: for a fixed phi the f's form a group Z^2_phi (K. S. Brown, Cohomology
+    of Groups, IV.3), and a product of cocycles needs no check.  The slots
+    are the non-identity pairs of f, row-major, each over the center in
+    ascending order.  Off the all-identity path, the first cocycle s of each
+    branch (slots before k identity, slot k some v) is searched by
+    backtracking with forward checking: a cocycle triple is checked as soon
+    as all but the last of its f-values are assigned, and it narrows that
+    last value's candidates to those that satisfy it.  Every cocycle of that
+    branch is s times one whose slots up to k are identity, so products give
+    the rest; sorted, the list has the order of the full search.
     """
     if H.order * G.order > bound:
         raise BoundExceeded("enumerate_cocycles", H.order * G.order, bound)
@@ -272,9 +299,9 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) ->
                         return False
             return True
 
-        if narrow(initial, []):
-            for _ in _assignments(0, fv, cand, checks, narrow):
-                results.append(FactorSet(H, G, tuple(phi), tuple(tuple(fv[s] for s in row) for row in slot)))
+        narrow(initial, [])
+        for c in _cocycle_group(fv, cand, checks, narrow, t):
+            results.append(FactorSet(H, G, tuple(phi), tuple([tuple([c[s] for s in row]) for row in slot])))
     return results
 
 
