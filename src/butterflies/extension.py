@@ -234,8 +234,22 @@ def _cocycle_group(fv: list, cand: list, checks: list, narrow, t) -> list[tuple[
             search.close()
         cand[k], fv[k] = row, 0
         narrow(checks[k], [])
-        group += [tuple([t[a][b] for a, b in zip(s, c)]) for s in found for c in group]
+        group += [_pointwise(t, s, c) for s in found for c in group]
     return sorted(group)
+
+
+def _pointwise(t, s: Sequence[int], c: Sequence[int]) -> tuple[int, ...]:
+    """The pointwise product of two f-vectors in the group of table t."""
+    return tuple([t[a][b] for a, b in zip(s, c)])
+
+
+def _adjoin(t, K: list[tuple[int, ...]], d: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """<K, d> for a subgroup K of abelian f-vectors: the cosets d^i K until d^i lies in K."""
+    out, p = list(K), d
+    while p not in K:
+        out += [_pointwise(t, p, k) for k in K]
+        p = _pointwise(t, p, d)
+    return out
 
 
 def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -> list[FactorSet]:
@@ -388,11 +402,15 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     representative: ``FinGroup`` re-validates the table, then ``is_split``
     and ``identify_group`` run on it.
 
-    Classes are orbits under butterfly morphisms, found by backtracking
-    search, independently of the coboundary calculus of the oracle.  A
-    cocycle joins a class when the search finds a morphism to the class's
-    representative, and that witness must pass the four triangle equalities
-    and the bijectivity check of :func:`butterfly_morphism`.
+    Classes are orbits under butterfly morphisms, decided by backtracking
+    search and never by the oracle's twists.  A cocycle joins a class when
+    the search finds a morphism to the class's representative, and that
+    witness must pass the four triangle equalities and the bijectivity
+    check of :func:`butterfly_morphism`.  For abelian G the classes over one
+    phi (a block of cocycles) are the cosets of B^2_phi in Z^2_phi, and the
+    f r^-1 of the witnesses f -> r of a block generate K inside B^2_phi.  A
+    cocycle in a known coset r K joins r's class unsearched; the search
+    still decides every new coset, and each witness at least doubles K.
 
     A cocycle is searched against only the representatives that share its
     invariant, the sorted triples (sigma e, rho e, iota^-1(e^m)) over e in E
@@ -419,7 +437,14 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     data: list[tuple[ExtensionDatum, FactorSet]] = []
     counts: list[int] = []
     buckets: dict[tuple, list[int]] = {}
+    t, abelian, block_phi = G.table, not any(A.boundary.map), None
     for fs in cocycles:
+        f = sum(fs.f, ())
+        if fs.phi != block_phi:  # a new phi's block: K is trivial, and stays so for non-abelian G
+            block_phi, K, block, known = fs.phi, [(0,) * len(f)], {}, {}
+        if f in known:
+            counts[known[f]] += 1
+            continue
         rho = _twisted_rho(fs, A)
         legs = ((0,), iota, sigma, rho)
         bucket = buckets.setdefault(_morphism_invariant(fs, rho), [])
@@ -427,6 +452,9 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
         for k in bucket:
             if _witness_map(source, legs, reps[k]) is not None:
                 counts[k] += 1
+                if abelian:  # rho fixes phi: k is of this block, and f r^-1 is in B^2
+                    K = _adjoin(t, K, _pointwise(t, f, [G.inverse[v] for v in block[k]]))
+                    known = {_pointwise(t, r, c): j for j, r in block.items() for c in K}
                 break
         else:
             datum = factor_set_to_extension(fs)
@@ -437,6 +465,8 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
             reps.append(Butterfly(dom, A, E, zero_hom(_ONE, E), datum.iota, datum.sigma, rho_hom))
             data.append((datum, fs))
             counts.append(1)
+            block[len(reps) - 1] = f
+            known.update({_pointwise(t, f, c): len(reps) - 1 for c in K})
     out = []
     for k, B in enumerate(reps):
         datum, fs = data[k]

@@ -1,0 +1,120 @@
+"""The coset step of the butterfly route against the per-cocycle search.
+
+``per_cocycle_classify`` is the route's loop without the coset step: each
+cocycle is bucketed by its butterfly invariant and searched against the
+representatives of its bucket in order, and a cocycle that no search places
+starts a class.  For an abelian kernel G the classes over one phi are the
+cosets of B^2_phi in Z^2_phi, so every class of one phi holds |B^2_phi|
+cocycles and they hold all |Z^2_phi| of that phi between them.  The class
+lists of ``classify_extensions`` must equal the per-cocycle search's in
+factor set, count, splitting and extension group, and on a non-abelian kernel,
+where the coset step does not apply, it must make the same witness searches.
+"""
+
+from __future__ import annotations
+
+from collections import Counter, defaultdict
+
+import pytest
+
+from helpers import GRID, GRID_BOUND, grid_groups
+
+from butterflies import extension
+from butterflies.butterfly import Butterfly, _witness_map
+from butterflies.extension import (
+    _ONE,
+    _aut_rows,
+    _morphism_invariant,
+    _twisted_rho,
+    _wing_first_generators,
+    aut_xmod,
+    classify_extensions,
+    discrete_xmod,
+    enumerate_cocycles,
+    factor_set_to_extension,
+    identify_group,
+)
+from butterflies.fingroup import GroupHom, _twisted_columns, _twisted_index, zero_hom
+
+GROUPS = grid_groups()
+ABELIAN = [p for p in GRID if not any(aut_xmod(GROUPS[p[1]]).boundary.map)]
+NON_ABELIAN = [p for p in GRID if p not in ABELIAN]
+# the pairs past the default bound whose classes the coset step places
+BOUND_32 = [("Z4", "Z8"), ("V4", "Z8")]
+
+
+def per_cocycle_classify(H, G, bound: int) -> tuple[list[tuple], int]:
+    """(factor set, count, split, extension group) per class, with every
+    cocycle searched against the representatives of its invariant bucket,
+    and the number of witness searches made."""
+    A, dom = aut_xmod(G), discrete_xmod(H)
+    gens = _wing_first_generators(H, G)
+    _, sigma, pair = _twisted_index(G.order, H.order)
+    iota = pair(range(G.order), (0,) * G.order)
+    reps, data, counts, buckets, searches = [], [], [], {}, 0
+    for fs in enumerate_cocycles(H, G, bound):
+        rho = _twisted_rho(fs, A)
+        legs = ((0,), iota, sigma, rho)
+        bucket = buckets.setdefault(_morphism_invariant(fs, rho), [])
+        source = _twisted_columns(G, H, _aut_rows(fs), fs.f, gens) if bucket else None
+        for k in bucket:
+            searches += 1
+            if _witness_map(source, legs, reps[k]) is not None:
+                counts[k] += 1
+                break
+        else:
+            datum = factor_set_to_extension(fs)
+            E = datum.E
+            bucket.append(len(reps))
+            rho_hom = GroupHom._trusted(E, A.G0, rho)
+            reps.append(Butterfly(dom, A, E, zero_hom(_ONE, E), datum.iota, datum.sigma, rho_hom))
+            data.append((datum, fs))
+            counts.append(1)
+    classes = [
+        (fs, counts[k], datum.is_split(), identify_group(datum.E)) for k, (datum, fs) in enumerate(data)
+    ]
+    return classes, searches
+
+
+def classes(H, G, bound: int) -> list[tuple]:
+    return [(c.factor_set, c.count, c.split, c.e_group) for c in classify_extensions(H, G, bound)]
+
+
+@pytest.mark.parametrize("pair", BOUND_32, ids=[f"{h},{g}" for h, g in BOUND_32])
+def test_classes_equal_per_cocycle_search_at_bound_32(pair):
+    H, G = GROUPS[pair[0]], GROUPS[pair[1]]
+    assert classes(H, G, 32) == per_cocycle_classify(H, G, 32)[0]
+
+
+@pytest.mark.parametrize("pair", NON_ABELIAN, ids=[f"{h},{g}" for h, g in NON_ABELIAN])
+def test_non_abelian_kernels_search_every_cocycle(pair, monkeypatch):
+    H, G = GROUPS[pair[0]], GROUPS[pair[1]]
+    bound = GRID_BOUND.get(pair, 16)
+    expected, searches = per_cocycle_classify(H, G, bound)
+    calls = []
+    original = extension._witness_map
+
+    def counting(source, legs, B2):
+        calls.append(1)
+        return original(source, legs, B2)
+
+    monkeypatch.setattr(extension, "_witness_map", counting)
+    assert classes(H, G, bound) == expected
+    assert len(calls) == searches > 0
+
+
+@pytest.mark.parametrize(
+    "pair, bound",
+    [(p, 16) for p in ABELIAN] + [(p, 32) for p in BOUND_32],
+    ids=[f"{h},{g}" for h, g in ABELIAN] + [f"{h},{g},32" for h, g in BOUND_32],
+)
+def test_classes_over_one_phi_are_cosets_of_one_group(pair, bound):
+    H, G = GROUPS[pair[0]], GROUPS[pair[1]]
+    cocycles = Counter(fs.phi for fs in enumerate_cocycles(H, G, bound))
+    counts = defaultdict(list)
+    for c in classify_extensions(H, G, bound):
+        counts[c.factor_set.phi].append(c.count)
+    assert counts.keys() == cocycles.keys()
+    for phi, per_class in counts.items():
+        assert len(set(per_class)) == 1  # |B^2_phi|
+        assert per_class[0] * len(per_class) == cocycles[phi]  # |Z^2_phi|
