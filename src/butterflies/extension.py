@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .butterfly import Butterfly, _witness_map
 from .errors import BoundExceeded, TwistLeavesCocycles
@@ -201,37 +201,35 @@ def factor_set_of_extension(X: ExtensionDatum, section: tuple[int, ...]) -> Fact
     return FactorSet(H, X.G, tuple(rho[e] for e in s), f)
 
 
-def _assignments(k: int, fv: list, cand: list, checks: list, narrow) -> Iterator[None]:
-    """Yield once per assignment of slots k.. of fv that passes narrowing.
-    A module-level generator, so the search holds no reference cycle."""
+def _first_assignment(k: int, fv: list, cand: list, checks: list, narrow) -> bool:
+    """Whether slots k.. of fv have an assignment that passes narrowing; if so,
+    fv holds the first.  Undoes its own narrowing of cand before it returns."""
     if k == len(cand):
-        yield
-        return
+        return True
     for g in cand[k]:
         fv[k] = g
         trail: list = []
-        try:
-            if narrow(checks[k], trail):
-                yield from _assignments(k + 1, fv, cand, checks, narrow)
-        finally:
-            for s, old in reversed(trail):
-                cand[s] = old
+        found = narrow(checks[k], trail) and _first_assignment(k + 1, fv, cand, checks, narrow)
+        for s, old in reversed(trail):
+            cand[s] = old
+        if found:
+            return True
+    return False
 
 
 def _cocycle_group(fv: list, cand: list, checks: list, narrow, t) -> list[tuple[int, ...]]:
     """The cocycles of one phi as slot vectors, sorted.  Walks the identity
     path; the trivial cocycle passes every check, so narrowing leaves
     identity first at every slot.  At slot k it searches the first cocycle
-    of each other value's branch, closing the search to undo its narrowing,
-    and multiplies the cocycles found into those listed so far."""
+    of each other value's branch and multiplies the cocycles found into
+    those listed so far."""
     group = [(0,) * len(fv)]
     for k, row in enumerate(cand):
         found = []
         for v in row[1:]:
             cand[k] = [v]
-            search = _assignments(k, fv, cand, checks, narrow)
-            found += [tuple(fv) for _ in itertools.islice(search, 1)]
-            search.close()
+            if _first_assignment(k, fv, cand, checks, narrow):
+                found.append(tuple(fv))
         cand[k], fv[k] = row, 0
         narrow(checks[k], [])
         group += [_pointwise(t, s, c) for s in found for c in group]
@@ -406,11 +404,13 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     search and never by the oracle's twists.  A cocycle joins a class when
     the search finds a morphism to the class's representative, and that
     witness must pass the four triangle equalities and the bijectivity
-    check of :func:`butterfly_morphism`.  For abelian G the classes over one
-    phi (a block of cocycles) are the cosets of B^2_phi in Z^2_phi, and the
-    f r^-1 of the witnesses f -> r of a block generate K inside B^2_phi.  A
-    cocycle in a known coset r K joins r's class unsearched; the search
-    still decides every new coset, and each witness at least doubles K.
+    check of :func:`butterfly_morphism`.  A witness theta: f -> r within one
+    phi's block of cocycles has theta(0, x) = (h(x), x) with inner(h(x)) = 1,
+    from sigma theta = sigma and rho_r theta = rho_f, so f r^-1 = delta h lies
+    in B^2_phi(H, Z(G)) for every kernel G; these generate K.  A cocycle in a
+    known coset r K joins r's class unsearched; the search still decides every
+    new coset, and each witness within a block at least doubles K.  For
+    abelian G every witness is within a block.
 
     A cocycle is searched against only the representatives that share its
     invariant, the sorted triples (sigma e, rho e, iota^-1(e^m)) over e in E
@@ -437,10 +437,10 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     data: list[tuple[ExtensionDatum, FactorSet]] = []
     counts: list[int] = []
     buckets: dict[tuple, list[int]] = {}
-    t, abelian, block_phi = G.table, not any(A.boundary.map), None
+    t, block_phi = G.table, None
     for fs in cocycles:
         f = sum(fs.f, ())
-        if fs.phi != block_phi:  # a new phi's block: K is trivial, and stays so for non-abelian G
+        if fs.phi != block_phi:  # a new phi's block: K is trivial
             block_phi, K, block, known = fs.phi, [(0,) * len(f)], {}, {}
         if f in known:
             counts[known[f]] += 1
@@ -452,7 +452,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
         for k in bucket:
             if _witness_map(source, legs, reps[k]) is not None:
                 counts[k] += 1
-                if abelian:  # rho fixes phi: k is of this block, and f r^-1 is in B^2
+                if k in block:  # a witness within one phi: f r^-1 is in B^2
                     K = _adjoin(t, K, _pointwise(t, f, [G.inverse[v] for v in block[k]]))
                     known = {_pointwise(t, r, c): j for j, r in block.items() for c in K}
                 break

@@ -300,9 +300,6 @@ class GroupHom(_Trusted):
         if defect is not None:
             raise ValueError(f"map is not multiplicative at ({defect[0]},{defect[1]})")
 
-    def __call__(self, a: int) -> int:
-        return self.map[a]
-
     def then(self, g: "GroupHom") -> "GroupHom":
         """Composite 'self first, then g'."""
         if g.dom is not self.cod and g.dom != self.cod:
@@ -360,9 +357,6 @@ class GroupAction(_Trusted):
                 q = self.act[x]
                 if self.act[at[x][g]] != tuple(q[a] for a in p):
                     raise ValueError(f"act[{x}*{g}] != act[{x}] o act[{g}]")
-
-    def __call__(self, x: int, a: int) -> int:
-        return self.act[x][a]
 
 
 def trivial_action(actor: FinGroup, target: FinGroup) -> GroupAction:
@@ -706,8 +700,6 @@ def _extend_hom(src: _Columns, H: FinGroup, images: Sequence[int]) -> Optional[t
     m = [-1] * src.order
     m[0] = 0
     for g, h in zip(src.gens, images):
-        if m[g] not in (-1, h):
-            return None
         m[g] = h
     steps = list(zip(src.columns, images))
     frontier = [0, *src.gens]

@@ -6,9 +6,9 @@ Every failure carries a machine-replayable witness (serialized inputs).
 A fault-injection mode exists solely to prove the suites can fail.
 Within one fixture build or suite run (a ``_run_memo()`` scope) each
 operand's derived structure, and each Hom set, is built once; the memo dies
-with the run, and nothing is memoized outside one.  A bicategory run also
-interns its composites by value, names left out, and so makes each
-composite, and searches each pair for a witness, once.
+with the run.  A bicategory run also interns its composites by value, names
+left out, and through the same memo makes each composite, and searches each
+pair for a witness, once.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .fingroup import (
     GroupHom,
     _hom_defect,
     _is_pullback,
+    _per_operand,
     _run_memo,
     all_homomorphisms,
     cyclic_group,
@@ -260,29 +261,19 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
     report = SuiteReport("bicategory")
     start = time.perf_counter()
     corrupted = []  # whether each corruption changed E: not when (1 2) is an automorphism
-    # run-local memos: the one composite of each value, and the composite and the
-    # witness of each pair of operand ids, whose entries keep the operands, so the ids stay theirs
-    interned: dict[tuple, Butterfly] = {}
-    composites: dict[tuple[int, int], tuple] = {}
-    witnesses: dict[tuple[int, int], tuple] = {}
+    interned: dict[tuple, Butterfly] = {}  # the one composite of each value
+
+    @_per_operand
+    def composite(B1: Butterfly, B2: Butterfly) -> Butterfly:
+        C = compose(B1, B2)
+        if fault == "compose" and C.E.order > 2:
+            C, before = _corrupt_middle_group(C), C.E
+            corrupted.append(C.E != before)
+        return interned.setdefault(_value(C), C)
 
     def composer(B1: Butterfly, B2: Butterfly) -> Butterfly:
         # an operand equal to a composite stands in as that composite; fixtures are never interned
-        B1, B2 = interned.get(_value(B1), B1), interned.get(_value(B2), B2)
-        key = id(B1), id(B2)
-        if key not in composites:
-            C = compose(B1, B2)
-            if fault == "compose" and C.E.order > 2:
-                C, before = _corrupt_middle_group(C), C.E
-                corrupted.append(C.E != before)
-            composites[key] = interned.setdefault(_value(C), C), B1, B2
-        return composites[key][0]
-
-    def witness(B1: Butterfly, B2: Butterfly):
-        key = id(B1), id(B2)
-        if key not in witnesses:
-            witnesses[key] = _iso_or_none(B1, B2), B1, B2
-        return witnesses[key][0]
+        return composite(interned.get(_value(B1), B1), interned.get(_value(B2), B2))
 
     for B in fx.butterflies:
         report.case()
@@ -293,19 +284,19 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
     bounded = [B for B in fx.butterflies if B.E.order <= 2 * fx.size_bound]
     for B in bounded:
         report.case()
-        w = witness(composer(identity_butterfly(B.dom), B), B)
+        w = _iso_or_none(composer(identity_butterfly(B.dom), B), B)
         if w is None:
             report.fail("left-unit", butterfly=B)
         elif not w.f.is_isomorphism:
             report.fail("witness-bijective", butterfly=B)
         report.case()
-        if witness(composer(B, identity_butterfly(B.cod)), B) is None:
+        if _iso_or_none(composer(B, identity_butterfly(B.cod)), B) is None:
             report.fail("right-unit", butterfly=B)
 
     for B1, B2, B3 in _composable_triples(bounded, 64 * fx.size_bound):
         report.case()
         try:
-            w = witness(*_bracketings(composer, B1, B2, B3))
+            w = _iso_or_none(*_bracketings(composer, B1, B2, B3))
         except Exception as exc:  # corrupt composites may fail later stages
             report.fail("associativity", error=str(exc), triple=(B1, B2, B3))
             continue
@@ -320,8 +311,8 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
         report.case()
         Bstar = flip(B)
         if (
-            witness(composer(B, Bstar), identity_butterfly(B.dom)) is None
-            or witness(composer(Bstar, B), identity_butterfly(B.cod)) is None
+            _iso_or_none(composer(B, Bstar), identity_butterfly(B.dom)) is None
+            or _iso_or_none(composer(Bstar, B), identity_butterfly(B.cod)) is None
         ):
             report.fail("flip-equivalence", butterfly=B)
 
@@ -351,6 +342,7 @@ def _composable_triples(butterflies: list[Butterfly], bound: int) -> Iterator[tu
                     yield B1, B2, B3
 
 
+@_per_operand
 def _iso_or_none(B1: Butterfly, B2: Butterfly):
     """A morphism B1 -> B2, or None when there is none or, on operands whose
     legs are not homomorphisms (the compose fault), when building it fails."""

@@ -215,10 +215,6 @@ class Strict2Group:
         """Arrows with source x and target y."""
         return [f for f in range(self.G1.order) if self.d.map[f] == x and self.c.map[f] == y]
 
-    @property
-    def size(self) -> int:
-        return self.G1.order
-
     def __repr__(self) -> str:
         return f"Strict2Group({self.G1.name} => {self.G0.name})"
 

@@ -78,11 +78,11 @@ GRID = [
 GRID_BOUND = {("Z3", "S3"): 18}
 
 
-def grid_groups() -> dict:
-    """The grid's groups with their non-identity elements permuted by one
-    fixed draw, in the classify-grid benchmark's order."""
+def named_groups() -> dict:
+    """The grid's groups with the tables of their constructors, as the
+    classify-grid benchmark's ``_named_groups`` builds them."""
     Z4 = cyclic_group(4)
-    named = {
+    return {
         "Z2": cyclic_group(2),
         "Z3": cyclic_group(3),
         "Z4": Z4,
@@ -94,9 +94,14 @@ def grid_groups() -> dict:
         )[0],
         "Q8": dicyclic_group(2),
     }
+
+
+def grid_groups() -> dict:
+    """The grid's groups with their non-identity elements permuted by one
+    fixed draw, in the classify-grid benchmark's order."""
     rng = random.Random("classify-grid/relabel")
     out = {}
-    for name, G in named.items():
+    for name, G in named_groups().items():
         n = G.order
         perm = [0] + rng.sample(range(1, n), n - 1)
         table = [[0] * n for _ in range(n)]

@@ -7,8 +7,10 @@ starts a class.  For an abelian kernel G the classes over one phi are the
 cosets of B^2_phi in Z^2_phi, so every class of one phi holds |B^2_phi|
 cocycles and they hold all |Z^2_phi| of that phi between them.  The class
 lists of ``classify_extensions`` must equal the per-cocycle search's in
-factor set, count, splitting and extension group, and on a non-abelian kernel,
-where the coset step does not apply, it must make the same witness searches.
+factor set, count, splitting and extension group.  The coset step serves
+non-abelian kernels too, with K inside B^2_phi(H, Z(G)): on the grid's
+non-abelian pairs that group is trivial, so the route makes the same witness
+searches, and on Z4 by D4, Z4 by Q8 and V4 by D4 at bound 32 it makes fewer.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from helpers import GRID, GRID_BOUND, grid_groups
+from helpers import GRID, GRID_BOUND, grid_groups, named_groups
 
 from butterflies import extension
 from butterflies.butterfly import Butterfly, _witness_map
@@ -36,11 +38,14 @@ from butterflies.extension import (
 )
 from butterflies.fingroup import GroupHom, _twisted_columns, _twisted_index, zero_hom
 
-GROUPS = grid_groups()
+GROUPS, NAMED = grid_groups(), named_groups()
 ABELIAN = [p for p in GRID if not any(aut_xmod(GROUPS[p[1]]).boundary.map)]
 NON_ABELIAN = [p for p in GRID if p not in ABELIAN]
 # the pairs past the default bound whose classes the coset step places
 BOUND_32 = [("Z4", "Z8"), ("V4", "Z8")]
+# non-abelian kernels past the default bound, with the tables of their
+# constructors: (H, G, the per-cocycle search's witness searches, the route's)
+NON_ABELIAN_32 = [("Z4", "D4", 60, 52), ("Z4", "Q8", 120, 104), ("V4", "D4", 416, 388)]
 
 
 def per_cocycle_classify(H, G, bound: int) -> tuple[list[tuple], int]:
@@ -80,6 +85,19 @@ def classes(H, G, bound: int) -> list[tuple]:
     return [(c.factor_set, c.count, c.split, c.e_group) for c in classify_extensions(H, G, bound)]
 
 
+def counted_classes(H, G, bound: int, monkeypatch) -> tuple[list[tuple], int]:
+    """``classes(H, G, bound)`` and the witness searches the route made."""
+    calls = []
+    original = extension._witness_map
+
+    def counting(source, legs, B2):
+        calls.append(1)
+        return original(source, legs, B2)
+
+    monkeypatch.setattr(extension, "_witness_map", counting)
+    return classes(H, G, bound), len(calls)
+
+
 @pytest.mark.parametrize("pair", BOUND_32, ids=[f"{h},{g}" for h, g in BOUND_32])
 def test_classes_equal_per_cocycle_search_at_bound_32(pair):
     H, G = GROUPS[pair[0]], GROUPS[pair[1]]
@@ -91,16 +109,20 @@ def test_non_abelian_kernels_search_every_cocycle(pair, monkeypatch):
     H, G = GROUPS[pair[0]], GROUPS[pair[1]]
     bound = GRID_BOUND.get(pair, 16)
     expected, searches = per_cocycle_classify(H, G, bound)
-    calls = []
-    original = extension._witness_map
+    assert counted_classes(H, G, bound, monkeypatch) == (expected, searches)
+    assert searches > 0
 
-    def counting(source, legs, B2):
-        calls.append(1)
-        return original(source, legs, B2)
 
-    monkeypatch.setattr(extension, "_witness_map", counting)
-    assert classes(H, G, bound) == expected
-    assert len(calls) == searches > 0
+@pytest.mark.parametrize(
+    "h, g, searches, calls", NON_ABELIAN_32, ids=[f"{h},{g},32" for h, g, _, _ in NON_ABELIAN_32]
+)
+def test_non_abelian_kernels_classify_by_coset_at_bound_32(h, g, searches, calls, monkeypatch):
+    # a witness within one phi places a coset of B^2_phi(H, Z(G)), a nontrivial group here
+    H, G = NAMED[h], NAMED[g]
+    expected, made = per_cocycle_classify(H, G, 32)
+    assert made == searches
+    assert counted_classes(H, G, 32, monkeypatch) == (expected, calls)
+    assert calls < searches
 
 
 @pytest.mark.parametrize(
