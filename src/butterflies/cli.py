@@ -139,7 +139,7 @@ def _spec_factors(spec: str) -> Optional[list[tuple[int, Callable[[], FinGroup]]
         n = int(s[1:]) if s[1:].isdecimal() else None
         if s == "1":
             factors.append((1, trivial_group))
-        elif s in ("V4", "K4"):
+        elif s == "V4":
             factors.append((4, klein_four))
         elif s.startswith("Z") and n is not None:
             if n < 1:

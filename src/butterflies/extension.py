@@ -148,7 +148,6 @@ def validate_factor_set(fs: FactorSet, aut: FinGroup, ev: GroupAction) -> bool:
     gated = len(f) == H.order and not _check_ranges(ValidationReport("factor set"), "map-range", maps)
     if not gated or phi[0] != 0 or any(f[0]) or any(r[0] for r in f):
         return False
-    conj_pos = {p: i for i, p in enumerate(ev.act)}
     for x in range(H.order):
         for y in range(H.order):
             composed = tuple(ev.act[phi[x]][ev.act[phi[y]][g]] for g in range(G.order))
@@ -156,8 +155,6 @@ def validate_factor_set(fs: FactorSet, aut: FinGroup, ev: GroupAction) -> bool:
                 G.conj(f[x][y], ev.act[phi[H.table[x][y]]][g]) for g in range(G.order)
             )
             if composed != conj_then:
-                return False
-            if composed not in conj_pos:
                 return False
     for x in range(H.order):
         for y in range(H.order):

@@ -19,7 +19,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from operator import eq, itemgetter
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BoundExceeded, CodomainMismatch, NotAGroup, NotNormal
 
@@ -337,26 +337,35 @@ class GroupAction(_Trusted):
 
     def __post_init__(self):
         object.__setattr__(self, "act", tuple(tuple(p) for p in self.act))
-        if len(self.act) != self.actor.order:
-            raise ValueError("one permutation per actor element required")
-        n = self.target.order
-        full = set(range(n))
-        for x, p in enumerate(self.act):
-            if set(p) != full:
-                raise ValueError(f"act[{x}] is not a permutation of the target")
-        if self.act[0] != tuple(range(n)):
-            raise ValueError("act[identity] must be the identity permutation")
-        # each generator acting by an automorphism and act[x*g] = act[x] o act[g] suffice
-        at = self.actor.table
-        for g in _generators(self.actor):
-            p = self.act[g]
-            defect = _hom_defect(self.target, self.target, p)
-            if defect is not None:
-                raise ValueError(f"act[{g}] is not an automorphism at ({defect[0]},{defect[1]})")
-            for x in range(self.actor.order):
-                q = self.act[x]
-                if self.act[at[x][g]] != tuple(q[a] for a in p):
-                    raise ValueError(f"act[{x}*{g}] != act[{x}] o act[{g}]")
+        defect = _action_defect(self.actor, self.target, self.act)
+        if defect is not None:
+            raise ValueError(defect[1])
+
+
+def _action_defect(actor: FinGroup, target: FinGroup, act) -> Optional[tuple[Any, str]]:
+    """The first way the rows `act` (tuples) fail to be an action of `actor`
+    on `target` by automorphisms, as (witness, reason), or None."""
+    if len(act) != actor.order:
+        return len(act), "one permutation per actor element required"
+    n = target.order
+    full = set(range(n))
+    for x, p in enumerate(act):
+        if set(p) != full:
+            return x, f"act[{x}] is not a permutation of the target"
+    if act[0] != tuple(range(n)):
+        return 0, "act[identity] must be the identity permutation"
+    # each generator acting by an automorphism and act[x*g] = act[x] o act[g] suffice
+    at = actor.table
+    for g in _generators(actor):
+        p = act[g]
+        defect = _hom_defect(target, target, p)
+        if defect is not None:
+            return (g, defect), f"act[{g}] is not an automorphism at ({defect[0]},{defect[1]})"
+        for x in range(actor.order):
+            q = act[x]
+            if act[at[x][g]] != tuple(q[a] for a in p):
+                return (x, g), f"act[{x}*{g}] != act[{x}] o act[{g}]"
+    return None
 
 
 def trivial_action(actor: FinGroup, target: FinGroup) -> GroupAction:

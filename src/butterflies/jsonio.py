@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Callable, Optional
@@ -69,31 +70,11 @@ def bytes_ref(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def detect_kind(data: dict) -> str:
-    if not isinstance(data, dict):
-        raise ParseError("top-level JSON object expected")
-    if "kind" in data:
-        return str(data["kind"])
-    if "table" in data:
-        return "group"
-    if "kappa" in data:
-        return "butterfly"
-    if "boundary" in data:
-        return "xmod"
-    if "F2" in data:
-        return "monoidal"
-    if "d" in data and "c" in data and "e" in data:
-        return "2group"
-    if "p" in data and "p0" in data:
-        return "xmod-morphism"
-    raise UnknownKind("object kind not recognized")
-
-
 def _resolve(value: Any, resolver: Optional[Resolver]) -> dict:
     if isinstance(value, str):
         if resolver is None:
             raise ParseError(f"reference {value!r} given but no store available")
-        return resolver(value)
+        value = resolver(value)
     if isinstance(value, dict):
         return value
     raise ParseError(f"expected object or reference, got {type(value).__name__}")
@@ -230,16 +211,14 @@ def fractor_from_json(data: Any, resolver: Optional[Resolver] = None) -> Fractor
     return F
 
 
-_LOADERS = {"group": group_from_json, "fractor": fractor_from_json}
+_LOADERS = {"group": group_from_json, "fractor": fractor_from_json, **{k: partial(_load_fields, k) for k in _KINDS}}
 
 
 def from_jsonable(data: Any, resolver: Optional[Resolver] = None):
-    if isinstance(data, str):
-        data = _resolve(data, resolver)
-    kind = detect_kind(data)
-    if kind in _KINDS:
-        return _load_fields(kind, data, resolver)
-    loader = _LOADERS.get(kind)
+    """Load an object by its required string ``kind``."""
+    data = _resolve(data, resolver)
+    kind = data.get("kind")
+    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
         raise UnknownKind(f"no loader for kind {kind!r}")
     return loader(data, resolver)

@@ -262,6 +262,7 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
     start = time.perf_counter()
     corrupted = []  # whether each corruption changed E: not when (1 2) is an automorphism
     interned: dict[tuple, Butterfly] = {}  # the one composite of each value
+    iso = _per_operand(_iso_or_none)  # interned composites repeat as operands
 
     @_per_operand
     def composite(B1: Butterfly, B2: Butterfly) -> Butterfly:
@@ -284,19 +285,19 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
     bounded = [B for B in fx.butterflies if B.E.order <= 2 * fx.size_bound]
     for B in bounded:
         report.case()
-        w = _iso_or_none(composer(identity_butterfly(B.dom), B), B)
+        w = iso(composer(identity_butterfly(B.dom), B), B)
         if w is None:
             report.fail("left-unit", butterfly=B)
         elif not w.f.is_isomorphism:
             report.fail("witness-bijective", butterfly=B)
         report.case()
-        if _iso_or_none(composer(B, identity_butterfly(B.cod)), B) is None:
+        if iso(composer(B, identity_butterfly(B.cod)), B) is None:
             report.fail("right-unit", butterfly=B)
 
     for B1, B2, B3 in _composable_triples(bounded, 64 * fx.size_bound):
         report.case()
         try:
-            w = _iso_or_none(*_bracketings(composer, B1, B2, B3))
+            w = iso(*_bracketings(composer, B1, B2, B3))
         except Exception as exc:  # corrupt composites may fail later stages
             report.fail("associativity", error=str(exc), triple=(B1, B2, B3))
             continue
@@ -311,8 +312,8 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
         report.case()
         Bstar = flip(B)
         if (
-            _iso_or_none(composer(B, Bstar), identity_butterfly(B.dom)) is None
-            or _iso_or_none(composer(Bstar, B), identity_butterfly(B.cod)) is None
+            iso(composer(B, Bstar), identity_butterfly(B.dom)) is None
+            or iso(composer(Bstar, B), identity_butterfly(B.cod)) is None
         ):
             report.fail("flip-equivalence", butterfly=B)
 
@@ -342,7 +343,6 @@ def _composable_triples(butterflies: list[Butterfly], bound: int) -> Iterator[tu
                     yield B1, B2, B3
 
 
-@_per_operand
 def _iso_or_none(B1: Butterfly, B2: Butterfly):
     """A morphism B1 -> B2, or None when there is none or, on operands whose
     legs are not homomorphisms (the compose fault), when building it fails."""

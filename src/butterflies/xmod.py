@@ -34,6 +34,7 @@ from .fingroup import (
     GroupAction,
     GroupHom,
     Subgroup,
+    _action_defect,
     _generator_images,
     _generators,
     _hom_defect,
@@ -119,7 +120,8 @@ def _check_ranges(report: ValidationReport, condition: str, maps) -> set:
 
 
 def validate_crossed_module(X: CrossedModule) -> ValidationReport:
-    """Check the precrossed and Peiffer conditions, reporting every violation."""
+    """Check that the action is one, reporting its first defect, and the
+    precrossed and Peiffer conditions, reporting every violation."""
     report = ValidationReport(repr(X))
     bd, G, G0 = X.boundary.map, X.G, X.G0
     # both conditions index the boundary and the action
@@ -129,6 +131,8 @@ def validate_crossed_module(X: CrossedModule) -> ValidationReport:
         bad.add("action")
     if bad | _check_ranges(report, "map-range", [(("action", x), row, G, G) for x, row in enumerate(X.action.act)]):
         return report
+    if (defect := _action_defect(G0, G, X.action.act)) is not None:
+        report.add("not-an-action", *defect)
     for x in range(G0.order):
         for g in range(G.order):
             if bd[X.act(x, g)] != G0.conj(x, bd[g]):

@@ -39,7 +39,10 @@ from butterflies.extension import (
 from butterflies.fingroup import GroupHom, _twisted_columns, _twisted_index, zero_hom
 
 GROUPS, NAMED = grid_groups(), named_groups()
-ABELIAN = [p for p in GRID if not any(aut_xmod(GROUPS[p[1]]).boundary.map)]
+# read off the kernel itself: calling aut_xmod at collection time would fill its
+# equality-keyed cache with the grid's groups, under their grid names, for every
+# module that runs later
+ABELIAN = [p for p in GRID if GROUPS[p[1]].is_abelian]
 NON_ABELIAN = [p for p in GRID if p not in ABELIAN]
 # the pairs past the default bound whose classes the coset step places
 BOUND_32 = [("Z4", "Z8"), ("V4", "Z8")]

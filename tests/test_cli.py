@@ -97,6 +97,19 @@ class TestValidate:
         path = write_json(tmp_path, "odd.json", {"hello": 1})
         assert run(ws, "validate", path) == 2
 
+    # the top-level kind is read, never guessed from the fields present: a
+    # butterfly without a kind, or with a kind that is no loader's name, is refused
+    @pytest.mark.parametrize("kind", [None, ["butterfly"], "bfly"], ids=["missing", "list", "unknown"])
+    @pytest.mark.parametrize("command", ["validate", "compose"])
+    def test_kind_not_a_known_string_exit_2(self, ws, tmp_path, capsys, command, kind):
+        data = {**jsonio.to_jsonable(identity_butterfly(conjugation_xmod(Z2))), "kind": kind}
+        if kind is None:
+            del data["kind"]
+        path = write_json(tmp_path, "b.json", data)
+        assert run(ws, command, *[path] * (2 if command == "compose" else 1)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no loader for kind") and "Traceback" not in err
+
     def test_validate_group_and_xmod(self, ws, tmp_path):
         path = write_json(tmp_path, "g.json", jsonio.to_jsonable(Z4))
         assert run(ws, "validate", path) == 0
@@ -394,6 +407,12 @@ class TestClassify:
         proc = run_process(ws, "classify", spec, "Z2")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    def test_k4_is_no_group_spec_exit_2(self, ws, capsys):
+        # V4 is the one spelling of the Klein four-group
+        assert parse_group_spec("K4") is None
+        assert run(ws, "classify", "K4", "Z2") == 2
+        assert capsys.readouterr().err == "error: no stored object matches 'K4'\n"
 
     def test_group_spec_parsing(self):
         assert parse_group_spec("Z2xZ2").order == 4

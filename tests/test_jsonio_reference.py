@@ -28,7 +28,7 @@ from butterflies import jsonio
 from butterflies.butterfly import Butterfly, Fractor, from_fractor, to_fractor, validate_butterfly
 from butterflies.errors import ParseError, UnknownKind
 from butterflies.fingroup import FinGroup, GroupAction, GroupHom
-from butterflies.jsonio import Resolver, _int_rows, _ints, _require, _resolve, detect_kind, group_from_json
+from butterflies.jsonio import Resolver, _int_rows, _ints, _require, _resolve, group_from_json
 from butterflies.laws import generate_fixtures
 from butterflies.weakmap import MonoidalFunctor, all_set_sections, extract_monoidal
 from butterflies.xmod import CrossedModule, Strict2Group, XModMorphism, denormalize
@@ -200,10 +200,10 @@ REFERENCE_LOADERS = {
 
 
 def reference_from_jsonable(data: Any, resolver: Optional[Resolver] = None):
-    if isinstance(data, str):
-        data = _resolve(data, resolver)
-    kind = detect_kind(data)
-    loader = REFERENCE_LOADERS.get(kind)
+    # dispatch by the required string kind, as the library does
+    data = _resolve(data, resolver)
+    kind = data.get("kind")
+    loader = REFERENCE_LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
         raise UnknownKind(f"no loader for kind {kind!r}")
     return loader(data, resolver)

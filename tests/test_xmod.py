@@ -124,6 +124,23 @@ class TestValidation:
         report = validate_crossed_module(dataclasses.replace(X, action=short))
         assert [(f.condition, f.witness) for f in report.findings] == [("map-range", "action")]
 
+    # actions built unchecked that are no actions: Z2 acting on Z3 by the zero
+    # endomorphism, and Z4 on Z3 with act[1] = act[2] the inversion
+    NON_ACTIONS = [
+        (Z2, ((0, 1, 2), (0, 0, 0)), 1, "act[1] is not a permutation of the target"),
+        (Z4, ((0, 1, 2), (0, 2, 1), (0, 2, 1), (0, 1, 2)), (1, 1), "act[1*1] != act[1] o act[1]"),
+    ]
+
+    @pytest.mark.parametrize("actor, act, witness, reason", NON_ACTIONS, ids=["zero-row", "not-multiplicative"])
+    def test_non_action_is_a_finding(self, actor, act, witness, reason):
+        # precrossed and Peiffer both hold: the trivial boundary and an abelian G
+        X = CrossedModule(Z3, actor, zero_hom(Z3, actor), GroupAction._trusted(actor, Z3, act))
+        report = validate_crossed_module(X)
+        assert [(f.condition, f.witness, f.detail) for f in report.findings] == [("not-an-action", witness, reason)]
+        with pytest.raises(ValueError) as refused:
+            GroupAction(actor, Z3, act)
+        assert str(refused.value) == reason
+
     def test_hash_is_the_field_hash_computed_once(self, monkeypatch):
         X = aut_like(S3)
         assert hash(X) == hash((X.G, X.G0, X.boundary, X.action))
