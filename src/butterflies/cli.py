@@ -339,6 +339,8 @@ def cmd_classify(args, ws: Workspace) -> int:
         if not agree:
             status = 1
     if args.csv:
+        if status:  # the CSV row has no field for the oracle's verdict
+            print(lines[-1], file=sys.stderr)
         n_split = sum(1 for c in classes if c.split)
         lines = [f"{H.name},{G.name},{len(classes)},{n_split}"]
         payload["csv"] = lines[0]

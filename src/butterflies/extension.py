@@ -316,12 +316,7 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) ->
 
 def twist_factor_set(fs: FactorSet, h: tuple[int, ...], A: CrossedModule) -> FactorSet:
     """The equivalent factor set obtained by changing the section by h: H -> G,
-    with A = aut_xmod(G).  The new phi(x) is inner(h(x)) * phi(x) in Aut(G)."""
-    return FactorSet(fs.H, fs.G, *_twist(fs, h, A))
-
-
-def _twist(fs: FactorSet, h: tuple[int, ...], A: CrossedModule) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The (phi, f) of ``twist_factor_set(fs, h, A)``:
+    with A = aut_xmod(G): phi'(x) = inner(h(x)) phi(x) in Aut(G) and
     f'(x, y) = h(x) phi(x)(h(y)) f(x, y) h(xy)^-1."""
     t, inv, inner, aut = fs.G.table, fs.G.inverse, A.boundary.map, A.G0.table
     rows = [A.action.act[p] for p in fs.phi]
@@ -330,41 +325,68 @@ def _twist(fs: FactorSet, h: tuple[int, ...], A: CrossedModule) -> tuple[tuple[i
         tuple([t[t[t[hx][row[hy]]][fxy]][inv[h[xy]]] for hy, fxy, xy in zip(h, fx, hrow)])
         for hx, row, fx, hrow in zip(h, rows, fs.f, fs.H.table)
     ])
-    return phi2, f2
+    return FactorSet(fs.H, fs.G, phi2, f2)
 
 
 def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -> list[list[FactorSet]]:
     """Equivalence classes of factor sets under section changes.
 
-    Classes are orbits of the twisting action of normalized maps h: H -> G;
-    the reconstruction of each class representative is re-validated as a
-    genuine group.
+    Classes are orbits of the twisting action of normalized maps h: H -> G,
+    listed by ``_orbit_cosets``, members in enumeration order; the
+    reconstruction of each class representative is re-validated as a group.
     """
     cocycles = enumerate_cocycles(H, G, bound)
-    A = aut_xmod(G)
-    index = {(fs.phi, fs.f): i for i, fs in enumerate(cocycles)}
+    index = {(fs.phi, sum(fs.f, ())): i for i, fs in enumerate(cocycles)}
     assigned = [-1] * len(cocycles)
     classes: list[list[FactorSet]] = []
-    h_candidates = list(itertools.product(range(G.order), repeat=H.order - 1))
+    cosets = _orbit_cosets(G, aut_xmod(G))
     for i, fs in enumerate(cocycles):
         if assigned[i] != -1:
             continue
-        label = len(classes)
         members = []
-        for tail in h_candidates:
-            h = (0,) + tail
-            j = index.get(_twist(fs, h, A))
-            if j is None:
-                raise TwistLeavesCocycles(
-                    f"section change h={h} leaves the enumerated cocycles of {H.name} by {G.name}: "
-                    "phi ranges over homomorphisms only, so non-abelian kernels are unsupported"
-                )
-            if assigned[j] == -1:
-                assigned[j] = label
-                members.append(cocycles[j])
-        classes.append(members)
+        for t, phi, f, coboundaries in cosets(fs):
+            for dz, z in coboundaries.items():
+                j = index.get((phi, _pointwise(G.table, f, dz)))
+                if j is None:
+                    raise TwistLeavesCocycles(
+                        f"section change h={_pointwise(G.table, t, z)} leaves the enumerated cocycles of "
+                        f"{H.name} by {G.name}: phi ranges over homomorphisms only, so non-abelian kernels "
+                        "are unsupported"
+                    )
+                if assigned[j] == -1:
+                    assigned[j] = len(classes)
+                    members.append(j)
+        classes.append([cocycles[j] for j in sorted(members)])
         FinGroup(factor_set_to_extension(fs).E.table)
     return classes
+
+
+def _orbit_cosets(G: FinGroup, A: CrossedModule):
+    """The coset lister of one oracle call, A = aut_xmod(G): it yields the
+    orbit of fs as cosets (t, phi, f, B), the twist of fs by t (f flattened)
+    times each coboundary dz in B, that twist by h = t z.  Each normalized h
+    is one such product, t(x) the least element of its coset of Z(G) and
+    z(x) central.  A central z keeps phi and multiplies f by dz(x, y) =
+    z(x) phi(x)(z(y)) z(xy)^-1, which reads phi only on Z(G), where inner
+    automorphisms act trivially (K. S. Brown, Cohomology of Groups, IV.3 and
+    IV.6).  B maps each twist of the trivial f by a central z to the first
+    such z; it is made once per phi and kept for the lister's life."""
+    center = [g for g in range(G.order) if A.boundary.map[g] == 0]
+    transversal = [g for g in range(G.order) if g == min(G.table[g][c] for c in center)]
+    coboundaries: dict = {}
+
+    def cosets(fs: FactorSet):
+        n = fs.H.order
+        if fs.phi not in coboundaries:
+            trivial = FactorSet(fs.H, G, fs.phi, ((0,) * n,) * n)
+            B = coboundaries[fs.phi] = {}
+            for z in itertools.product((0,), *[center] * (n - 1)):
+                B.setdefault(sum(twist_factor_set(trivial, z, A).f, ()), z)
+        for t in itertools.product((0,), *[transversal] * (n - 1)):
+            twisted = twist_factor_set(fs, t, A)
+            yield t, twisted.phi, sum(twisted.f, ()), coboundaries[fs.phi]
+
+    return cosets
 
 
 # ---------------------------------------------------------------------------

@@ -345,16 +345,29 @@ class TestClassify:
         assert out["agree"] is True
         assert sorted(c["E"] for c in out["classes"]) == ["Z2xZ2", "Z4"]
 
-    def test_oracle_agrees_class_by_class(self, ws, capsys, monkeypatch):
-        # one cocycle moves between two classes: the class count stays 4
-        def moved(H, G, bound):
-            classes = factor_set_oracle(H, G, bound=bound)
-            classes[2].append(classes[0].pop())
-            return classes
+    @staticmethod
+    def moved(H, G, bound):
+        """The oracle's classes with one cocycle moved between two of them:
+        the class count stays the same."""
+        classes = factor_set_oracle(H, G, bound=bound)
+        classes[2].append(classes[0].pop())
+        return classes
 
-        monkeypatch.setattr(cli, "factor_set_oracle", moved)
+    def test_oracle_agrees_class_by_class(self, ws, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "factor_set_oracle", self.moved)
         assert run(ws, "classify", "Z2", "Z4", "--oracle") == 1
         assert capsys.readouterr().out.endswith("oracle classes: 4 (MISMATCH)\n")
+
+    def test_csv_reports_a_mismatch_on_stderr(self, ws, capsys, monkeypatch):
+        # the CSV row has no field for the verdict; stdout stays one CSV line
+        monkeypatch.setattr(cli, "factor_set_oracle", self.moved)
+        assert run(ws, "classify", "Z2", "Z4", "--oracle", "--csv") == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("Z2,Z4,4,2\n", "oracle classes: 4 (MISMATCH)\n")
+
+    def test_csv_agreement_writes_nothing_to_stderr(self, ws, capsys):
+        assert run(ws, "classify", "Z2", "Z4", "--oracle", "--csv") == 0
+        assert capsys.readouterr() == ("Z2,Z4,4,2\n", "")
 
     def test_trivial_group(self, ws, capsys):
         assert run(ws, "classify", "1", "Z4") == 0
