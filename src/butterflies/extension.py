@@ -18,11 +18,12 @@ from functools import lru_cache
 from typing import Sequence
 
 from .butterfly import Butterfly, _witness_map
-from .errors import BoundExceeded, TwistLeavesCocycles
+from .errors import BoundExceeded, NotAGroup, TwistLeavesCocycles
 from .fingroup import (
     FinGroup,
     GroupAction,
     GroupHom,
+    _close,
     _generator_images,
     _generators,
     _twisted_columns,
@@ -171,8 +172,8 @@ def factor_set_to_extension(fs: FactorSet) -> ExtensionDatum:
     automorphisms and f.
 
     The Schreier conditions make it a group, so it is built unchecked; both
-    classification routes re-check each class representative's table with
-    ``FinGroup(...)``.
+    classification routes re-check each class representative's table on it
+    (``FinGroup._table_defect``), raising ``FinGroup``'s ``NotAGroup``.
     """
     H, G = fs.H, fs.G
     E, sigma, iota = _twisted_product(G, H, _aut_rows(fs), fs.f, f"E({G.name},{H.name})")
@@ -357,7 +358,9 @@ def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -> 
                     assigned[j] = len(classes)
                     members.append(j)
         classes.append([cocycles[j] for j in sorted(members)])
-        FinGroup(factor_set_to_extension(fs).E.table)
+        E = factor_set_to_extension(fs).E
+        if E._table_defect is not None:  # FinGroup's check, on E itself
+            raise NotAGroup(E._table_defect)
     return classes
 
 
@@ -368,20 +371,36 @@ def _orbit_cosets(G: FinGroup, A: CrossedModule):
     is one such product, t(x) the least element of its coset of Z(G) and
     z(x) central.  A central z keeps phi and multiplies f by dz(x, y) =
     z(x) phi(x)(z(y)) z(xy)^-1, which reads phi only on Z(G), where inner
-    automorphisms act trivially (K. S. Brown, Cohomology of Groups, IV.3 and
-    IV.6).  B maps each twist of the trivial f by a central z to the first
-    such z; it is made once per phi and kept for the lister's life."""
+    automorphisms act trivially, and z -> dz is a homomorphism from
+    Z(G)^(|H|-1) (K. S. Brown, Cohomology of Groups, IV.3 and IV.6).  So B,
+    which maps each dz to a z it is the twist of the trivial f by, is closed
+    from the twists by the z that are a greedy generator c of Z(G) at one x
+    and 1 elsewhere: d^i B until d^i lies in B, each product keeping its z.
+    B is made once per phi and kept for the lister's life."""
     center = [g for g in range(G.order) if A.boundary.map[g] == 0]
     transversal = [g for g in range(G.order) if g == min(G.table[g][c] for c in center)]
+    gens: list[int] = []  # the greedy generators of Z(G)
+    span = {0}
+    for c in center:
+        if c not in span:
+            gens.append(c)
+            _close(G, span, gens)
     coboundaries: dict = {}
 
     def cosets(fs: FactorSet):
-        n = fs.H.order
+        n, Gt = fs.H.order, G.table
         if fs.phi not in coboundaries:
             trivial = FactorSet(fs.H, G, fs.phi, ((0,) * n,) * n)
-            B = coboundaries[fs.phi] = {}
-            for z in itertools.product((0,), *[center] * (n - 1)):
-                B.setdefault(sum(twist_factor_set(trivial, z, A).f, ()), z)
+            B = {(0,) * n * n: (0,) * n}
+            for x, c in itertools.product(range(1, n), gens):
+                z = tuple([c if y == x else 0 for y in range(n)])
+                d = p = sum(twist_factor_set(trivial, z, A).f, ())
+                closed, zp = dict(B), z
+                while p not in B:
+                    closed.update({_pointwise(Gt, p, b): _pointwise(Gt, zp, zb) for b, zb in B.items()})
+                    p, zp = _pointwise(Gt, p, d), _pointwise(Gt, zp, z)
+                B = closed
+            coboundaries[fs.phi] = B
         for t in itertools.product((0,), *[transversal] * (n - 1)):
             twisted = twist_factor_set(fs, t, A)
             yield t, twisted.phi, sum(twisted.f, ()), coboundaries[fs.phi]
@@ -416,8 +435,8 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     rho, the generator columns the morphism search reads of its source, and
     the invariant below.  Only a cocycle that starts a class gets E's full
     table, the butterfly of its extension, and the checks of its
-    representative: ``FinGroup`` re-validates the table, then ``is_split``
-    and ``identify_group`` run on it.
+    representative: ``FinGroup``'s table check runs on E itself, then
+    ``is_split`` and ``identify_group`` run on it.
 
     Classes are orbits under butterfly morphisms, decided by backtracking
     search and never by the oracle's twists.  A cocycle joins a class when
@@ -489,7 +508,8 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     out = []
     for k, B in enumerate(reps):
         datum, fs = data[k]
-        FinGroup(datum.E.table)
+        if datum.E._table_defect is not None:  # FinGroup's check, on E itself
+            raise NotAGroup(datum.E._table_defect)
         out.append(
             ExtensionClass(
                 representative=datum,
@@ -608,8 +628,11 @@ def _abelian_factorizations(order: int, smallest: int = 2) -> list[tuple[int, ..
 
 def identify_group(E: FinGroup) -> str:
     """A display name for E: the first catalog group isomorphic to E, Dic2
-    reported as Q8."""
+    reported as Q8.  An abelian E is named with no search, by the catalog
+    group with its class invariant: that group is abelian too, as its
+    centralizers are whole, and has as many elements of each order as E,
+    which fixes a finite abelian group up to isomorphism."""
     for name, K in standard_catalog(E.order):
-        if isomorphism_search(E, K, bound=E.order):
+        if (K.class_invariant == E.class_invariant) if E.is_abelian else isomorphism_search(E, K, bound=E.order):
             return "Q8" if name == "Dic2" else name
     return f"order{E.order}-unrecognized"

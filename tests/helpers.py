@@ -7,10 +7,11 @@ import random
 
 from butterflies import jsonio
 from butterflies.butterfly import identity_butterfly
-from butterflies.extension import ExtensionDatum, butterfly_from_extension, conjugation_xmod
+from butterflies.extension import ExtensionDatum, butterfly_from_extension, conjugation_xmod, standard_catalog
 from butterflies.fingroup import (
     GroupAction,
     GroupHom,
+    _generator_images,
     construct_group,
     cyclic_group,
     dicyclic_group,
@@ -110,3 +111,14 @@ def grid_groups() -> dict:
                 table[perm[a]][perm[b]] = perm[G.table[a][b]]
         out[name] = construct_group(table, name)
     return out
+
+
+def reference_identify_group(E) -> str:
+    """The name of the first catalog group isomorphic to E, every catalog
+    group searched."""
+    if E.order == 1:
+        return "1"
+    for name, K in standard_catalog(E.order):
+        if next(_generator_images(E, K, bijective=True), None) is not None:
+            return "Q8" if name == "Dic2" else name
+    return f"order{E.order}-unrecognized"

@@ -23,7 +23,7 @@ from functools import cache
 
 import pytest
 
-from helpers import GRID, GRID_BOUND, grid_groups
+from helpers import GRID, GRID_BOUND, grid_groups, reference_identify_group
 
 from butterflies.butterfly import isomorphic_butterflies
 from butterflies.errors import BoundExceeded
@@ -37,7 +37,7 @@ from butterflies.extension import (
     identify_group,
     standard_catalog,
 )
-from butterflies.fingroup import _generator_images, all_homomorphisms, construct_group
+from butterflies.fingroup import all_homomorphisms, construct_group
 
 GROUPS = grid_groups()
 
@@ -146,17 +146,6 @@ def reference_rho(datum) -> tuple[int, ...]:
         pos[tuple(iota_inv[datum.E.conj(e, datum.iota.map[g])] for g in range(datum.G.order))]
         for e in range(datum.E.order)
     )
-
-
-def reference_identify_group(E) -> str:
-    """The name of the first catalog group isomorphic to E, every catalog
-    group searched."""
-    if E.order == 1:
-        return "1"
-    for name, K in standard_catalog(E.order):
-        if next(_generator_images(E, K, bijective=True), None) is not None:
-            return "Q8" if name == "Dic2" else name
-    return f"order{E.order}-unrecognized"
 
 
 @cache

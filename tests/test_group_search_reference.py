@@ -19,6 +19,13 @@ theirs on:
 
 The pruning must also pay: naming the V4 by V4 classes runs at least 3x
 fewer closures than the unpruned search.
+
+``identify_group`` names an abelian group by its class invariant, with no
+search.  Its names must equal those of ``reference_identify_group``, which
+searches every catalog group in turn, on every abelian catalog group of
+order at most 32 under three relabelings and on the 64 abelian middle groups
+of the V4 by V4xZ2 classification at bound 32, and naming them must run no
+closure.
 """
 
 from __future__ import annotations
@@ -27,15 +34,16 @@ import random
 
 import pytest
 
-from helpers import V4
+from helpers import V4, Z2, reference_identify_group
 
 from butterflies import extension, fingroup
 from butterflies.errors import NotAGroup
 from butterflies.extension import classify_extensions, identify_group, standard_catalog
-from butterflies.fingroup import FinGroup, _generator_images, _generators, isomorphism_search
+from butterflies.fingroup import FinGroup, _generator_images, _generators, direct_product, isomorphism_search
 
 CATALOG = [K for order in range(1, 25) for _, K in standard_catalog(order)]
 SMALL = [K for K in CATALOG if K.order <= 16]
+ABELIAN = [K for order in range(1, 33) for _, K in standard_catalog(order) if K.is_abelian]
 # a Latin square with identity 0 in which every element is its own inverse:
 # of odd order, so not associative
 LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
@@ -112,6 +120,13 @@ def v4_by_v4_middle_groups():
     return [c.representative.E for c in classify_extensions(V4, V4)]
 
 
+@pytest.fixture(scope="module")
+def abelian_v4_by_v4xz2_middle_groups():
+    G = direct_product(V4, Z2)[0]
+    groups = [c.representative.E for c in classify_extensions(V4, G, bound=32)]
+    return [E for E in groups if E.is_abelian]
+
+
 def test_invariants_match_reference(v4_by_v4_middle_groups):
     groups = [*CATALOG, *(relabeled(K, seed) for seed, K in enumerate(CATALOG)), *v4_by_v4_middle_groups]
     assert len(v4_by_v4_middle_groups) == 82
@@ -178,3 +193,22 @@ def test_pruning_cuts_closures_on_v4_by_v4(monkeypatch, v4_by_v4_middle_groups):
     monkeypatch.setattr(extension, "isomorphism_search", unpruned)
     assert [identify_group(E) for E in v4_by_v4_middle_groups] == names
     assert len(closures) >= 3 * pruned
+
+
+def test_abelian_names_by_invariant_match_search(monkeypatch, abelian_v4_by_v4xz2_middle_groups):
+    groups = [*(relabeled(K, seed) for K in ABELIAN for seed in range(3)), *abelian_v4_by_v4xz2_middle_groups]
+    assert len(abelian_v4_by_v4xz2_middle_groups) == 64
+    closures = []
+    original = fingroup._extend_hom
+
+    def counting(*args):
+        closures.append(1)
+        return original(*args)
+
+    for order in range(1, 33):  # the catalog's duplicate check searches: build it before counting
+        standard_catalog(order)
+    monkeypatch.setattr(fingroup, "_extend_hom", counting)
+    names = [identify_group(E) for E in groups]
+    assert closures == []
+    monkeypatch.undo()
+    assert names == [reference_identify_group(E) for E in groups]

@@ -10,7 +10,9 @@ abelian pairs past the default bound, both must give the same classes in
 the same order, with the same first member and the same member set; on the
 grid's non-abelian kernels both must raise the same error.  The factorization
 itself must list every twist on non-abelian kernels too, cocycle by cocycle,
-and the oracle's twist counts are pinned.
+each phi's coboundaries, closed from the twists by generators of the center,
+must be every twist of the trivial f by a central z, and the oracle's twist
+counts are pinned.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from helpers import GRID, GRID_BOUND, grid_groups, named_groups
 from butterflies import extension
 from butterflies.errors import TwistLeavesCocycles
 from butterflies.extension import (
+    FactorSet,
     _orbit_cosets,
     _pointwise,
     aut_xmod,
@@ -32,7 +35,7 @@ from butterflies.extension import (
     factor_set_to_extension,
     twist_factor_set,
 )
-from butterflies.fingroup import FinGroup
+from butterflies.fingroup import FinGroup, _generators
 
 GROUPS, NAMED = grid_groups(), named_groups()
 # abelian kernels past the default bound
@@ -121,10 +124,33 @@ def test_transversal_times_coboundaries_is_every_twist(pair):
         assert listed == every
 
 
-@pytest.mark.parametrize("pair, twists", [(("V4", "V4"), 722), (("V4", "Z4"), 288)], ids=["V4,V4", "V4,Z4"])
+@pytest.mark.parametrize("pair, bound", CASES, ids=[f"{h},{g},{b}" for (h, g), b in CASES])
+def test_coboundaries_closed_from_generators_are_every_central_twist(pair, bound):
+    # the full loop twists the trivial f by every central z; the lister twists it
+    # by the z that are a generator of Z(G) at one x, then closes under products
+    H, G = GROUPS[pair[0]], GROUPS[pair[1]]
+    A = aut_xmod(G)
+    center = [g for g in range(G.order) if A.boundary.map[g] == 0]
+    cosets = _orbit_cosets(G, A)
+    # one cocycle of each phi: the lister makes B once per phi
+    for phi, fs in {fs.phi: fs for fs in enumerate_cocycles(H, G, bound)}.items():
+        trivial = FactorSet(H, G, phi, ((0,) * H.order,) * H.order)
+        every = {
+            sum(twist_factor_set(trivial, (0, *tail), A).f, ())
+            for tail in itertools.product(center, repeat=H.order - 1)
+        }
+        coboundaries = next(cosets(fs))[3]
+        assert set(coboundaries) == every
+        for dz, z in coboundaries.items():
+            assert z[0] == 0 and set(z) <= set(center)
+            assert sum(twist_factor_set(trivial, z, A).f, ()) == dz
+
+
+@pytest.mark.parametrize("pair, twists", [(("V4", "V4"), 142), (("V4", "Z4"), 44)], ids=["V4,V4", "V4,Z4"])
 def test_one_twist_per_class_and_per_coboundary(pair, twists, monkeypatch):
-    # abelian G: the transversal is {1}, so one twist per class, plus |Z(G)|^(|H|-1)
-    # coboundaries per phi; the full loop makes |G|^(|H|-1) per class
+    # abelian G: the transversal is {1}, so one twist per class, plus one per x != 1
+    # and generator of Z(G) for each phi's coboundaries; the full loop makes
+    # |G|^(|H|-1) per class
     H, G = GROUPS[pair[0]], GROUPS[pair[1]]
     expected = shape(reference_factor_set_oracle(H, G))
     calls = []
@@ -137,4 +163,4 @@ def test_one_twist_per_class_and_per_coboundary(pair, twists, monkeypatch):
     monkeypatch.setattr(extension, "twist_factor_set", counting)
     assert shape(factor_set_oracle(H, G)) == expected
     phis = {members[0].phi for members in expected}
-    assert len(calls) == twists == len(expected) + len(phis) * G.order ** (H.order - 1)
+    assert len(calls) == twists == len(expected) + len(phis) * (H.order - 1) * len(_generators(G))
