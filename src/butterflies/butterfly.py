@@ -403,20 +403,15 @@ def _arrows(B: Butterfly, e1s: Sequence[int], e2s: Sequence[int]) -> tuple[int, 
 
 @dataclass(frozen=True)
 class Fractor:
-    """Two discrete fibrations out of the groupoids R => E and R[sigma] => E."""
+    """Two discrete fibrations, the legs R -> H2 and R[sigma] -> G2 out of the
+    groupoids R => E and R[sigma] => E; every end is read off the legs."""
 
-    H2: Strict2Group
-    G2: Strict2Group
-    E: FinGroup
-    R: Strict2Group
-    Rsigma: Strict2Group
     left: TwoGroupFunctor
     right: TwoGroupFunctor
 
 
 def to_fractor(B: Butterfly) -> Fractor:
     """Present a butterfly as a pair of discrete fibrations over its middle group."""
-    H2, G2 = denormalize(B.dom), denormalize(B.cod)
     E = B.E
     perms = tuple(
         tuple(B.dom.act(B.sigma.map[e], h) for h in range(B.dom.G.order)) for e in range(E.order)
@@ -427,21 +422,15 @@ def to_fractor(B: Butterfly) -> Fractor:
     RS, pr1, pr2, pair = product_and_pullback(B.sigma, B.sigma)
     diagonal = GroupHom._trusted(E, RS, pair(range(E.order), range(E.order)))
     Rsigma = Strict2Group(RS, E, pr1, pr2, diagonal)
+    G2 = denormalize(B.cod)
     rho_bar = GroupHom._trusted(Rsigma.G1, G2.G1, _arrows(B, pr1.map, pr2.map))
-    return Fractor(
-        H2=H2,
-        G2=G2,
-        E=E,
-        R=left.dom,
-        Rsigma=Rsigma,
-        left=left,
-        right=TwoGroupFunctor(Rsigma, G2, rho_bar, B.rho),
-    )
+    return Fractor(left, TwoGroupFunctor(Rsigma, G2, rho_bar, B.rho))
 
 
 def validate_fractor(F: Fractor) -> ValidationReport:
     report = ValidationReport("fractor")
-    for T, label in ((F.R, "R"), (F.Rsigma, "Rsigma")):
+    R, Rsigma = F.left.dom, F.right.dom
+    for T, label in ((R, "R"), (Rsigma, "Rsigma")):
         sub = validate_two_group(T)
         if not sub.ok:
             report.add("1-groupoid", label, f"{label} is not a groupoid: {sub.findings[0]}")
@@ -458,11 +447,11 @@ def validate_fractor(F: Fractor) -> ValidationReport:
     sigma = F.left.p0
     if not sigma.is_surjective:
         report.add("2-surjection", None, "sigma is not surjective")
-    if not _is_pullback(sigma, sigma, F.Rsigma.d, F.Rsigma.c):
+    if not _is_pullback(sigma, sigma, Rsigma.d, Rsigma.c):
         report.add("2-kernel-pair", None, "Rsigma is not the kernel pair of sigma")
     rho = F.right.p0
-    for a in range(F.R.G1.order if R_in_range and len(rho.map) == F.R.G0.order else 0):
-        if rho.map[F.R.d.map[a]] != rho.map[F.R.c.map[a]]:
+    for a in range(R.G1.order if R_in_range and len(rho.map) == R.G0.order else 0):
+        if rho.map[R.d.map[a]] != rho.map[R.c.map[a]]:
             report.add("3-coequalizing", a, "rho does not coequalize the legs of R")
     return report
 
@@ -478,20 +467,21 @@ def from_fractor(F: Fractor) -> Butterfly:
     """Rebuild the butterfly: wings are recovered by lifting kernel arrows
     through the two discrete fibrations."""
     check_fractor(F)
-    dom, cod = normalize(F.H2), normalize(F.G2)
+    dom, cod = normalize(F.left.cod), normalize(F.right.cod)
     sigma, rho = F.left.p0, F.right.p0
+    E = sigma.dom
     wings = []
-    for T, leg, base in ((F.R, F.left, F.H2), (F.Rsigma, F.right, F.G2)):
+    for leg in (F.left, F.right):
         # the leg's target square is a pullback, so each kernel arrow has one lift ending at 0
-        lift = {(b, x): a for a, (b, x) in enumerate(zip(leg.p1.map, T.c.map))}
-        wings.append(tuple(T.d.map[lift[el, 0]] for el in kernel(base.c).elements))
+        lift = {(b, x): a for a, (b, x) in enumerate(zip(leg.p1.map, leg.dom.c.map))}
+        wings.append(tuple(leg.dom.d.map[lift[el, 0]] for el in kernel(leg.cod.c).elements))
     kappa_map, iota_map = wings
     return Butterfly(
         dom=dom,
         cod=cod,
-        E=F.E,
-        kappa=GroupHom._trusted(dom.G, F.E, kappa_map),
-        iota=GroupHom._trusted(cod.G, F.E, iota_map),
+        E=E,
+        kappa=GroupHom._trusted(dom.G, E, kappa_map),
+        iota=GroupHom._trusted(cod.G, E, iota_map),
         sigma=sigma,
         rho=rho,
     )

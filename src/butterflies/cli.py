@@ -53,10 +53,10 @@ def _read_json(path: Path) -> Any:
     """A file's JSON; a file that cannot be read or parsed is a ParseError."""
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: malformed JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: unreadable: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # a decode error, an over-long integer, too deep a nesting
+        raise ParseError(f"{path}: malformed JSON: {exc}") from exc
 
 
 class Workspace:

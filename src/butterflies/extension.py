@@ -23,9 +23,8 @@ from .fingroup import (
     FinGroup,
     GroupAction,
     GroupHom,
-    _close,
-    _generator_images,
     _generators,
+    _greedy_span,
     _twisted_columns,
     _twisted_index,
     _twisted_product,
@@ -82,13 +81,6 @@ class ExtensionDatum:
     E: FinGroup
     iota: GroupHom
     sigma: GroupHom
-
-    def is_split(self) -> bool:
-        """Whether sigma has a homomorphic section: s with sigma(s(x)) = x on
-        generators, hence everywhere."""
-        s = self.sigma.map
-        homs = _generator_images(self.H, self.E, bijective=False, accept=lambda x, e: s[e] == x)
-        return next(homs, None) is not None
 
 
 def butterfly_from_extension(X: ExtensionDatum) -> Butterfly:
@@ -379,12 +371,7 @@ def _orbit_cosets(G: FinGroup, A: CrossedModule):
     B is made once per phi and kept for the lister's life."""
     center = [g for g in range(G.order) if A.boundary.map[g] == 0]
     transversal = [g for g in range(G.order) if g == min(G.table[g][c] for c in center)]
-    gens: list[int] = []  # the greedy generators of Z(G)
-    span = {0}
-    for c in center:
-        if c not in span:
-            gens.append(c)
-            _close(G, span, gens)
+    gens = _greedy_span(G, center)[0]
     coboundaries: dict = {}
 
     def cosets(fs: FactorSet):
@@ -436,7 +423,10 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     the invariant below.  Only a cocycle that starts a class gets E's full
     table, the butterfly of its extension, and the checks of its
     representative: ``FinGroup``'s table check runs on E itself, then
-    ``is_split`` and ``identify_group`` run on it.
+    ``identify_group`` names it.  A class is split when the first cocycle of
+    some phi's block, the trivial (phi, 1) of a semidirect product, starts or
+    joins it: split extensions are those with a trivial factor set (K. S.
+    Brown, Cohomology of Groups, IV.3).
 
     Classes are orbits under butterfly morphisms, decided by backtracking
     search and never by the oracle's twists.  A cocycle joins a class when
@@ -474,6 +464,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     reps: list[Butterfly] = []
     data: list[tuple[ExtensionDatum, FactorSet]] = []
     counts: list[int] = []
+    split: list[bool] = []
     buckets: dict[tuple, list[int]] = {}
     t, block_phi = G.table, None
     for fs in cocycles:
@@ -490,6 +481,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
         for k in bucket:
             if _witness_map(source, legs, reps[k]) is not None:
                 counts[k] += 1
+                split[k] |= not any(f)
                 if k in block:  # a witness within one phi: f r^-1 is in B^2
                     K = _adjoin(t, K, _pointwise(t, f, [G.inverse[v] for v in block[k]]))
                     known = {_pointwise(t, r, c): j for j, r in block.items() for c in K}
@@ -503,6 +495,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
             reps.append(Butterfly(dom, A, E, zero_hom(_ONE, E), datum.iota, datum.sigma, rho_hom))
             data.append((datum, fs))
             counts.append(1)
+            split.append(not any(f))
             block[len(reps) - 1] = f
             known.update({_pointwise(t, f, c): len(reps) - 1 for c in K})
     out = []
@@ -515,7 +508,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
                 representative=datum,
                 factor_set=fs,
                 butterfly=B,
-                split=datum.is_split(),
+                split=split[k],
                 e_group=identify_group(datum.E),
                 count=counts[k],
             )

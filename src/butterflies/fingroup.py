@@ -433,13 +433,21 @@ def _close(G: FinGroup, span: set[int], gens: Sequence[int]) -> set[int]:
     return span
 
 
+def _greedy_span(G: FinGroup, seq: Iterable[int]) -> tuple[list[int], set[int]]:
+    """The greedy generators of `seq` in G, those outside the span of the ones
+    before them, and their span; it stops once the span is G."""
+    gens: list[int] = []
+    span = {0}
+    for a in seq:
+        if a not in span:
+            gens.append(a)
+            if len(_close(G, span, gens)) == G.order:
+                break
+    return gens, span
+
+
 def subgroup_generated(G: FinGroup, gens: Iterable[int]) -> Subgroup:
-    span, taken = {0}, []
-    for g in gens:
-        if g not in span:
-            taken.append(g)
-            _close(G, span, taken)
-    return Subgroup._trusted(G, tuple(sorted(span)))
+    return Subgroup._trusted(G, tuple(sorted(_greedy_span(G, gens)[1])))
 
 
 def kernel(f: GroupHom) -> Subgroup:
@@ -625,14 +633,7 @@ def _twisted_columns(G: FinGroup, H: FinGroup, perms, f, gens: Sequence[int]) ->
 def _generating_sequence(G: FinGroup, first: Iterable[int] = ()) -> list[int]:
     """Greedy generators of G: each element of `first`, then of 0..order-1,
     that lies outside the span of those taken before it."""
-    gens: list[int] = []
-    span = {0}
-    for a in itertools.chain(first, range(G.order)):
-        if a not in span:
-            gens.append(a)
-            if len(_close(G, span, gens)) == G.order:
-                break
-    return gens
+    return _greedy_span(G, itertools.chain(first, range(G.order)))[0]
 
 
 class _Columns(NamedTuple):

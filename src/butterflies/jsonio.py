@@ -49,8 +49,8 @@ def to_jsonable(obj: Any) -> dict:
             "kind": "fractor",
             "butterfly": to_jsonable(from_fractor(obj)),
             "derived": {
-                "R": to_jsonable(obj.R),
-                "Rsigma": to_jsonable(obj.Rsigma),
+                "R": to_jsonable(obj.left.dom),
+                "Rsigma": to_jsonable(obj.right.dom),
                 "sigma_bar": list(obj.left.p1.map),
                 "rho_bar": list(obj.right.p1.map),
             },
@@ -109,7 +109,7 @@ def group_from_json(data: Any, resolver: Optional[Resolver] = None) -> FinGroup:
         not isinstance(labels, list) or len(labels) != len(table) or not all(isinstance(x, str) for x in labels)
     ):
         raise ParseError("field 'labels' must hold one string per element")
-    return construct_group(table, data.get("name", "G"), labels)
+    return construct_group(table, _name(data.get("name", "G"), "name"), labels)
 
 
 def _nested_group(data: Any, key: str, resolver: Optional[Resolver], loaded: SimpleNamespace) -> FinGroup:
@@ -132,15 +132,22 @@ def _action(value: Any, key: str, resolver: Optional[Resolver], loaded: SimpleNa
     return GroupAction(loaded.G0, loaded.G, _int_rows(value, key))
 
 
+def _name(value: Any, key: str, *_: Any) -> str:
+    """A group's or an xmod's optional name, which must be a string."""
+    if not isinstance(value, str):
+        raise ParseError(f"field {key!r} must be a string")
+    return value
+
+
 def _unchecked(value: Any, *_: Any) -> Any:
-    """An xmod's optional name, loaded and written as it is."""
+    """An xmod's name, written as it is."""
     return value
 
 
 def _kind(cls: type, **fields: Loader) -> tuple[type, tuple[tuple[str, Loader], ...], tuple[str, ...]]:
     """A kind's class, its fields in load order, and its required keys: all
     but an xmod's name."""
-    return cls, tuple(fields.items()), tuple(key for key, load in fields.items() if load is not _unchecked)
+    return cls, tuple(fields.items()), tuple(key for key, load in fields.items() if load is not _name)
 
 
 # Each kind's class and its fields in load order.  JSON keys are attribute
@@ -148,7 +155,7 @@ def _kind(cls: type, **fields: Loader) -> tuple[type, tuple[tuple[str, Loader], 
 # value and the namespace of the fields loaded before it.
 _KINDS = {
     "xmod": _kind(
-        CrossedModule, name=_unchecked, G=_nested_group, G0=_nested_group, boundary=_hom("G", "G0"), action=_action
+        CrossedModule, name=_name, G=_nested_group, G0=_nested_group, boundary=_hom("G", "G0"), action=_action
     ),
     "2group": _kind(
         Strict2Group, G1=_nested_group, G0=_nested_group, d=_hom("G1", "G0"), c=_hom("G1", "G0"), e=_hom("G0", "G1")

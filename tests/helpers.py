@@ -46,6 +46,14 @@ def trivial_extension_butterfly():
     return butterfly_from_extension(datum)
 
 
+def is_split(X: ExtensionDatum) -> bool:
+    """Whether the extension's sigma has a homomorphic section: s with
+    sigma(s(x)) = x on generators, hence everywhere."""
+    s = X.sigma.map
+    homs = _generator_images(X.H, X.E, bijective=False, accept=lambda x, e: s[e] == x)
+    return next(homs, None) is not None
+
+
 def invalid_butterfly_json():
     """The identity butterfly of C(Z3) with rho replaced by sigma, as JSON:
     well-typed, but it fails the i-complex and right-wing conditions."""

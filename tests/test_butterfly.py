@@ -401,8 +401,8 @@ class TestFractor:
         F = to_fractor(identity_butterfly(DZ4))
         assert validate_fractor(F).ok
         # every arrow of both groupoids is a unit
-        assert F.R.G1.order == F.E.order
-        assert F.Rsigma.G1.order == F.E.order
+        assert F.left.dom.G1.order == F.left.p0.dom.order
+        assert F.right.dom.G1.order == F.left.p0.dom.order
 
     def test_round_trip_extension(self):
         B = z4_extension_butterfly()
@@ -426,13 +426,9 @@ class TestFractor:
         from butterflies.butterfly import Fractor
         from butterflies.xmod import TwoGroupFunctor
 
+        E = F.left.p0.dom
         bad = Fractor(
-            H2=F.H2,
-            G2=F.G2,
-            E=F.E,
-            R=F.R,
-            Rsigma=F.Rsigma,
-            left=TwoGroupFunctor(F.R, F.H2, F.left.p1, zero_hom(F.E, F.H2.G0)),
+            left=TwoGroupFunctor(F.left.dom, F.left.cod, F.left.p1, zero_hom(E, F.left.cod.G0)),
             right=F.right,
         )
         report = validate_fractor(bad)
@@ -451,13 +447,11 @@ class TestFractor:
     @pytest.mark.parametrize("leg, corrupt", GRAPH_CORRUPTIONS)
     def test_groupoid_with_a_map_off_its_groups_is_a_finding(self, leg, corrupt):
         F = to_fractor(identity_butterfly(aut_xmod(Z3)))
-        bad = corrupt_graph(F.R, leg, corrupt)
-        report = validate_fractor(dataclasses.replace(F, R=bad))
-        assert [(f.condition, f.witness) for f in report.findings] == [("1-groupoid", "R")]
-        assert f"map-range: witness {leg!r}" in report.findings[0].detail
-        # the left leg's domain is R too: its functor laws read the same graph
-        report = validate_fractor(dataclasses.replace(F, R=bad, left=dataclasses.replace(F.left, dom=bad)))
+        bad = corrupt_graph(F.left.dom, leg, corrupt)
+        # R is the left leg's domain: the groupoid check and the leg's functor laws read the same graph
+        report = validate_fractor(dataclasses.replace(F, left=dataclasses.replace(F.left, dom=bad)))
         assert [(f.condition, f.witness) for f in report.findings] == [("1-groupoid", "R"), ("1-functor", "left")]
+        assert f"map-range: witness {leg!r}" in report.findings[0].detail
         assert f"map-range: witness 'dom.{leg}'" in report.findings[1].detail
 
     def test_leg_breaking_sources_is_a_finding(self):

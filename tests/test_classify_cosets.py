@@ -19,7 +19,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from helpers import GRID, GRID_BOUND, grid_groups, named_groups
+from helpers import GRID, GRID_BOUND, grid_groups, is_split, named_groups
 
 from butterflies import extension
 from butterflies.butterfly import Butterfly, _witness_map
@@ -79,7 +79,7 @@ def per_cocycle_classify(H, G, bound: int) -> tuple[list[tuple], int]:
             data.append((datum, fs))
             counts.append(1)
     classes = [
-        (fs, counts[k], datum.is_split(), identify_group(datum.E)) for k, (datum, fs) in enumerate(data)
+        (fs, counts[k], is_split(datum), identify_group(datum.E)) for k, (datum, fs) in enumerate(data)
     ]
     return classes, searches
 

@@ -23,7 +23,7 @@ from functools import cache
 
 import pytest
 
-from helpers import GRID, GRID_BOUND, grid_groups, reference_identify_group
+from helpers import GRID, GRID_BOUND, grid_groups, is_split, reference_identify_group
 
 from butterflies.butterfly import isomorphic_butterflies
 from butterflies.errors import BoundExceeded
@@ -113,7 +113,7 @@ def reference_classify_extensions(cocycles) -> list[tuple]:
             data.append((datum, fs))
             counts.append(1)
     return [
-        (fs, counts[k], datum.is_split(), reference_identify_group(datum.E))
+        (fs, counts[k], is_split(datum), reference_identify_group(datum.E))
         for k, (datum, fs) in enumerate(data)
     ]
 

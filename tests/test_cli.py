@@ -210,6 +210,36 @@ class TestMalformedInput:
         assert "unreadable" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    # JSON that the decoder refuses with no JSONDecodeError: nesting past the
+    # recursion limit, and an integer past the digit limit of int()
+    @pytest.mark.parametrize(
+        "text", ["[" * 200000, '{"kind": "group", "table": [[' + "1" * 5000 + "]]}"], ids=["deep", "long-int"]
+    )
+    @pytest.mark.parametrize("where", ["file", "object", "index"])
+    def test_json_past_the_decoder_limits_exit_2(self, ws, tmp_path, text, where):
+        ref = Workspace(ws).put(Z4)
+        target = {"file": tmp_path / "x.json", "object": ws / "objects" / f"{ref}.json", "index": ws / "index.json"}
+        target[where].write_text(text)
+        proc = run_process(ws, "validate", target["file"] if where == "file" else ref[:8])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: {target[where]}: malformed JSON: ")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind", ["group", "xmod"])
+    @pytest.mark.parametrize("name", [5, [1], None])
+    def test_name_not_a_string_exit_2(self, ws, tmp_path, capsys, kind, name):
+        data = jsonio.to_jsonable(Z2 if kind == "group" else conjugation_xmod(Z2))
+        data["name"] = name
+        assert run(ws, "validate", write_json(tmp_path, "x.json", data)) == 2
+        assert capsys.readouterr().err == "error: field 'name' must be a string\n"
+
+    def test_missing_name_keeps_its_default(self, ws, tmp_path, capsys):
+        data = jsonio.to_jsonable(conjugation_xmod(Z2))
+        del data["name"], data["G"]["name"]
+        assert run(ws, "validate", write_json(tmp_path, "x.json", data)) == 0
+        X = jsonio.from_jsonable(data)
+        assert (X.name, X.G.name) == ("", "G")
+
 
 class TestInvalidOperands:
     """Operands are validated once on load: an invalid one exits 1 and names a
@@ -631,3 +661,83 @@ class TestClosedStdout:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (2, "")
+
+
+class TestNestedRefs:
+    """A nested object position also takes a store ref string: here the dom
+    and cod of a butterfly, refs of stored crossed modules."""
+
+    B = identity_butterfly(conjugation_xmod(Z2))
+
+    def files(self, ws, tmp_path) -> tuple[Path, Path]:
+        """The butterfly B written inline, and written with its ends as refs."""
+        inline = jsonio.to_jsonable(self.B)
+        refs = Workspace(ws).put_all([self.B.dom, self.B.cod])
+        return write_json(tmp_path, "inline.json", inline), write_json(
+            tmp_path, "refs.json", {**inline, "dom": refs[0], "cod": refs[1][:12]}
+        )
+
+    def test_validates_like_the_inline_file(self, ws, tmp_path, capsys):
+        inline, refs = self.files(ws, tmp_path)
+        outputs = []
+        for path in (inline, refs):
+            assert run(ws, "--json", "validate", path) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["ok"] is True
+
+    @pytest.mark.parametrize("command", [("flip", "FILE"), ("compose", "FILE", "FILE")])
+    def test_operations_give_the_inline_files_refs(self, ws, tmp_path, capsys, command):
+        outputs = []
+        for path in self.files(ws, tmp_path):
+            assert run(ws, *(path if a == "FILE" else a for a in command)) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("stored", [None, "group"], ids=["no-match", "group-as-xmod"])
+    def test_bad_nested_ref_exit_2(self, ws, tmp_path, stored):
+        ref = Workspace(ws).put(Z2) if stored else "0" * 64
+        data = {**jsonio.to_jsonable(self.B), "dom": ref}
+        proc = run_process(ws, "validate", write_json(tmp_path, "b.json", data))
+        assert proc.returncode == 2
+        expected = "error: missing field 'G'" if stored else f"error: no stored object matches {ref!r}"
+        assert proc.stderr == expected + "\n"
+
+
+class TestUsageRefusals:
+    """Each usage error exits 2 with its message on stderr and nothing else."""
+
+    def refused(self, ws, capsys, *argv) -> str:
+        assert run(ws, *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        return err
+
+    def test_ambiguous_ref_prefix(self, ws, capsys):
+        # 17 refs in 16 hexadecimal digits: two share their first character
+        refs = Workspace(ws).put_all([fingroup.cyclic_group(n) for n in range(1, 18)])
+        first = [r[0] for r in refs]
+        prefix = next(c for c in first if first.count(c) > 1)
+        err = self.refused(ws, capsys, "store", "get", prefix)
+        assert err == f"error: ambiguous ref {prefix!r}: {first.count(prefix)} matches\n"
+
+    def test_classify_a_stored_non_group(self, ws, capsys):
+        ref = Workspace(ws).put(conjugation_xmod(Z2))
+        assert self.refused(ws, capsys, "classify", ref, "Z2") == f"error: {ref} is not a group\n"
+
+    def test_weakmap_extract_without_section(self, ws, tmp_path, capsys):
+        path = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
+        assert self.refused(ws, capsys, "weakmap", "extract", path) == "error: weakmap extract requires --section\n"
+
+    def test_weakmap_extract_with_a_non_integer_section(self, ws, tmp_path, capsys):
+        path = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
+        err = self.refused(ws, capsys, "weakmap", "extract", path, "--section", "0,a")
+        assert err.startswith("error: bad section list: invalid literal for int()")
+
+    def test_weakmap_assemble_of_a_butterfly(self, ws, tmp_path, capsys):
+        path = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
+        err = self.refused(ws, capsys, "weakmap", "assemble", path)
+        assert err == "error: weakmap assemble expects a monoidal functor\n"
+
+    def test_store_get_without_a_ref(self, ws, capsys):
+        assert self.refused(ws, capsys, "store", "get") == "error: store get requires a ref\n"

@@ -358,7 +358,7 @@ def test_twisted_product_equals_product_formula_on_the_grid(pair):
 def test_arrow_map_equals_the_former_loops(seed, bound):
     for B in generate_fixtures(seed, bound).butterflies:
         F = to_fractor(B)
-        assert F.right.p1.map == reference_rho_bar(B, F.Rsigma.d, F.Rsigma.c)
+        assert F.right.p1.map == reference_rho_bar(B, F.right.dom.d, F.right.dom.c)
         assert ef3_coincidence(B) == reference_ef3_coincidence(B)
         for s in all_set_sections(B):
             M = extract_monoidal(B, s)

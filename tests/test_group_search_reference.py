@@ -25,7 +25,8 @@ search.  Its names must equal those of ``reference_identify_group``, which
 searches every catalog group in turn, on every abelian catalog group of
 order at most 32 under three relabelings and on the 64 abelian middle groups
 of the V4 by V4xZ2 classification at bound 32, and naming them must run no
-closure.
+closure.  The same classification's split flags, read off its trivial
+cocycles, must equal the section search ``helpers.is_split`` on every class.
 """
 
 from __future__ import annotations
@@ -34,12 +35,20 @@ import random
 
 import pytest
 
-from helpers import V4, Z2, reference_identify_group
+from helpers import V4, Z2, is_split, reference_identify_group
 
 from butterflies import extension, fingroup
 from butterflies.errors import NotAGroup
 from butterflies.extension import classify_extensions, identify_group, standard_catalog
-from butterflies.fingroup import FinGroup, _generator_images, _generators, direct_product, isomorphism_search
+from butterflies.fingroup import (
+    FinGroup,
+    _generator_images,
+    _generators,
+    cyclic_group,
+    direct_product,
+    isomorphism_search,
+    symmetric_group,
+)
 
 CATALOG = [K for order in range(1, 25) for _, K in standard_catalog(order)]
 SMALL = [K for K in CATALOG if K.order <= 16]
@@ -121,10 +130,27 @@ def v4_by_v4_middle_groups():
 
 
 @pytest.fixture(scope="module")
-def abelian_v4_by_v4xz2_middle_groups():
-    G = direct_product(V4, Z2)[0]
-    groups = [c.representative.E for c in classify_extensions(V4, G, bound=32)]
-    return [E for E in groups if E.is_abelian]
+def v4_by_v4xz2_classes():
+    return classify_extensions(V4, direct_product(V4, Z2)[0], bound=32)
+
+
+@pytest.fixture(scope="module")
+def abelian_v4_by_v4xz2_middle_groups(v4_by_v4xz2_classes):
+    return [c.representative.E for c in v4_by_v4xz2_classes if c.representative.E.is_abelian]
+
+
+@pytest.mark.parametrize("kernel", ["V4xZ2", "S3xZ2"])
+def test_split_flags_equal_the_section_search(kernel, request):
+    # the route reads each flag off the trivial cocycles; the section search,
+    # with no cocycle in it, must agree on V4 by V4xZ2 at bound 32 and on the
+    # non-abelian kernel of Z4 by S3xZ2 at bound 48
+    if kernel == "V4xZ2":
+        classes = request.getfixturevalue("v4_by_v4xz2_classes")
+    else:
+        classes = classify_extensions(cyclic_group(4), direct_product(symmetric_group(3), Z2)[0], bound=48)
+    flags = [c.split for c in classes]
+    assert flags == [is_split(c.representative) for c in classes]
+    assert True in flags and False in flags
 
 
 def test_invariants_match_reference(v4_by_v4_middle_groups):

@@ -3,7 +3,8 @@
 The oracles below are the writer branches and the five per-kind loaders that
 ``jsonio`` had before every kind's fields were stated once, in ``_KINDS``:
 copied verbatim, with the loaders renamed and calling each other, plus the
-two helpers whose signature has changed since.  On every object of the
+two helpers whose signature has changed since, and the refusal of an xmod
+name that is not a string, a rule added since.  On every object of the
 fixture sets of seeds 0-3 at bounds 8 and 16, with the 2-groups of their
 crossed modules, the fractors of their butterflies and a monoidal functor
 extracted from each butterfly, both writers must give the same canonical
@@ -94,8 +95,8 @@ def reference_to_jsonable(obj: Any) -> dict:
             "kind": "fractor",
             "butterfly": reference_to_jsonable(from_fractor(obj)),
             "derived": {
-                "R": reference_to_jsonable(obj.R),
-                "Rsigma": reference_to_jsonable(obj.Rsigma),
+                "R": reference_to_jsonable(obj.left.dom),
+                "Rsigma": reference_to_jsonable(obj.right.dom),
                 "sigma_bar": list(obj.left.p1.map),
                 "rho_bar": list(obj.right.p1.map),
             },
@@ -113,11 +114,14 @@ def _nested_group(data: Any, resolver: Optional[Resolver]) -> FinGroup:
 def reference_xmod(data: Any, resolver: Optional[Resolver] = None) -> CrossedModule:
     data = _resolve(data, resolver)
     _require(data, "G", "G0", "boundary", "action")
+    name = data.get("name", "")
+    if not isinstance(name, str):  # a rule added since the copy
+        raise ParseError("field 'name' must be a string")
     G = _nested_group(data["G"], resolver)
     G0 = _nested_group(data["G0"], resolver)
     boundary = GroupHom(G, G0, _ints(data["boundary"], "boundary"))
     action = GroupAction(G0, G, _int_rows(data["action"], "action"))
-    return CrossedModule(G, G0, boundary, action, name=data.get("name", ""))
+    return CrossedModule(G, G0, boundary, action, name=name)
 
 
 def reference_two_group(data: Any, resolver: Optional[Resolver] = None) -> Strict2Group:

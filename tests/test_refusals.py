@@ -4,6 +4,8 @@ Each test feeds one construction or validator the input that its check
 exists for: a monoidal functor that is not normalized, a map of middle
 groups off a wing or onto too few elements, a corrupt fractor, operands that
 do not compose or are not parallel, and a section of another butterfly.  The
+searches for 2-cells, natural transformations, monoidal natural isos and
+extension equivalences answer nothing for operands they cannot relate.  The
 refusals are matched by their messages, so a deleted check cannot pass by a
 later check raising the same type.
 """
@@ -16,16 +18,42 @@ import pytest
 
 from helpers import ONE, Z2, Z3, trivial_extension_butterfly, z4_extension_butterfly
 
-from butterflies.butterfly import Butterfly, butterfly_morphism, from_fractor, identity_butterfly, to_fractor
+from butterflies.butterfly import (
+    Butterfly,
+    Fractor,
+    butterfly_morphism,
+    flip,
+    from_fractor,
+    identity_butterfly,
+    to_fractor,
+    validate_fractor,
+)
 from butterflies.errors import ConstructionError, FractorConditionFailed, SectionInvalid
-from butterflies.extension import aut_xmod, conjugation_xmod, discrete_xmod
+from butterflies.extension import (
+    aut_xmod,
+    conjugation_xmod,
+    discrete_xmod,
+    enumerate_cocycles,
+    extension_equivalences,
+    factor_set_to_extension,
+)
 from butterflies.fingroup import GroupHom, identity_hom, trivial_action, zero_hom
-from butterflies.weakmap import MonoidalFunctor, check_monoidal, extract_monoidal, identity_monoidal, set_section
+from butterflies.weakmap import (
+    MonoidalFunctor,
+    all_set_sections,
+    check_monoidal,
+    extract_monoidal,
+    find_monoidal_natural_iso,
+    identity_monoidal,
+    set_section,
+)
 from butterflies.xmod import (
     CrossedModule,
     XModTwoCell,
     compose_morphisms,
     denormalize,
+    enumerate_natural_transformations,
+    enumerate_two_cells,
     identity_morphism,
     pullback_crossed_module,
 )
@@ -88,18 +116,28 @@ class TestButterflyMorphism:
             butterfly_morphism(B, B, identity_hom(Z2))
 
 
+def _flipped_right_leg() -> Fractor:
+    """The left leg of C(Z2)'s identity butterfly beside the right leg of its
+    flip: both are discrete fibrations, but the right one is out of the
+    kernel pair of rho, not of sigma."""
+    B = identity_butterfly(conjugation_xmod(Z2))
+    return Fractor(to_fractor(B).left, to_fractor(flip(B)).right)
+
+
+def _zero_left_leg() -> Fractor:
+    """A left leg that is no functor: its object map is zero."""
+    F = to_fractor(z4_extension_butterfly())
+    return dataclasses.replace(F, left=dataclasses.replace(F.left, p0=zero_hom(F.left.p0.dom, Z2)))
+
+
 @pytest.mark.parametrize(
-    "corrupt, condition",
-    [
-        # the kernel pair of sigma replaced by R
-        (lambda F: dataclasses.replace(F, Rsigma=F.R), 2),
-        # a left leg that is no functor: its object map is zero
-        (lambda F: dataclasses.replace(F, left=dataclasses.replace(F.left, p0=zero_hom(F.left.p0.dom, Z2))), 1),
-    ],
+    "corrupt, condition, first",
+    [(_flipped_right_leg, 2, "2-kernel-pair"), (_zero_left_leg, 1, "1-functor")],
     ids=["kernel-pair", "left-leg"],
 )
-def test_corrupt_fractor_raises_its_first_condition(corrupt, condition):
-    F = corrupt(to_fractor(z4_extension_butterfly()))
+def test_corrupt_fractor_raises_its_first_condition(corrupt, condition, first):
+    F = corrupt()
+    assert validate_fractor(F).findings[0].condition == first
     with pytest.raises(FractorConditionFailed) as failed:
         from_fractor(F)
     assert failed.value.condition == condition
@@ -121,6 +159,37 @@ class TestXModRefusals:
     def test_two_cell_between_morphisms_not_parallel(self):
         with pytest.raises(ValueError, match="parallel"):
             XModTwoCell(identity_morphism(self.X), identity_morphism(self.Y), (0, 0))
+
+    @pytest.mark.parametrize("enumerate_cells", [enumerate_two_cells, enumerate_natural_transformations])
+    def test_no_cells_between_morphisms_not_parallel(self, enumerate_cells):
+        P, Q = identity_morphism(self.X), identity_morphism(self.Y)
+        assert enumerate_cells(P, P) and enumerate_cells(Q, Q)
+        assert enumerate_cells(P, Q) == []
+
+
+class TestEmptySearches:
+    """The searches that answer nothing for operands they cannot relate."""
+
+    def test_no_monoidal_iso_between_functors_not_parallel(self):
+        B = z4_extension_butterfly()
+        M = extract_monoidal(B, all_set_sections(B)[0])
+        assert find_monoidal_natural_iso(M, identity_monoidal(denormalize(conjugation_xmod(Z2)))) is None
+
+    def test_no_monoidal_iso_when_no_natural_family_is_monoidal(self):
+        # D(Z2) -> A(Z2) from the extensions Z4 and Z2xZ2: every family of
+        # arrows is natural, as D(Z2) has unit arrows only, but their
+        # comparisons differ by the class of Z4, which no family removes
+        B, T = z4_extension_butterfly(), trivial_extension_butterfly()
+        M, N = (extract_monoidal(X, all_set_sections(X)[0]) for X in (B, T))
+        assert (M.dom, M.cod) == (N.dom, N.cod)
+        assert find_monoidal_natural_iso(M, M) is not None and find_monoidal_natural_iso(N, N) is not None
+        assert find_monoidal_natural_iso(M, N) is None
+
+    @pytest.mark.parametrize("H, G", [(Z2, Z3), (Z3, Z2)], ids=["other-G", "other-H"])
+    def test_no_equivalences_between_extensions_of_other_groups(self, H, G):
+        X = factor_set_to_extension(enumerate_cocycles(Z2, Z2)[0])
+        assert extension_equivalences(X, X)
+        assert extension_equivalences(X, factor_set_to_extension(enumerate_cocycles(H, G)[0])) == []
 
 
 def test_section_of_another_butterfly():

@@ -15,7 +15,15 @@ import itertools
 
 import pytest
 
-from butterflies.butterfly import Fractor, TwoGroupFunctor, identity_butterfly, to_fractor, validate_fractor
+from butterflies.butterfly import (
+    Fractor,
+    TwoGroupFunctor,
+    flip,
+    identity_butterfly,
+    is_flippable,
+    to_fractor,
+    validate_fractor,
+)
 from butterflies.errors import CodomainMismatch
 from butterflies.extension import conjugation_xmod
 from butterflies.fingroup import _is_pullback, cyclic_group, direct_product, product_and_pullback, zero_hom
@@ -110,29 +118,28 @@ def reference_discrete_fibration(F: TwoGroupFunctor) -> bool:
 
 
 def reference_kernel_pair(F: Fractor) -> bool:
-    sigma = F.left.p0
-    arrows = {(F.Rsigma.d.map[a], F.Rsigma.c.map[a]) for a in range(F.Rsigma.G1.order)}
+    sigma, Rsigma = F.left.p0, F.right.dom
+    arrows = {(Rsigma.d.map[a], Rsigma.c.map[a]) for a in range(Rsigma.G1.order)}
     wanted = {
         (e1, e2)
-        for e1 in range(F.E.order)
-        for e2 in range(F.E.order)
+        for e1 in range(sigma.dom.order)
+        for e2 in range(sigma.dom.order)
         if sigma.map[e1] == sigma.map[e2]
     }
-    return arrows == wanted and F.Rsigma.G1.order == len(wanted)
+    return arrows == wanted and Rsigma.G1.order == len(wanted)
 
 
-def fractor_variants(F: Fractor) -> list[Fractor]:
-    """F, F with either leg's object map zeroed, and F with R in place of R[sigma]."""
+def fractor_variants(B) -> list[Fractor]:
+    """B's fractor F, F with either leg's object map zeroed, and for a
+    flippable B, F's left leg beside the right leg of its flip, a discrete
+    fibration out of the kernel pair of rho in place of R[sigma]."""
+    F = to_fractor(B)
 
     def zeroed(leg: TwoGroupFunctor) -> TwoGroupFunctor:
         return dataclasses.replace(leg, p0=zero_hom(leg.p0.dom, leg.p0.cod))
 
-    return [
-        F,
-        dataclasses.replace(F, left=zeroed(F.left)),
-        dataclasses.replace(F, right=zeroed(F.right)),
-        dataclasses.replace(F, Rsigma=F.R),
-    ]
+    flipped = [Fractor(F.left, to_fractor(flip(B)).right)] if is_flippable(B) else []
+    return [F, dataclasses.replace(F, left=zeroed(F.left)), dataclasses.replace(F, right=zeroed(F.right)), *flipped]
 
 
 def test_ef0_square_matches_reference(fixture_sets):
@@ -149,12 +156,12 @@ def test_fractor_squares_match_reference(fixture_sets):
     fibrations, kernel_pairs = [], []
     for fx in fixture_sets:
         for B in fx.butterflies:
-            for F in fractor_variants(to_fractor(B)):
+            for F in fractor_variants(B):
                 for leg in (F.left, F.right):
                     verdict = _is_pullback(leg.cod.c, leg.p0, leg.p1, leg.dom.c)
                     assert verdict == reference_discrete_fibration(leg)
                     fibrations.append(verdict)
-                verdict = _is_pullback(F.left.p0, F.left.p0, F.Rsigma.d, F.Rsigma.c)
+                verdict = _is_pullback(F.left.p0, F.left.p0, F.right.dom.d, F.right.dom.c)
                 assert verdict == reference_kernel_pair(F)
                 kernel_pairs.append(verdict)
     assert True in fibrations and False in fibrations

@@ -110,8 +110,8 @@ def fixture_two_groups() -> tuple:
                 add(denormalize(X), semidirect_formula(X))
             for B in fx.butterflies:
                 F = to_fractor(B)
-                add(F.R, semidirect_formula(wing_xmod(B)))
-                add(F.Rsigma, kernel_pair_formula(F.Rsigma))
+                add(F.left.dom, semidirect_formula(wing_xmod(B)))
+                add(F.right.dom, kernel_pair_formula(F.right.dom))
     return tuple(out.values())
 
 
