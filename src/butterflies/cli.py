@@ -1,10 +1,11 @@
 """Command-line front end with a content-addressed object store.
 
-Objects are stored under their canonical-serialization hash, so identical
-objects share one entry and refs are reproducible across machines.  The
-workspace root comes from --workspace, else BUTTERFLY_WORKSPACE, else
-./.butterfly_workspace.  Exit codes: 0 ok, 1 domain failure, 2 usage or
-parse error, or a standard output closed before the output was written.
+Each object is the file objects/<ref>.<kind>.json, its ref the sha256 of its
+canonical serialization, so identical objects share one file and refs are
+reproducible across machines.  The workspace root comes from --workspace,
+else BUTTERFLY_WORKSPACE, else ./.butterfly_workspace.  Exit codes: 0 ok,
+1 domain failure, 2 usage or parse error, or a standard output closed
+before the output was written.
 
 Each operand of identity, compose, flip, split, span and weakmap extract is
 validated once on load; the operations themselves assume valid operands.
@@ -13,12 +14,12 @@ validated once on load; the operations themselves assume valid operands.
 from __future__ import annotations
 
 import argparse
-import fcntl
 import json
 import math
 import os
 import re
 import sys
+import tempfile
 from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
@@ -46,7 +47,7 @@ from .xmod import CrossedModule, Strict2Group, XModMorphism
 from .xmod import validate_crossed_module, validate_two_group, validate_xmod_morphism
 
 ENV_WORKSPACE = "BUTTERFLY_WORKSPACE"
-_SHA256_REF = re.compile("[0-9a-f]{64}")
+_OBJECT_FILE = re.compile(r"([0-9a-f]{64})(?:\.([a-z0-9-]+))?\.json")
 
 
 def _read_json(path: Path) -> Any:
@@ -60,75 +61,71 @@ def _read_json(path: Path) -> Any:
 
 
 class Workspace:
-    """Content-addressed store: objects/<sha256>.json plus an index file."""
+    """Content-addressed store whose object directory is its index: one listing
+    of objects/ finds every ref and kind without opening a file.  Earlier
+    versions' objects/<sha256>.json files are read too, and their index.json
+    is ignored."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
         self.objects = self.root / "objects"
-        self.index_path = self.root / "index.json"
-        self.lock_path = self.root / ".lock"
-
-    def _ensure(self) -> None:
-        try:
-            self.objects.mkdir(parents=True, exist_ok=True)
-            if not self.index_path.exists():
-                self.index_path.write_text("{}")
-        except OSError as exc:
-            raise ParseError(f"workspace {self.root} is unusable: {exc}") from exc
-
-    def _index(self) -> dict[str, dict]:
-        index = _read_json(self.index_path)
-        # a key that is not a sha256 ref could name a file outside the workspace
-        if not isinstance(index, dict) or not all(
-            _SHA256_REF.fullmatch(ref) and isinstance(entry, dict) for ref, entry in index.items()
-        ):
-            raise ParseError(f"{self.index_path}: not a workspace index")
-        return index
+        self.index_path = self.root / "index.json"  # the earlier versions' index: never read or written
 
     def put(self, obj: Any) -> str:
         return self.put_all([obj])[0]
 
     def put_all(self, objs: Iterable[Any]) -> list[str]:
-        """Store each object and return its ref, in order.  The index is read
-        once and rewritten at most once, under one lock; if a write fails,
-        object files written before it stay, unindexed."""
+        """Store each object and return its ref, in order.  Each new object is
+        written to a temporary file in objects/ and renamed onto its name, so a
+        ref names either a whole file or none; writers need no lock, as the
+        name is the content's hash."""
         datas = [jsonio.to_jsonable(obj) for obj in objs]
         blobs = [jsonio.canonical_bytes(data) for data in datas]
         refs = [jsonio.bytes_ref(blob) for blob in blobs]
-        self._ensure()
         try:
-            with open(self.lock_path, "w") as lock:
-                fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
-                index = self._index()
-                grew = False
-                for ref, data, blob in zip(refs, datas, blobs):
-                    path = self.objects / f"{ref}.json"
-                    if not path.exists():
-                        path.write_bytes(blob)
-                    if ref not in index:
-                        index[ref] = {"kind": data.get("kind", "unknown")}
-                        grew = True
-                if grew:
-                    tmp = self.index_path.with_suffix(".tmp")
-                    tmp.write_bytes(jsonio.canonical_bytes(index))
-                    tmp.replace(self.index_path)
+            self.objects.mkdir(parents=True, exist_ok=True)
+            for ref, data, blob in zip(refs, datas, blobs):
+                path = self.objects / f"{ref}.{data['kind']}.json"
+                if not path.exists():
+                    fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=".", dir=self.objects)
+                    try:
+                        with os.fdopen(fd, "wb") as file:
+                            file.write(blob)
+                        os.replace(tmp, path)
+                    except OSError:
+                        os.unlink(tmp)
+                        raise
         except OSError as exc:
             raise ParseError(f"workspace {self.root} is unusable: {exc}") from exc
         return refs
 
+    def _files(self, prefix: str = "") -> dict[str, re.Match]:
+        """The matched name of each object file whose name starts with `prefix`, by ref."""
+        try:
+            names = os.listdir(self.objects)
+        except FileNotFoundError:
+            return {}
+        except OSError as exc:
+            raise ParseError(f"workspace {self.root} is unusable: {exc}") from exc
+        # the pattern admits no path separator, so it names no file outside objects/
+        matches = (_OBJECT_FILE.fullmatch(name) for name in names if name.startswith(prefix))
+        return {m[1]: m for m in matches if m}
+
     def get(self, ref: str) -> dict:
-        self._ensure()
-        matches = sorted(r for r in self._index() if r.startswith(ref))
+        matches = self._files(ref)
         if not matches:
             raise ParseError(f"no stored object matches {ref!r}")
         if len(matches) > 1:
             raise ParseError(f"ambiguous ref {ref!r}: {len(matches)} matches")
-        return _read_json(self.objects / f"{matches[0]}.json")
+        [m] = matches.values()
+        return _read_json(self.objects / m[0])
 
     def ls(self) -> list[tuple[str, str]]:
-        self._ensure()
-        index = self._index()
-        return [(ref, index[ref].get("kind", "?")) for ref in sorted(index)]
+        return [(ref, m[2] or self._kind_in(m[0])) for ref, m in sorted(self._files().items())]
+
+    def _kind_in(self, name: str) -> str:  # an earlier version's file name holds no kind
+        data = _read_json(self.objects / name)
+        return data.get("kind", "?") if isinstance(data, dict) else "?"
 
 
 def _spec_factors(spec: str) -> Optional[list[tuple[int, Callable[[], FinGroup]]]]:
@@ -136,7 +133,10 @@ def _spec_factors(spec: str) -> Optional[list[tuple[int, Callable[[], FinGroup]]
     if `spec` is not one.  Nothing is built."""
     factors: list[tuple[int, Callable[[], FinGroup]]] = []
     for s in spec.split("x"):
-        n = int(s[1:]) if s[1:].isdecimal() else None
+        try:
+            n = int(s[1:]) if s[1:].isdecimal() else None
+        except ValueError as exc:  # past int()'s digit limit
+            raise ParseError(f"bad group spec: {s[0]} with a {len(s) - 1}-digit index") from exc
         if s == "1":
             factors.append((1, trivial_group))
         elif s == "V4":
@@ -381,8 +381,7 @@ def cmd_store(args, ws: Workspace) -> int:
         return 0
     if not args.ref:
         raise ParseError("store get requires a ref")
-    data = ws.get(args.ref)
-    print(json.dumps(data, indent=1, sort_keys=True))
+    print(json.dumps(ws.get(args.ref), indent=1, sort_keys=True))
     return 0
 
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,37 @@ def run_process(ws, *argv, stdout=subprocess.PIPE, timeout=None):
         env={**os.environ, "PYTHONPATH": src},
         timeout=timeout,
     )
+
+
+# bytes that no index.json of earlier versions could hold
+GARBAGE_INDEXES = [
+    b"5",
+    b'{"abc": 5}',
+    b"[]",
+    b"not json",
+    b"\xff",
+    b'{"ab/../../outside": {"kind": "group"}}',
+    pytest.param(b"[" * 200000, id="deep"),
+    pytest.param(b"1" * 5000, id="long-int"),
+]
+
+
+# the two steps of a store write: the temporary file, and its rename onto the object's name
+STORE_STEPS = [(tempfile, "mkstemp"), (os, "replace")]
+
+
+def failing_on(monkeypatch, module, name: str, call: int) -> None:
+    """Make the `call`-th call of `module.<name>` fail as a full disk would."""
+    calls = []
+    real = getattr(module, name)
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == call:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, fail)
 
 
 class TestStore:
@@ -215,10 +249,13 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "text", ["[" * 200000, '{"kind": "group", "table": [[' + "1" * 5000 + "]]}"], ids=["deep", "long-int"]
     )
-    @pytest.mark.parametrize("where", ["file", "object", "index"])
+    @pytest.mark.parametrize("where", ["file", "object", "old-object"])
     def test_json_past_the_decoder_limits_exit_2(self, ws, tmp_path, text, where):
         ref = Workspace(ws).put(Z4)
-        target = {"file": tmp_path / "x.json", "object": ws / "objects" / f"{ref}.json", "index": ws / "index.json"}
+        stored = ws / "objects" / f"{ref}.group.json"
+        target = {"file": tmp_path / "x.json", "object": stored, "old-object": ws / "objects" / f"{ref}.json"}
+        if where == "old-object":  # the file name of earlier versions, which holds no kind
+            stored.unlink()
         target[where].write_text(text)
         proc = run_process(ws, "validate", target["file"] if where == "file" else ref[:8])
         assert proc.returncode == 2
@@ -368,6 +405,10 @@ class TestCommands:
 
 
 class TestClassify:
+    def test_spec_past_the_digit_limit_exit_2(self, ws):
+        proc = run_process(ws, "classify", "Z" + "9" * 5000, "Z2")
+        assert (proc.returncode, proc.stderr) == (2, "error: bad group spec: Z with a 5000-digit index\n")
+
     def test_z2_z2_oracle_agrees(self, ws, capsys):
         assert run(ws, "--json", "classify", "Z2", "Z2", "--oracle") == 0
         out = json.loads(capsys.readouterr().out)
@@ -497,8 +538,9 @@ class TestSuite:
 
 
 class TestWorkspaceFaults:
-    """A workspace that cannot hold a store, or whose index or objects are
-    damaged, is a usage error (exit 2) for every store operation."""
+    """A workspace that cannot hold a store, or whose object directory (its
+    index) or objects are damaged, is a usage error (exit 2) for every store
+    operation.  An index.json of earlier versions is ignored."""
 
     @pytest.fixture(params=["ls", "get", "put", "span", "classify"])
     def store_op(self, request, tmp_path):
@@ -518,47 +560,67 @@ class TestWorkspaceFaults:
         assert run(not_a_dir, *store_op) == 2
         assert "unusable" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "index", [b"5", b'{"abc": 5}', b"[]", b"not json", b"\xff", b'{"ab/../../outside": {"kind": "group"}}']
-    )
+    @pytest.mark.parametrize("index", GARBAGE_INDEXES[:6])
     def test_damaged_index_exit_2(self, ws, capsys, store_op, index):
+        # the index is the object directory: here a file, whatever it holds
         ws.mkdir()
-        (ws / "index.json").write_bytes(index)
+        (ws / "objects").write_bytes(index)
         assert run(ws, *store_op) == 2
-        assert "index.json" in capsys.readouterr().err
+        assert "unusable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("index", GARBAGE_INDEXES)
+    def test_garbage_index_is_ignored(self, ws, tmp_path, capsys, index):
+        store = Workspace(ws)
+        ref = store.put(Z4)
+        listed = store.ls()
+        (ws / "index.json").write_bytes(index)
+        xmod = write_json(tmp_path, "xmod.json", jsonio.to_jsonable(conjugation_xmod(Z2)))
+        for argv in (("store", "get", ref[:8]), ("identity", xmod)):
+            assert run(ws, *argv) == 0
+        made = capsys.readouterr().out.splitlines()[-1]
+        assert store.ls() == sorted([*listed, (made, "butterfly")])
+        assert (ws / "index.json").read_bytes() == index
 
     @pytest.mark.parametrize("content", [None, "not json"])
     def test_damaged_object_exit_2(self, ws, capsys, content):
         ref = Workspace(ws).put(Z4)
-        path = ws / "objects" / f"{ref}.json"
-        if content is None:
+        path = ws / "objects" / f"{ref}.group.json"
+        if content is None:  # a deleted object is no longer stored
             path.unlink()
         else:
             path.write_text(content)
         assert run(ws, "store", "get", ref[:8]) == 2
-        assert f"{ref}.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"no stored object matches {ref[:8]!r}" in err if content is None else f"{path}: malformed JSON" in err
 
-    @pytest.mark.parametrize("blocked", [".lock", "index.tmp"])
-    def test_unwritable_store_file_exit_2(self, ws, tmp_path, capsys, blocked):
-        # a directory where put opens the lock file or writes the new index
-        (ws / blocked).mkdir(parents=True)
+    @pytest.mark.parametrize("step", STORE_STEPS, ids=["mkstemp", "replace"])
+    def test_unwritable_store_file_exit_2(self, ws, tmp_path, capsys, monkeypatch, step):
+        failing_on(monkeypatch, *step, call=1)
         xmod = write_json(tmp_path, "xmod.json", jsonio.to_jsonable(conjugation_xmod(Z2)))
         assert run(ws, "identity", xmod) == 2
         assert "unusable" in capsys.readouterr().err
+        assert list((ws / "objects").iterdir()) == []
 
-    @pytest.mark.parametrize("blocked", [".lock", "index.tmp"])
+    @pytest.mark.parametrize("step", STORE_STEPS, ids=["mkstemp", "replace"])
     @pytest.mark.parametrize("command", ["span", "classify"])
-    def test_unwritable_store_file_batched_exit_2(self, ws, tmp_path, capsys, blocked, command):
-        (ws / blocked).mkdir(parents=True)
+    def test_unwritable_store_file_batched_exit_2(self, ws, tmp_path, capsys, monkeypatch, step, command):
         butterfly = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
         argv = {"span": ("span", butterfly), "classify": ("classify", "Z2", "Z2")}[command]
+        failing_on(monkeypatch, *step, call=2)
         assert run(ws, *argv) == 2
         assert "unusable" in capsys.readouterr().err
+        # the first object stays, whole under its ref; no temporary file stays
+        [path] = (ws / "objects").iterdir()
+        ref, kind = path.name.split(".")[:2]
+        blob = path.read_bytes()
+        assert (jsonio.bytes_ref(blob), jsonio.canonical_bytes(json.loads(blob))) == (ref, blob)
+        assert json.loads(blob)["kind"] == kind
+
 
 
 def store_files(root: Path) -> dict[str, bytes]:
-    """The index and object files of a workspace, by name."""
-    return {p.name: p.read_bytes() for p in [root / "index.json", *(root / "objects").iterdir()]}
+    """The object files of a workspace, by name."""
+    return {p.name: p.read_bytes() for p in (root / "objects").iterdir()}
 
 
 def recorded(monkeypatch, name: str) -> list:
@@ -574,20 +636,121 @@ def recorded(monkeypatch, name: str) -> list:
     return made
 
 
+class TestObjectDirectory:
+    """The object directory is the store's index: objects/<ref>.<kind>.json,
+    each written whole by a rename, with no index file and no lock."""
+
+    def earlier_workspace(self, ws) -> str:
+        """A workspace as earlier versions wrote it, holding one butterfly: an
+        index.json, and the object file objects/<ref>.json."""
+        blob = jsonio.canonical_bytes(jsonio.to_jsonable(identity_butterfly(conjugation_xmod(Z2))))
+        ref = jsonio.bytes_ref(blob)
+        (ws / "objects").mkdir(parents=True)
+        (ws / "objects" / f"{ref}.json").write_bytes(blob)
+        (ws / "index.json").write_bytes(jsonio.canonical_bytes({ref: {"kind": "butterfly"}}))
+        return ref
+
+    def test_earlier_workspace_is_served(self, ws, capsys):
+        ref = self.earlier_workspace(ws)
+        assert run(ws, "store", "get", ref[:8]) == 0
+        assert jsonio.bytes_ref(jsonio.canonical_bytes(json.loads(capsys.readouterr().out))) == ref
+        assert run(ws, "store", "ls") == 0
+        assert capsys.readouterr().out == f"{ref}  butterfly\n"
+        assert run(ws, "--json", "validate", ref[:8]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert run(ws, "compose", ref, ref[:8]) == 0
+        composite = capsys.readouterr().out.strip()
+        assert Workspace(ws).ls() == sorted([(ref, "butterfly"), (composite, "butterfly")])
+
+    def test_old_and_new_file_of_one_ref_are_one_match(self, ws, capsys):
+        ref = self.earlier_workspace(ws)
+        assert Workspace(ws).put(identity_butterfly(conjugation_xmod(Z2))) == ref
+        assert sorted(p.name for p in (ws / "objects").iterdir()) == [f"{ref}.butterfly.json", f"{ref}.json"]
+        assert run(ws, "store", "get", ref[:8]) == 0
+        assert Workspace(ws).ls() == [(ref, "butterfly")]
+
+    def test_leftover_temporary_file_is_ignored(self, ws, capsys):
+        store = Workspace(ws)
+        ref = store.put(Z4)
+        # what a writer that died before its rename leaves
+        (ws / "objects" / ".k2j4x9_p.tmp").write_text('{"kind": "gro')
+        assert store.ls() == [(ref, "group")]
+        assert run(ws, "store", "get", ".") == 2
+        assert capsys.readouterr().err == "error: no stored object matches '.'\n"
+
+    def test_concurrent_writers_all_land(self, ws, tmp_path):
+        xmods = [conjugation_xmod(Z2), discrete_xmod(Z3), conjugation_xmod(S3), conjugation_xmod(Z3)]
+        paths = [write_json(tmp_path, f"x{i}.json", jsonio.to_jsonable(X)) for i, X in enumerate(xmods)]
+        src = str(Path(butterflies.__file__).resolve().parents[1])
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "butterflies.cli", "--workspace", str(ws), "identity", str(path)],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            for path in paths
+        ]
+        outs = [proc.communicate(timeout=120) for proc in procs]
+        assert [(proc.returncode, err) for proc, (_, err) in zip(procs, outs)] == [(0, "")] * 4
+        refs = sorted(out.strip() for out, _ in outs)
+        assert Workspace(ws).ls() == [(ref, "butterfly") for ref in refs]
+        assert sorted(p.name for p in (ws / "objects").iterdir()) == [f"{ref}.butterfly.json" for ref in refs]
+
+    @pytest.mark.parametrize("prefix", ["../x", "../x.json", "/"])
+    def test_get_names_nothing_outside_objects(self, ws, capsys, monkeypatch, prefix):
+        Workspace(ws).put(Z4)
+        for name in ("x", "x.json"):
+            write_json(ws, name, jsonio.to_jsonable(Z2))
+        read = recorded(monkeypatch, "_read_json")
+        assert run(ws, "store", "get", prefix) == 2
+        assert capsys.readouterr().err == f"error: no stored object matches {prefix!r}\n"
+        assert read == []
+
+    def test_no_command_writes_an_index_or_a_lock(self, ws, tmp_path, capsys):
+        from butterflies.xmod import identity_morphism
+
+        X = conjugation_xmod(S3)
+        xmod = write_json(tmp_path, "x.json", jsonio.to_jsonable(X))
+        morphism = write_json(tmp_path, "m.json", jsonio.to_jsonable(identity_morphism(X)))
+        assert run(ws, "identity", xmod) == 0
+        ref = capsys.readouterr().out.strip()
+        section = ",".join(map(str, range(X.G0.order)))
+        for argv in (
+            ("compose", ref, ref, "--witness", "--check"),
+            ("flip", ref),
+            ("span", ref),
+            ("split", morphism),
+            ("weakmap", "extract", ref, "--section", section),
+            ("classify", "Z2", "V4", "--oracle"),
+            ("validate", ref),
+            ("store", "get", ref),
+            ("store", "ls"),
+        ):
+            assert run(ws, *argv) == 0
+        [extracted] = [r for r, kind in Workspace(ws).ls() if kind == "monoidal"]
+        assert run(ws, "weakmap", "assemble", extracted) == 0
+        assert [p.name for p in ws.iterdir()] == ["objects"]
+        names = [p.name for p in (ws / "objects").iterdir()]
+        assert len(names) == len(Workspace(ws).ls()) > 10
+        assert all(re.fullmatch(r"[0-9a-f]{64}\.[a-z0-9-]+\.json", name) for name in names)
+
+
 class TestBatchedWrites:
-    """A command that stores several objects takes the store lock once and
-    rewrites the index once, leaving the files that one put per object would."""
+    """A command that stores several objects renames each new one onto its
+    own file once, leaving the files that one put per object would."""
 
     @pytest.fixture()
     def replaced(self, monkeypatch):
         targets = []
-        replace = Path.replace
+        replace = os.replace
 
-        def counting(self, target):
+        def counting(source, target):
             targets.append(Path(target))
-            return replace(self, target)
+            return replace(source, target)
 
-        monkeypatch.setattr(Path, "replace", counting)
+        monkeypatch.setattr(os, "replace", counting)
         return targets
 
     def assert_same_as_one_put_each(self, ws, root, objs):
@@ -599,14 +762,14 @@ class TestBatchedWrites:
     def test_classify(self, ws, tmp_path, monkeypatch, replaced):
         made = recorded(monkeypatch, "classify_extensions")
         assert run(ws, "classify", "V4", "V4", "--oracle") == 0
-        assert replaced == [ws / "index.json"]
+        assert sorted(replaced) == sorted((ws / "objects").iterdir())
         self.assert_same_as_one_put_each(ws, tmp_path / "one", [cls.butterfly for cls in made[0]])
 
     def test_span(self, ws, tmp_path, monkeypatch, replaced):
         made = recorded(monkeypatch, "span_of_butterfly")
         path = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
         assert run(ws, "span", path) == 0
-        assert replaced == [ws / "index.json"]
+        assert sorted(replaced) == sorted((ws / "objects").iterdir())
         self.assert_same_as_one_put_each(ws, tmp_path / "one", made[0])
 
 
