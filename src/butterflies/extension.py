@@ -5,9 +5,11 @@ Extensions of H by G correspond to butterflies from the discrete crossed
 module on H to the automorphism crossed module of G; equivalence classes are
 counted twice, once as orbits of butterflies under butterfly morphisms and
 once by the classical factor-set calculus, and the two answers must agree.
-The butterfly of an extension is valid by construction and is not re-checked,
-and an ``ExtensionDatum`` does not check its exactness: the ``ii-extension``
-findings of :func:`validate_butterfly` report it.
+An extension is held as its butterfly, whose E, iota and sigma are the
+extension's: H is sigma's codomain and G iota's domain.  The butterfly of an
+extension is valid by construction and is not re-checked, and its exactness
+is not checked either: the ``ii-extension`` findings of
+:func:`validate_butterfly` report it.
 """
 
 from __future__ import annotations
@@ -72,40 +74,26 @@ def conjugation_xmod(G: FinGroup) -> CrossedModule:
     return CrossedModule(G, G, identity_hom(G), conjugation_action(G), name=f"C({G.name})")
 
 
-@dataclass(frozen=True)
-class ExtensionDatum:
-    """A short exact sequence H <- E <- G with explicit maps."""
-
-    H: FinGroup
-    G: FinGroup
-    E: FinGroup
-    iota: GroupHom
-    sigma: GroupHom
-
-
-def butterfly_from_extension(X: ExtensionDatum) -> Butterfly:
-    """The butterfly D(H) -> A(G) of an extension; the Aut-leg is the
-    conjugation representation and is uniquely determined."""
-    dom = discrete_xmod(X.H)
-    cod = aut_xmod(X.G)
-    t, iota = X.E.table, X.iota.map
-    iota_inv = {e: g for g, e in enumerate(iota)}
-    pos = {p: i for i, p in enumerate(cod.action.act)}
-    rho_map = tuple(pos[tuple(iota_inv[t[row[a]][inv]] for a in iota)] for row, inv in zip(t, X.E.inverse))
-    return Butterfly(
-        dom=dom,
-        cod=cod,
-        E=X.E,
-        kappa=zero_hom(_ONE, X.E),
-        iota=X.iota,
-        sigma=X.sigma,
-        rho=GroupHom._trusted(X.E, cod.G0, rho_map),
-    )
+def butterfly_from_extension(iota: GroupHom, sigma: GroupHom) -> Butterfly:
+    """The butterfly D(H) -> A(G) of the extension H <- E <- G with maps
+    sigma: E -> H and iota: G -> E; the Aut-leg is the conjugation
+    representation and is uniquely determined."""
+    E, G = iota.cod, iota.dom
+    t, iota_inv = E.table, {e: g for g, e in enumerate(iota.map)}
+    pos = {p: i for i, p in enumerate(aut_xmod(G).action.act)}
+    rho = tuple(pos[tuple(iota_inv[t[row[a]][inv]] for a in iota.map)] for row, inv in zip(t, E.inverse))
+    return _extension_butterfly(iota, sigma, rho)
 
 
-def extension_equivalences(X: ExtensionDatum, Y: ExtensionDatum) -> list[GroupHom]:
+def _extension_butterfly(iota: GroupHom, sigma: GroupHom, rho: Sequence[int]) -> Butterfly:
+    """The butterfly D(H) -> A(G) with wing iota, left leg sigma and Aut-leg rho."""
+    E, A = iota.cod, aut_xmod(iota.dom)
+    return Butterfly(discrete_xmod(sigma.cod), A, E, zero_hom(_ONE, E), iota, sigma, GroupHom._trusted(E, A.G0, rho))
+
+
+def extension_equivalences(X: Butterfly, Y: Butterfly) -> list[GroupHom]:
     """All isomorphisms E -> E' commuting with iota and sigma (fixing H and G)."""
-    if X.H != Y.H or X.G != Y.G:
+    if X.dom != Y.dom or X.cod != Y.cod:
         return []
     out = []
     for theta in all_homomorphisms(X.E, Y.E):
@@ -159,17 +147,17 @@ def validate_factor_set(fs: FactorSet, aut: FinGroup, ev: GroupAction) -> bool:
     return True
 
 
-def factor_set_to_extension(fs: FactorSet) -> ExtensionDatum:
-    """Schreier reconstruction: the twisted product on G x H of phi's
-    automorphisms and f.
+def factor_set_to_extension(fs: FactorSet) -> Butterfly:
+    """Schreier reconstruction: the butterfly D(H) -> A(G) of the twisted
+    product on G x H of phi's automorphisms and f, with the Aut-leg of
+    ``_twisted_rho``.
 
     The Schreier conditions make it a group, so it is built unchecked; both
     classification routes re-check each class representative's table on it
     (``FinGroup._table_defect``), raising ``FinGroup``'s ``NotAGroup``.
     """
-    H, G = fs.H, fs.G
-    E, sigma, iota = _twisted_product(G, H, _aut_rows(fs), fs.f, f"E({G.name},{H.name})")
-    return ExtensionDatum(H=H, G=G, E=E, iota=iota, sigma=sigma)
+    E, sigma, iota = _twisted_product(fs.G, fs.H, _aut_rows(fs), fs.f, f"E({fs.G.name},{fs.H.name})")
+    return _extension_butterfly(iota, sigma, _twisted_rho(fs, aut_xmod(fs.G)))
 
 
 def _aut_rows(fs: FactorSet) -> list[tuple[int, ...]]:
@@ -178,17 +166,16 @@ def _aut_rows(fs: FactorSet) -> list[tuple[int, ...]]:
     return [act[p] for p in fs.phi]
 
 
-def factor_set_of_extension(X: ExtensionDatum, section: tuple[int, ...]) -> FactorSet:
-    """Read (phi, f) off an extension along a normalized set section of sigma:
-    phi is the Aut-leg of its butterfly after the section."""
-    H, E, s = X.H, X.E, section
-    rho = butterfly_from_extension(X).rho.map
-    iota_inv = {e: g for g, e in enumerate(X.iota.map)}
+def factor_set_of_extension(B: Butterfly, section: tuple[int, ...]) -> FactorSet:
+    """Read (phi, f) off an extension's butterfly along a normalized set
+    section of sigma: phi is the Aut-leg after the section."""
+    H, E, s = B.sigma.cod, B.E, section
+    iota_inv = {e: g for g, e in enumerate(B.iota.map)}
     f = tuple(
         tuple(iota_inv[E.table[E.table[s[x]][s[y]]][E.inv(s[H.table[x][y]])]] for y in range(H.order))
         for x in range(H.order)
     )
-    return FactorSet(H, X.G, tuple(rho[e] for e in s), f)
+    return FactorSet(H, B.iota.dom, tuple(B.rho.map[e] for e in s), f)
 
 
 def _first_assignment(k: int, fv: list, cand: list, checks: list, narrow) -> bool:
@@ -350,7 +337,7 @@ def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -> 
                     assigned[j] = len(classes)
                     members.append(j)
         classes.append([cocycles[j] for j in sorted(members)])
-        E = factor_set_to_extension(fs).E
+        E = _twisted_product(G, H, _aut_rows(fs), fs.f, f"E({G.name},{H.name})")[0]
         if E._table_defect is not None:  # FinGroup's check, on E itself
             raise NotAGroup(E._table_defect)
     return classes
@@ -401,7 +388,6 @@ def _orbit_cosets(G: FinGroup, A: CrossedModule):
 
 @dataclass(frozen=True)
 class ExtensionClass:
-    representative: ExtensionDatum
     factor_set: FactorSet
     butterfly: Butterfly
     split: bool
@@ -421,8 +407,8 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     (g phi(x)(a) g^-1, 1).  So a cocycle's butterfly is read off (phi, f):
     rho, the generator columns the morphism search reads of its source, and
     the invariant below.  Only a cocycle that starts a class gets E's full
-    table, the butterfly of its extension, and the checks of its
-    representative: ``FinGroup``'s table check runs on E itself, then
+    table, its butterfly from :func:`factor_set_to_extension`, and the checks
+    of its representative: ``FinGroup``'s table check runs on E itself, then
     ``identify_group`` names it.  A class is split when the first cocycle of
     some phi's block, the trivial (phi, 1) of a semidirect product, starts or
     joins it: split extensions are those with a trivial factor set (K. S.
@@ -457,12 +443,12 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     if H.order * G.order > bound:
         raise BoundExceeded("classify_extensions", H.order * G.order, bound)
     cocycles = enumerate_cocycles(H, G, bound)
-    A, dom = aut_xmod(G), discrete_xmod(H)
+    A = aut_xmod(G)
     gens = _wing_first_generators(H, G)
     _, sigma, pair = _twisted_index(G.order, H.order)
     iota = pair(range(G.order), (0,) * G.order)
     reps: list[Butterfly] = []
-    data: list[tuple[ExtensionDatum, FactorSet]] = []
+    factor_sets: list[FactorSet] = []
     counts: list[int] = []
     split: list[bool] = []
     buckets: dict[tuple, list[int]] = {}
@@ -487,29 +473,23 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
                     known = {_pointwise(t, r, c): j for j, r in block.items() for c in K}
                 break
         else:
-            datum = factor_set_to_extension(fs)
-            E = datum.E
             bucket.append(len(reps))
-            # the butterfly of the extension, butterfly_from_extension(datum)
-            rho_hom = GroupHom._trusted(E, A.G0, rho)
-            reps.append(Butterfly(dom, A, E, zero_hom(_ONE, E), datum.iota, datum.sigma, rho_hom))
-            data.append((datum, fs))
+            reps.append(factor_set_to_extension(fs))
+            factor_sets.append(fs)
             counts.append(1)
             split.append(not any(f))
             block[len(reps) - 1] = f
             known.update({_pointwise(t, f, c): len(reps) - 1 for c in K})
     out = []
     for k, B in enumerate(reps):
-        datum, fs = data[k]
-        if datum.E._table_defect is not None:  # FinGroup's check, on E itself
-            raise NotAGroup(datum.E._table_defect)
+        if B.E._table_defect is not None:  # FinGroup's check, on E itself
+            raise NotAGroup(B.E._table_defect)
         out.append(
             ExtensionClass(
-                representative=datum,
-                factor_set=fs,
+                factor_set=factor_sets[k],
                 butterfly=B,
                 split=split[k],
-                e_group=identify_group(datum.E),
+                e_group=identify_group(B.E),
                 count=counts[k],
             )
         )

@@ -38,9 +38,7 @@ from .butterfly import (
 )
 from .errors import BoundExceeded, ConstructionError, UnknownSuite
 from .extension import (
-    ExtensionDatum,
     aut_xmod,
-    butterfly_from_extension,
     conjugation_xmod,
     discrete_xmod,
     enumerate_cocycles,
@@ -197,8 +195,7 @@ def generate_fixtures(seed: int, size_bound: int) -> FixtureSet:
     butterflies: list[Butterfly] = [identity_butterfly(X) for X in small]
     for H, G in ((Z2, Z2), (Z2, Z3)):
         if H.order * G.order <= size_bound:
-            for datum in _small_extensions(H, G):
-                butterflies.append(butterfly_from_extension(datum))
+            butterflies += _small_extensions(H, G)
     split_sources = rng.sample(fx.morphisms, min(6, len(fx.morphisms)))
     for P in split_sources:
         B, _ = split_from_morphism(P)
@@ -222,15 +219,13 @@ def generate_fixtures(seed: int, size_bound: int) -> FixtureSet:
     return fx
 
 
-def _small_extensions(H: FinGroup, G: FinGroup) -> list[ExtensionDatum]:
-    out = []
-    seen_tables = set()
+def _small_extensions(H: FinGroup, G: FinGroup) -> list[Butterfly]:
+    """The butterflies of H's extensions by G, one per middle group table."""
+    out: dict = {}
     for fs in enumerate_cocycles(H, G):
-        datum = factor_set_to_extension(fs)
-        if datum.E.table not in seen_tables:
-            seen_tables.add(datum.E.table)
-            out.append(datum)
-    return out
+        B = factor_set_to_extension(fs)
+        out.setdefault(B.E.table, B)
+    return list(out.values())
 
 
 def _by_dom(records: list) -> dict[CrossedModule, list]:
@@ -493,6 +488,9 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
 def ef3_coincidence(B: Butterfly) -> bool:
     """reduced_compose(left leg, B) equals reduced_compose(right leg, I) on
     the nose after the canonical relabeling (e1,e2) -> (e1, arrow e2->e1)."""
+    # a leg that is no homomorphism of E leaves its pullback unclosed
+    if any(_hom_defect(B.E, leg.cod, leg.map) is not None for leg in (B.sigma, B.rho)):
+        return False
     _, left, right = span_of_butterfly(B)
     I = identity_butterfly(B.cod)
     L = reduced_compose(left, B)

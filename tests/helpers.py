@@ -7,7 +7,7 @@ import random
 
 from butterflies import jsonio
 from butterflies.butterfly import identity_butterfly
-from butterflies.extension import ExtensionDatum, butterfly_from_extension, conjugation_xmod, standard_catalog
+from butterflies.extension import butterfly_from_extension, conjugation_xmod, standard_catalog
 from butterflies.fingroup import (
     GroupAction,
     GroupHom,
@@ -31,26 +31,19 @@ ONE = trivial_group()
 
 def z4_extension_butterfly():
     """The nonsplit extension Z2 <- Z4 <- Z2 as a butterfly D(Z2) -> A(Z2)."""
-    datum = ExtensionDatum(
-        H=Z2, G=Z2, E=Z4, iota=GroupHom(Z2, Z4, (0, 2)), sigma=GroupHom(Z4, Z2, (0, 1, 0, 1))
-    )
-    return butterfly_from_extension(datum)
+    return butterfly_from_extension(GroupHom(Z2, Z4, (0, 2)), GroupHom(Z4, Z2, (0, 1, 0, 1)))
 
 
 def trivial_extension_butterfly():
     """The split extension Z2 <- Z2xZ2 <- Z2 as a butterfly D(Z2) -> A(Z2)."""
-    E = V4
-    datum = ExtensionDatum(
-        H=Z2, G=Z2, E=E, iota=GroupHom(Z2, E, (0, 1)), sigma=GroupHom(E, Z2, (0, 0, 1, 1))
-    )
-    return butterfly_from_extension(datum)
+    return butterfly_from_extension(GroupHom(Z2, V4, (0, 1)), GroupHom(V4, Z2, (0, 0, 1, 1)))
 
 
-def is_split(X: ExtensionDatum) -> bool:
-    """Whether the extension's sigma has a homomorphic section: s with
-    sigma(s(x)) = x on generators, hence everywhere."""
-    s = X.sigma.map
-    homs = _generator_images(X.H, X.E, bijective=False, accept=lambda x, e: s[e] == x)
+def is_split(B) -> bool:
+    """Whether the sigma of an extension's butterfly B has a homomorphic
+    section: s with sigma(s(x)) = x on generators, hence everywhere."""
+    s = B.sigma.map
+    homs = _generator_images(B.sigma.cod, B.E, bijective=False, accept=lambda x, e: s[e] == x)
     return next(homs, None) is not None
 
 

@@ -3,7 +3,9 @@ twisted product's table.
 
 On every cocycle of the classification grid, with the groups relabeled as
 the classify-grid benchmark relabels them: the Aut-leg inner(g) phi(x)
-equals ``reference_rho``, which conjugates in the built extension; the
+equals ``reference_rho``, which conjugates in the built extension, and the
+butterfly of ``factor_set_to_extension`` equals, names included, the one
+``butterfly_from_extension`` builds from its wing and left leg; the
 generating sequence shared by every twisted product over (H, G) equals the
 extension's own with the wing images first, the sequence the morphism search
 would compute from E's table; the generator columns built from (phi, f)
@@ -24,6 +26,7 @@ from butterflies.extension import (
     _twisted_rho,
     _wing_first_generators,
     aut_xmod,
+    butterfly_from_extension,
     factor_set_to_extension,
 )
 from butterflies.fingroup import _generating_sequence, _twisted_columns
@@ -40,7 +43,15 @@ def test_grid_has_1524_cocycles():
 def test_rho_formula_equals_conjugation(pair):
     A = aut_xmod(GROUPS[pair[1]])
     for fs in reference_cocycles(pair):
-        assert _twisted_rho(fs, A) == reference_rho(factor_set_to_extension(fs))
+        B = factor_set_to_extension(fs)
+        assert _twisted_rho(fs, A) == reference_rho(B)
+        C = butterfly_from_extension(B.iota, B.sigma)
+        assert C == B and _names(C) == _names(B)
+
+
+def _names(B) -> tuple[str, ...]:
+    """The names of B's ends, of their groups and of its middle group."""
+    return (B.dom.name, B.cod.name, B.E.name, *(X.name for X in (B.dom.G, B.dom.G0, B.cod.G, B.cod.G0)))
 
 
 @pytest.mark.parametrize("pair", GRID, ids=IDS)
@@ -48,8 +59,8 @@ def test_shared_sequence_is_each_extensions_wing_first_sequence(pair):
     H, G = GROUPS[pair[0]], GROUPS[pair[1]]
     shared = _wing_first_generators(H, G)
     for fs in reference_cocycles(pair):
-        datum = factor_set_to_extension(fs)
-        assert list(shared) == _generating_sequence(datum.E, datum.iota.map)
+        B = factor_set_to_extension(fs)
+        assert list(shared) == _generating_sequence(B.E, B.iota.map)
 
 
 @pytest.mark.parametrize("pair", GRID, ids=IDS)

@@ -22,21 +22,19 @@ import pytest
 from helpers import GRID, GRID_BOUND, grid_groups, is_split, named_groups
 
 from butterflies import extension
-from butterflies.butterfly import Butterfly, _witness_map
+from butterflies.butterfly import _witness_map
 from butterflies.extension import (
-    _ONE,
     _aut_rows,
     _morphism_invariant,
     _twisted_rho,
     _wing_first_generators,
     aut_xmod,
     classify_extensions,
-    discrete_xmod,
     enumerate_cocycles,
     factor_set_to_extension,
     identify_group,
 )
-from butterflies.fingroup import GroupHom, _twisted_columns, _twisted_index, zero_hom
+from butterflies.fingroup import _twisted_columns, _twisted_index
 
 GROUPS, NAMED = grid_groups(), named_groups()
 # read off the kernel itself: calling aut_xmod at collection time would fill its
@@ -55,7 +53,7 @@ def per_cocycle_classify(H, G, bound: int) -> tuple[list[tuple], int]:
     """(factor set, count, split, extension group) per class, with every
     cocycle searched against the representatives of its invariant bucket,
     and the number of witness searches made."""
-    A, dom = aut_xmod(G), discrete_xmod(H)
+    A = aut_xmod(G)
     gens = _wing_first_generators(H, G)
     _, sigma, pair = _twisted_index(G.order, H.order)
     iota = pair(range(G.order), (0,) * G.order)
@@ -71,16 +69,11 @@ def per_cocycle_classify(H, G, bound: int) -> tuple[list[tuple], int]:
                 counts[k] += 1
                 break
         else:
-            datum = factor_set_to_extension(fs)
-            E = datum.E
             bucket.append(len(reps))
-            rho_hom = GroupHom._trusted(E, A.G0, rho)
-            reps.append(Butterfly(dom, A, E, zero_hom(_ONE, E), datum.iota, datum.sigma, rho_hom))
-            data.append((datum, fs))
+            reps.append(factor_set_to_extension(fs))
+            data.append(fs)
             counts.append(1)
-    classes = [
-        (fs, counts[k], is_split(datum), identify_group(datum.E)) for k, (datum, fs) in enumerate(data)
-    ]
+    classes = [(fs, n, is_split(B), identify_group(B.E)) for B, fs, n in zip(reps, data, counts)]
     return classes, searches
 
 

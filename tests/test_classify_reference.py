@@ -102,19 +102,19 @@ def reference_classify_extensions(cocycles) -> list[tuple]:
     butterfly searched against every representative in order."""
     reps, data, counts = [], [], []
     for fs in cocycles:
-        datum = factor_set_to_extension(fs)
-        B = butterfly_from_extension(datum)
+        X = factor_set_to_extension(fs)
+        B = butterfly_from_extension(X.iota, X.sigma)
         for k, rep in enumerate(reps):
             if isomorphic_butterflies(B, rep) is not None:
                 counts[k] += 1
                 break
         else:
             reps.append(B)
-            data.append((datum, fs))
+            data.append((B, fs))
             counts.append(1)
     return [
-        (fs, counts[k], is_split(datum), reference_identify_group(datum.E))
-        for k, (datum, fs) in enumerate(data)
+        (fs, counts[k], is_split(B), reference_identify_group(B.E))
+        for k, (B, fs) in enumerate(data)
     ]
 
 
@@ -136,15 +136,16 @@ def reference_twisted_product(fs: FactorSet) -> list[list[int]]:
     return table
 
 
-def reference_rho(datum) -> tuple[int, ...]:
-    """The Aut-leg of the butterfly of an extension, conjugation read
+def reference_rho(B) -> tuple[int, ...]:
+    """The Aut-leg of the butterfly B of an extension, conjugation read
     through ``E.conj`` one element of G at a time."""
-    A = aut_xmod(datum.G)
-    iota_inv = {e: g for g, e in enumerate(datum.iota.map)}
+    G = B.iota.dom
+    A = aut_xmod(G)
+    iota_inv = {e: g for g, e in enumerate(B.iota.map)}
     pos = {p: i for i, p in enumerate(A.action.act)}
     return tuple(
-        pos[tuple(iota_inv[datum.E.conj(e, datum.iota.map[g])] for g in range(datum.G.order))]
-        for e in range(datum.E.order)
+        pos[tuple(iota_inv[B.E.conj(e, B.iota.map[g])] for g in range(G.order))]
+        for e in range(B.E.order)
     )
 
 
@@ -174,11 +175,11 @@ def test_classes_equal_unbucketed_search(pair):
 def test_twisted_products_and_rho_equal_cell_by_cell(pair):
     for k, fs in enumerate(reference_cocycles(pair)):
         expected = tuple(map(tuple, reference_twisted_product(fs)))
-        datum = factor_set_to_extension(fs)
-        assert datum.E.table == expected
-        assert butterfly_from_extension(datum).rho.map == reference_rho(datum)
+        B = factor_set_to_extension(fs)
+        assert B.E.table == expected
+        assert butterfly_from_extension(B.iota, B.sigma).rho.map == reference_rho(B)
         if k < 3:  # the full group-axiom check accepts the table as built
-            assert construct_group(datum.E.table).table == expected
+            assert construct_group(B.E.table).table == expected
 
 
 @pytest.mark.parametrize("order", range(2, 25))

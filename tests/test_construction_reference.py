@@ -349,9 +349,9 @@ def test_catalog_products_equal_the_former_catalogs():
 def test_twisted_product_equals_product_formula_on_the_grid(pair):
     groups = grid_groups()
     for fs in enumerate_cocycles(groups[pair[0]], groups[pair[1]], GRID_BOUND.get(pair, 16)):
-        datum = factor_set_to_extension(fs)
+        B = factor_set_to_extension(fs)
         E, iota, sigma = reference_factor_set_to_extension(fs)
-        assert same_group(datum.E, E) and same_hom(datum.iota, iota) and same_hom(datum.sigma, sigma)
+        assert same_group(B.E, E) and same_hom(B.iota, iota) and same_hom(B.sigma, sigma)
 
 
 @pytest.mark.parametrize("seed, bound", CASES)

@@ -29,6 +29,10 @@ PUBLIC_ALLOWLIST = {
         "butterfly morphisms D(H) -> A(G) are extension equivalences, found without the generator search",
         "test_extension.py",
     ),
+    "butterfly_from_extension": (
+        "an extension's butterfly, its Aut-leg by conjugation, is the one factor_set_to_extension reads off (phi, f)",
+        "test_classify_columns.py",
+    ),
     "factor_set_of_extension": (
         "along a section, an extracted weak map's F2 is the Schreier factor set",
         "test_extension.py",

@@ -13,7 +13,6 @@ from butterflies import errors, extension, fingroup
 from butterflies.butterfly import butterfly_morphisms, isomorphic_butterflies
 from butterflies.errors import BoundExceeded
 from butterflies.extension import (
-    ExtensionDatum,
     FactorSet,
     aut_xmod,
     butterfly_from_extension,
@@ -70,10 +69,7 @@ class TestExtensionButterfly:
         from butterflies.xmod import XModMorphism
 
         E = V4
-        datum = ExtensionDatum(
-            H=Z2, G=Z2, E=E, iota=GroupHom(Z2, E, (0, 1)), sigma=GroupHom(E, Z2, (0, 0, 1, 1))
-        )
-        B = butterfly_from_extension(datum)
+        B = butterfly_from_extension(GroupHom(Z2, E, (0, 1)), GroupHom(E, Z2, (0, 0, 1, 1)))
         P = XModMorphism(
             discrete_xmod(Z2), aut_xmod(Z2), zero_hom(ONE, Z2), zero_hom(Z2, aut_xmod(Z2).G0)
         )
@@ -81,11 +77,8 @@ class TestExtensionButterfly:
         assert isomorphic_butterflies(B, S) is not None
 
     def test_z4_extension_not_split(self):
-        datum = ExtensionDatum(
-            H=Z2, G=Z2, E=Z4, iota=GroupHom(Z2, Z4, (0, 2)), sigma=GroupHom(Z4, Z2, (0, 1, 0, 1))
-        )
-        assert not is_split(datum)
-        B = butterfly_from_extension(datum)
+        B = butterfly_from_extension(GroupHom(Z2, Z4, (0, 2)), GroupHom(Z4, Z2, (0, 1, 0, 1)))
+        assert not is_split(B)
         # no homomorphism section of sigma exists
         ident = identity_hom(Z2)
         assert not any(
@@ -105,8 +98,8 @@ class TestExtensionButterfly:
         iso = isomorphism_search(N.as_group()[0], Z4)
         assert iso is not None
         incl = GroupHom(Z4, D4, tuple(N.as_group()[1].map[iso.map.index(a)] for a in range(4)))
-        datum = ExtensionDatum(H=Q, G=Z4, E=D4, iota=incl, sigma=pr)
-        B = butterfly_from_extension(datum)
+        B = butterfly_from_extension(incl, pr)
+        assert (B.dom.G0, B.cod.G, B.E) == (Q, Z4, D4)
         assert len(set(B.rho.map)) == 2  # conjugation hits identity and inversion
 
 
@@ -148,14 +141,12 @@ class TestFactorSets:
 
     def test_reconstruction_builds_groups(self):
         for fs in enumerate_cocycles(Z2, Z2):
-            datum = factor_set_to_extension(fs)
-            assert datum.E.order == 4
+            B = factor_set_to_extension(fs)
+            assert B.E.order == 4
 
     def test_factor_set_read_back(self):
-        datum = ExtensionDatum(
-            H=Z2, G=Z2, E=Z4, iota=GroupHom(Z2, Z4, (0, 2)), sigma=GroupHom(Z4, Z2, (0, 1, 0, 1))
-        )
-        fs = factor_set_of_extension(datum, (0, 1))
+        B = butterfly_from_extension(GroupHom(Z2, Z4, (0, 2)), GroupHom(Z4, Z2, (0, 1, 0, 1)))
+        fs = factor_set_of_extension(B, (0, 1))
         aut, ev = automorphism_group(Z2)
         assert validate_factor_set(fs, aut, ev)
         assert fs.f[1][1] == 1  # s(1)+s(1)-s(0) = 2 = iota(1)
@@ -326,7 +317,7 @@ class TestMorphismLevelCorrespondence:
         for X in data:
             for Y in data:
                 eq = extension_equivalences(X, Y)
-                bm = butterfly_morphisms(butterfly_from_extension(X), butterfly_from_extension(Y))
+                bm = butterfly_morphisms(X, Y)
                 assert len(eq) == len(bm)
                 assert {t.map for t in eq} == {w.f.map for w in bm}
 
@@ -336,15 +327,12 @@ class TestWeakMapBridge:
         # the F2 of an extracted functor reads off exactly the oracle's (phi, f)
         from butterflies.weakmap import all_set_sections, extract_monoidal
 
-        datum = ExtensionDatum(
-            H=Z2, G=Z2, E=Z4, iota=GroupHom(Z2, Z4, (0, 2)), sigma=GroupHom(Z4, Z2, (0, 1, 0, 1))
-        )
-        B = butterfly_from_extension(datum)
+        B = butterfly_from_extension(GroupHom(Z2, Z4, (0, 2)), GroupHom(Z4, Z2, (0, 1, 0, 1)))
         aut, ev = automorphism_group(Z2)
         nG0 = B.cod.G0.order
         for s in all_set_sections(B):
             M = extract_monoidal(B, s)
-            fs = factor_set_of_extension(datum, s.s)
+            fs = factor_set_of_extension(B, s.s)
             assert validate_factor_set(fs, aut, ev)
             for x in range(2):
                 for y in range(2):

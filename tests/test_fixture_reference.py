@@ -67,8 +67,8 @@ def reference_generate_fixtures(seed: int, size_bound: int) -> FixtureSet:
     butterflies = [identity_butterfly(X) for X in small]
     for H, G in ((Z2, Z2), (Z2, Z3)):
         if H.order * G.order <= size_bound:
-            for datum in _small_extensions(H, G):
-                butterflies.append(butterfly_from_extension(datum))
+            for X in _small_extensions(H, G):
+                butterflies.append(butterfly_from_extension(X.iota, X.sigma))
     split_sources = rng.sample(fx.morphisms, min(6, len(fx.morphisms)))
     for P in split_sources:
         B, _ = split_from_morphism(P)

@@ -126,7 +126,7 @@ def message(check, G):
 
 @pytest.fixture(scope="module")
 def v4_by_v4_middle_groups():
-    return [c.representative.E for c in classify_extensions(V4, V4)]
+    return [c.butterfly.E for c in classify_extensions(V4, V4)]
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,7 @@ def v4_by_v4xz2_classes():
 
 @pytest.fixture(scope="module")
 def abelian_v4_by_v4xz2_middle_groups(v4_by_v4xz2_classes):
-    return [c.representative.E for c in v4_by_v4xz2_classes if c.representative.E.is_abelian]
+    return [c.butterfly.E for c in v4_by_v4xz2_classes if c.butterfly.E.is_abelian]
 
 
 @pytest.mark.parametrize("kernel", ["V4xZ2", "S3xZ2"])
@@ -149,7 +149,7 @@ def test_split_flags_equal_the_section_search(kernel, request):
     else:
         classes = classify_extensions(cyclic_group(4), direct_product(symmetric_group(3), Z2)[0], bound=48)
     flags = [c.split for c in classes]
-    assert flags == [is_split(c.representative) for c in classes]
+    assert flags == [is_split(c.butterfly) for c in classes]
     assert True in flags and False in flags
 
 

@@ -345,3 +345,11 @@ class TestEF3:
             identity_butterfly(conjugation_xmod(Z2)),
         ):
             assert ef3_coincidence(B)
+
+    def test_compose_fault_corruptions_answer_a_bool(self):
+        # relabeling E leaves sigma or rho no homomorphism on 12 of the 23
+        # butterflies of (0, 8) with |E| > 2, and its pullback then no
+        # subgroup: those answer False where the pullback once raised TypeError
+        fx = generate_fixtures(0, 8)
+        answers = [ef3_coincidence(laws._corrupt_middle_group(B)) for B in fx.butterflies if B.E.order > 2]
+        assert Counter(answers) == {True: 11, False: 12}

@@ -70,8 +70,8 @@ def test_fixture_pairs(seed, bound):
 @pytest.mark.parametrize("H, G", [(V4, Z2), (Z2, Z4)], ids=["V4-by-Z2", "Z2-by-Z4"])
 def test_extension_pairs(H, G):
     butterflies = [
-        butterfly_from_extension(factor_set_to_extension(fs))
-        for fs in enumerate_cocycles(H, G)
+        butterfly_from_extension(X.iota, X.sigma)
+        for X in map(factor_set_to_extension, enumerate_cocycles(H, G))
     ]
     assert assert_search_matches_reference(parallel_pairs(butterflies)) > 0
 
@@ -79,7 +79,7 @@ def test_extension_pairs(H, G):
 @pytest.mark.parametrize("H, G", [(V4, Z4), (Z2, Z4)], ids=["V4-by-Z4", "Z2-by-Z4"])
 def test_is_split_matches_reference(H, G):
     for cls in classify_extensions(H, G):
-        X = cls.representative
-        ident = identity_hom(X.H)
-        expected = any(s.then(X.sigma) == ident for s in all_homomorphisms(X.H, X.E))
+        X = cls.butterfly
+        ident = identity_hom(H)
+        expected = any(s.then(X.sigma) == ident for s in all_homomorphisms(H, X.E))
         assert cls.split == is_split(X) == expected

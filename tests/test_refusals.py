@@ -4,8 +4,12 @@ Each test feeds one construction or validator the input that its check
 exists for: a monoidal functor that is not normalized, a map of middle
 groups off a wing or onto too few elements, a corrupt fractor, operands that
 do not compose or are not parallel, and a section of another butterfly.  The
-searches for 2-cells, natural transformations, monoidal natural isos and
-extension equivalences answer nothing for operands they cannot relate.  The
+inputs that break a constructor's contract are refused too: an empty table, a
+subgroup without the identity, a quotient by another group's subgroup, a
+composite across different middle groups, a cocycle search past its bound and
+a record of no JSON kind.  The searches for 2-cells, natural transformations,
+monoidal natural isos and extension equivalences answer nothing for operands
+they cannot relate.  The
 refusals are matched by their messages, so a deleted check cannot pass by a
 later check raising the same type.
 """
@@ -16,7 +20,7 @@ import dataclasses
 
 import pytest
 
-from helpers import ONE, Z2, Z3, trivial_extension_butterfly, z4_extension_butterfly
+from helpers import ONE, Z2, Z3, Z4, trivial_extension_butterfly, z4_extension_butterfly
 
 from butterflies.butterfly import (
     Butterfly,
@@ -28,7 +32,16 @@ from butterflies.butterfly import (
     to_fractor,
     validate_fractor,
 )
-from butterflies.errors import ConstructionError, FractorConditionFailed, SectionInvalid
+from butterflies.errors import (
+    BoundExceeded,
+    CodomainMismatch,
+    ConstructionError,
+    FractorConditionFailed,
+    NotAGroup,
+    NotNormal,
+    SectionInvalid,
+    UnknownKind,
+)
 from butterflies.extension import (
     aut_xmod,
     conjugation_xmod,
@@ -37,7 +50,8 @@ from butterflies.extension import (
     extension_equivalences,
     factor_set_to_extension,
 )
-from butterflies.fingroup import GroupHom, identity_hom, trivial_action, zero_hom
+from butterflies.fingroup import FinGroup, GroupHom, Subgroup, identity_hom, quotient, trivial_action, zero_hom
+from butterflies.jsonio import to_jsonable
 from butterflies.weakmap import (
     MonoidalFunctor,
     all_set_sections,
@@ -141,6 +155,32 @@ def test_corrupt_fractor_raises_its_first_condition(corrupt, condition, first):
     with pytest.raises(FractorConditionFailed) as failed:
         from_fractor(F)
     assert failed.value.condition == condition
+
+
+class TestContractRefusals:
+    def test_empty_table(self):
+        with pytest.raises(NotAGroup, match="empty table"):
+            FinGroup([])
+
+    def test_subgroup_without_the_identity(self):
+        with pytest.raises(ValueError, match="must contain the identity"):
+            Subgroup(Z4, (1, 2))
+
+    def test_quotient_by_a_subgroup_of_another_group(self):
+        with pytest.raises(NotNormal, match="not a subgroup of the given group"):
+            quotient(Z4, Subgroup(Z2, (0, 1)))
+
+    def test_composite_across_different_middle_groups(self):
+        with pytest.raises(CodomainMismatch, match="middle groups differ"):
+            identity_hom(Z2).then(identity_hom(Z3))
+
+    def test_cocycles_past_their_bound(self):
+        with pytest.raises(BoundExceeded, match="enumerate_cocycles: size 12 exceeds bound 8"):
+            enumerate_cocycles(Z4, Z3, bound=8)
+
+    def test_record_of_no_json_kind(self):
+        with pytest.raises(UnknownKind, match="cannot serialize object"):
+            to_jsonable(object())
 
 
 class TestXModRefusals:
