@@ -393,12 +393,15 @@ def _arrows(B: Butterfly, e1s: Sequence[int], e2s: Sequence[int]) -> tuple[int, 
     """The arrow map of B over two equal-length sequences: for each e1, e2
     the arrow (iota^-1(e1 e2^-1), rho e2) from rho(e1) to rho(e2) in the
     codomain's 2-group G x| G0.  On the kernel pair R[sigma] it is the
-    fractor's rho-bar.  Raises ``KeyError`` when some e1 e2^-1 is not in the
-    image of iota."""
-    iota_inv = {e: g for g, e in enumerate(B.iota.map)}
+    fractor's rho-bar.  Raises ``ConstructionError`` when some e1 e2^-1 is
+    not in the image of iota, as it is for B off the butterfly axioms."""
+    iota_inv = {e: g for g, e in enumerate(B.iota.map)}.get
     t, inv, rho = B.E.table, B.E.inverse, B.rho.map
+    gs = [iota_inv(t[e1][inv[e2]]) for e1, e2 in zip(e1s, e2s)]
+    if None in gs:
+        raise ConstructionError("an arrow's e1 e2^-1 is off the image of iota")
     _, _, pair = _twisted_index(B.cod.G.order, B.cod.G0.order)
-    return pair([iota_inv[t[e1][inv[e2]]] for e1, e2 in zip(e1s, e2s)], [rho[e2] for e2 in e2s])
+    return pair(gs, [rho[e2] for e2 in e2s])
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,6 @@ class BoundExceeded(ButterflyError):
     """A search was requested past the configured size bound."""
 
     def __init__(self, what: str, size: int, bound: int):
-        self.what = what
-        self.size = size
-        self.bound = bound
         super().__init__(f"{what}: size {size} exceeds bound {bound}")
 
 
@@ -65,9 +62,9 @@ class FractorConditionFailed(ButterflyError):
 
 class ConstructionError(ButterflyError):
     """A condition that a construction checks fails (``butterfly_morphism``,
-    ``compose``).  Constructions assume valid operands
-    and do not re-validate their results, so callers validate untrusted
-    operands first."""
+    ``compose``), or a lookup on operands off the axioms fails (a pair off a
+    pullback, an arrow off iota's image).  Constructions assume valid operands
+    and do not re-validate their results, so callers validate untrusted ones first."""
 
 
 class UnknownSuite(ButterflyError):

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache, wraps
 from operator import eq, itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .errors import BoundExceeded, CodomainMismatch, NotAGroup, NotNormal
+from .errors import BoundExceeded, CodomainMismatch, ConstructionError, NotAGroup, NotNormal
 
 DEFAULT_BOUND = 24
 AUT_LIMIT = 336  # the most automorphisms automorphism_group tabulates, |Aut(Z2xZ2xZ2xZ3)|
@@ -501,11 +501,12 @@ def pullback_quotient(
 
     Returns P's pairs in lexicographic order, the coset of each pair, the
     pair map, and P/N named `name`.  ``pair(us, vs)`` is the coset of each
-    pair (u, v) of two equal-length sequences; a pair off P raises
-    ``TypeError``.  Cosets are numbered by minimal pair index, and the coset
-    of minimal pair (a, c) is labeled ``label.format(A.label(a), C.label(c))``,
-    built on the first read of the quotient's ``element_labels``.  A trivial N
-    needs no coset pass.
+    pair (u, v) of two equal-length sequences.  On operands off the butterfly
+    axioms, a pair off P or a row of P/N without the identity raises
+    ``ConstructionError`` with the message of the failed lookup.  Cosets are
+    numbered by minimal pair index, and the coset of minimal pair (a, c) is
+    labeled ``label.format(A.label(a), C.label(c))``, built on the first read
+    of the quotient's ``element_labels``.  A trivial N needs no coset pass.
     """
     A, C = f.dom, g.dom
     nc, At, Ct = C.order, A.table, C.table
@@ -516,23 +517,30 @@ def pullback_quotient(
     pos: list[Optional[int]] = [None] * (A.order * nc)
     for i, (a, c) in enumerate(pairs):
         pos[a * nc + c] = i
-    if len(normal) == 1:
-        # a list, not a range: off P (a faulted operand) indexing it raises the
-        # TypeError whose message the compose-fault witnesses record
-        coset_of, reps = list(range(len(pairs))), pairs
-    else:
-        coset_of, reps = [-1] * len(pairs), []
-        for i, (a, c) in enumerate(pairs):
-            if coset_of[i] == -1:
-                for na, nn in normal:
-                    coset_of[pos[At[a][na] * nc + Ct[c][nn]]] = len(reps)
-                reps.append((a, c))
+    try:
+        if len(normal) == 1:
+            # a list, not a range: a lookup off P fails with the message compose-fault witnesses record
+            coset_of, reps = list(range(len(pairs))), pairs
+        else:
+            coset_of, reps = [-1] * len(pairs), []
+            for i, (a, c) in enumerate(pairs):
+                if coset_of[i] == -1:
+                    for na, nn in normal:
+                        coset_of[pos[At[a][na] * nc + Ct[c][nn]]] = len(reps)
+                    reps.append((a, c))
+        rows = [(At[a], Ct[c]) for a, c in reps]
+        table = [[coset_of[pos[ta[a2] * nc + tc[c2]]] for a2, c2 in reps] for ta, tc in rows]
+        Q = FinGroup._trusted(table, name, lambda: (label.format(A.label(a), C.label(c)) for a, c in reps))
+    except (TypeError, ValueError) as exc:  # a pair off P (pos is None), or a row of P/N without the identity
+        raise ConstructionError(str(exc)) from exc
+
     # the flat index pos[a*|C| + c] of the pairs stays here: callers map in by pairs
-    pair = lambda us, vs: tuple([coset_of[pos[u * nc + v]] for u, v in zip(us, vs)])
-    rows = [(At[a], Ct[c]) for a, c in reps]
-    table = [[coset_of[pos[ta[a2] * nc + tc[c2]]] for a2, c2 in reps] for ta, tc in rows]
-    labels = lambda: (label.format(A.label(a), C.label(c)) for a, c in reps)
-    return pairs, coset_of, pair, FinGroup._trusted(table, name, labels)
+    def pair(us: Sequence[int], vs: Sequence[int]) -> tuple[int, ...]:
+        try:
+            return tuple([coset_of[pos[u * nc + v]] for u, v in zip(us, vs)])
+        except TypeError as exc:  # (u, v) is off P
+            raise ConstructionError(str(exc)) from exc
+    return pairs, coset_of, pair, Q
 
 
 def _is_pullback(f: GroupHom, g: GroupHom, u: GroupHom, v: GroupHom) -> bool:

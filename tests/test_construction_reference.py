@@ -363,12 +363,12 @@ def test_arrow_map_equals_the_former_loops(seed, bound):
         for s in all_set_sections(B):
             M = extract_monoidal(B, s)
             assert (M.F0, M.F1, M.F2) == reference_monoidal_components(B, s.s)
-        # off the image of iota the arrow map raises KeyError
+        # off the image of iota the arrow map raises ConstructionError
         image, E = set(B.iota.map), B.E
         for e1, e2 in itertools.product(range(E.order), repeat=2):
             if E.table[e1][E.inv(e2)] in image:
                 continue
-            with pytest.raises(KeyError):
+            with pytest.raises(ConstructionError):
                 _arrows(B, [e1], [e2])
 
 

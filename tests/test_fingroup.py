@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from butterflies.errors import BoundExceeded, CodomainMismatch, NotAGroup, NotNormal
+from butterflies.errors import BoundExceeded, CodomainMismatch, ConstructionError, NotAGroup, NotNormal
 from butterflies.fingroup import (
     FinGroup,
     GroupAction,
@@ -169,15 +169,15 @@ class TestPullback:
         assert P.order == len(on) == 8
         assert pair(p1.map, p2.map) == tuple(range(P.order))
         assert sorted(pair(*zip(*on))) == list(range(P.order))
-        with pytest.raises(TypeError):
+        with pytest.raises(ConstructionError):
             pair([1], [2])  # (1, 2) has mixed parity: off P
 
     @pytest.mark.parametrize("normal", [{(0, 0)}, {(0, 0), (2, 2)}])
-    def test_pair_off_the_pullback_raises_type_error(self, normal):
-        # the error the compose-fault witnesses record for a pair off P
+    def test_pair_off_the_pullback_raises_construction_error(self, normal):
+        # refused with the message of the failed lookup, which the compose-fault witnesses record
         parity = GroupHom(Z4, Z2, (0, 1, 0, 1))
         _, _, pair, _ = pullback_quotient(parity, parity, normal, "Q", "({},{})")
-        with pytest.raises(TypeError, match="not NoneType"):
+        with pytest.raises(ConstructionError, match="not NoneType"):
             pair([0, 1], [0, 2])
 
     def test_pair_is_constant_on_cosets(self):
