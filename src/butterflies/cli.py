@@ -75,17 +75,16 @@ class Workspace:
         return self.put_all([obj])[0]
 
     def put_all(self, objs: Iterable[Any]) -> list[str]:
-        """Store each object and return its ref, in order.  Each new object is
-        written to a temporary file in objects/ and renamed onto its name, so a
-        ref names either a whole file or none; writers need no lock, as the
-        name is the content's hash."""
-        datas = [jsonio.to_jsonable(obj) for obj in objs]
-        blobs = [jsonio.canonical_bytes(data) for data in datas]
-        refs = [jsonio.bytes_ref(blob) for blob in blobs]
+        """Store each object as soon as its bytes exist and return its ref, in
+        order.  Each new object is written to a temporary file in objects/ and
+        renamed onto its name, so a ref names either a whole file or none;
+        writers need no lock, as the name is the content's hash."""
+        refs = []
         try:
             self.objects.mkdir(parents=True, exist_ok=True)
-            for ref, data, blob in zip(refs, datas, blobs):
-                path = self.objects / f"{ref}.{data['kind']}.json"
+            for kind, blob in jsonio.encode_each(objs):
+                refs.append(jsonio.bytes_ref(blob))
+                path = self.objects / f"{refs[-1]}.{kind}.json"
                 if not path.exists():
                     fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=".", dir=self.objects)
                     try:
@@ -187,10 +186,7 @@ def _group_arg(arg: str, ws: Workspace) -> tuple[int, Callable[[], FinGroup]]:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        print(text)
+    print(jsonio.indented(payload) if args.json else text)
 
 
 def _validation_report(obj) -> ValidationReport:
@@ -233,8 +229,7 @@ def cmd_validate(args, ws: Workspace) -> int:
 
 def cmd_identity(args, ws: Workspace) -> int:
     X = _load_operand(args.xmod, ws, CrossedModule, "identity expects a crossed module")
-    B = identity_butterfly(X)
-    ref = ws.put(B)
+    ref = ws.put(identity_butterfly(X))
     _emit(args, {"ref": ref}, ref)
     return 0
 
@@ -302,8 +297,7 @@ def cmd_weakmap(args, ws: Workspace) -> int:
     M = _load_object(args.object, ws)
     if not isinstance(M, MonoidalFunctor):
         raise ParseError("weakmap assemble expects a monoidal functor")
-    B = butterfly_from_monoidal(M)
-    ref = ws.put(B)
+    ref = ws.put(butterfly_from_monoidal(M))
     _emit(args, {"ref": ref}, ref)
     return 0
 
@@ -381,7 +375,7 @@ def cmd_store(args, ws: Workspace) -> int:
         return 0
     if not args.ref:
         raise ParseError("store get requires a ref")
-    print(json.dumps(ws.get(args.ref), indent=1, sort_keys=True))
+    print(jsonio.indented(ws.get(args.ref)))
     return 0
 
 

@@ -1,14 +1,14 @@
 """JSON encodings of groups, crossed modules, 2-groups, butterflies and
 monoidal functors, plus the canonical serialization used by the object store.
 
-``_KINDS`` is where the fields of every kind but group and fractor are
-stated, once: ``to_jsonable`` writes them and ``_load_fields`` loads them.
-Group tables are written verbatim.  A top-level group's identity is moved to
-index 0 if needed, with the permutation recorded; a nested group must have it
-there already, as the maps beside it index the table as written.  2-groups
-are written as (G1, G0, d, c, e) alone; their composition and inverse are
-derived.  Every integer field is shape-checked before any constructor sees
-it, so malformed input is a ParseError.
+``_KINDS`` states the fields of every kind but group and fractor once:
+``to_jsonable`` and the store's ``encode_each``, which encodes a record shared
+by a batch's objects once, write them, and ``_load_fields`` loads them.  Group
+tables are written verbatim.  A top-level group's identity is moved to index 0
+if needed; a nested group must have it there already, as the maps beside it
+index the table as written.  2-groups are written as (G1, G0, d, c, e) alone.
+Every integer field is shape-checked, refusing JSON booleans and floats,
+before any constructor sees it, so malformed input is a ParseError.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import partial
+from itertools import chain
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .butterfly import Butterfly, Fractor, from_fractor, to_fractor, validate_butterfly
 from .errors import ParseError, UnknownKind
@@ -31,13 +32,19 @@ Loader = Callable[[Any, str, Optional[Resolver], SimpleNamespace], Any]
 
 
 def to_jsonable(obj: Any) -> dict:
+    return _record(obj, to_jsonable)
+
+
+def _record(obj: Any, nested: Callable[[Any], Any]) -> dict:
+    """`obj`'s JSON fields, each record nested in it given by `nested`."""
     spec = _KIND_OF.get(type(obj))
     if spec is not None:
         kind, fields = spec
         out = {"kind": kind}
         for key, _ in fields:
             value = getattr(obj, key)
-            out[key] = _DUMP.get(type(value), _unchecked)(value)
+            dump = _DUMP.get(type(value), _unchecked)
+            out[key] = nested(value) if dump is None else dump(value)
         return out
     if isinstance(obj, FinGroup):
         out = {"kind": "group", "name": obj.name, "order": obj.order, "table": [list(r) for r in obj.table]}
@@ -47,10 +54,10 @@ def to_jsonable(obj: Any) -> dict:
     if isinstance(obj, Fractor):
         return {
             "kind": "fractor",
-            "butterfly": to_jsonable(from_fractor(obj)),
+            "butterfly": nested(from_fractor(obj)),
             "derived": {
-                "R": to_jsonable(obj.left.dom),
-                "Rsigma": to_jsonable(obj.right.dom),
+                "R": nested(obj.left.dom),
+                "Rsigma": nested(obj.right.dom),
                 "sigma_bar": list(obj.left.p1.map),
                 "rho_bar": list(obj.right.p1.map),
             },
@@ -60,6 +67,63 @@ def to_jsonable(obj: Any) -> dict:
 
 def canonical_bytes(data: dict) -> bytes:
     return json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
+
+
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class _Encoded(str):
+    """A nested record's canonical text, which `_composed` writes as it is."""
+
+
+def _composed(data: Any) -> str:
+    """`canonical_bytes(data)` as text, for `_record`'s dicts, whose keys need no escaping."""
+    if type(data) is dict:
+        return "{" + ",".join(f'"{k}":{_composed(v)}' for k, v in sorted(data.items())) + "}"
+    return data if type(data) is _Encoded else _compact(data)
+
+
+def encode_each(objs: Iterable[Any]) -> Iterator[tuple[str, bytes]]:
+    """Each object's kind and canonical bytes, composed from the texts of the
+    records nested in it.  Groups, crossed modules and 2-groups keep their
+    texts, and stay alive, until the iteration ends, so each is encoded once."""
+    memo: dict[int, tuple[Any, str, _Encoded]] = {}
+    for _, kind, text in (_encoded(obj, memo) for obj in objs):
+        yield kind, text.encode()
+
+
+def _encoded(obj: Any, memo: dict) -> tuple[Any, str, _Encoded]:
+    if id(obj) not in memo:
+        data = _record(obj, lambda child: _encoded(child, memo)[2])
+        hit = (obj, data["kind"], _Encoded(_composed(data)))
+        if not isinstance(obj, _SHARED):
+            return hit
+        memo[id(obj)] = hit
+    return memo[id(obj)]
+
+
+def _indented(data: Any, pad: str) -> str:
+    """`json.dumps(data, indent=1, sort_keys=True)` for data that starts on a line
+    indented by `pad`, its lists of ints and of int rows written by the C encoder."""
+    inner = pad + " "
+    if type(data) in (str, int):
+        return _compact(data)
+    if type(data) is dict and data and all(type(k) is str for k in data):
+        items = [f"{_compact(k)}: {_indented(v, inner)}" for k, v in sorted(data.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if type(data) not in (list, tuple) or not data:  # JSON text holds no raw newline inside a string
+        return json.dumps(data, indent=1, sort_keys=True).replace("\n", "\n" + pad)
+    if set(map(type, data)) == {int}:
+        return "[\n" + inner + _compact(data)[1:-1].replace(",", ",\n" + inner) + "\n" + pad + "]"
+    if all(type(row) in (list, tuple) and row for row in data) and set(map(type, chain.from_iterable(data))) == {int}:
+        deeper = inner + " "  # each row split at its commas, then closed and reopened between rows
+        rows = _compact(data)[2:-2].replace(",", ",\n" + deeper)
+        rows = rows.replace(f"],\n{deeper}[", f"\n{inner}],\n{inner}[\n{deeper}")
+        return f"[\n{inner}[\n{deeper}{rows}\n{inner}]\n{pad}]"
+    return "[\n" + inner + (",\n" + inner).join(_indented(v, inner) for v in data) + "\n" + pad + "]"
+
+
+indented = partial(_indented, pad="")
 
 
 def content_ref(data: dict) -> str:
@@ -87,7 +151,7 @@ def _require(data: dict, *fields: str) -> None:
 
 
 def _ints(value: Any, field: str, *_: Any) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(isinstance(x, int) for x in value):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:  # no JSON true, false or 1.0
         raise ParseError(f"field {field!r} must be a list of integers")
     return tuple(value)
 
@@ -102,8 +166,8 @@ def group_from_json(data: Any, resolver: Optional[Resolver] = None) -> FinGroup:
     data = _resolve(data, resolver)
     _require(data, "table")
     table = _int_rows(data["table"], "table")
-    if "order" in data and data["order"] != len(table):
-        raise ParseError(f"declared order {data['order']} does not match the table")
+    if "order" in data and (type(data["order"]) is not int or data["order"] != len(table)):
+        raise ParseError(f"declared order {data['order']!r} does not match the table")
     labels = data.get("labels")
     if labels is not None and (
         not isinstance(labels, list) or len(labels) != len(table) or not all(isinstance(x, str) for x in labels)
@@ -178,12 +242,13 @@ _KINDS = {
 _KIND_OF = {cls: (kind, fields) for kind, (cls, fields, _) in _KINDS.items()}
 
 # the writer's dumper of a field value, by its type
-_DUMP: dict[type, Callable[[Any], Any]] = {
+_DUMP: dict[type, Optional[Callable[[Any], Any]]] = {
     GroupHom: lambda hom: list(hom.map),
     GroupAction: lambda action: [list(p) for p in action.act],
     tuple: lambda ints: [list(row) for row in ints] if ints and type(ints[0]) is tuple else list(ints),
-    **dict.fromkeys((FinGroup, *_KIND_OF), to_jsonable),
+    **dict.fromkeys((FinGroup, *_KIND_OF)),  # a nested record
 }
+_SHARED = (FinGroup, CrossedModule, Strict2Group)
 
 
 def _load_fields(kind: str, data: Any, resolver: Optional[Resolver]) -> Any:

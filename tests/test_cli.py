@@ -28,6 +28,20 @@ def ws(tmp_path):
     return tmp_path / "store"
 
 
+@pytest.fixture(autouse=True)
+def printed_as_json_dumps(monkeypatch):
+    """Every JSON text that the CLI prints in these tests is what
+    json.dumps(indent=1, sort_keys=True) writes."""
+    indented = jsonio.indented
+
+    def checked(data):
+        text = indented(data)
+        assert text == json.dumps(data, indent=1, sort_keys=True)
+        return text
+
+    monkeypatch.setattr(jsonio, "indented", checked)
+
+
 def run(ws, *argv):
     return main(["--workspace", str(ws), *map(str, argv)])
 
