@@ -46,6 +46,7 @@ from .xmod import (
     XModMorphism,
     XModTwoCell,
     _check_ranges,
+    _ends_valid,
     cokernel_embedding,
     denormalize,
     denormalize_morphism,
@@ -78,50 +79,45 @@ def validate_butterfly(B: Butterfly) -> ValidationReport:
     """Check the wing commutativity and the four butterfly conditions.
 
     Also asserts the derived fact that the images of the two wings commute
-    elementwise in E (existence of the cooperator).  A wing or leg that is
-    not a map between its groups is a finding, and the checks that would
-    index it are skipped, as are all when a group's table is no group table.
+    elementwise in E (existence of the cooperator).  An invalid end, checked
+    first, a wing or leg that is not a map between its groups, or a group
+    whose table is no group table is a finding, and the checks are skipped.
     """
     report = ValidationReport(repr(B))
     E, H, G = B.E, B.dom.G, B.cod.G
     k, i, s, r = _legs(B)
     legs = (("kappa", k, H, E), ("iota", i, G, E), ("sigma", s, E, B.dom.G0), ("rho", r, E, B.cod.G0))
-    readable = _check_ranges(report, "leg-range", legs).isdisjoint
-    if readable(("sigma", "kappa")):
-        for h in range(H.order):
-            if s[k[h]] != B.dom.boundary.map[h]:
-                report.add("left-wing", h, "sigma(kappa h) != boundary h")
-    if readable(("rho", "iota")):
-        for g in range(G.order):
-            if r[i[g]] != B.cod.boundary.map[g]:
-                report.add("right-wing", g, "rho(iota g) != boundary g")
-    if readable(("rho", "kappa")):
-        for h in range(H.order):
-            if r[k[h]] != 0:
-                report.add("i-complex", h, "rho(kappa h) != 1")
+    if not _ends_valid(report, B) or _check_ranges(report, "leg-range", legs):
+        return report
+    for h in range(H.order):
+        if s[k[h]] != B.dom.boundary.map[h]:
+            report.add("left-wing", h, "sigma(kappa h) != boundary h")
+    for g in range(G.order):
+        if r[i[g]] != B.cod.boundary.map[g]:
+            report.add("right-wing", g, "rho(iota g) != boundary g")
+    for h in range(H.order):
+        if r[k[h]] != 0:
+            report.add("i-complex", h, "rho(kappa h) != 1")
     if not B.iota.is_injective:
         report.add("ii-extension", None, "iota is not injective")
     if not B.sigma.is_surjective:
         report.add("ii-extension", None, "sigma is not surjective")
-    if readable(("sigma",)) and frozenset(i) != frozenset(kernel(B.sigma).elements):
+    if frozenset(i) != frozenset(kernel(B.sigma).elements):
         report.add("ii-extension", None, "image(iota) != kernel(sigma)")
-    if readable(("sigma", "kappa")):
-        for e in range(E.order):
-            se = s[e]
-            for h in range(H.order):
-                if k[B.dom.act(se, h)] != E.conj(e, k[h]):
-                    report.add("iii-equivariance", (e, h), "kappa(sigma(e)|>h) != e kappa(h) e^-1")
-    if readable(("rho", "iota")):
-        for e in range(E.order):
-            re = r[e]
-            for g in range(G.order):
-                if i[B.cod.act(re, g)] != E.conj(e, i[g]):
-                    report.add("iv-equivariance", (e, g), "iota(rho(e)|>g) != e iota(g) e^-1")
-    if readable(("kappa", "iota")):
+    for e in range(E.order):
+        se = s[e]
         for h in range(H.order):
-            for g in range(G.order):
-                if E.table[k[h]][i[g]] != E.table[i[g]][k[h]]:
-                    report.add("cooperator", (h, g), "wing images do not commute elementwise")
+            if k[B.dom.act(se, h)] != E.conj(e, k[h]):
+                report.add("iii-equivariance", (e, h), "kappa(sigma(e)|>h) != e kappa(h) e^-1")
+    for e in range(E.order):
+        re = r[e]
+        for g in range(G.order):
+            if i[B.cod.act(re, g)] != E.conj(e, i[g]):
+                report.add("iv-equivariance", (e, g), "iota(rho(e)|>g) != e iota(g) e^-1")
+    for h in range(H.order):
+        for g in range(G.order):
+            if E.table[k[h]][i[g]] != E.table[i[g]][k[h]]:
+                report.add("cooperator", (h, g), "wing images do not commute elementwise")
     return report
 
 

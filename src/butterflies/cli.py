@@ -189,23 +189,16 @@ def _emit(args, payload: dict, text: str) -> None:
     print(jsonio.indented(payload) if args.json else text)
 
 
-def _validation_report(obj) -> ValidationReport:
-    if isinstance(obj, FinGroup):
-        return ValidationReport(f"group {obj.name}")
-    if isinstance(obj, CrossedModule):
-        return validate_crossed_module(obj)
-    if isinstance(obj, Strict2Group):
-        return validate_two_group(obj)
-    if isinstance(obj, (Butterfly, XModMorphism)):
-        report = validate_butterfly(obj) if isinstance(obj, Butterfly) else validate_xmod_morphism(obj)
-        for sub in (validate_crossed_module(obj.dom), validate_crossed_module(obj.cod)):
-            report.merge(sub, "underlying-xmod:")
-        return report
-    if isinstance(obj, MonoidalFunctor):
-        return check_monoidal(obj)
-    if isinstance(obj, Fractor):
-        return validate_fractor(obj)
-    raise UnknownKind(f"cannot validate {type(obj).__name__}")
+# the validator of each kind that the loader returns
+_VALIDATORS: dict[type, Callable[[Any], ValidationReport]] = {
+    FinGroup: lambda G: ValidationReport(f"group {G.name}"),  # construct_group checked the table on load
+    CrossedModule: validate_crossed_module,
+    Strict2Group: validate_two_group,
+    XModMorphism: validate_xmod_morphism,
+    Butterfly: validate_butterfly,
+    MonoidalFunctor: check_monoidal,
+    Fractor: validate_fractor,
+}
 
 
 def _load_operand(arg: str, ws: Workspace, kind: type, usage: str):
@@ -214,7 +207,7 @@ def _load_operand(arg: str, ws: Workspace, kind: type, usage: str):
     obj = _load_object(arg, ws)
     if not isinstance(obj, kind):
         raise ParseError(usage)
-    report = _validation_report(obj)
+    report = _VALIDATORS[type(obj)](obj)
     if not report.ok:
         raise ValueError(str(report))
     return obj
@@ -222,7 +215,7 @@ def _load_operand(arg: str, ws: Workspace, kind: type, usage: str):
 
 def cmd_validate(args, ws: Workspace) -> int:
     obj = _load_object(args.object, ws)
-    report = _validation_report(obj)
+    report = _VALIDATORS[type(obj)](obj)
     _emit(args, report.to_json(), str(report))
     return 0 if report.ok else 1
 

@@ -66,7 +66,7 @@ class FinGroup:
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G", element_labels: Optional[Sequence[str]] = None):
         self.order = len(table)
-        self.table: tuple[tuple[int, ...], ...] = tuple(tuple(map(int, row)) for row in table)
+        self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, table))
         _check_group_table(self)
         self._table_defect = None
         self.name, self.relabeling = name, None
@@ -164,7 +164,7 @@ def _check_group_table(G: FinGroup) -> None:
     for i, row in enumerate(table):
         if len(row) != n:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
-        if set(row) != full:
+        if set(row) != full or not set(map(type, row)) <= {int}:  # a bool or float may equal an int
             raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
     for j, column in enumerate(zip(*table)):
         if set(column) != full:
@@ -198,9 +198,9 @@ def construct_group(
     for i, row in enumerate(rows):
         if len(row) != n:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if not isinstance(x, int) or x < 0 or x >= n:
-                raise NotAGroup(f"entry {x!r} in row {i} out of range")
+        if not _maps_into(row, n, n):
+            x = next(x for x in row if type(x) is not int or not 0 <= x < n)
+            raise NotAGroup(f"entry {x!r} in row {i} out of range")
     identity = None
     for e in range(n):
         if all(rows[e][a] == a and rows[a][e] == a for a in range(n)):
@@ -293,7 +293,7 @@ class GroupHom(_Trusted):
         return h
 
     def __post_init__(self):
-        object.__setattr__(self, "map", tuple(int(x) for x in self.map))
+        object.__setattr__(self, "map", tuple(self.map))
         if not _maps_into(self.map, self.dom.order, self.cod.order):
             raise ValueError("map is not one codomain element per domain element")
         defect = _hom_defect(self.dom, self.cod, self.map)
@@ -350,7 +350,7 @@ def _action_defect(actor: FinGroup, target: FinGroup, act) -> Optional[tuple[Any
     n = target.order
     full = set(range(n))
     for x, p in enumerate(act):
-        if set(p) != full:
+        if set(p) != full or not set(map(type, p)) <= {int}:
             return x, f"act[{x}] is not a permutation of the target"
     if act[0] != tuple(range(n)):
         return 0, "act[identity] must be the identity permutation"
@@ -385,7 +385,9 @@ class Subgroup(_Trusted):
     elements: tuple[int, ...]
 
     def __post_init__(self):
-        elems = tuple(sorted(set(int(x) for x in self.elements)))
+        if self.elements and not _maps_into(self.elements, len(self.elements), self.ambient.order):
+            raise ValueError("subgroup elements must be elements of the ambient group")
+        elems = tuple(sorted(set(self.elements)))
         object.__setattr__(self, "elements", elems)
         if not elems or elems[0] != 0:
             raise ValueError("subgroup must contain the identity")
@@ -689,8 +691,8 @@ def _generators(G: FinGroup) -> tuple[int, ...]:
 
 
 def _maps_into(m: Sequence[int], n: int, k: int) -> bool:
-    """Whether m holds one value in range(k) for each of n >= 1 domain elements."""
-    return len(m) == n and min(m) >= 0 and max(m) < k
+    """Whether m holds one int in range(k) for each of n >= 1 domain elements."""
+    return len(m) == n and set(map(type, m)) <= {int} and min(m) >= 0 and max(m) < k
 
 
 def _hom_defect(G: FinGroup, H: FinGroup, m: Sequence[int]) -> Optional[tuple[int, int]]:

@@ -1,10 +1,10 @@
 """Diagnostic reports returned by the validators.
 
-Validators never raise on bad input: they return a report listing every
-violated condition together with a concrete witness, so that a failure can
-be replayed.  A report keeps the first ``KEEP_PER_CONDITION`` findings of
-each condition and counts the rest, so its size is bounded whatever the
-input.
+Validators never raise on bad input, an invalid end of a record included:
+they return a report listing every violated condition together with a
+concrete witness, so that a failure can be replayed.  A report keeps the
+first ``KEEP_PER_CONDITION`` findings of each condition and counts the rest,
+so its size is bounded whatever the input.
 """
 
 from __future__ import annotations

@@ -144,6 +144,15 @@ def validate_crossed_module(X: CrossedModule) -> ValidationReport:
     return report
 
 
+def _ends_valid(report: ValidationReport, R, validate=validate_crossed_module, prefix="underlying-xmod:") -> bool:
+    """Merge each distinct end's report into `report` under `prefix`, and return
+    whether R's ends R.dom and R.cod are valid, as a record between them must be."""
+    subs = [validate(end) for end in dict.fromkeys((R.dom, R.cod))]
+    for sub in subs:
+        report.merge(sub, prefix)
+    return all(sub.ok for sub in subs)
+
+
 @dataclass(frozen=True)
 class XModMorphism:
     """A pair of homomorphisms (top p, bottom p0) between crossed modules."""
@@ -160,10 +169,10 @@ def _morphism_maps(P: XModMorphism, label: str = "") -> list:
 
 
 def validate_xmod_morphism(P: XModMorphism) -> ValidationReport:
-    """The boundary square and the equivariance of (p, p0); a map off its
-    groups is a finding, and the checks are skipped."""
+    """The boundary square and the equivariance of (p, p0), once the ends are
+    valid; an invalid end or a map off its groups is a finding, and the checks are skipped."""
     report = ValidationReport(f"morphism {P.dom!r} -> {P.cod!r}")
-    if _check_ranges(report, "map-range", _morphism_maps(P)):
+    if not _ends_valid(report, P) or _check_ranges(report, "map-range", _morphism_maps(P)):
         return report
     H, H0 = P.dom.G, P.dom.G0
     for h in range(H.order):
@@ -472,12 +481,13 @@ def validate_two_cell(cell: XModTwoCell) -> ValidationReport:
     A 2-cell is an arrow of the base category, so alpha must in particular be
     a group homomorphism H0 -> G1.  Also cross-checks, on the associated
     2-group functors, that the same map is an internal natural transformation
-    (naturality on every arrow).  A map of P or Q off its groups is a
-    finding, and the checks are skipped.
+    (naturality on every arrow).  An invalid end of P and Q, checked first, or
+    a map of P or Q off its groups is a finding, and the checks are skipped.
     """
     report = ValidationReport("2-cell")
     P, Q, alpha = cell.P, cell.Q, cell.alpha
-    if _check_ranges(report, "map-range", _morphism_maps(P, "P.") + _morphism_maps(Q, "Q.")):
+    maps = _morphism_maps(P, "P.") + _morphism_maps(Q, "Q.")
+    if not _ends_valid(report, P) or _check_ranges(report, "map-range", maps):
         return report
     cod = P.cod
     TG = denormalize(cod)

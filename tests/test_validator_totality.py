@@ -4,16 +4,21 @@ The sweep hands each object of fixture set (0, 8) to its validator, with one
 part edited at a time and the records that hold it rebuilt, through
 ``_trusted`` where a record has it:
 
-* each homomorphism the object holds, apart from the maps of its ends (the
-  crossed modules or 2-groups it goes between): an entry off range, the last
-  entry dropped, or two different entries swapped;
+* each homomorphism of its own parts, the crossed modules or 2-groups it
+  goes between (its ends) left out: an entry off range, the last entry
+  dropped, or two different entries swapped;
 * each group table its records hold, the ends' included: two entries of
-  row 1 swapped, an entry off range, or a row one entry short.
+  row 1 swapped, an entry off range, or a row one entry short;
+* for a morphism, a butterfly or a 2-cell, each end in its place, ``dom`` or
+  ``cod``, so that an end equal to the other is edited alone: its boundary
+  edited as a homomorphism above, or its last action row given an entry off
+  range.
 
 No validator may raise, and wherever the checked constructor rejects the
 edited part, ``FinGroup(table)`` or ``GroupHom(dom, cod, map)``, the report
-must not be ok (``validate_factor_set`` must answer False).  The factor sets
-are those of (Z2, V4), (Z2, Z4) and (Z3, Z3), as fixtures have none.
+must not be ok (``validate_factor_set`` must answer False).  Every end edit
+breaks the end, so its report is never ok.  The factor sets are those of
+(Z2, V4), (Z2, Z4) and (Z3, Z3), as fixtures have none.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from butterflies.fingroup import FinGroup, GroupAction, GroupHom, _Trusted, cycl
 from butterflies.laws import generate_fixtures
 from butterflies.weakmap import all_set_sections, check_monoidal, extract_monoidal
 from butterflies.xmod import (
+    CrossedModule,
+    XModTwoCell,
     denormalize,
     denormalize_morphism,
     validate_crossed_module,
@@ -142,6 +149,26 @@ def table_edits(table: list):
         yield name, t
 
 
+def end_edits(X):
+    """(name, X with one part edited) for the edits of a crossed module end."""
+    bd = X.boundary
+    for name, m in map_edits(list(bd.map), X.G0.order):
+        yield f"boundary {name}", dataclasses.replace(X, boundary=GroupHom._trusted(bd.dom, bd.cod, tuple(m)))
+    rows = [list(row) for row in X.action.act]
+    rows[-1][-1] = X.G.order
+    action = GroupAction._trusted(X.action.actor, X.action.target, tuple(map(tuple, rows)))
+    yield "action row off-range", dataclasses.replace(X, action=action)
+
+
+def with_end(obj, end: str, Y):
+    """obj with its end `end` (of both morphisms, for a 2-cell) replaced by Y."""
+    if isinstance(obj, XModTwoCell):
+        return XModTwoCell(with_end(obj.P, end, Y), with_end(obj.Q, end, Y), obj.alpha)
+    values = [Y if f.name == end else getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    cls = type(obj)
+    return cls._trusted(*values) if issubclass(cls, _Trusted) else cls(*values)
+
+
 def rejected(build) -> bool:
     try:
         build()
@@ -161,6 +188,10 @@ def edited_cases(obj):
         for name, t in table_edits([list(row) for row in G.table]):
             broken = FinGroup._trusted(t, G.name + "!edited")
             yield f"table {name}", rebuilt(obj, G, broken), rejected(lambda: FinGroup(t))
+    ends = obj.P if isinstance(obj, XModTwoCell) else obj
+    for end in ("dom", "cod") if isinstance(getattr(ends, "dom", None), CrossedModule) else ():
+        for name, Y in end_edits(getattr(ends, end)):
+            yield f"{end} {name}", with_end(obj, end, Y), True
 
 
 def passes(validator, obj, broken) -> bool:
