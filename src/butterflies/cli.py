@@ -191,7 +191,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 # the validator of each kind that the loader returns
 _VALIDATORS: dict[type, Callable[[Any], ValidationReport]] = {
-    FinGroup: lambda G: ValidationReport(f"group {G.name}"),  # construct_group checked the table on load
+    FinGroup: lambda G: ValidationReport(f"group {G.name}"),  # FinGroup(...) checked the table on load
     CrossedModule: validate_crossed_module,
     Strict2Group: validate_two_group,
     XModMorphism: validate_xmod_morphism,

@@ -549,7 +549,7 @@ def standard_catalog(order: int) -> tuple[tuple[str, FinGroup], ...]:
     groups: list[tuple[str, FinGroup]] = []
 
     def add(name: str, G: FinGroup):
-        if G.order == order and not any(isomorphism_search(G, K, bound=order) for _, K in groups):
+        if G.order == order and not any(isomorphism_search(G, K) for _, K in groups):
             groups.append((name, G))
 
     for parts in _abelian_factorizations(order):
@@ -606,6 +606,6 @@ def identify_group(E: FinGroup) -> str:
     centralizers are whole, and has as many elements of each order as E,
     which fixes a finite abelian group up to isomorphism."""
     for name, K in standard_catalog(E.order):
-        if (K.class_invariant == E.class_invariant) if E.is_abelian else isomorphism_search(E, K, bound=E.order):
+        if (K.class_invariant == E.class_invariant) if E.is_abelian else isomorphism_search(E, K):
             return "Q8" if name == "Dic2" else name
     return f"order{E.order}-unrecognized"

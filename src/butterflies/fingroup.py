@@ -58,8 +58,11 @@ class FinGroup:
     """A finite group given by its Cayley table, identity at index 0.
 
     Equality is table equality; sameness up to relabeling is decided by
-    :func:`isomorphism_search`.  The trusted constructions give element labels
-    as a function, run on the first read of ``element_labels``, if ever.
+    :func:`isomorphism_search`.  ``FinGroup(...)`` is the one check of a
+    table, and it refuses with ``ValueError`` a name that is not a string or
+    labels that are not one string per element.  The trusted constructions
+    give element labels as a function, run on the first read of
+    ``element_labels``, if ever.
     """
 
     __slots__ = ("order", "table", "name", "_labels", "inverse", "relabeling", "__dict__")
@@ -72,6 +75,11 @@ class FinGroup:
         self.name, self.relabeling = name, None
         # labels given as a function, as the trusted constructions give them, are read on first use
         self._labels = element_labels if element_labels is None or callable(element_labels) else tuple(element_labels)
+        labels = self._labels
+        if not isinstance(name, str) or (
+            isinstance(labels, tuple) and (len(labels) != self.order or not set(map(type, labels)) <= {str})
+        ):
+            raise ValueError("a group's name must be a string and its labels one string per element")
         self.inverse = tuple([row.index(0) for row in self.table])
 
     @classmethod
@@ -164,7 +172,7 @@ def _check_group_table(G: FinGroup) -> None:
     for i, row in enumerate(table):
         if len(row) != n:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
-        if set(row) != full or not set(map(type, row)) <= {int}:  # a bool or float may equal an int
+        if not set(map(type, row)) <= {int} or set(row) != full:  # a bool or float may equal an int
             raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
     for j, column in enumerate(zip(*table)):
         if set(column) != full:
@@ -190,35 +198,22 @@ def construct_group(
     name: str = "G",
     element_labels: Optional[Sequence[str]] = None,
 ) -> FinGroup:
-    """Validate a Cayley table, relocating the identity to index 0 if needed."""
+    """``FinGroup(table, name, element_labels)`` with the identity moved to
+    index 0 first, if a later row is the identity row; ``FinGroup`` checks
+    the table, so a table with no two-sided identity is refused there."""
     rows = [list(r) for r in table]
     n = len(rows)
-    if n < 1:
-        raise NotAGroup("table must have side >= 1")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
-        if not _maps_into(row, n, n):
-            x = next(x for x in row if type(x) is not int or not 0 <= x < n)
-            raise NotAGroup(f"entry {x!r} in row {i} out of range")
-    identity = None
-    for e in range(n):
-        if all(rows[e][a] == a and rows[a][e] == a for a in range(n)):
-            identity = e
-            break
-    if identity is None:
-        raise NotAGroup("no two-sided identity element")
-    relabeling = None
-    if identity != 0:
+    perm = list(range(n))
+    e = next((e for e, row in enumerate(rows) if row == perm), 0)
+    if e and all(_maps_into(row, n, n) for row in rows):
         # swap the identity into slot 0 by a transposition, its own inverse
-        perm = list(range(n))
-        perm[0], perm[identity] = identity, 0
+        perm[0], perm[e] = e, 0
         rows = [[perm[rows[perm[a]][perm[b]]] for b in range(n)] for a in range(n)]
-        if element_labels is not None:
-            element_labels = [element_labels[perm[a]] for a in range(n)]
-        relabeling = tuple(perm)
     group = FinGroup(rows, name, element_labels)
-    group.relabeling = relabeling
+    if perm[0]:
+        group.relabeling = tuple(perm)
+        if group.element_labels is not None:
+            group._labels = tuple(map(group.element_labels.__getitem__, perm))
     return group
 
 
@@ -791,9 +786,7 @@ def all_homomorphisms(G: FinGroup, H: FinGroup) -> list[GroupHom]:
     return [GroupHom._trusted(G, H, m) for m in _generator_images(G, H, bijective=False)]
 
 
-def isomorphism_search(
-    G: FinGroup, H: FinGroup, bound: int = DEFAULT_BOUND
-) -> Optional[GroupHom]:
+def isomorphism_search(G: FinGroup, H: FinGroup) -> Optional[GroupHom]:
     """The first isomorphism G -> H in lexicographic order, or None.
 
     Groups with different class invariants are not searched, and a
@@ -801,8 +794,6 @@ def isomorphism_search(
     invariant.  Every isomorphism keeps those, so the first one's generator
     images pass the filter, and every map before it failed without it: the
     pruning cannot change the witness."""
-    if G.order > bound or H.order > bound:
-        raise BoundExceeded("isomorphism_search", max(G.order, H.order), bound)
     if G.order != H.order or G.class_invariant != H.class_invariant:
         return None
     eG, eH = G.element_invariants, H.element_invariants

@@ -96,7 +96,7 @@ def _check_ranges(report: ValidationReport, condition: str, maps) -> set:
     row's witness is returned.  Else report as `condition` each m that is
     not a map D -> C, and return their witnesses, so that the checks which
     index m can be skipped.  Each m that is such a map must also be a
-    homomorphism D -> C (a leg, an action row, an automorphism): one that is
+    homomorphism D -> C (a leg, a boundary, an automorphism): one that is
     not is a ``not-hom`` finding, with the first defect pair (a, g) of
     m(a*g) != m(a)*m(g)."""
 
@@ -120,19 +120,17 @@ def _check_ranges(report: ValidationReport, condition: str, maps) -> set:
 
 
 def validate_crossed_module(X: CrossedModule) -> ValidationReport:
-    """Check that the action is one, reporting its first defect, and the
-    precrossed and Peiffer conditions, reporting every violation."""
+    """Check that the action is one, reporting its first defect alone, and
+    then the precrossed and Peiffer conditions, reporting every violation.
+    ``_action_defect`` alone decides the action, so both conditions, which
+    index the boundary and the action, run once both are in range."""
     report = ValidationReport(repr(X))
     bd, G, G0 = X.boundary.map, X.G, X.G0
-    # both conditions index the boundary and the action
-    bad = _check_ranges(report, "map-range", [("boundary", bd, G, G0)])
-    if len(X.action.act) != G0.order:
-        report.add("map-range", "action", f"action has {len(X.action.act)} rows, expected {G0.order}")
-        bad.add("action")
-    if bad | _check_ranges(report, "map-range", [(("action", x), row, G, G) for x, row in enumerate(X.action.act)]):
+    if _check_ranges(report, "map-range", [("boundary", bd, G, G0)]):
         return report
     if (defect := _action_defect(G0, G, X.action.act)) is not None:
         report.add("not-an-action", *defect)
+        return report
     for x in range(G0.order):
         for g in range(G.order):
             if bd[X.act(x, g)] != G0.conj(x, bd[g]):

@@ -207,7 +207,7 @@ def test_pruning_cuts_closures_on_v4_by_v4(monkeypatch, v4_by_v4_middle_groups):
         closures.append(1)
         return original(*args)
 
-    def unpruned(G, H, bound):
+    def unpruned(G, H):
         m = reference_isomorphism(G, H)
         return None if m is None else fingroup.GroupHom._trusted(G, H, m)
 

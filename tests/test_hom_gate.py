@@ -106,11 +106,12 @@ def test_action_row_that_is_no_automorphism_is_a_finding():
     row = list(act[1])
     row[1], row[2] = row[2], row[1]
     act[1] = tuple(row)
-    assert _hom_defect(S3, S3, act[1]) is not None
+    defect = _hom_defect(S3, S3, act[1])
+    assert defect is not None
+    # the action is decided by _action_defect alone: one finding, the row's first defect pair
     report = validate_crossed_module(dataclasses.replace(X, action=GroupAction._trusted(S3, S3, tuple(act))))
-    findings = not_hom(report)
-    assert [f.witness[0] for f in findings] == [("action", 1)]
-    assert findings[0].detail == "action row 1 is not a homomorphism S3 -> S3"
+    findings = [(f.condition, f.witness, f.detail) for f in report.findings]
+    assert findings == [("not-an-action", (1, defect), "act[1] is not an automorphism at (%d,%d)" % defect)]
 
 
 @pytest.mark.parametrize("leg", ("p", "p0"))

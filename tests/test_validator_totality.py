@@ -229,8 +229,9 @@ def test_the_sweep_covers_every_validator():
 
 
 def test_a_group_read_by_two_gate_calls_is_reported_once():
-    # validate_crossed_module gates the boundary, then the action rows, both on G;
-    # validate_two_group_functor gates the legs, then the ends, on the same four groups
+    # validate_crossed_module gates the boundary on G and G0 and returns before
+    # _action_defect reads G; validate_two_group_functor gates the legs, then
+    # the ends, on the same four groups
     X = next(X for X in subjects()[validate_crossed_module] if X.G.order > 2)
     F = next(F for F in subjects()[validate_two_group_functor] if F.dom.G1.order > 2)
     for validator, obj, G in ((validate_crossed_module, X, X.G), (validate_two_group_functor, F, F.dom.G1)):

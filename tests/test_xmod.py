@@ -119,10 +119,12 @@ class TestValidation:
         act = list(X.action.act)
         act[2] = act[2][:-1]
         report = validate_crossed_module(dataclasses.replace(X, action=GroupAction._trusted(S3, S3, tuple(act))))
-        assert [(f.condition, f.witness) for f in report.findings] == [("map-range", ("action", 2))]
+        findings = [(f.condition, f.witness, f.detail) for f in report.findings]
+        assert findings == [("not-an-action", 2, "act[2] is not a permutation of the target")]
         short = GroupAction._trusted(S3, S3, X.action.act[:-1])
         report = validate_crossed_module(dataclasses.replace(X, action=short))
-        assert [(f.condition, f.witness) for f in report.findings] == [("map-range", "action")]
+        findings = [(f.condition, f.witness, f.detail) for f in report.findings]
+        assert findings == [("not-an-action", 5, "one permutation per actor element required")]
 
     # actions built unchecked that are no actions: Z2 acting on Z3 by the zero
     # endomorphism, and Z4 on Z3 with act[1] = act[2] the inversion
