@@ -427,15 +427,18 @@ def to_fractor(B: Butterfly) -> Fractor:
 
 
 def validate_fractor(F: Fractor) -> ValidationReport:
+    """The three fractor conditions.  An invalid R or Rsigma is reported first
+    and alone; condition 3, which indexes rho by R's d and c, runs once
+    conditions 1 and 2 hold: then rho is a map on Rsigma's objects, and the
+    kernel pair puts every object of R among them."""
     report = ValidationReport("fractor")
     R, Rsigma = F.left.dom, F.right.dom
     for T, label in ((R, "R"), (Rsigma, "Rsigma")):
         sub = validate_two_group(T)
         if not sub.ok:
             report.add("1-groupoid", label, f"{label} is not a groupoid: {sub.findings[0]}")
-        if label == "R":
-            # condition 3 indexes rho by R's d and c, which the gate read unless a table stopped it
-            R_in_range = sub.conditions().isdisjoint(("map-range", "not-a-group"))
+    if not report.ok:
+        return report
     for leg, label in ((F.left, "left"), (F.right, "right")):
         sub = validate_two_group_functor(leg)
         if not sub.ok:
@@ -449,7 +452,7 @@ def validate_fractor(F: Fractor) -> ValidationReport:
     if not _is_pullback(sigma, sigma, Rsigma.d, Rsigma.c):
         report.add("2-kernel-pair", None, "Rsigma is not the kernel pair of sigma")
     rho = F.right.p0
-    for a in range(R.G1.order if R_in_range and len(rho.map) == R.G0.order else 0):
+    for a in range(R.G1.order if report.ok else 0):
         if rho.map[R.d.map[a]] != rho.map[R.c.map[a]]:
             report.add("3-coequalizing", a, "rho does not coequalize the legs of R")
     return report

@@ -27,6 +27,7 @@ from .fingroup import (
     GroupHom,
     _generators,
     _greedy_span,
+    _maps_into,
     _twisted_columns,
     _twisted_index,
     _twisted_product,
@@ -43,8 +44,7 @@ from .fingroup import (
     trivial_group,
     zero_hom,
 )
-from .report import ValidationReport
-from .xmod import CrossedModule, _check_ranges
+from .xmod import CrossedModule
 
 _ONE = trivial_group()
 CLASSIFY_BOUND = 16  # the default bound on |H|*|G| of both classification routes
@@ -121,13 +121,13 @@ class FactorSet:
 def validate_factor_set(fs: FactorSet, aut: FinGroup, ev: GroupAction) -> bool:
     """Normalization plus the two Schreier conditions; False also when the
     table of H, G or Aut(G) is no group table, phi is not a map into Aut(G)
-    or f not a map H x H -> G.  The gate's ``not-hom`` findings do not count:
-    phi and the rows of f need not be homomorphisms."""
-    H, G = fs.H, fs.G
-    phi, f = fs.phi, fs.f
-    maps = [("phi", phi, H, aut), *((("f", x), row, H, G) for x, row in enumerate(f))]
-    gated = len(f) == H.order and not _check_ranges(ValidationReport("factor set"), "map-range", maps)
-    if not gated or phi[0] != 0 or any(f[0]) or any(r[0] for r in f):
+    or f not a map H x H -> G.  Neither phi nor a row of f need be a
+    homomorphism, so only their ranges are checked."""
+    H, G, phi, f = fs.H, fs.G, fs.phi, fs.f
+    if any(K._table_defect for K in (H, G, aut)) or len(f) != H.order:
+        return False
+    maps = [(phi, aut), *((row, G) for row in f)]
+    if not all(_maps_into(m, H.order, C.order) for m, C in maps) or phi[0] != 0 or any(f[0]) or any(r[0] for r in f):
         return False
     for x in range(H.order):
         for y in range(H.order):
@@ -218,12 +218,13 @@ def _pointwise(t, s: Sequence[int], c: Sequence[int]) -> tuple[int, ...]:
     return tuple([t[a][b] for a, b in zip(s, c)])
 
 
-def _adjoin(t, K: list[tuple[int, ...]], d: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """<K, d> for a subgroup K of abelian f-vectors: the cosets d^i K until d^i lies in K."""
-    out, p = list(K), d
+def _adjoin(t, K: dict, d: tuple[int, ...], z: tuple[int, ...] = ()) -> dict:
+    """<K, d> for a subgroup K of abelian f-vectors, each keyed to a witness: the
+    cosets d^i K until d^i lies in K, d^i k witnessed by z^i times k's witness."""
+    out, p, zp = dict(K), d, z
     while p not in K:
-        out += [_pointwise(t, p, k) for k in K]
-        p = _pointwise(t, p, d)
+        out.update({_pointwise(t, p, k): _pointwise(t, zp, w) for k, w in K.items()})
+        p, zp = _pointwise(t, p, d), _pointwise(t, zp, z)
     return out
 
 
@@ -354,7 +355,7 @@ def _orbit_cosets(G: FinGroup, A: CrossedModule):
     Z(G)^(|H|-1) (K. S. Brown, Cohomology of Groups, IV.3 and IV.6).  So B,
     which maps each dz to a z it is the twist of the trivial f by, is closed
     from the twists by the z that are a greedy generator c of Z(G) at one x
-    and 1 elsewhere: d^i B until d^i lies in B, each product keeping its z.
+    and 1 elsewhere by ``_adjoin``, each product keeping its z.
     B is made once per phi and kept for the lister's life."""
     center = [g for g in range(G.order) if A.boundary.map[g] == 0]
     transversal = [g for g in range(G.order) if g == min(G.table[g][c] for c in center)]
@@ -368,12 +369,7 @@ def _orbit_cosets(G: FinGroup, A: CrossedModule):
             B = {(0,) * n * n: (0,) * n}
             for x, c in itertools.product(range(1, n), gens):
                 z = tuple([c if y == x else 0 for y in range(n)])
-                d = p = sum(twist_factor_set(trivial, z, A).f, ())
-                closed, zp = dict(B), z
-                while p not in B:
-                    closed.update({_pointwise(Gt, p, b): _pointwise(Gt, zp, zb) for b, zb in B.items()})
-                    p, zp = _pointwise(Gt, p, d), _pointwise(Gt, zp, z)
-                B = closed
+                B = _adjoin(Gt, B, sum(twist_factor_set(trivial, z, A).f, ()), z)
             coboundaries[fs.phi] = B
         for t in itertools.product((0,), *[transversal] * (n - 1)):
             twisted = twist_factor_set(fs, t, A)
@@ -456,7 +452,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     for fs in cocycles:
         f = sum(fs.f, ())
         if fs.phi != block_phi:  # a new phi's block: K is trivial
-            block_phi, K, block, known = fs.phi, [(0,) * len(f)], {}, {}
+            block_phi, K, block, known = fs.phi, {(0,) * len(f): ()}, {}, {}
         if f in known:
             counts[known[f]] += 1
             continue

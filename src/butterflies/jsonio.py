@@ -274,7 +274,7 @@ def fractor_from_json(data: Any, resolver: Optional[Resolver] = None) -> Fractor
     if not report.ok:
         raise ValueError(f"fractor of an invalid butterfly:\n{report}")
     F = to_fractor(B)
-    derived = data.get("derived") or {}
+    derived = data.get("derived", {})
     if not isinstance(derived, dict):
         raise ParseError("field 'derived' must be an object")
     for field, leg in (("sigma_bar", F.left), ("rho_bar", F.right)):

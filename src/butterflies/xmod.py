@@ -48,7 +48,7 @@ from .fingroup import (
     quotient,
     semidirect_product,
 )
-from .report import Finding, ValidationReport
+from .report import ValidationReport
 
 
 @dataclass(frozen=True)
@@ -88,35 +88,29 @@ class CrossedModule:
         return f"CrossedModule{label}"
 
 
-def _check_ranges(report: ValidationReport, condition: str, maps) -> set:
-    """The one gate of the validators on the tables and maps they read.
-    Each group that the rows (witness, m, D, C) of `maps` join must have a
-    group table: a check that reads one that has not may index off it, so
-    each such group is reported once per report as ``not-a-group`` and every
-    row's witness is returned.  Else report as `condition` each m that is
-    not a map D -> C, and return their witnesses, so that the checks which
-    index m can be skipped.  Each m that is such a map must also be a
-    homomorphism D -> C (a leg, a boundary, an automorphism): one that is
-    not is a ``not-hom`` finding, with the first defect pair (a, g) of
-    m(a*g) != m(a)*m(g)."""
-
-    def named(witness) -> str:
-        return witness if isinstance(witness, str) else "%s row %d" % witness
-
-    defects = {G: G._table_defect for row in maps for G in row[2:]}
-    for G, defect in defects.items():
-        if defect is not None and Finding("not-a-group", G.name, defect) not in report.findings:
-            report.add("not-a-group", G.name, defect)
-    if any(defects.values()):
-        return {witness for witness, *_ in maps}
-    bad = set()
-    for witness, m, D, C in maps:
+def _check_ranges(report: ValidationReport, condition: str, maps) -> bool:
+    """The one gate of the validators on the tables and maps they read: whether
+    it failed.  Each group that the rows (name, m, D, C) of `maps` join must
+    have a group table, as a check that reads one that has not may index off
+    it; each that has not is a ``not-a-group`` finding and fails the gate.
+    Else each m that is not a map D -> C is a `condition` finding and fails
+    it, so that the checks which index m can be skipped.  An m that is such a
+    map must also be a homomorphism D -> C (a leg, a boundary, an
+    automorphism): one that is not is a ``not-hom`` finding, with the first
+    defect pair (a, g) of m(a*g) != m(a)*m(g), and passes the gate."""
+    broken = [G for G in dict.fromkeys(G for row in maps for G in row[2:]) if G._table_defect is not None]
+    for G in broken:
+        report.add("not-a-group", G.name, G._table_defect)
+    if broken:
+        return True
+    failed = False
+    for name, m, D, C in maps:
         if not _maps_into(m, D.order, C.order):
-            report.add(condition, witness, f"{named(witness)} is not a map {D.name} -> {C.name}")
-            bad.add(witness)
+            report.add(condition, name, f"{name} is not a map {D.name} -> {C.name}")
+            failed = True
         elif (defect := _hom_defect(D, C, m)) is not None:
-            report.add("not-hom", (witness, defect), f"{named(witness)} is not a homomorphism {D.name} -> {C.name}")
-    return bad
+            report.add("not-hom", (name, defect), f"{name} is not a homomorphism {D.name} -> {C.name}")
+    return failed
 
 
 def validate_crossed_module(X: CrossedModule) -> ValidationReport:
@@ -230,12 +224,6 @@ class Strict2Group:
         return f"Strict2Group({self.G1.name} => {self.G0.name})"
 
 
-def _graph_maps(T: Strict2Group, label: str = "") -> list:
-    """d, c and e with the groups of T they join, for the range gate."""
-    G1, G0 = T.G1, T.G0
-    return [(label + "d", T.d.map, G1, G0), (label + "c", T.c.map, G1, G0), (label + "e", T.e.map, G0, G1)]
-
-
 def validate_two_group(T: Strict2Group) -> ValidationReport:
     """Whether the reflexive graph carries its (unique) internal composition.
 
@@ -244,9 +232,9 @@ def validate_two_group(T: Strict2Group) -> ValidationReport:
     interchange law then holds iff [ker d, ker c] = 1.
     """
     report = ValidationReport(repr(T))
-    if _check_ranges(report, "map-range", _graph_maps(T)):
+    G1, G0, d, c, e = T.G1, T.G0, T.d.map, T.c.map, T.e.map
+    if _check_ranges(report, "map-range", [("d", d, G1, G0), ("c", c, G1, G0), ("e", e, G0, G1)]):
         return report
-    d, c, e = T.d.map, T.c.map, T.e.map
     for x in range(T.G0.order):
         if d[e[x]] != x or c[e[x]] != x:
             report.add("unit-source-target", x, "e(x) is not an endo-arrow of x")
@@ -307,13 +295,14 @@ def _natural_families(
 
 
 def validate_two_group_functor(F: TwoGroupFunctor) -> ValidationReport:
+    """The functor laws of (p1, p0), once the ends are valid; an invalid end
+    or a leg off its groups is a finding, and the laws are skipped."""
     report = ValidationReport("2-group functor")
     T, U = F.dom, F.cod
-    # the functor laws index both ends' graphs, and U's maps by the legs' values
     legs = (("p1", F.p1.map, T.G1, U.G1), ("p0", F.p0.map, T.G0, U.G0))
-    ends = _graph_maps(T, "dom.") + _graph_maps(U, "cod.")
-    if not _check_ranges(report, "leg-range", legs) | _check_ranges(report, "map-range", ends):
-        _functor_laws(report, T, U, F.p0.map, F.p1.map)
+    if not _ends_valid(report, F, validate_two_group, "underlying-2group:") or _check_ranges(report, "leg-range", legs):
+        return report
+    _functor_laws(report, T, U, F.p0.map, F.p1.map)
     return report
 
 

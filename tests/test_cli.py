@@ -284,6 +284,14 @@ class TestMalformedInput:
         assert run(ws, "validate", write_json(tmp_path, "x.json", data)) == 2
         assert capsys.readouterr().err == "error: field 'name' must be a string\n"
 
+    # a present derived block must be an object: an empty or falsy one once loaded as no block
+    @pytest.mark.parametrize("derived", [[], 0, False, "", None])
+    def test_fractor_derived_not_an_object_exit_2(self, ws, tmp_path, capsys, derived):
+        data = jsonio.to_jsonable(to_fractor(identity_butterfly(conjugation_xmod(Z2))))
+        data["derived"] = derived
+        assert run(ws, "validate", write_json(tmp_path, "f.json", data)) == 2
+        assert capsys.readouterr().err == "error: field 'derived' must be an object\n"
+
     def test_missing_name_keeps_its_default(self, ws, tmp_path, capsys):
         data = jsonio.to_jsonable(conjugation_xmod(Z2))
         del data["name"], data["G"]["name"]

@@ -1,32 +1,38 @@
 """A record between crossed modules or 2-groups is valid only when its ends are.
 
-The validators of morphisms, butterflies, 2-cells and monoidal functors check
-each distinct end first, through ``xmod._ends_valid``, and report an invalid
-end's findings under ``underlying-xmod:`` or ``underlying-2group:``, once and
-before anything else; no check then reads that end's maps.  An end equal by
-value to the other is checked once, so a record over one invalid end reports
-that end's findings once, not twice.
+The validators of morphisms, butterflies, 2-cells, 2-group functors and
+monoidal functors check each distinct end first, through
+``xmod._ends_valid``, and report an invalid end's findings under
+``underlying-xmod:`` or ``underlying-2group:``, once and before anything
+else; no check then reads that end's maps.  An end equal by value to the
+other is checked once, so a record over one invalid end reports that end's
+findings once, not twice.  The fractor validator reports an invalid groupoid
+R or R[sigma] as one ``1-groupoid`` finding each, and nothing else.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from helpers import S3, Z2, Z4
 
 from butterflies import cli, jsonio
-from butterflies.butterfly import identity_butterfly, validate_butterfly
-from butterflies.fingroup import GroupHom, direct_product, trivial_action, trivial_group, zero_hom
+from butterflies.butterfly import identity_butterfly, to_fractor, validate_butterfly, validate_fractor
+from butterflies.extension import conjugation_xmod
+from butterflies.fingroup import GroupHom, direct_product, identity_hom, trivial_action, trivial_group, zero_hom
 from butterflies.weakmap import check_monoidal, identity_monoidal
 from butterflies.xmod import (
     CrossedModule,
     Strict2Group,
+    TwoGroupFunctor,
     XModMorphism,
     identity_morphism,
     identity_two_cell,
     validate_crossed_module,
     validate_two_cell,
     validate_two_group,
+    validate_two_group_functor,
     validate_xmod_morphism,
 )
 
@@ -94,3 +100,24 @@ def test_distinct_ends_are_each_reported_in_order():
     assert count(report) == 4 + 18
     assert report.conditions() == {"underlying-xmod:peiffer"}
     assert [f.witness for f in report.findings[:4]] == [f.witness for f in validate_crossed_module(X).findings]
+
+
+def test_a_two_group_functor_with_an_invalid_end_reports_only_that_end():
+    # the identity functor of s3_graph keeps every law of a functor; its end does not
+    T = s3_graph()
+    F = TwoGroupFunctor(T, T, identity_hom(T.G1), identity_hom(T.G0))
+    report = validate_two_group_functor(F)
+    assert count(report) == 18
+    assert report.conditions() == {"underlying-2group:interchange"}
+    assert [f.witness for f in report.findings] == [f.witness for f in validate_two_group(T).findings]
+
+
+def test_a_fractor_with_an_invalid_groupoid_reports_it_alone():
+    # R with e sent to the identity arrow: in range and a homomorphism, but no
+    # section of d and c, so the left leg's unit law fails on it too
+    F = to_fractor(identity_butterfly(conjugation_xmod(S3)))
+    R = F.left.dom
+    bad = dataclasses.replace(R, e=zero_hom(R.G0, R.G1))
+    assert "unit-source-target" in validate_two_group(bad).conditions()
+    report = validate_fractor(dataclasses.replace(F, left=dataclasses.replace(F.left, dom=bad)))
+    assert [(f.condition, f.witness) for f in report.findings] == [("1-groupoid", "R")]

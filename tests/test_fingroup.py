@@ -334,6 +334,15 @@ class TestAutomorphisms:
         with pytest.raises(BoundExceeded):
             automorphism_group(cyclic_group(30))
 
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_automorphisms_come_sorted(self, order):
+        # the generator search yields maps in lexicographic order, so none is re-sorted
+        from butterflies.extension import standard_catalog
+
+        for _, G in standard_catalog(order):
+            _, ev = automorphism_group(G)
+            assert list(ev.act) == sorted(ev.act)
+
 
 def _gcd(a, b):
     while b:

@@ -3,8 +3,10 @@
 The oracles below are the writer branches and the five per-kind loaders that
 ``jsonio`` had before every kind's fields were stated once, in ``_KINDS``:
 copied verbatim, with the loaders renamed and calling each other, plus the
-two helpers whose signature has changed since, and the refusal of an xmod
-name that is not a string, a rule added since.  On every object of the
+two helpers whose signature has changed since, and two rules added since:
+the refusal of an xmod name that is not a string, and of a fractor's
+``derived`` block that is present but not an object (an empty list, 0,
+false, "" or null once loaded as no block).  On every object of the
 fixture sets of seeds 0-3 at bounds 8 and 16, with the 2-groups of their
 crossed modules, the fractors of their butterflies and a monoidal functor
 extracted from each butterfly, both writers must give the same canonical
@@ -173,7 +175,7 @@ def reference_fractor(data: Any, resolver: Optional[Resolver] = None) -> Fractor
     if not report.ok:
         raise ValueError(f"fractor of an invalid butterfly:\n{report}")
     F = to_fractor(B)
-    derived = data.get("derived") or {}
+    derived = data.get("derived", {})  # a rule added since the copy: a present non-object is refused
     if not isinstance(derived, dict):
         raise ParseError("field 'derived' must be an object")
     for field, leg in (("sigma_bar", F.left), ("rho_bar", F.right)):

@@ -6,7 +6,9 @@ the action by ``fingroup._action_defect`` alone, with no per-row gate.  The
 former ``construct_group``, with its own range and identity checks, and the
 former ``validate_crossed_module``, which gated every action row as a
 homomorphism before ``_action_defect`` ran, are kept below verbatim as
-oracles.
+oracles, with the former gate ``xmod._check_ranges`` that the latter calls:
+it returned the witnesses of the maps it failed, named a tuple witness
+``"action row x"``, and reported each bad group once per report.
 
 ``construct_group`` must accept exactly the tables the oracle accepts, and
 give the same table, relabeling, labels and name, on every group of
@@ -29,10 +31,10 @@ from test_validator_totality import edited_cases, end_edits
 
 from butterflies.errors import NotAGroup
 from butterflies.extension import standard_catalog
-from butterflies.fingroup import FinGroup, GroupAction, _action_defect, _maps_into, construct_group
+from butterflies.fingroup import FinGroup, GroupAction, _action_defect, _hom_defect, _maps_into, construct_group
 from butterflies.laws import generate_fixtures
-from butterflies.report import ValidationReport
-from butterflies.xmod import CrossedModule, _check_ranges, validate_crossed_module
+from butterflies.report import Finding, ValidationReport
+from butterflies.xmod import CrossedModule, validate_crossed_module
 
 
 def reference_construct_group(table, name="G", element_labels=None) -> FinGroup:
@@ -66,6 +68,37 @@ def reference_construct_group(table, name="G", element_labels=None) -> FinGroup:
     group = FinGroup(rows, name, element_labels)
     group.relabeling = relabeling
     return group
+
+
+def _check_ranges(report: ValidationReport, condition: str, maps) -> set:
+    """The one gate of the validators on the tables and maps they read.
+    Each group that the rows (witness, m, D, C) of `maps` join must have a
+    group table: a check that reads one that has not may index off it, so
+    each such group is reported once per report as ``not-a-group`` and every
+    row's witness is returned.  Else report as `condition` each m that is
+    not a map D -> C, and return their witnesses, so that the checks which
+    index m can be skipped.  Each m that is such a map must also be a
+    homomorphism D -> C (a leg, a boundary, an automorphism): one that is
+    not is a ``not-hom`` finding, with the first defect pair (a, g) of
+    m(a*g) != m(a)*m(g)."""
+
+    def named(witness) -> str:
+        return witness if isinstance(witness, str) else "%s row %d" % witness
+
+    defects = {G: G._table_defect for row in maps for G in row[2:]}
+    for G, defect in defects.items():
+        if defect is not None and Finding("not-a-group", G.name, defect) not in report.findings:
+            report.add("not-a-group", G.name, defect)
+    if any(defects.values()):
+        return {witness for witness, *_ in maps}
+    bad = set()
+    for witness, m, D, C in maps:
+        if not _maps_into(m, D.order, C.order):
+            report.add(condition, witness, f"{named(witness)} is not a map {D.name} -> {C.name}")
+            bad.add(witness)
+        elif (defect := _hom_defect(D, C, m)) is not None:
+            report.add("not-hom", (witness, defect), f"{named(witness)} is not a homomorphism {D.name} -> {C.name}")
+    return bad
 
 
 def reference_validate_crossed_module(X: CrossedModule) -> ValidationReport:

@@ -230,12 +230,13 @@ def test_the_sweep_covers_every_validator():
 
 def test_a_group_read_by_two_gate_calls_is_reported_once():
     # validate_crossed_module gates the boundary on G and G0 and returns before
-    # _action_defect reads G; validate_two_group_functor gates the legs, then
-    # the ends, on the same four groups
+    # _action_defect reads G; validate_two_group_functor validates its ends
+    # first, each gating its own graph once, and returns before its legs' gate
     X = next(X for X in subjects()[validate_crossed_module] if X.G.order > 2)
     F = next(F for F in subjects()[validate_two_group_functor] if F.dom.G1.order > 2)
-    for validator, obj, G in ((validate_crossed_module, X, X.G), (validate_two_group_functor, F, F.dom.G1)):
+    cases = ((validate_crossed_module, X, X.G, ""), (validate_two_group_functor, F, F.dom.G1, "underlying-2group:"))
+    for validator, obj, G, prefix in cases:
         _, table = next(table_edits([list(row) for row in G.table]))
         broken = FinGroup._trusted(table, G.name + "!edited")
         report = validator(rebuilt(obj, G, broken))
-        assert [(f.condition, f.witness) for f in report.findings] == [("not-a-group", broken.name)]
+        assert [(f.condition, f.witness) for f in report.findings] == [(prefix + "not-a-group", broken.name)]

@@ -214,7 +214,7 @@ class TestNormalization:
         F = denormalize_morphism(identity_morphism(aut_like(Z3)))
         bad = corrupt_graph(getattr(F, end), "d", "short")
         report = validate_two_group_functor(dataclasses.replace(F, **{end: bad}))
-        assert [(f.condition, f.witness) for f in report.findings] == [("map-range", f"{end}.d")]
+        assert [(f.condition, f.witness) for f in report.findings] == [("underlying-2group:map-range", "d")]
 
     def test_round_trip_2group_side(self):
         for X in (discrete(Z4), conj_xmod(Z2), aut_like(Z2), aut_like(Z3)):
