@@ -458,17 +458,14 @@ def validate_fractor(F: Fractor) -> ValidationReport:
     return report
 
 
-def check_fractor(F: Fractor) -> None:
-    report = validate_fractor(F)
-    for finding in report.findings:
-        condition = int(finding.condition.split("-", 1)[0])
-        raise FractorConditionFailed(condition, str(finding))
-
-
 def from_fractor(F: Fractor) -> Butterfly:
     """Rebuild the butterfly: wings are recovered by lifting kernel arrows
-    through the two discrete fibrations."""
-    check_fractor(F)
+    through the two discrete fibrations.  A fractor off the conditions raises
+    ``FractorConditionFailed`` with the number of the first one it fails."""
+    report = validate_fractor(F)
+    if not report.ok:
+        first = report.findings[0]
+        raise FractorConditionFailed(int(first.condition[0]), str(first))
     dom, cod = normalize(F.left.cod), normalize(F.right.cod)
     sigma, rho = F.left.p0, F.right.p0
     E = sigma.dom

@@ -42,7 +42,7 @@ from .extension import CLASSIFY_BOUND, classify_extensions, factor_set_oracle
 from .fingroup import FinGroup, cyclic_group, direct_product, klein_four, symmetric_group, trivial_group
 from .laws import FAULTS, SUITES, generate_fixtures
 from .report import ValidationReport
-from .weakmap import MonoidalFunctor, butterfly_from_monoidal, check_monoidal, extract_monoidal, set_section
+from .weakmap import MonoidalFunctor, butterfly_from_monoidal, check_monoidal, extract_monoidal
 from .xmod import CrossedModule, Strict2Group, XModMorphism
 from .xmod import validate_crossed_module, validate_two_group, validate_xmod_morphism
 
@@ -283,7 +283,7 @@ def cmd_weakmap(args, ws: Workspace) -> int:
             values = tuple(int(v) for v in args.section.split(","))
         except ValueError as exc:
             raise ParseError(f"bad section list: {exc}") from exc
-        M = extract_monoidal(B, set_section(B, values))
+        M = extract_monoidal(B, values)
         ref = ws.put(M)
         _emit(args, {"ref": ref, "monoidal": jsonio.to_jsonable(M)}, ref)
         return 0

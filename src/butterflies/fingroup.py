@@ -809,7 +809,7 @@ def automorphism_group(G: FinGroup) -> tuple[FinGroup, GroupAction]:
     """
     if G.order > DEFAULT_BOUND:
         raise BoundExceeded("automorphism_group", G.order, DEFAULT_BOUND)
-    autos = list(_generator_images(G, G, bijective=True))
+    autos = list(itertools.islice(_generator_images(G, G, bijective=True), AUT_LIMIT + 1))
     if len(autos) > AUT_LIMIT:
         raise BoundExceeded(f"automorphism_group: automorphisms of {G.name}", len(autos), AUT_LIMIT)
     labels = lambda: ("id" if p == tuple(range(G.order)) else "f" + "".join(map(str, p)) for p in autos)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .butterfly import Butterfly, _arrows
 from .errors import GroupLawSearchFailed, SectionInvalid
@@ -99,18 +100,9 @@ def check_monoidal(M: MonoidalFunctor) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
-class SetSection:
-    """A normalized set-theoretic section of a butterfly's surjective leg."""
-
-    of: Butterfly
-    s: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(self.s))
-
-
-def set_section(B: Butterfly, s) -> SetSection:
+def set_section(B: Butterfly, s: Sequence[int]) -> tuple[int, ...]:
+    """The section s of B's sigma as a tuple once it maps H0 into E with s(1) = 1
+    and each s(x) in the sigma-fibre of x, else ``SectionInvalid``."""
     s = tuple(s)
     if not _maps_into(s, B.dom.G0.order, B.E.order):
         raise SectionInvalid(f"section is not a map from H0 into E (0..{B.E.order - 1})")
@@ -119,10 +111,10 @@ def set_section(B: Butterfly, s) -> SetSection:
     for x, e in enumerate(s):
         if B.sigma.map[e] != x:
             raise SectionInvalid(f"s({x}) is not in the sigma-fiber of {x}")
-    return SetSection(B, s)
+    return s
 
 
-def all_set_sections(B: Butterfly) -> list[SetSection]:
+def all_set_sections(B: Butterfly) -> list[tuple[int, ...]]:
     """Every normalized set-theoretic section of sigma."""
     fibers = [
         [e for e in range(B.E.order) if B.sigma.map[e] == x]
@@ -130,7 +122,7 @@ def all_set_sections(B: Butterfly) -> list[SetSection]:
     ]
     out = []
     for tail in itertools.product(*fibers[1:]):
-        out.append(SetSection(B, (0,) + tail))
+        out.append((0,) + tail)
     return out
 
 
@@ -147,17 +139,16 @@ def identity_monoidal(T: Strict2Group) -> MonoidalFunctor:
     )
 
 
-def extract_monoidal(B: Butterfly, section: SetSection) -> MonoidalFunctor:
-    """The weak morphism of a butterfly along a set-theoretic section.
+def extract_monoidal(B: Butterfly, section: Sequence[int]) -> MonoidalFunctor:
+    """The weak morphism of a butterfly along a set-theoretic section, any
+    sequence that :func:`set_section` accepts for B, the one check it runs.
 
     F0 = s;rho on objects.  The arrow component F1(h, x) is the arrow of
     ``butterfly._arrows`` from kappa(h)^-1 s(boundary(h) x) to s(x), and F2(x, y)
     the one from s(x) s(y) to s(xy), which measures the failure of s to be
     multiplicative; both exist, as B is assumed valid.
     """
-    if section.of != B:
-        raise SectionInvalid("section belongs to a different butterfly")
-    s = section.s
+    s = set_section(B, section)
     TH, TG = denormalize(B.dom), denormalize(B.cod)
     E, H0, t = B.E, B.dom.G0, B.dom.G0.table
     k, bd, objects = B.kappa.map, B.dom.boundary.map, range(H0.order)
@@ -211,13 +202,12 @@ def butterfly_from_monoidal(M: MonoidalFunctor) -> Butterfly:
     return Butterfly(dom=dom, cod=cod, E=P0, kappa=kappa, iota=iota, sigma=sigma, rho=rho)
 
 
-def canonical_limit_section(B: Butterfly, M: MonoidalFunctor) -> SetSection:
-    """The section y -> (y, identity arrow at F0(y), F0(y)) of a limit butterfly."""
+def canonical_limit_section(B: Butterfly, M: MonoidalFunctor) -> tuple[int, ...]:
+    """The section y -> (y, identity arrow at F0(y), F0(y)) of the limit butterfly
+    B = ``butterfly_from_monoidal(M)``, read off M's triples as a plain tuple."""
     U = M.cod
     _, pos = _limit_triples(M)
-    return set_section(
-        B, tuple(pos[(y, U.e.map[M.F0[y]], M.F0[y])] for y in range(M.dom.G0.order))
-    )
+    return tuple(pos[(y, U.e.map[M.F0[y]], M.F0[y])] for y in range(M.dom.G0.order))
 
 
 def find_monoidal_natural_iso(M: MonoidalFunctor, N: MonoidalFunctor):

@@ -243,21 +243,21 @@ def test_criterion_7_weak_morphism_dictionary(fx8):
             checked_sections += 1
             M = extract_monoidal(B, s)
             if not check_monoidal(M).ok:
-                failures.append(("check", B.E.name, s.s))
+                failures.append(("check", B.E.name, s))
                 continue
             B2 = butterfly_from_monoidal(M)
             if isomorphic_butterflies(B2, B) is None:
-                failures.append(("round-trip-butterfly", B.E.name, s.s))
+                failures.append(("round-trip-butterfly", B.E.name, s))
             M2 = extract_monoidal(B2, canonical_limit_section(B2, M))
             if find_monoidal_natural_iso(M, M2) is None:
-                failures.append(("round-trip-functor", B.E.name, s.s))
+                failures.append(("round-trip-functor", B.E.name, s))
             is_hom = all(
-                B.E.table[s.s[x]][s.s[y]] == s.s[B.dom.G0.table[x][y]]
+                B.E.table[s[x]][s[y]] == s[B.dom.G0.table[x][y]]
                 for x in range(B.dom.G0.order)
                 for y in range(B.dom.G0.order)
             )
             if is_hom and not M.is_strict():
-                failures.append(("strictness", B.E.name, s.s))
+                failures.append(("strictness", B.E.name, s))
     assert checked_sections >= 30
     _conclude(
         7,

@@ -487,10 +487,10 @@ class TestClassify:
 
     def test_automorphism_limit_exit_1(self, ws):
         # inside |H|*|G| <= 16, but Aut(Z2^4) = GL(4,2) has 20,160 elements:
-        # counted and refused before its table is built
+        # the search stops at the 337th and refuses before a table is built
         proc = run_process(ws, "classify", "1", "Z2xZ2xZ2xZ2", timeout=10)
         assert proc.returncode == 1
-        assert proc.stderr == "BoundExceeded: automorphism_group: automorphisms of Z2xZ2xZ2xZ2: size 20160 exceeds bound 336\n"
+        assert proc.stderr == "BoundExceeded: automorphism_group: automorphisms of Z2xZ2xZ2xZ2: size 337 exceeds bound 336\n"
 
     def test_spec_bound_checked_before_building(self, ws, capsys, monkeypatch):
         def no_products(*_):

@@ -362,7 +362,7 @@ def test_arrow_map_equals_the_former_loops(seed, bound):
         assert ef3_coincidence(B) == reference_ef3_coincidence(B)
         for s in all_set_sections(B):
             M = extract_monoidal(B, s)
-            assert (M.F0, M.F1, M.F2) == reference_monoidal_components(B, s.s)
+            assert (M.F0, M.F1, M.F2) == reference_monoidal_components(B, s)
         # off the image of iota the arrow map raises ConstructionError
         image, E = set(B.iota.map), B.E
         for e1, e2 in itertools.product(range(E.order), repeat=2):

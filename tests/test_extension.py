@@ -332,7 +332,7 @@ class TestWeakMapBridge:
         nG0 = B.cod.G0.order
         for s in all_set_sections(B):
             M = extract_monoidal(B, s)
-            fs = factor_set_of_extension(B, s.s)
+            fs = factor_set_of_extension(B, s)
             assert validate_factor_set(fs, aut, ev)
             for x in range(2):
                 for y in range(2):

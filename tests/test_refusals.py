@@ -30,6 +30,7 @@ from butterflies.butterfly import (
     from_fractor,
     identity_butterfly,
     to_fractor,
+    validate_butterfly,
     validate_fractor,
 )
 from butterflies.errors import (
@@ -144,10 +145,27 @@ def _zero_left_leg() -> Fractor:
     return dataclasses.replace(F, left=dataclasses.replace(F.left, p0=zero_hom(F.left.p0.dom, Z2)))
 
 
+def _rho_off_the_wing() -> Fractor:
+    """C(Z2)'s identity butterfly beside the right leg of its copy along the
+    automorphism of E that swaps 1 and 3.  The copy is a valid butterfly with
+    the same sigma, so both legs are discrete fibrations over the kernel pair
+    of sigma, but its rho sends the original kappa(1) = 3 to 1: it does not
+    coequalize R's legs."""
+    B = identity_butterfly(conjugation_xmod(Z2))
+    swap = GroupHom(B.E, B.E, (0, 3, 2, 1))
+    copy = dataclasses.replace(B, kappa=B.kappa.then(swap), rho=swap.then(B.rho))
+    assert validate_butterfly(copy).ok and copy.sigma == B.sigma
+    return Fractor(to_fractor(B).left, to_fractor(copy).right)
+
+
 @pytest.mark.parametrize(
     "corrupt, condition, first",
-    [(_flipped_right_leg, 2, "2-kernel-pair"), (_zero_left_leg, 1, "1-functor")],
-    ids=["kernel-pair", "left-leg"],
+    [
+        (_flipped_right_leg, 2, "2-kernel-pair"),
+        (_zero_left_leg, 1, "1-functor"),
+        (_rho_off_the_wing, 3, "3-coequalizing"),
+    ],
+    ids=["kernel-pair", "left-leg", "coequalizer"],
 )
 def test_corrupt_fractor_raises_its_first_condition(corrupt, condition, first):
     F = corrupt()
@@ -234,5 +252,5 @@ class TestEmptySearches:
 
 def test_section_of_another_butterfly():
     B, other = z4_extension_butterfly(), trivial_extension_butterfly()
-    with pytest.raises(SectionInvalid, match="different butterfly"):
+    with pytest.raises(SectionInvalid, match="sigma-fiber"):
         extract_monoidal(B, set_section(other, (0, 2)))

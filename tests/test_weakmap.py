@@ -14,6 +14,7 @@ from butterflies.butterfly import (
     split_from_morphism,
 )
 from butterflies.errors import GroupLawSearchFailed, SectionInvalid
+from butterflies import weakmap
 from butterflies.extension import aut_xmod, conjugation_xmod, discrete_xmod
 from butterflies.weakmap import (
     MonoidalFunctor,
@@ -92,6 +93,29 @@ class TestSections:
         with pytest.raises(SectionInvalid):
             set_section(z4_extension_butterfly(), s)
 
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            ((0, 4), "not a map from H0 into E"),
+            ((2, 1), "normalized"),
+            ((0, 2), "sigma-fiber of 1"),
+            ((0,), "not a map from H0 into E"),
+            ((0, 1, 3), "not a map from H0 into E"),
+        ],
+        ids=["off-E", "not-normalized", "off-its-fibre", "short", "long"],
+    )
+    def test_extract_checks_a_raw_section(self, s, message):
+        # a bare tuple, with no set_section call first
+        with pytest.raises(SectionInvalid, match=message):
+            extract_monoidal(z4_extension_butterfly(), s)
+
+    def test_extract_checks_its_section_once(self, monkeypatch):
+        B, calls = z4_extension_butterfly(), []
+        expected = extract_monoidal(B, (0, 1))
+        monkeypatch.setattr(weakmap, "set_section", lambda B, s: calls.append(s) or set_section(B, s))
+        assert extract_monoidal(B, [0, 1]) == expected
+        assert calls == [[0, 1]]
+
     def test_all_sections_counted(self):
         B = z4_extension_butterfly()
         assert len(all_set_sections(B)) == 2  # fibers over 1bar: {1, 3}
@@ -118,7 +142,7 @@ class TestExtractMonoidal:
         hom_sections = [
             s for s in all_set_sections(B)
             if all(
-                B.E.table[s.s[x]][s.s[y]] == s.s[Z2.table[x][y]]
+                B.E.table[s[x]][s[y]] == s[Z2.table[x][y]]
                 for x in range(2) for y in range(2)
             )
         ]
