@@ -25,6 +25,7 @@ from .fingroup import (
     FinGroup,
     GroupAction,
     GroupHom,
+    _backtrack,
     _generators,
     _greedy_span,
     _maps_into,
@@ -178,37 +179,21 @@ def factor_set_of_extension(B: Butterfly, section: tuple[int, ...]) -> FactorSet
     return FactorSet(H, B.iota.dom, tuple(B.rho.map[e] for e in s), f)
 
 
-def _first_assignment(k: int, fv: list, cand: list, checks: list, narrow) -> bool:
-    """Whether slots k.. of fv have an assignment that passes narrowing; if so,
-    fv holds the first.  Undoes its own narrowing of cand before it returns."""
-    if k == len(cand):
-        return True
-    for g in cand[k]:
-        fv[k] = g
-        trail: list = []
-        found = narrow(checks[k], trail) and _first_assignment(k + 1, fv, cand, checks, narrow)
-        for s, old in reversed(trail):
-            cand[s] = old
-        if found:
-            return True
-    return False
-
-
-def _cocycle_group(fv: list, cand: list, checks: list, narrow, t) -> list[tuple[int, ...]]:
+def _cocycle_group(fv: list, cand: list, narrow, t) -> list[tuple[int, ...]]:
     """The cocycles of one phi as slot vectors, sorted.  Walks the identity
     path; the trivial cocycle passes every check, so narrowing leaves
-    identity first at every slot.  At slot k it searches the first cocycle
-    of each other value's branch and multiplies the cocycles found into
-    those listed so far."""
+    identity first at every slot.  At slot k, ``_backtrack`` from k with
+    `narrow` as its forward check finds the first cocycle of each other
+    value's branch; those multiply into the cocycles listed so far."""
     group = [(0,) * len(fv)]
     for k, row in enumerate(cand):
         found = []
         for v in row[1:]:
             cand[k] = [v]
-            if _first_assignment(k, fv, cand, checks, narrow):
+            if any(_backtrack(cand, narrow, k)):  # narrow trails cand only, so fv keeps the first cocycle
                 found.append(tuple(fv))
-        cand[k], fv[k] = row, 0
-        narrow(checks[k], [])
+        cand[k] = row
+        narrow(k, 0, [])
         group += [_pointwise(t, s, c) for s in found for c in group]
     return sorted(group)
 
@@ -240,12 +225,13 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) ->
     of Groups, IV.3), and a product of cocycles needs no check.  The slots
     are the non-identity pairs of f, row-major, each over the center in
     ascending order.  Off the all-identity path, the first cocycle s of each
-    branch (slots before k identity, slot k some v) is searched by
-    backtracking with forward checking: a cocycle triple is checked as soon
-    as all but the last of its f-values are assigned, and it narrows that
-    last value's candidates to those that satisfy it.  Every cocycle of that
-    branch is s times one whose slots up to k are identity, so products give
-    the rest; sorted, the list has the order of the full search.
+    branch (slots before k identity, slot k some v) is searched by the one
+    engine, ``fingroup._backtrack``, with forward checking: a cocycle triple
+    is checked as soon as all but the last of its f-values are assigned, and
+    it narrows that last value's candidates to those that satisfy it.  Every
+    cocycle of that branch is s times one whose slots up to k are identity,
+    so products give the rest; sorted, the list has the order of the full
+    search.
     """
     if H.order * G.order > bound:
         raise BoundExceeded("enumerate_cocycles", H.order * G.order, bound)
@@ -259,13 +245,13 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) ->
 
     # each cocycle triple checks f(b,c), f(a,bc), f(a,b), f(ab,c); it is
     # filed under its second-last slot and narrows its last slot, and a
-    # triple with one slot only narrows it before the search starts
-    initial: list[tuple[int, ...]] = []
-    checks: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    # triple with one slot only is filed under slot n, which narrows it
+    # once before the search starts
+    checks: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     for a, b, c in itertools.product(range(1, nH), repeat=3):
         pos = (slot[b][c], slot[a][ht[b][c]], slot[a][b], slot[ht[a][b]][c])
         slots = sorted(set(pos) - {n})
-        (checks[slots[-2]] if len(slots) > 1 else initial).append((a, *pos, slots[-1]))
+        checks[slots[-2] if len(slots) > 1 else n].append((a, *pos, slots[-1]))
 
     results: list[FactorSet] = []
     for phi_hom in all_homomorphisms(H, A.G0):
@@ -274,8 +260,9 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) ->
         fv = [0] * (n + 1)
         cand = [center] * n
 
-        def narrow(triples, trail) -> bool:
-            for a, s1, s2, s3, s4, last in triples:
+        def narrow(k: int, value: int, trail: list) -> bool:
+            fv[k] = value
+            for a, s1, s2, s3, s4, last in checks[k]:
                 row = act[a]
                 keep = []
                 for v in cand[last]:
@@ -283,14 +270,14 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) ->
                     if t[row[fv[s1]]][fv[s2]] == t[fv[s3]][fv[s4]]:
                         keep.append(v)
                 if len(keep) < len(cand[last]):
-                    trail.append((last, cand[last]))
+                    trail.append((cand, last, cand[last]))
                     cand[last] = keep
                     if not keep:
                         return False
             return True
 
-        narrow(initial, [])
-        for c in _cocycle_group(fv, cand, checks, narrow, t):
+        narrow(n, 0, [])
+        for c in _cocycle_group(fv, cand, narrow, t):
             results.append(FactorSet(H, G, tuple(phi), tuple([tuple([c[s] for s in row]) for row in slot])))
     return results
 

@@ -705,30 +705,24 @@ def _hom_defect(G: FinGroup, H: FinGroup, m: Sequence[int]) -> Optional[tuple[in
     return None
 
 
-def _extend_hom(src: _Columns, H: FinGroup, images: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Grow a partial map on the generators of `src` to a full map, or detect
-    inconsistency.
-
-    The closure sets m(a*g) = m(a)*h for every element a and generator g and
-    rejects any conflict, so a returned map is a homomorphism.
-    """
-    m = [-1] * src.order
-    m[0] = 0
-    for g, h in zip(src.gens, images):
-        m[g] = h
-    steps = list(zip(src.columns, images))
-    frontier = [0, *src.gens]
-    while frontier:
-        a = frontier.pop()
-        row = H.table[m[a]]
-        for col, h in steps:
-            b, image = col[a], row[h]
-            if m[b] == -1:
-                m[b] = image
-                frontier.append(b)
-            elif m[b] != image:
-                return None
-    return tuple(m)
+def _backtrack(cand: list, assign: Callable[[int, Any, list], bool], k: int = 0) -> Iterator[bool]:
+    """The one search engine: fill slots k.. in order, each from its candidate
+    list in list order, depth-first, and yield True at every full assignment.
+    ``assign(slot, value, trail)``, the forward check, says whether the search
+    may go deeper and records each entry it overwrites as (sequence, index,
+    old value).  Those are restored, last first, before the next value is
+    tried, and when the consumer stops early and the generator is closed."""
+    if k == len(cand):
+        yield True
+        return
+    for v in cand[k]:
+        trail: list = []
+        try:
+            if assign(k, v, trail):
+                yield from _backtrack(cand, assign, k + 1)
+        finally:
+            for seq, i, old in reversed(trail):
+                seq[i] = old
 
 
 def _generator_images(
@@ -739,12 +733,11 @@ def _generator_images(
     accept: Optional[Callable[[int, int], bool]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Every homomorphism G -> H (only the bijections when `bijective`), as maps,
-    in lexicographic order.
+    in lexicographic order: ``_backtrack`` with one slot per generator.
 
     The source is read only through its generator-columns record
     (:class:`_Columns`): its order, its generating sequence, each
-    generator's column a -> a*g, which is all the closure of
-    :func:`_extend_hom` reads, and each generator's order.  G may be a group,
+    generator's column a -> a*g and each generator's order.  G may be a group,
     whose record is memoized on it with the elements of `fixed` entering
     first, or a record of a group that is not tabulated, whose sequence must
     be the one that group would give, ``_generating_sequence(G, elements of
@@ -755,11 +748,13 @@ def _generator_images(
     (a, b) of `fixed` forces m(a) = b.  Those elements enter the generating
     sequence first, and every later generator is the least element outside
     the span of the ones before it, so lexicographic order on generator
-    images is lexicographic order on maps.
+    images is lexicographic order on maps.  Assigning generator k closes the
+    map over the span of generators 0..k, so a conflict prunes every choice
+    of the later ones, and a full assignment is a homomorphism.
     """
     forced = dict(fixed)
     src = G if isinstance(G, _Columns) else _columns(G, tuple(forced))
-    ho = H.element_orders
+    ho, ht = H.element_orders, H.table
     candidates = [
         [
             b
@@ -769,14 +764,31 @@ def _generator_images(
         ]
         for g, o in zip(src.gens, src.orders)
     ]
-    for images in itertools.product(*candidates):
-        m = _extend_hom(src, H, images)
-        if (
-            m is not None
-            and (not bijective or len(set(m)) == src.order)
-            and all(m[a] == b for a, b in fixed)
-        ):
-            yield m
+    # the partial map, the span it is closed over in the order reached, and (column, image) per assigned generator
+    m, reached, steps = [0] + [-1] * (src.order - 1), [0], []
+
+    def close(k: int, h: int, trail: list) -> bool:
+        old, col = len(reached), src.columns[k]
+        trail += [(m, slice(None), m[:]), (reached, slice(old, None), []), (steps, slice(k, None), [])]
+        steps.append((col, h))
+        for a in reached[:old]:  # the new generator on the span reached so far: each product is new
+            b = col[a]
+            m[b] = ht[m[a]][h]
+            reached.append(b)
+        for a in itertools.islice(reached, old, None):  # every generator on each new element
+            row = ht[m[a]]
+            for column, image in steps:
+                b, mb = column[a], row[image]
+                if m[b] < 0:
+                    m[b] = mb
+                    reached.append(b)
+                elif m[b] != mb:
+                    return False
+        return True
+
+    for _ in _backtrack(candidates, close):
+        if (not bijective or len(set(m)) == src.order) and all(m[a] == b for a, b in fixed):
+            yield tuple(m)
 
 
 @_per_operand

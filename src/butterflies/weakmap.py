@@ -202,9 +202,9 @@ def butterfly_from_monoidal(M: MonoidalFunctor) -> Butterfly:
     return Butterfly(dom=dom, cod=cod, E=P0, kappa=kappa, iota=iota, sigma=sigma, rho=rho)
 
 
-def canonical_limit_section(B: Butterfly, M: MonoidalFunctor) -> tuple[int, ...]:
+def canonical_limit_section(M: MonoidalFunctor) -> tuple[int, ...]:
     """The section y -> (y, identity arrow at F0(y), F0(y)) of the limit butterfly
-    B = ``butterfly_from_monoidal(M)``, read off M's triples as a plain tuple."""
+    ``butterfly_from_monoidal(M)``, read off M's triples as a plain tuple."""
     U = M.cod
     _, pos = _limit_triples(M)
     return tuple(pos[(y, U.e.map[M.F0[y]], M.F0[y])] for y in range(M.dom.G0.order))

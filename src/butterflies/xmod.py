@@ -113,6 +113,7 @@ def _check_ranges(report: ValidationReport, condition: str, maps) -> bool:
     return failed
 
 
+@_per_operand
 def validate_crossed_module(X: CrossedModule) -> ValidationReport:
     """Check that the action is one, reporting its first defect alone, and
     then the precrossed and Peiffer conditions, reporting every violation.

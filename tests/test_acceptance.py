@@ -248,7 +248,7 @@ def test_criterion_7_weak_morphism_dictionary(fx8):
             B2 = butterfly_from_monoidal(M)
             if isomorphic_butterflies(B2, B) is None:
                 failures.append(("round-trip-butterfly", B.E.name, s))
-            M2 = extract_monoidal(B2, canonical_limit_section(B2, M))
+            M2 = extract_monoidal(B2, canonical_limit_section(M))
             if find_monoidal_natural_iso(M, M2) is None:
                 failures.append(("round-trip-functor", B.E.name, s))
             is_hom = all(

@@ -18,15 +18,16 @@ theirs on:
   Latin square with identity 0 that is not associative.
 
 The pruning must also pay: naming the V4 by V4 classes runs at least 3x
-fewer closures than the unpruned search.
+fewer search nodes than the unpruned search.
 
 ``identify_group`` names an abelian group by its class invariant, with no
 search.  Its names must equal those of ``reference_identify_group``, which
 searches every catalog group in turn, on every abelian catalog group of
 order at most 32 under three relabelings and on the 64 abelian middle groups
 of the V4 by V4xZ2 classification at bound 32, and naming them must run no
-closure.  The same classification's split flags, read off its trivial
-cocycles, must equal the section search ``helpers.is_split`` on every class.
+node of the search engine.  The same classification's split flags, read off
+its trivial cocycles, must equal the section search ``helpers.is_split`` on
+every class.
 """
 
 from __future__ import annotations
@@ -199,12 +200,12 @@ def test_table_check_matches_reference():
 
 
 def test_pruning_cuts_closures_on_v4_by_v4(monkeypatch, v4_by_v4_middle_groups):
-    # the unpruned search is the former one: the same witnesses, more closures
-    closures = []
-    original = fingroup._extend_hom
+    # the unpruned search is the former one: the same witnesses, more search nodes
+    nodes = []
+    original = fingroup._backtrack
 
-    def counting(*args):
-        closures.append(1)
+    def counting(*args):  # the engine recurses through the module name, so this counts every node
+        nodes.append(1)
         return original(*args)
 
     def unpruned(G, H):
@@ -212,29 +213,29 @@ def test_pruning_cuts_closures_on_v4_by_v4(monkeypatch, v4_by_v4_middle_groups):
         return None if m is None else fingroup.GroupHom._trusted(G, H, m)
 
     standard_catalog(16)
-    monkeypatch.setattr(fingroup, "_extend_hom", counting)
+    monkeypatch.setattr(fingroup, "_backtrack", counting)
     names = [identify_group(E) for E in v4_by_v4_middle_groups]
-    pruned = len(closures)
-    closures.clear()
+    pruned = len(nodes)
+    nodes.clear()
     monkeypatch.setattr(extension, "isomorphism_search", unpruned)
     assert [identify_group(E) for E in v4_by_v4_middle_groups] == names
-    assert len(closures) >= 3 * pruned
+    assert len(nodes) >= 3 * pruned
 
 
 def test_abelian_names_by_invariant_match_search(monkeypatch, abelian_v4_by_v4xz2_middle_groups):
     groups = [*(relabeled(K, seed) for K in ABELIAN for seed in range(3)), *abelian_v4_by_v4xz2_middle_groups]
     assert len(abelian_v4_by_v4xz2_middle_groups) == 64
-    closures = []
-    original = fingroup._extend_hom
+    nodes = []
+    original = fingroup._backtrack
 
     def counting(*args):
-        closures.append(1)
+        nodes.append(1)
         return original(*args)
 
     for order in range(1, 33):  # the catalog's duplicate check searches: build it before counting
         standard_catalog(order)
-    monkeypatch.setattr(fingroup, "_extend_hom", counting)
+    monkeypatch.setattr(fingroup, "_backtrack", counting)
     names = [identify_group(E) for E in groups]
-    assert closures == []
+    assert nodes == []
     monkeypatch.undo()
     assert names == [reference_identify_group(E) for E in groups]

@@ -14,6 +14,9 @@ generator-image search.
   group is within ``AUT_LIMIT``.
 - For the dihedral group D_n of order 2n, n >= 3, |Aut(D_n)| = n * phi(n),
   checked on D3 to D8.
+- Aut(Z2^3) = GL(3, 2) is simple of order 168, so an endomorphism is trivial
+  or an automorphism, and Aut(GL(3, 2)) = PGL(2, 7) has order 336:
+  |Hom(GL(3, 2), GL(3, 2))| = 337, exactly one of them not bijective.
 
 Each catalog group's cyclic factors are read off its name ("Z2xZ4").
 """
@@ -25,7 +28,7 @@ from math import gcd
 import pytest
 
 from butterflies.extension import standard_catalog
-from butterflies.fingroup import AUT_LIMIT, all_homomorphisms, automorphism_group
+from butterflies.fingroup import AUT_LIMIT, all_homomorphisms, automorphism_group, cyclic_group, direct_product
 
 CATALOG = [(name, K) for order in range(1, 33) for name, K in standard_catalog(order)]
 ABELIAN = [(name, K) for name, K in CATALOG if K.is_abelian]
@@ -129,3 +132,12 @@ def test_dihedral_automorphism_counts(n):
     D = dict(CATALOG)[f"D{n}"]
     assert D.order == 2 * n
     assert automorphism_group(D)[0].order == n * euler_phi(n)
+
+
+def test_endomorphisms_of_gl32():
+    Z2 = cyclic_group(2)
+    GL32 = automorphism_group(direct_product(direct_product(Z2, Z2)[0], Z2)[0])[0]
+    assert GL32.order == 168
+    homs = all_homomorphisms(GL32, GL32)
+    assert len(homs) == 337
+    assert [h.map for h in homs if not h.is_isomorphism] == [(0,) * 168]

@@ -197,7 +197,7 @@ class TestButterflyFromMonoidal:
         s = set_section(B, (0, 1))
         M = extract_monoidal(B, s)
         B2 = butterfly_from_monoidal(M)
-        M2 = extract_monoidal(B2, canonical_limit_section(B2, M))
+        M2 = extract_monoidal(B2, canonical_limit_section(M))
         assert check_monoidal(M2).ok
         assert find_monoidal_natural_iso(M, M2) is not None
 
