@@ -243,10 +243,9 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) ->
     # slot n, which stays 0
     slot = [[n if x == 0 or y == 0 else (x - 1) * (nH - 1) + y - 1 for y in range(nH)] for x in range(nH)]
 
-    # each cocycle triple checks f(b,c), f(a,bc), f(a,b), f(ab,c); it is
-    # filed under its second-last slot and narrows its last slot, and a
-    # triple with one slot only is filed under slot n, which narrows it
-    # once before the search starts
+    # each cocycle triple checks f(b,c), f(a,bc), f(a,b), f(ab,c); it is filed under its
+    # second-last slot and narrows its last slot, and a triple with one slot only is filed
+    # under slot n, assigned once before the search starts
     checks: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     for a, b, c in itertools.product(range(1, nH), repeat=3):
         pos = (slot[b][c], slot[a][ht[b][c]], slot[a][b], slot[ht[a][b]][c])

@@ -706,12 +706,11 @@ def _hom_defect(G: FinGroup, H: FinGroup, m: Sequence[int]) -> Optional[tuple[in
 
 
 def _backtrack(cand: list, assign: Callable[[int, Any, list], bool], k: int = 0) -> Iterator[bool]:
-    """The one search engine: fill slots k.. in order, each from its candidate
-    list in list order, depth-first, and yield True at every full assignment.
-    ``assign(slot, value, trail)``, the forward check, says whether the search
-    may go deeper and records each entry it overwrites as (sequence, index,
-    old value).  Those are restored, last first, before the next value is
-    tried, and when the consumer stops early and the generator is closed."""
+    """The one search engine: fill slots k.. in order, each from its candidate list
+    in list order, depth-first, and yield True at every full assignment.  The forward
+    check ``assign(slot, value, trail)`` says whether to go deeper and records each
+    entry it overwrites as (sequence, index, old value); those are restored, last
+    first, before the next value and when the consumer stops early (closing it)."""
     if k == len(cand):
         yield True
         return

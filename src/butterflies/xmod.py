@@ -113,7 +113,6 @@ def _check_ranges(report: ValidationReport, condition: str, maps) -> bool:
     return failed
 
 
-@_per_operand
 def validate_crossed_module(X: CrossedModule) -> ValidationReport:
     """Check that the action is one, reporting its first defect alone, and
     then the precrossed and Peiffer conditions, reporting every violation.
@@ -137,7 +136,10 @@ def validate_crossed_module(X: CrossedModule) -> ValidationReport:
     return report
 
 
-def _ends_valid(report: ValidationReport, R, validate=validate_crossed_module, prefix="underlying-xmod:") -> bool:
+_validate_end = _per_operand(validate_crossed_module)  # in a run scope, once per crossed module
+
+
+def _ends_valid(report: ValidationReport, R, validate=_validate_end, prefix="underlying-xmod:") -> bool:
     """Merge each distinct end's report into `report` under `prefix`, and return
     whether R's ends R.dom and R.cod are valid, as a record between them must be."""
     subs = [validate(end) for end in dict.fromkeys((R.dom, R.cod))]
