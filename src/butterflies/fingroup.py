@@ -763,7 +763,7 @@ def _generator_images(
         ]
         for g, o in zip(src.gens, src.orders)
     ]
-    # the partial map, the span it is closed over in the order reached, and (column, image) per assigned generator
+    # the map so far, its span in the order reached, (column, image) per assigned generator; undone by slices
     m, reached, steps = [0] + [-1] * (src.order - 1), [0], []
 
     def close(k: int, h: int, trail: list) -> bool:
