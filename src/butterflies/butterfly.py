@@ -31,6 +31,7 @@ from .fingroup import (
     _generator_images,
     _is_pullback,
     _per_operand,
+    _run_memo,
     _twisted_index,
     direct_product,
     identity_hom,
@@ -47,12 +48,12 @@ from .xmod import (
     XModTwoCell,
     _check_ranges,
     _ends_valid,
+    _validate_2group,
     cokernel_embedding,
     denormalize,
     denormalize_morphism,
     kernel_embedding,
     normalize,
-    validate_two_group,
     validate_two_group_functor,
 )
 
@@ -426,15 +427,16 @@ def to_fractor(B: Butterfly) -> Fractor:
     return Fractor(left, TwoGroupFunctor(Rsigma, G2, rho_bar, B.rho))
 
 
+@_run_memo()
 def validate_fractor(F: Fractor) -> ValidationReport:
     """The three fractor conditions.  An invalid R or Rsigma is reported first
     and alone; condition 3, which indexes rho by R's d and c, runs once
     conditions 1 and 2 hold: then rho is a map on Rsigma's objects, and the
-    kernel pair puts every object of R among them."""
+    kernel pair puts every object of R among them.  A run scope: each 2-group is validated once."""
     report = ValidationReport("fractor")
     R, Rsigma = F.left.dom, F.right.dom
     for T, label in ((R, "R"), (Rsigma, "Rsigma")):
-        sub = validate_two_group(T)
+        sub = _validate_2group(T)
         if not sub.ok:
             report.add("1-groupoid", label, f"{label} is not a groupoid: {sub.findings[0]}")
     if not report.ok:

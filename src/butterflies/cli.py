@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--fault",
         default=None,
-        help="fault-injection mode, the suite must fail: compose (bicategory) or two-cell-count (fractions)",
+        help="fault-injection mode, the suite must fail: " + " or ".join(f"{f} ({s})" for f, s in FAULTS.items()),
     )
     p.set_defaults(func=cmd_suite)
 

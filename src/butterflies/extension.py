@@ -26,7 +26,6 @@ from .fingroup import (
     GroupAction,
     GroupHom,
     _backtrack,
-    _generators,
     _greedy_span,
     _maps_into,
     _twisted_columns,
@@ -384,7 +383,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     twisted product E on G x H, with the product
     (g1, x1)(g2, x2) = (g1 phi(x1)(g2) f(x1, x2), x1 x2).  Every such E has
     the same wings, the same sigma and, with the wing images first, the same
-    generating sequence (``_wing_first_generators``).  Its Aut-leg is
+    generating sequence (``fingroup._twisted_columns``).  Its Aut-leg is
     rho(g, x) = inner(g) phi(x), since (g, x)(a, 1)(g, x)^-1 =
     (g phi(x)(a) g^-1, 1).  So a cocycle's butterfly is read off (phi, f):
     rho, the generator columns the morphism search reads of its source, and
@@ -422,11 +421,8 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     search still decides membership, so the classes, their order and their
     counts are those of a search against every representative.
     """
-    if H.order * G.order > bound:
-        raise BoundExceeded("classify_extensions", H.order * G.order, bound)
     cocycles = enumerate_cocycles(H, G, bound)
     A = aut_xmod(G)
-    gens = _wing_first_generators(H, G)
     _, sigma, pair = _twisted_index(G.order, H.order)
     iota = pair(range(G.order), (0,) * G.order)
     reps: list[Butterfly] = []
@@ -445,7 +441,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
         rho = _twisted_rho(fs, A)
         legs = ((0,), iota, sigma, rho)
         bucket = buckets.setdefault(_morphism_invariant(fs, rho), [])
-        source = _twisted_columns(G, H, _aut_rows(fs), fs.f, gens) if bucket else None
+        source = _twisted_columns(G, H, _aut_rows(fs), fs.f) if bucket else None
         for k in bucket:
             if _witness_map(source, legs, reps[k]) is not None:
                 counts[k] += 1
@@ -476,17 +472,6 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
             )
         )
     return out
-
-
-def _wing_first_generators(H: FinGroup, G: FinGroup) -> tuple[int, ...]:
-    """The generating sequence, wing images first, shared by every twisted
-    product over (H, G): iota of G's generators, then (1, x) for H's.
-    The span of iota(G) is the kernel of sigma, and a subgroup containing it
-    is the preimage of its image in H; the elements (1, x) come first in
-    element order, in H's order, so the greedy choice continues as H's does."""
-    gG, gH = _generators(G), _generators(H)
-    _, _, pair = _twisted_index(G.order, H.order)
-    return pair(gG + (0,) * len(gH), (0,) * len(gG) + gH)
 
 
 def _twisted_rho(fs: FactorSet, A: CrossedModule) -> tuple[int, ...]:
@@ -531,7 +516,7 @@ def standard_catalog(order: int) -> tuple[tuple[str, FinGroup], ...]:
     groups: list[tuple[str, FinGroup]] = []
 
     def add(name: str, G: FinGroup):
-        if G.order == order and not any(isomorphism_search(G, K) for _, K in groups):
+        if not any(isomorphism_search(G, K) for _, K in groups):
             groups.append((name, G))
 
     for parts in _abelian_factorizations(order):

@@ -620,11 +620,15 @@ def _twisted_product(
     return E, GroupHom._trusted(E, H, xs), GroupHom._trusted(G, E, pair(range(n), (0,) * n))
 
 
-def _twisted_columns(G: FinGroup, H: FinGroup, perms, f, gens: Sequence[int]) -> _Columns:
-    """The generator-columns record of the twisted product of ``_twisted_pairs``
-    (perms and f as there) for the generating sequence `gens`: only their
-    columns, not the table."""
-    nH = H.order
+def _twisted_columns(G: FinGroup, H: FinGroup, perms, f) -> _Columns:
+    """The generator-columns record of the twisted product E of ``_twisted_pairs``
+    (perms and f as there), its table never built.  Its sequence, (g, 1) for G's
+    generators and then (1, x) for H's, is ``_generating_sequence(E, iota(G))``, as
+    ``_generator_images`` requires: iota(G) spans the kernel of (g, x) -> x, and the
+    (1, x) come first in element order, so the greedy choice continues as H's does."""
+    nH, gG, gH = H.order, _generators(G), _generators(H)
+    _, _, pair = _twisted_index(G.order, nH)
+    gens = pair(gG + (0,) * len(gH), (0,) * len(gG) + gH)
     pairs = _twisted_pairs(G, H, perms, f, gens)
     # the column of e2 holds (g1, x1) e2 = (g1 g, x) for the (g, x) = (1, x1) e2 of each x1
     columns = [[tg[g] * nH + x for tg in G.table for g, x in col] for col in zip(*pairs)]

@@ -139,11 +139,11 @@ class SuiteReport:
 
 
 def _serialized(value):
-    """A witness field: a record through ``to_jsonable``, a tuple of records
-    as a list of them, any other value as it is."""
+    """A witness field: a group or record through ``to_jsonable``, a tuple of
+    records as a list of them, any other value as it is."""
     if isinstance(value, tuple):
         return [to_jsonable(R) for R in value]
-    return to_jsonable(value) if isinstance(value, (CrossedModule, XModMorphism, Butterfly)) else value
+    return to_jsonable(value) if isinstance(value, (FinGroup, CrossedModule, XModMorphism, Butterfly)) else value
 
 
 @_run_memo()
@@ -480,7 +480,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
                 report.case()
                 pulled, comparison = pullback_crossed_module(X, sigma)
                 if not validate_crossed_module(pulled).ok or not is_weak_equivalence(comparison)[0]:
-                    report.fail("pullback-weak-equivalence", xmod=X, sigma=list(sigma.map))
+                    report.fail("pullback-weak-equivalence", xmod=X, source=E, sigma=list(sigma.map))
 
     return report.done(start, fault, dropped_cells > 0)
 

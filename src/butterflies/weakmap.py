@@ -18,8 +18,7 @@ from .butterfly import Butterfly, _arrows
 from .errors import GroupLawSearchFailed, SectionInvalid
 from .fingroup import FinGroup, GroupHom, _maps_into, _twisted_index, kernel
 from .report import ValidationReport
-from .xmod import Strict2Group, _ends_valid, _functor_laws, _natural_families, denormalize, normalize
-from .xmod import validate_two_group
+from .xmod import Strict2Group, _ends_valid, _functor_laws, _natural_families, _validate_2group, denormalize, normalize
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def check_monoidal(M: MonoidalFunctor) -> ValidationReport:
     as it looks up composites that exist only then."""
     report = ValidationReport("monoidal functor")
     T, U = M.dom, M.cod
-    if not _ends_valid(report, M, validate_two_group, "underlying-2group:"):
+    if not _ends_valid(report, M, _validate_2group, "underlying-2group:"):
         return report
     F0, F1, F2 = M.F0, M.F1, M.F2
     _functor_laws(report, T, U, F0, F1)

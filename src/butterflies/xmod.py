@@ -253,6 +253,9 @@ def validate_two_group(T: Strict2Group) -> ValidationReport:
     return report
 
 
+_validate_2group = _per_operand(validate_two_group)  # in a run scope, once per 2-group
+
+
 @dataclass(frozen=True)
 class TwoGroupFunctor:
     """An internal functor between strict 2-groups."""
@@ -303,7 +306,7 @@ def validate_two_group_functor(F: TwoGroupFunctor) -> ValidationReport:
     report = ValidationReport("2-group functor")
     T, U = F.dom, F.cod
     legs = (("p1", F.p1.map, T.G1, U.G1), ("p0", F.p0.map, T.G0, U.G0))
-    if not _ends_valid(report, F, validate_two_group, "underlying-2group:") or _check_ranges(report, "leg-range", legs):
+    if not _ends_valid(report, F, _validate_2group, "underlying-2group:") or _check_ranges(report, "leg-range", legs):
         return report
     _functor_laws(report, T, U, F.p0.map, F.p1.map)
     return report
@@ -360,14 +363,10 @@ def denormalize_morphism(P: XModMorphism) -> TwoGroupFunctor:
 
 
 def normalization_round_trip_equal(X: CrossedModule) -> bool:
-    """normalize(denormalize(X)) equals X on the nose under the canonical labeling."""
-    Y = normalize(denormalize(X))
-    return (
-        Y.G.table == X.G.table
-        and Y.G0 == X.G0
-        and Y.boundary.map == X.boundary.map
-        and Y.action.act == X.action.act
-    )
+    """normalize(denormalize(X)) equals X on the nose under the canonical
+    labeling: ``CrossedModule`` equality leaves names out and compares groups
+    by their tables."""
+    return normalize(denormalize(X)) == X
 
 
 def denormalization_round_trip_iso(T: Strict2Group) -> Optional[TwoGroupFunctor]:

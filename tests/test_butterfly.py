@@ -18,7 +18,7 @@ from helpers import (
     z4_extension_butterfly,
 )
 
-from butterflies import butterfly
+from butterflies import butterfly, xmod
 from butterflies.butterfly import (
     Butterfly,
     butterfly_morphism,
@@ -77,6 +77,8 @@ class TestValidation:
         assert validate_butterfly(z4_extension_butterfly()).ok
 
     def test_broken_surjectivity_reported(self):
+        # the three ii-extension findings, pinned by their details: sigma onto
+        # Z4's subgroup {0, 2}, and C(Z3)'s identity with iota the zero map
         B = z4_extension_butterfly()
         broken = Butterfly(
             dom=discrete_xmod(Z4),
@@ -87,8 +89,15 @@ class TestValidation:
             sigma=GroupHom(Z4, Z4, (0, 2, 0, 2)),
             rho=B.rho,
         )
-        report = validate_butterfly(broken)
-        assert "ii-extension" in report.conditions()
+        I = identity_butterfly(conjugation_xmod(Z3))
+        not_injective = dataclasses.replace(I, iota=zero_hom(Z3, I.E))
+        for B, details in (
+            (broken, ["sigma is not surjective"]),
+            (not_injective, ["iota is not injective", "image(iota) != kernel(sigma)"]),
+        ):
+            report = validate_butterfly(B)
+            assert [f.detail for f in report.findings if f.condition == "ii-extension"] == details
+        assert report.conditions() == {"right-wing", "ii-extension"}
 
     def test_broken_complex_reported(self):
         # kappa with rho(kappa h) != 1: use the identity butterfly of CZ2 with rho := sigma
@@ -463,3 +472,21 @@ class TestFractor:
         # the fractor quotes the leg's first finding, that this p1 does not multiply
         assert "not-hom: witness ('p1', " in str(report)
         assert "functor-source" in validate_two_group_functor(left).conditions()
+
+    def test_each_two_group_is_validated_once(self, monkeypatch):
+        # R, Rsigma and C(S3)'s 2-group, which is both legs' codomain: a 2-group
+        # validation checks the ranges of its d, c and e once, first
+        F = to_fractor(identity_butterfly(conjugation_xmod(S3)))
+        validated, original = [], xmod._check_ranges
+
+        def counting(report, condition, maps):
+            if maps[0][0] == "d":
+                validated.append(maps[0][2])
+            return original(report, condition, maps)
+
+        monkeypatch.setattr(xmod, "_check_ranges", counting)
+        assert validate_fractor(F).ok
+        assert len(validated) == len({id(G1) for G1 in validated}) == 3
+        validated.clear()
+        assert from_fractor(F) == identity_butterfly(conjugation_xmod(S3))
+        assert len(validated) == 3

@@ -6,10 +6,10 @@ the classify-grid benchmark relabels them: the Aut-leg inner(g) phi(x)
 equals ``reference_rho``, which conjugates in the built extension, and the
 butterfly of ``factor_set_to_extension`` equals, names included, the one
 ``butterfly_from_extension`` builds from its wing and left leg; the
-generating sequence shared by every twisted product over (H, G) equals the
-extension's own with the wing images first, the sequence the morphism search
-would compute from E's table; the generator columns built from (phi, f)
-equal the columns of ``reference_twisted_product``; and the bucket invariant
+generating sequence of the generator-columns record built from (phi, f)
+equals the extension's own with the wing images first, the sequence the
+morphism search would compute from E's table, and its columns equal those of
+``reference_twisted_product``; and the bucket invariant
 computed with the product formula equals the one read off that table.
 """
 
@@ -24,7 +24,6 @@ from butterflies.extension import (
     _aut_rows,
     _morphism_invariant,
     _twisted_rho,
-    _wing_first_generators,
     aut_xmod,
     butterfly_from_extension,
     factor_set_to_extension,
@@ -56,22 +55,20 @@ def _names(B) -> tuple[str, ...]:
 
 @pytest.mark.parametrize("pair", GRID, ids=IDS)
 def test_shared_sequence_is_each_extensions_wing_first_sequence(pair):
-    H, G = GROUPS[pair[0]], GROUPS[pair[1]]
-    shared = _wing_first_generators(H, G)
     for fs in reference_cocycles(pair):
         B = factor_set_to_extension(fs)
-        assert list(shared) == _generating_sequence(B.E, B.iota.map)
+        record = _twisted_columns(fs.G, fs.H, _aut_rows(fs), fs.f)
+        assert list(record.gens) == _generating_sequence(B.E, B.iota.map)
 
 
 @pytest.mark.parametrize("pair", GRID, ids=IDS)
 def test_columns_and_orders_equal_the_tables(pair):
-    gens = _wing_first_generators(GROUPS[pair[0]], GROUPS[pair[1]])
     for fs in reference_cocycles(pair):
         table = reference_twisted_product(fs)
-        record = _twisted_columns(fs.G, fs.H, _aut_rows(fs), fs.f, gens)
-        assert record.order == len(table) and record.gens == gens
-        assert [list(col) for col in record.columns] == [[row[g] for row in table] for g in gens]
-        assert list(record.orders) == [_order(table, g) for g in gens]
+        record = _twisted_columns(fs.G, fs.H, _aut_rows(fs), fs.f)
+        assert record.order == len(table)
+        assert [list(col) for col in record.columns] == [[row[g] for row in table] for g in record.gens]
+        assert list(record.orders) == [_order(table, g) for g in record.gens]
 
 
 @pytest.mark.parametrize("pair", GRID, ids=IDS)

@@ -27,7 +27,6 @@ from butterflies.extension import (
     _aut_rows,
     _morphism_invariant,
     _twisted_rho,
-    _wing_first_generators,
     aut_xmod,
     classify_extensions,
     enumerate_cocycles,
@@ -54,7 +53,6 @@ def per_cocycle_classify(H, G, bound: int) -> tuple[list[tuple], int]:
     cocycle searched against the representatives of its invariant bucket,
     and the number of witness searches made."""
     A = aut_xmod(G)
-    gens = _wing_first_generators(H, G)
     _, sigma, pair = _twisted_index(G.order, H.order)
     iota = pair(range(G.order), (0,) * G.order)
     reps, data, counts, buckets, searches = [], [], [], {}, 0
@@ -62,7 +60,7 @@ def per_cocycle_classify(H, G, bound: int) -> tuple[list[tuple], int]:
         rho = _twisted_rho(fs, A)
         legs = ((0,), iota, sigma, rho)
         bucket = buckets.setdefault(_morphism_invariant(fs, rho), [])
-        source = _twisted_columns(G, H, _aut_rows(fs), fs.f, gens) if bucket else None
+        source = _twisted_columns(G, H, _aut_rows(fs), fs.f) if bucket else None
         for k in bucket:
             searches += 1
             if _witness_map(source, legs, reps[k]) is not None:

@@ -1,4 +1,5 @@
-"""Every module-level name of the library has a reader.
+"""Every module-level name of the library, and every method and property of
+its classes, has a reader.
 
 A private name must be read by some module of the library.  A public name
 must be read by the library, by the benchmark or by the acceptance test, or
@@ -44,6 +45,7 @@ PUBLIC_ALLOWLIST = {
         "the span closure `_close` and the subgroup oracle of the construction references",
         "test_law_suite_reference.py",
     ),
+    "conditions": ("a report names each condition that a broken input violates", "test_butterfly.py"),
 }
 
 
@@ -63,6 +65,18 @@ def definitions(tree: ast.Module) -> dict[str, int]:
             if not name.startswith("__"):
                 found[name] = node.lineno
     return found
+
+
+def members(tree: ast.Module) -> dict[str, int]:
+    """The methods and properties of the classes that `tree` defines at
+    module level, dunders left out, with their lines."""
+    return {
+        node.name: node.lineno
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("__")
+    }
 
 
 def read_names(tree: ast.Module) -> set[str]:
@@ -106,12 +120,12 @@ def traced_lookups(tree: ast.Module) -> set[str]:
 
 
 def unread(trees: dict[str, ast.Module], read: set[str], public: bool) -> dict[str, str]:
-    """The public (or private) names that `trees` define and `read` lacks,
-    each with its place ``module:line: name``."""
+    """The public (or private) names that `trees` define, at module level or
+    as class members, and `read` lacks, each with its place ``module:line: name``."""
     return {
         name: f"{module}:{line}: {name}"
         for module, tree in trees.items()
-        for name, line in definitions(tree).items()
+        for name, line in {**definitions(tree), **members(tree)}.items()
         if name.startswith("_") != public and name not in read
     }
 
@@ -138,8 +152,9 @@ def test_detects_a_dead_private_name():
     sources = {
         "a": "_LIMIT = 3\n_seen: set = set()\ndef _helper():\n    return _LIMIT\ndef _dead():\n    pass\n",
         "b": "from .a import _helper\nclass _Gone:\n    pass\nprint(_helper(), _seen)\n",
+        "c": "class Kept:\n    def _used(self):\n        pass\n    def _dead_method(self):\n        return self._used()\n",
     }
-    assert dead_private_names(sources) == ["a:5: _dead", "b:2: _Gone"]
+    assert dead_private_names(sources) == ["a:5: _dead", "b:2: _Gone", "c:4: _dead_method"]
 
 
 def test_no_dead_private_name():
@@ -150,12 +165,17 @@ def test_detects_a_dead_public_name():
     library = {
         "a": "LIMIT = 3\ndef helper():\n    return LIMIT\ndef dead():\n    pass\ndef timed():\n    pass\n",
         "b": "from .a import helper\nclass Gone:\n    pass\ndef bench_only():\n    pass\n",
+        "m": (
+            "class Kept:\n    def __repr__(self):\n        return ''\n    @property\n    def shown(self):\n"
+            "        pass\n    def read(self):\n        pass\n    def dead_method(self):\n        pass\n"
+        ),
     }
-    readers = ["from a import helper\nimport b\nb.bench_only()\n"]
+    readers = ["from a import helper\nimport b\nb.bench_only()\nprint(b.Kept().shown, b.Kept().read())\n"]
     keyed = 'calls = {}\nprint(calls["a.timed"], calls["b"], calls["c.Gone"], "a.dead_s")\n'
     assert dead_public_names(library, readers, keyed) == {
         "dead": "a:4: dead",
         "Gone": "b:2: Gone",
+        "dead_method": "m:9: dead_method",
     }
 
 

@@ -282,28 +282,22 @@ class TestClassify:
 
     def test_generating_sequence_computed_once_per_group_and_key(self, monkeypatch):
         # every twisted product over (H, G) shares one generating sequence with
-        # the wing images first, built once per classification from H's and
-        # G's own: no cocycle's E computes a sequence keyed by its wings, and
-        # the only sequences of groups of order 8 are those of the class
-        # representatives, which are validated and named
+        # the wing images first, built from H's and G's own: no cocycle's E
+        # computes a sequence keyed by its wings, and the only sequences of
+        # groups of order 8 are those of the class representatives, which are
+        # validated and named
         standard_catalog(8), aut_xmod(Z2), enumerate_cocycles(V4, Z2)  # outside the count
-        computed, shared = [], []
-        original, original_shared = fingroup._generating_sequence, extension._wing_first_generators
+        computed = []
+        original = fingroup._generating_sequence
 
         def counting(G, first=()):
             computed.append((G, tuple(first)))
             return original(G, first)
 
-        def counting_shared(H, G):
-            shared.append((H, G))
-            return original_shared(H, G)
-
         monkeypatch.setattr(fingroup, "_generating_sequence", counting)
-        monkeypatch.setattr(extension, "_wing_first_generators", counting_shared)
         classes = classify_extensions(V4, Z2)
         keys = [(id(G), key) for G, key in computed]  # computed keeps every G alive
         assert len(keys) == len(set(keys))
-        assert shared == [(V4, Z2)]
         assert all(key == () for _, key in computed)
         assert 0 < sum(G.order == 8 for G, _ in computed) <= 2 * len(classes)
 

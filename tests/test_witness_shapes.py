@@ -14,6 +14,7 @@ and labels included, and witnesses serialize those.
 from __future__ import annotations
 
 import inspect
+import json
 import re
 from types import SimpleNamespace
 
@@ -22,8 +23,10 @@ import pytest
 from butterflies import laws
 from butterflies.errors import ConstructionError
 from butterflies.extension import aut_xmod
-from butterflies.report import ValidationReport
-from butterflies.xmod import denormalize
+from butterflies.fingroup import GroupHom, all_homomorphisms, cyclic_group, klein_four
+from butterflies.jsonio import from_jsonable
+from butterflies.report import KEEP_PER_CONDITION, ValidationReport
+from butterflies.xmod import denormalize, is_weak_equivalence, pullback_crossed_module, validate_crossed_module
 
 from test_suite_golden import report_digest
 
@@ -126,7 +129,7 @@ CASES = {
     "pullback-invalid": (
         "fractions", None, "validate_crossed_module", lambda X: SimpleNamespace(ok=False),
         {"pullback-weak-equivalence"},
-        "2ce741d6f0e12816adfd1e4057ae050673497593db64aed01857b28568909ba2",
+        "86db3243a1bbd3784e798ddc4270687ae15dba0dd79581cf5ed7777c84857c77",
     ),
 }
 
@@ -150,3 +153,24 @@ def test_every_check_is_forced():
     named = set(re.findall(r'\.fail\(\s*"([a-z0-9-]+)"', inspect.getsource(laws)))
     assert named == set().union(*(checks for *_, checks, _ in CASES.values()))
     assert len(named) == 19
+
+
+def test_pullback_witness_replays_from_its_json(monkeypatch):
+    # sigma's source group is written out: Z4 and V4 both have order 4, and
+    # (0, 1, 0, 1) is a surjection of each onto Z2
+    fx = laws.generate_fixtures(0, 8)
+    monkeypatch.setattr(laws, "validate_crossed_module", lambda X: SimpleNamespace(ok=False))
+    report = json.loads(json.dumps(laws.SUITES["fractions"](fx).to_json()))
+    witnesses = [f["witness"] for f in report["failures"] if f["check"] == "pullback-weak-equivalence"]
+    assert len(witnesses) == KEEP_PER_CONDITION
+    sources = {G.table: G for G in (cyclic_group(4), klein_four())}
+    replayed = set()
+    for witness in witnesses:
+        X, E = from_jsonable(witness["xmod"]), from_jsonable(witness["source"])
+        sigma = GroupHom(E, X.G0, witness["sigma"])
+        assert X in fx.crossed_modules and sigma in all_homomorphisms(sources[E.table], X.G0)
+        pulled, comparison = pullback_crossed_module(X, sigma)
+        assert validate_crossed_module(pulled).ok and is_weak_equivalence(comparison)[0]
+        replayed.add((E.table, sigma.map))
+    assert len(replayed) == len(witnesses)
+    assert {(table, (0, 1, 0, 1)) for table in sources} <= replayed
