@@ -7,8 +7,9 @@ else BUTTERFLY_WORKSPACE, else ./.butterfly_workspace.  Exit codes: 0 ok,
 1 domain failure, 2 usage or parse error, or a standard output closed
 before the output was written.
 
-Each operand of identity, compose, flip, split, span and weakmap extract is
-validated once on load; the operations themselves assume valid operands.
+Each command is a run scope (``fingroup._run_memo()``), in which a file or ref
+loads once and each distinct operand of identity, compose, flip, split, span and
+weakmap extract is validated once, on load; the operations assume valid operands.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .butterfly import (
 )
 from .errors import BoundExceeded, ButterflyError, ParseError, UnknownKind, UnknownSuite
 from .extension import CLASSIFY_BOUND, classify_extensions, factor_set_oracle
-from .fingroup import FinGroup, cyclic_group, direct_product, klein_four, symmetric_group, trivial_group
+from .fingroup import FinGroup, _once, _per_operand, _run_memo, cyclic_group, direct_product, klein_four
+from .fingroup import symmetric_group, trivial_group
 from .laws import FAULTS, SUITES, generate_fixtures
 from .report import ValidationReport
 from .weakmap import MonoidalFunctor, butterfly_from_monoidal, check_monoidal, extract_monoidal
@@ -169,7 +171,7 @@ def _load_json_arg(arg: str, ws: Workspace) -> dict:
 
 
 def _load_object(arg: str, ws: Workspace):
-    return jsonio.from_jsonable(_load_json_arg(arg, ws), resolver=ws.get)
+    return _once((_load_object, arg), lambda: jsonio.from_jsonable(_load_json_arg(arg, ws), resolver=ws.get))
 
 
 def _group_arg(arg: str, ws: Workspace) -> tuple[int, Callable[[], FinGroup]]:
@@ -201,21 +203,23 @@ _VALIDATORS: dict[type, Callable[[Any], ValidationReport]] = {
 }
 
 
+_report = _per_operand(lambda obj: _VALIDATORS[type(obj)](obj))  # in a command, once per distinct operand
+
+
 def _load_operand(arg: str, ws: Workspace, kind: type, usage: str):
     """Load an operand of kind `kind` (else a usage error, exit 2) and validate
     it once (else a domain failure naming the failed conditions, exit 1)."""
     obj = _load_object(arg, ws)
     if not isinstance(obj, kind):
         raise ParseError(usage)
-    report = _VALIDATORS[type(obj)](obj)
+    report = _report(obj)
     if not report.ok:
         raise ValueError(str(report))
     return obj
 
 
 def cmd_validate(args, ws: Workspace) -> int:
-    obj = _load_object(args.object, ws)
-    report = _VALIDATORS[type(obj)](obj)
+    report = _report(_load_object(args.object, ws))
     _emit(args, report.to_json(), str(report))
     return 0 if report.ok else 1
 
@@ -239,8 +243,9 @@ def cmd_compose(args, ws: Workspace) -> int:
         payload["check"] = report.to_json()
         lines.append(str(report))
     if args.witness:
+        witness = _per_operand(isomorphic_butterflies)  # one search when both inputs are one operand
         for label, other in (("first", B1), ("second", B2)):
-            w = isomorphic_butterflies(C, other)
+            w = witness(C, other)
             if w is not None:
                 payload[f"witness_{label}"] = list(w.f.map)
                 lines.append(f"isomorphic to {label} input via {list(w.f.map)}")
@@ -450,7 +455,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     root = args.workspace or os.environ.get(ENV_WORKSPACE) or ".butterfly_workspace"
     ws = Workspace(Path(root))
     try:
-        status = args.func(args, ws)
+        with _run_memo():  # the command's scope, which its exit ends
+            status = args.func(args, ws)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return status
     except BrokenPipeError:

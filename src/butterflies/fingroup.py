@@ -25,14 +25,14 @@ from .errors import BoundExceeded, CodomainMismatch, ConstructionError, NotAGrou
 
 DEFAULT_BOUND = 24
 AUT_LIMIT = 336  # the most automorphisms automorphism_group tabulates, |Aut(Z2xZ2xZ2xZ3)|
-# the innermost _run_memo() scope's memo, None outside one; each entry keeps its
-# operands alive, so the ids in a key are not reused while the memo lives
+# the innermost _run_memo() scope's memo, None outside one; each entry keeps alive
+# the objects whose ids its key holds, so no id in a key is reused while the memo lives
 _memo: ContextVar[Optional[dict]] = ContextVar("_memo", default=None)
 
 
 @contextmanager
 def _run_memo():
-    """A scope, also a decorator, in which ``_per_operand`` results live."""
+    """A scope, also a decorator, in which ``_per_operand`` and ``_once`` results live."""
     token = _memo.set({})
     try:
         yield
@@ -52,6 +52,14 @@ def _per_operand(f):
         return (memo.get(key) or memo.setdefault(key, (f(*operands), operands)))[0]
 
     return memoized
+
+
+def _once(key: tuple, build: Callable[[], Any]) -> Any:
+    """``build()`` once per `key` in a ``_run_memo()`` scope, else afresh (see ``_memo`` on ids in keys)."""
+    memo = _memo.get()
+    if memo is None:
+        return build()
+    return memo[key] if key in memo else memo.setdefault(key, build())
 
 
 class FinGroup:
@@ -332,9 +340,13 @@ class GroupAction(_Trusted):
 
     def __post_init__(self):
         object.__setattr__(self, "act", tuple(tuple(p) for p in self.act))
-        defect = _action_defect(self.actor, self.target, self.act)
-        if defect is not None:
-            raise ValueError(defect[1])
+        if self._defect is not None:
+            raise ValueError(self._defect[1])
+
+    @cached_property
+    def _defect(self) -> Optional[tuple[Any, str]]:
+        """``_action_defect`` of the rows, kept as ``FinGroup`` keeps ``_table_defect``."""
+        return _action_defect(self.actor, self.target, self.act)
 
 
 def _action_defect(actor: FinGroup, target: FinGroup, act) -> Optional[tuple[Any, str]]:

@@ -8,7 +8,10 @@ tables are written verbatim.  A top-level group's identity is moved to index 0
 if needed; a nested group must have it there already, as the maps beside it
 index the table as written.  2-groups are written as (G1, G0, d, c, e) alone.
 Every integer field is shape-checked, refusing JSON booleans and floats,
-before any constructor sees it, so malformed input is a ParseError.
+before any constructor sees it, so malformed input is a ParseError.  A run
+scope (``fingroup._run_memo()``, as a CLI command is) builds each distinct
+record once, keyed after its fields' shape checks by its names, its ints and
+the objects of its fields (``_built``); outside one, every load builds afresh.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .butterfly import Butterfly, Fractor, from_fractor, to_fractor, validate_butterfly
 from .errors import ParseError, UnknownKind
-from .fingroup import FinGroup, GroupAction, GroupHom, construct_group
+from .fingroup import FinGroup, GroupAction, GroupHom, _once, construct_group
 from .weakmap import MonoidalFunctor
 from .xmod import CrossedModule, Strict2Group, XModMorphism
 
@@ -173,7 +176,8 @@ def group_from_json(data: Any, resolver: Optional[Resolver] = None) -> FinGroup:
         not isinstance(labels, list) or len(labels) != len(table) or not all(isinstance(x, str) for x in labels)
     ):
         raise ParseError("field 'labels' must hold one string per element")
-    return construct_group(table, _name(data.get("name", "G"), "name"), labels)
+    name, labels = _name(data.get("name", "G"), "name"), None if labels is None else tuple(labels)
+    return _once((FinGroup, name, table, labels), lambda: construct_group(table, name, labels))
 
 
 def _nested_group(data: Any, key: str, resolver: Optional[Resolver], loaded: SimpleNamespace) -> FinGroup:
@@ -189,11 +193,18 @@ def _nested(kind: str) -> Loader:
 
 def _hom(dom: str, cod: str) -> Loader:
     dom_of, cod_of = attrgetter(dom), attrgetter(cod)
-    return lambda value, key, resolver, loaded: GroupHom(dom_of(loaded), cod_of(loaded), _ints(value, key))
+    return lambda value, key, resolver, loaded: _built(GroupHom, dom_of(loaded), cod_of(loaded), _ints(value, key))
 
 
 def _action(value: Any, key: str, resolver: Optional[Resolver], loaded: SimpleNamespace) -> GroupAction:
-    return GroupAction(loaded.G0, loaded.G, _int_rows(value, key))
+    return _built(GroupAction, loaded.G0, loaded.G, _int_rows(value, key))
+
+
+def _built(cls: type, *args: Any, **fields: Any) -> Any:
+    """``cls(*args, **fields)``, in a run scope once per class and values: objects
+    by identity, as the record built keeps them alive, names and int tuples by value."""
+    key = (cls, *(v if isinstance(v, (str, tuple)) else id(v) for v in (*args, *fields.values())))
+    return _once(key, lambda: cls(*args, **fields))
 
 
 def _name(value: Any, key: str, *_: Any) -> str:
@@ -261,7 +272,7 @@ def _load_fields(kind: str, data: Any, resolver: Optional[Resolver]) -> Any:
     for key, load in fields:
         # the one optional key, an xmod's name, defaults to ""
         setattr(loaded, key, load(data.get(key, ""), key, resolver, loaded))
-    return cls(**vars(loaded))
+    return _built(cls, **vars(loaded))
 
 
 def fractor_from_json(data: Any, resolver: Optional[Resolver] = None) -> Fractor:

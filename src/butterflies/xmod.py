@@ -116,13 +116,14 @@ def _check_ranges(report: ValidationReport, condition: str, maps) -> bool:
 def validate_crossed_module(X: CrossedModule) -> ValidationReport:
     """Check that the action is one, reporting its first defect alone, and
     then the precrossed and Peiffer conditions, reporting every violation.
-    ``_action_defect`` alone decides the action, so both conditions, which
-    index the boundary and the action, run once both are in range."""
+    ``_action_defect`` alone decides the action (its kept verdict when it acts by G0 on G),
+    so both conditions, which index the boundary and the action, run once both are in range."""
     report = ValidationReport(repr(X))
-    bd, G, G0 = X.boundary.map, X.G, X.G0
+    bd, G, G0, action = X.boundary.map, X.G, X.G0, X.action
     if _check_ranges(report, "map-range", [("boundary", bd, G, G0)]):
         return report
-    if (defect := _action_defect(G0, G, X.action.act)) is not None:
+    defect = action._defect if action.actor is G0 and action.target is G else _action_defect(G0, G, action.act)
+    if defect is not None:
         report.add("not-an-action", *defect)
         return report
     for x in range(G0.order):

@@ -17,7 +17,8 @@ same exception type and message, or objects with the same canonical bytes.
 
 Both sides load each input one after the other in one process, so the
 library's memo caches, keyed by table equality and blind to names, answer
-both from the same state.
+both from the same state.  The mutations are compared outside a run scope
+and again inside one, where the loader builds each distinct record once.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import pytest
 from butterflies import jsonio
 from butterflies.butterfly import Butterfly, Fractor, from_fractor, to_fractor, validate_butterfly
 from butterflies.errors import ParseError, UnknownKind
-from butterflies.fingroup import FinGroup, GroupAction, GroupHom
+from butterflies.fingroup import FinGroup, GroupAction, GroupHom, _run_memo
 from butterflies.jsonio import Resolver, _int_rows, _ints, _require, _resolve, group_from_json
 from butterflies.laws import generate_fixtures
 from butterflies.weakmap import MonoidalFunctor, all_set_sections, extract_monoidal
@@ -301,13 +302,28 @@ def one_of_each_type(seed: int, bound: int, position: int) -> list:
     return [objects[position] for objects in by_type.values()]
 
 
-# the first objects of a small set and the last, largest ones of a large set
-@pytest.mark.parametrize("seed, bound, position", [(0, 8, 0), (1, 16, -1)], ids=["0,8,first", "1,16,last"])
-def test_malformed_inputs_end_the_same(seed, bound, position):
+def malformed_inputs_compared(seed: int, bound: int, position: int) -> int:
+    """Compare how both loaders end on each mutation of the objects of
+    ``one_of_each_type``; the number of inputs compared."""
     compared = 0
     for obj in one_of_each_type(seed, bound, position):
         for data in mutations(jsonio.to_jsonable(obj)):
             expected = outcome(reference_from_jsonable, reference_to_jsonable, data)
             assert outcome(jsonio.from_jsonable, jsonio.to_jsonable, data) == expected, data
             compared += 1
-    assert compared > 700
+    return compared
+
+
+# the first objects of a small set and the last, largest ones of a large set
+@pytest.mark.parametrize("seed, bound, position", [(0, 8, 0), (1, 16, -1)], ids=["0,8,first", "1,16,last"])
+def test_malformed_inputs_end_the_same(seed, bound, position):
+    assert malformed_inputs_compared(seed, bound, position) > 700
+
+
+@pytest.mark.parametrize("seed, bound, position", [(0, 8, 0), (1, 16, -1)], ids=["0,8,first", "1,16,last"])
+def test_malformed_inputs_end_the_same_in_a_run_scope(seed, bound, position):
+    """The same comparison inside one ``_run_memo()`` scope, as a CLI command
+    runs: the loader builds each distinct record once, keyed only after each
+    field's shape check, so each input still ends with its own first error."""
+    with _run_memo():
+        assert malformed_inputs_compared(seed, bound, position) > 700
