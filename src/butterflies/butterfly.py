@@ -48,7 +48,7 @@ from .xmod import (
     XModTwoCell,
     _check_ranges,
     _ends_valid,
-    _validate_2group,
+    _validate_end,
     cokernel_embedding,
     denormalize,
     denormalize_morphism,
@@ -87,7 +87,8 @@ def validate_butterfly(B: Butterfly) -> ValidationReport:
     report = ValidationReport(repr(B))
     E, H, G = B.E, B.dom.G, B.cod.G
     k, i, s, r = _legs(B)
-    legs = (("kappa", k, H, E), ("iota", i, G, E), ("sigma", s, E, B.dom.G0), ("rho", r, E, B.cod.G0))
+    legs = [("kappa", B.kappa, H, E), ("iota", B.iota, G, E)]
+    legs += [("sigma", B.sigma, E, B.dom.G0), ("rho", B.rho, E, B.cod.G0)]
     if not _ends_valid(report, B) or _check_ranges(report, "leg-range", legs):
         return report
     for h in range(H.order):
@@ -436,8 +437,7 @@ def validate_fractor(F: Fractor) -> ValidationReport:
     report = ValidationReport("fractor")
     R, Rsigma = F.left.dom, F.right.dom
     for T, label in ((R, "R"), (Rsigma, "Rsigma")):
-        sub = _validate_2group(T)
-        if not sub.ok:
+        if not (sub := _validate_end(T)).ok:
             report.add("1-groupoid", label, f"{label} is not a groupoid: {sub.findings[0]}")
     if not report.ok:
         return report

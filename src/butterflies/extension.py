@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .butterfly import Butterfly, _witness_map
-from .errors import BoundExceeded, NotAGroup, TwistLeavesCocycles
+from .errors import BoundExceeded, TwistLeavesCocycles
 from .fingroup import (
     FinGroup,
     GroupAction,
@@ -154,7 +154,7 @@ def factor_set_to_extension(fs: FactorSet) -> Butterfly:
 
     The Schreier conditions make it a group, so it is built unchecked; both
     classification routes re-check each class representative's table on it
-    (``FinGroup._table_defect``), raising ``FinGroup``'s ``NotAGroup``.
+    (``FinGroup._refuse_if_not_a_group``), raising ``FinGroup``'s ``NotAGroup``.
     """
     E, sigma, iota = _twisted_product(fs.G, fs.H, _aut_rows(fs), fs.f, f"E({fs.G.name},{fs.H.name})")
     return _extension_butterfly(iota, sigma, _twisted_rho(fs, aut_xmod(fs.G)))
@@ -324,8 +324,7 @@ def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -> 
                     members.append(j)
         classes.append([cocycles[j] for j in sorted(members)])
         E = _twisted_product(G, H, _aut_rows(fs), fs.f, f"E({G.name},{H.name})")[0]
-        if E._table_defect is not None:  # FinGroup's check, on E itself
-            raise NotAGroup(E._table_defect)
+        E._refuse_if_not_a_group()  # FinGroup's check, on E itself
     return classes
 
 
@@ -460,8 +459,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
             known.update({_pointwise(t, f, c): len(reps) - 1 for c in K})
     out = []
     for k, B in enumerate(reps):
-        if B.E._table_defect is not None:  # FinGroup's check, on E itself
-            raise NotAGroup(B.E._table_defect)
+        B.E._refuse_if_not_a_group()  # FinGroup's check, on E itself
         out.append(
             ExtensionClass(
                 factor_set=factor_sets[k],

@@ -78,8 +78,7 @@ class FinGroup:
     def __init__(self, table: Sequence[Sequence[int]], name: str = "G", element_labels: Optional[Sequence[str]] = None):
         self.order = len(table)
         self.table: tuple[tuple[int, ...], ...] = tuple(map(tuple, table))
-        _check_group_table(self)
-        self._table_defect = None
+        self._refuse_if_not_a_group()
         self.name, self.relabeling = name, None
         # labels given as a function, as the trusted constructions give them, are read on first use
         self._labels = element_labels if element_labels is None or callable(element_labels) else tuple(element_labels)
@@ -128,13 +127,18 @@ class FinGroup:
 
     @cached_property
     def _table_defect(self) -> Optional[str]:
-        """Why the table is no group table, or None.  ``__init__`` has checked
-        it; the table of a trusted construction is checked on first read."""
+        """Why the table is no group table, or None, decided on first read:
+        by ``__init__``, or later for the table of a trusted construction."""
         try:
             _check_group_table(self)
         except NotAGroup as exc:
             return str(exc)
         return None
+
+    def _refuse_if_not_a_group(self) -> None:
+        """Raise ``NotAGroup`` with ``_table_defect`` unless the table is a group table."""
+        if self._table_defect is not None:
+            raise NotAGroup(self._table_defect)
 
     @cached_property
     def element_invariants(self) -> tuple[tuple[int, int, int], ...]:
@@ -297,11 +301,17 @@ class GroupHom(_Trusted):
 
     def __post_init__(self):
         object.__setattr__(self, "map", tuple(self.map))
+        if self._defect is not None:
+            raise ValueError(self._defect[1])
+
+    @cached_property
+    def _defect(self) -> Optional[tuple[Any, str]]:
+        """Why the map is no homomorphism, as (witness, reason), or None, kept as ``FinGroup``
+        keeps ``_table_defect``: witness None for a map off cod, else ``_hom_defect``'s pair."""
         if not _maps_into(self.map, self.dom.order, self.cod.order):
-            raise ValueError("map is not one codomain element per domain element")
+            return None, "map is not one codomain element per domain element"
         defect = _hom_defect(self.dom, self.cod, self.map)
-        if defect is not None:
-            raise ValueError(f"map is not multiplicative at ({defect[0]},{defect[1]})")
+        return defect and (defect, f"map is not multiplicative at ({defect[0]},{defect[1]})")
 
     def then(self, g: "GroupHom") -> "GroupHom":
         """Composite 'self first, then g'."""

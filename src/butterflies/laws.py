@@ -57,7 +57,7 @@ from .fingroup import (
     product_and_pullback,
 )
 from .jsonio import to_jsonable
-from .report import KEEP_PER_CONDITION
+from .report import ValidationReport
 from .xmod import (
     CrossedModule,
     XModMorphism,
@@ -94,48 +94,38 @@ class FixtureSet:
 
 
 @dataclass
-class SuiteReport:
-    suite: str
+class SuiteReport(ValidationReport):
+    """A suite's failures as findings, kept by the ``ValidationReport`` rule, with the cases
+    run and the wall time.  ``done`` serializes the witnesses, so only kept ones are built."""
+
     cases: int = 0
-    failures: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
-    dropped: int = 0  # failures counted but not kept, past KEEP_PER_CONDITION per check
 
     @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def case(self) -> None:
-        self.cases += 1
+    def failures(self) -> list[dict]:
+        return [{"check": f.condition, "witness": f.witness} for f in self.findings]
 
     def fail(self, check: str, **witness) -> None:
-        """Count a failure; its witness fields are serialized only if the failure is kept."""
-        if sum(f["check"] == check for f in self.failures) < KEEP_PER_CONDITION:
-            self.failures.append({"check": check, "witness": {k: _serialized(v) for k, v in witness.items()}})
-        else:
-            self.dropped += 1
+        self.add(check, witness)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "failures": self.failures,
-            "wall_time": self.wall_time,
-            **({"dropped": self.dropped} if self.dropped else {}),
-        }
+        out = {"suite": self.subject, "cases": self.cases, "failures": self.failures, "wall_time": self.wall_time}
+        return {**out, "dropped": self.dropped} if self.dropped else out
 
     def done(self, start: float, fault: str | None, fired: bool) -> SuiteReport:
-        """Stop the clock.  A fault run whose fault never fired proves nothing, so it fails."""
+        """Stop the clock and serialize each kept witness.  A fault run whose fault never fired fails."""
         if fault is not None and not fired:
             self.fail("fault-not-exercised", fault=fault)
+        for f in self.findings:
+            f.witness = {k: _serialized(v) for k, v in f.witness.items()}
         self.wall_time = time.perf_counter() - start
         return self
 
     def __str__(self) -> str:
-        status = "ok" if self.ok else f"{len(self.failures) + self.dropped} failure(s)"
+        status = "ok" if self.ok else f"{len(self.findings) + self.dropped} failure(s)"
         if self.dropped:
             status += f", {self.dropped} not kept"
-        return f"suite {self.suite}: {self.cases} cases, {status} ({self.wall_time:.2f}s)"
+        return f"suite {self.subject}: {self.cases} cases, {status} ({self.wall_time:.2f}s)"
 
 
 def _serialized(value):
@@ -272,25 +262,25 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
         return composite(interned.get(_value(B1), B1), interned.get(_value(B2), B2))
 
     for B in fx.butterflies:
-        report.case()
+        report.cases += 1
         check = validate_butterfly(B)
         if not check.ok:
             report.fail("butterfly-valid", butterfly=B, report=check.to_json())
 
     bounded = [B for B in fx.butterflies if B.E.order <= 2 * fx.size_bound]
     for B in bounded:
-        report.case()
+        report.cases += 1
         w = iso(composer(identity_butterfly(B.dom), B), B)
         if w is None:
             report.fail("left-unit", butterfly=B)
         elif not w.f.is_isomorphism:
             report.fail("witness-bijective", butterfly=B)
-        report.case()
+        report.cases += 1
         if iso(composer(B, identity_butterfly(B.cod)), B) is None:
             report.fail("right-unit", butterfly=B)
 
     for B1, B2, B3 in _composable_triples(bounded, 64 * fx.size_bound):
-        report.case()
+        report.cases += 1
         try:
             w = iso(*_bracketings(composer, B1, B2, B3))
         except ConstructionError as exc:  # a corrupt composite is refused as an operand
@@ -304,7 +294,7 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
     for B in bounded:
         if not is_flippable(B):
             continue
-        report.case()
+        report.cases += 1
         Bstar = flip(B)
         if (
             iso(composer(B, Bstar), identity_butterfly(B.dom)) is None
@@ -387,7 +377,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
 
     # EF0 and its converse as a negative control
     for P in small_morphisms:
-        report.case()
+        report.cases += 1
         weak, _, _ = is_weak_equivalence(P)
         if weak != is_flippable(split_from_morphism(P)[0]):
             report.fail("ef0-flippable", morphism=P, weak=weak)
@@ -406,7 +396,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
             pairs.append((P, Q, kept))
             dropped_cells += len(cells) - len(kept)
     for P, Q, cells in pairs:
-        report.case()
+        report.cases += 1
         morphisms = butterfly_morphisms(split_from_morphism(P)[0], split_from_morphism(Q)[0])
         images = []
         for c in cells:
@@ -422,7 +412,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
 
     # cross-check: the two exhaustive enumerations agree as sets
     for P, Q, cells in pairs:
-        report.case()
+        report.cases += 1
         if {c.alpha for c in cells} != set(enumerate_natural_transformations(P, Q)):
             report.fail("two-cell-naturality", P=P, Q=Q)
 
@@ -430,25 +420,25 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
     for B in fx.butterflies:
         if B.E.order > 2 * fx.size_bound:
             continue
-        report.case()
+        report.cases += 1
         if not ef3_coincidence(B):
             report.fail("ef3-literal", butterfly=B)
 
     # action laws
     bounded = [B for B in fx.butterflies if B.E.order <= fx.size_bound]
     for B in bounded:
-        report.case()
+        report.cases += 1
         if _iso_or_none(reduced_compose(identity_morphism(B.dom), B), B) is None:
             report.fail("a3-unit", butterfly=B)
     for P in small_morphisms:
-        report.case()
+        report.cases += 1
         if reduced_compose(P, identity_butterfly(P.cod)) != split_from_morphism(P)[0]:
             report.fail("reduced-vs-split", morphism=P)
     leaving, starting = _by_dom(small_morphisms), _by_dom(bounded)
     composable_pq = ((P, Q) for P in small_morphisms for Q in leaving.get(P.cod, ()))
     for P, Q in itertools.islice(composable_pq, 10):
         for B in starting.get(Q.cod, [])[:2]:
-            report.case()
+            report.cases += 1
             lhs = reduced_compose(compose_morphisms(P, Q), B)
             rhs = reduced_compose(P, reduced_compose(Q, B))
             if _iso_or_none(lhs, rhs) is None:
@@ -462,7 +452,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
         if B1.E.order * B2.E.order <= 8 * fx.size_bound
     )
     for P, B1, B2 in itertools.islice(a1_triples, 8):
-        report.case()
+        report.cases += 1
         lhs = reduced_compose(P, compose(B1, B2))
         rhs = compose(reduced_compose(P, B1), B2)
         if _iso_or_none(lhs, rhs) is None:
@@ -477,7 +467,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
             for sigma in all_homomorphisms(E, X.G0):
                 if not sigma.is_surjective:
                     continue
-                report.case()
+                report.cases += 1
                 pulled, comparison = pullback_crossed_module(X, sigma)
                 if not validate_crossed_module(pulled).ok or not is_weak_equivalence(comparison)[0]:
                     report.fail("pullback-weak-equivalence", xmod=X, source=E, sigma=list(sigma.map))

@@ -34,7 +34,6 @@ from .fingroup import (
     GroupAction,
     GroupHom,
     Subgroup,
-    _action_defect,
     _generator_images,
     _generators,
     _hom_defect,
@@ -89,41 +88,42 @@ class CrossedModule:
 
 
 def _check_ranges(report: ValidationReport, condition: str, maps) -> bool:
-    """The one gate of the validators on the tables and maps they read: whether
-    it failed.  Each group that the rows (name, m, D, C) of `maps` join must
-    have a group table, as a check that reads one that has not may index off
-    it; each that has not is a ``not-a-group`` finding and fails the gate.
-    Else each m that is not a map D -> C is a `condition` finding and fails
-    it, so that the checks which index m can be skipped.  An m that is such a
-    map must also be a homomorphism D -> C (a leg, a boundary, an
-    automorphism): one that is not is a ``not-hom`` finding, with the first
-    defect pair (a, g) of m(a*g) != m(a)*m(g), and passes the gate."""
+    """The one gate of the validators on the tables and maps they read: whether it failed.
+    Each group that the rows (name, part, D, C) of `maps` join must have a group table, as a
+    check that reads one that has not may index off it; each that has not is a ``not-a-group``
+    finding and fails the gate.  Else each ``GroupHom`` part's ``_defect`` is read: kept if the
+    part joins D and C (a verdict reads only the tables, and equal groups have equal ones), else
+    decided afresh on D and C.  A map that is not one D -> C is a `condition` finding and fails
+    the gate, so that the checks which index it can be skipped; one that is no homomorphism
+    D -> C (a leg, a boundary) is a ``not-hom`` finding, with the first defect pair (a, g) of
+    m(a*g) != m(a)*m(g), and passes it."""
     broken = [G for G in dict.fromkeys(G for row in maps for G in row[2:]) if G._table_defect is not None]
     for G in broken:
         report.add("not-a-group", G.name, G._table_defect)
     if broken:
         return True
     failed = False
-    for name, m, D, C in maps:
-        if not _maps_into(m, D.order, C.order):
+    for name, part, D, C in maps:
+        defect = (part if (part.dom, part.cod) == (D, C) else GroupHom._trusted(D, C, part.map))._defect
+        if defect and defect[0] is None:
             report.add(condition, name, f"{name} is not a map {D.name} -> {C.name}")
             failed = True
-        elif (defect := _hom_defect(D, C, m)) is not None:
-            report.add("not-hom", (name, defect), f"{name} is not a homomorphism {D.name} -> {C.name}")
+        elif defect:
+            report.add("not-hom", (name, defect[0]), f"{name} is not a homomorphism {D.name} -> {C.name}")
     return failed
 
 
 def validate_crossed_module(X: CrossedModule) -> ValidationReport:
     """Check that the action is one, reporting its first defect alone, and
     then the precrossed and Peiffer conditions, reporting every violation.
-    ``_action_defect`` alone decides the action (its kept verdict when it acts by G0 on G),
-    so both conditions, which index the boundary and the action, run once both are in range."""
+    The gate's rule decides the boundary and the action, each on X's own groups,
+    so both conditions, which index the two, run once both are in range."""
     report = ValidationReport(repr(X))
-    bd, G, G0, action = X.boundary.map, X.G, X.G0, X.action
-    if _check_ranges(report, "map-range", [("boundary", bd, G, G0)]):
+    bd, G, G0 = X.boundary.map, X.G, X.G0
+    if _check_ranges(report, "map-range", [("boundary", X.boundary, G, G0)]):
         return report
-    defect = action._defect if action.actor is G0 and action.target is G else _action_defect(G0, G, action.act)
-    if defect is not None:
+    action = X.action if (X.action.actor, X.action.target) == (G0, G) else GroupAction._trusted(G0, G, X.action.act)
+    if (defect := action._defect) is not None:
         report.add("not-an-action", *defect)
         return report
     for x in range(G0.order):
@@ -135,18 +135,6 @@ def validate_crossed_module(X: CrossedModule) -> ValidationReport:
             if X.act(bd[g], g2) != G.conj(g, g2):
                 report.add("peiffer", (g, g2), "dg|>g' is not g*g'*g^-1")
     return report
-
-
-_validate_end = _per_operand(validate_crossed_module)  # in a run scope, once per crossed module
-
-
-def _ends_valid(report: ValidationReport, R, validate=_validate_end, prefix="underlying-xmod:") -> bool:
-    """Merge each distinct end's report into `report` under `prefix`, and return
-    whether R's ends R.dom and R.cod are valid, as a record between them must be."""
-    subs = [validate(end) for end in dict.fromkeys((R.dom, R.cod))]
-    for sub in subs:
-        report.merge(sub, prefix)
-    return all(sub.ok for sub in subs)
 
 
 @dataclass(frozen=True)
@@ -161,7 +149,7 @@ class XModMorphism:
 
 def _morphism_maps(P: XModMorphism, label: str = "") -> list:
     """p and p0 with the groups of P they join, for the range gate: the checks of a morphism index both."""
-    return [(label + "p", P.p.map, P.dom.G, P.cod.G), (label + "p0", P.p0.map, P.dom.G0, P.cod.G0)]
+    return [(label + "p", P.p, P.dom.G, P.cod.G), (label + "p0", P.p0, P.dom.G0, P.cod.G0)]
 
 
 def validate_xmod_morphism(P: XModMorphism) -> ValidationReport:
@@ -237,7 +225,7 @@ def validate_two_group(T: Strict2Group) -> ValidationReport:
     """
     report = ValidationReport(repr(T))
     G1, G0, d, c, e = T.G1, T.G0, T.d.map, T.c.map, T.e.map
-    if _check_ranges(report, "map-range", [("d", d, G1, G0), ("c", c, G1, G0), ("e", e, G0, G1)]):
+    if _check_ranges(report, "map-range", [("d", T.d, G1, G0), ("c", T.c, G1, G0), ("e", T.e, G0, G1)]):
         return report
     for x in range(T.G0.order):
         if d[e[x]] != x or c[e[x]] != x:
@@ -254,7 +242,20 @@ def validate_two_group(T: Strict2Group) -> ValidationReport:
     return report
 
 
-_validate_2group = _per_operand(validate_two_group)  # in a run scope, once per 2-group
+@_per_operand
+def _validate_end(end: CrossedModule | Strict2Group) -> ValidationReport:
+    """The report of a crossed module or a strict 2-group, by its type; in a run scope, once per end."""
+    return (validate_crossed_module if isinstance(end, CrossedModule) else validate_two_group)(end)
+
+
+def _ends_valid(report: ValidationReport, R) -> bool:
+    """Merge each distinct end's report into `report`, prefixed by the ends' type, and return
+    whether R's ends R.dom and R.cod are valid, as a record between them must be."""
+    prefix = "underlying-xmod:" if isinstance(R.dom, CrossedModule) else "underlying-2group:"
+    subs = [_validate_end(end) for end in dict.fromkeys((R.dom, R.cod))]
+    for sub in subs:
+        report.merge(sub, prefix)
+    return all(sub.ok for sub in subs)
 
 
 @dataclass(frozen=True)
@@ -306,8 +307,8 @@ def validate_two_group_functor(F: TwoGroupFunctor) -> ValidationReport:
     or a leg off its groups is a finding, and the laws are skipped."""
     report = ValidationReport("2-group functor")
     T, U = F.dom, F.cod
-    legs = (("p1", F.p1.map, T.G1, U.G1), ("p0", F.p0.map, T.G0, U.G0))
-    if not _ends_valid(report, F, _validate_2group, "underlying-2group:") or _check_ranges(report, "leg-range", legs):
+    legs = (("p1", F.p1, T.G1, U.G1), ("p0", F.p0, T.G0, U.G0))
+    if not _ends_valid(report, F) or _check_ranges(report, "leg-range", legs):
         return report
     _functor_laws(report, T, U, F.p0.map, F.p1.map)
     return report

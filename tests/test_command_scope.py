@@ -8,6 +8,8 @@ over the objects of its fields), so the identity butterfly's ``dom`` is its
 operand once.  A crossed module's action keeps the verdict of its checked
 constructor, which ``validate_crossed_module`` reads when the action acts by
 the crossed module's own ``G0`` on its own ``G``, and recomputes otherwise.
+A map keeps the verdict of its constructor too, which the validators' gate
+reads by the same rule, so each distinct map is decided once per command.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import pytest
 
 from helpers import S3, Z3, invalid_butterfly_json
 
-from butterflies import cli, fingroup, jsonio, xmod
+from butterflies import butterfly, cli, fingroup, jsonio, xmod
 from butterflies.butterfly import Butterfly, validate_butterfly
 from butterflies.extension import aut_xmod, conjugation_xmod, standard_catalog
-from butterflies.fingroup import FinGroup, _action_defect, _run_memo
+from butterflies.fingroup import FinGroup, _action_defect, _hom_defect, _maps_into, _run_memo
 from butterflies.laws import generate_fixtures
 from butterflies.report import ValidationReport
 from butterflies.xmod import CrossedModule, _check_ranges, validate_crossed_module
@@ -46,6 +48,21 @@ def counted(monkeypatch, module, name, calls: Counter, key=lambda *args: None):
     monkeypatch.setattr(module, name, wrapper)
 
 
+def hom_checks(monkeypatch) -> Counter:
+    """Calls of ``_hom_defect``, through either module that reads it, by
+    (domain object, codomain object, map); the groups are kept alive, so
+    that no id in a key is reused."""
+    calls, groups = Counter(), []
+
+    def key(G, H, m):
+        groups.append((G, H))
+        return id(G), id(H), m
+
+    for module in (fingroup, xmod):
+        counted(monkeypatch, module, "_hom_defect", calls, key=key)
+    return calls
+
+
 @pytest.fixture()
 def identity_ref(tmp_path, capsys):
     """The workspace and ref of A(S3)'s stored identity butterfly."""
@@ -62,7 +79,6 @@ def test_compose_of_one_operand_loads_checks_and_searches_once(identity_ref, cap
     tables, actions, validated, searches = Counter(), Counter(), Counter(), Counter()
     counted(monkeypatch, fingroup, "_check_group_table", tables, key=id)
     counted(monkeypatch, fingroup, "_action_defect", actions, key=lambda actor, target, act: act)
-    counted(monkeypatch, xmod, "_action_defect", actions, key=lambda actor, target, act: act)
     counted(monkeypatch, cli, "isomorphic_butterflies", searches)
     monkeypatch.setitem(cli._VALIDATORS, Butterfly, lambda B: validated.update([id(B)]) or validate_butterfly(B))
     code, out = run(ws, capsys, "--json", "compose", ref, ref, "--witness", "--check")
@@ -75,6 +91,20 @@ def test_compose_of_one_operand_loads_checks_and_searches_once(identity_ref, cap
     assert list(actions.values()) == [1]  # the one action, checked by its constructor alone
     assert list(validated.values()) == [1]  # one operand, validated once
     assert sum(searches.values()) == 1
+
+
+@pytest.mark.parametrize("command", ["compose", "validate"])
+def test_each_map_is_decided_once_per_command(identity_ref, tmp_path, capsys, monkeypatch, command):
+    ws, ref = identity_ref
+    code, stored = run(ws, capsys, "store", "get", ref)
+    assert code == 0
+    path = tmp_path / "identity.json"
+    path.write_text(stored)
+    argv = ("compose", ref, ref, "--witness", "--check") if command == "compose" else ("validate", path)
+    calls = hom_checks(monkeypatch)
+    assert run(ws, capsys, *argv)[0] == 0
+    # the loader's constructor decides each map, and the gate reads its verdict
+    assert calls and set(calls.values()) == {1}
 
 
 def test_identity_butterfly_reloads_with_one_end(identity_ref):
@@ -144,7 +174,6 @@ def test_validating_a_loaded_crossed_module_checks_its_action_once(tmp_path, cap
     path.write_text(json.dumps(jsonio.to_jsonable(aut_xmod(S3))))
     actions = Counter()
     counted(monkeypatch, fingroup, "_action_defect", actions)
-    counted(monkeypatch, xmod, "_action_defect", actions)
     assert run(tmp_path / "store", capsys, "validate", path)[0] == 0
     assert sum(actions.values()) == 1
 
@@ -154,7 +183,7 @@ def parent_validate_crossed_module(X: CrossedModule) -> ValidationReport:
     verdict: the action decided by ``_action_defect`` on X's own groups."""
     report = ValidationReport(repr(X))
     bd, G, G0 = X.boundary.map, X.G, X.G0
-    if _check_ranges(report, "map-range", [("boundary", bd, G, G0)]):
+    if _check_ranges(report, "map-range", [("boundary", X.boundary, G, G0)]):
         return report
     if (defect := _action_defect(G0, G, X.action.act)) is not None:
         report.add("not-an-action", *defect)
@@ -188,3 +217,49 @@ def test_an_action_over_other_groups_is_decided_afresh():
             if X.action._defect is None and "not-an-action" in {f.condition for f in expected.findings}:
                 differ += 1
     assert differ  # an edit whose action is no action on its new ends, though its verdict reads None
+
+
+def parent_check_ranges(report: ValidationReport, condition: str, maps) -> bool:
+    """``xmod._check_ranges`` as it was before a map kept its verdict: rows
+    (name, m, D, C) of bare maps, each in range decided by ``_hom_defect``."""
+    broken = [G for G in dict.fromkeys(G for row in maps for G in row[2:]) if G._table_defect is not None]
+    for G in broken:
+        report.add("not-a-group", G.name, G._table_defect)
+    if broken:
+        return True
+    failed = False
+    for name, m, D, C in maps:
+        if not _maps_into(m, D.order, C.order):
+            report.add(condition, name, f"{name} is not a map {D.name} -> {C.name}")
+            failed = True
+        elif (defect := _hom_defect(D, C, m)) is not None:
+            report.add("not-hom", (name, defect), f"{name} is not a homomorphism {D.name} -> {C.name}")
+    return failed
+
+
+def parent_gate(report: ValidationReport, condition: str, maps) -> bool:
+    return parent_check_ranges(report, condition, [(name, part.map, D, C) for name, part, D, C in maps])
+
+
+def test_a_leg_over_other_groups_is_decided_afresh(monkeypatch):
+    butterflies = generate_fixtures(0, 8).butterflies
+    assert all(validate_butterfly(B).ok for B in butterflies)  # each leg's verdict is kept
+    calls = hom_checks(monkeypatch)
+    for B in butterflies:
+        # legs joining an equal-by-table copy of E read their kept verdicts
+        assert validate_butterfly(dataclasses.replace(B, E=FinGroup(B.E.table, "copy"))).ok
+    assert not calls
+    differ = 0
+    for B in butterflies:
+        for _, K in standard_catalog(B.E.order):
+            if K == B.E:
+                continue
+            edited = dataclasses.replace(B, E=K)
+            report = validate_butterfly(edited)
+            with monkeypatch.context() as patch:
+                patch.setattr(xmod, "_check_ranges", parent_gate)
+                patch.setattr(butterfly, "_check_ranges", parent_gate)
+                expected = validate_butterfly(edited)
+            assert report.to_json() == expected.to_json(), edited
+            differ += "not-hom" in report.conditions()
+    assert differ  # legs whose kept verdicts read None, decided afresh as no homomorphisms

@@ -108,3 +108,14 @@ def test_spans_valid_with_checks(checked, seed, bound):
 
 def test_classification_unchanged_with_checks(unchecked, checked):
     assert classification_summary() == unchecked["classification"]
+
+
+@pytest.mark.parametrize("m", [(0, 1, 2, 4), (0, 1, 2), (0, 2, 1, 3)], ids=["off-range", "short", "not-multiplicative"])
+def test_a_map_keeps_the_verdict_its_constructor_raises(m):
+    with pytest.raises(ValueError) as refusal:
+        fingroup.GroupHom(Z4, Z4, m)
+    assert fingroup.GroupHom._trusted(Z4, Z4, m)._defect[1] == str(refusal.value)
+
+
+def test_a_homomorphism_keeps_no_defect():
+    assert fingroup.GroupHom._trusted(Z4, Z4, (0, 2, 0, 2))._defect is None
