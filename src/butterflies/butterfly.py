@@ -100,12 +100,8 @@ def validate_butterfly(B: Butterfly) -> ValidationReport:
     for h in range(H.order):
         if r[k[h]] != 0:
             report.add("i-complex", h, "rho(kappa h) != 1")
-    if not B.iota.is_injective:
-        report.add("ii-extension", None, "iota is not injective")
-    if not B.sigma.is_surjective:
-        report.add("ii-extension", None, "sigma is not surjective")
-    if frozenset(i) != frozenset(kernel(B.sigma).elements):
-        report.add("ii-extension", None, "image(iota) != kernel(sigma)")
+    for detail in _inexact(B.iota, B.sigma, ("iota", "sigma")):
+        report.add("ii-extension", None, detail)
     for e in range(E.order):
         se = s[e]
         for h in range(H.order):
@@ -218,13 +214,21 @@ def _composite(B: Butterfly, B2: Butterfly, parts) -> Butterfly:
     return Butterfly._trusted(B.dom, B2.cod, Q, kappa, iota, sigma, rho)
 
 
+def _inexact(wing: GroupHom, leg: GroupHom, names: tuple[str, str]) -> Iterator[str]:
+    """How the diagonal wing then leg, named X and Y by `names`, fails to be a short exact
+    sequence, lazily and in this order: X not injective, Y not surjective, image(X) != kernel(Y)."""
+    X, Y = names
+    if not wing.is_injective:
+        yield f"{X} is not injective"
+    if not leg.is_surjective:
+        yield f"{Y} is not surjective"
+    if frozenset(wing.map) != frozenset(kernel(leg).elements):
+        yield f"image({X}) != kernel({Y})"
+
+
 def is_flippable(B: Butterfly) -> bool:
     """Whether the other diagonal (kappa, rho) is also a short exact sequence."""
-    return (
-        B.kappa.is_injective
-        and B.rho.is_surjective
-        and frozenset(B.kappa.map) == frozenset(kernel(B.rho).elements)
-    )
+    return next(_inexact(B.kappa, B.rho, ("kappa", "rho")), None) is None
 
 
 def flip(B: Butterfly) -> Butterfly:

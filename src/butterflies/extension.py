@@ -39,6 +39,7 @@ from .fingroup import (
     direct_product,
     identity_hom,
     isomorphism_search,
+    kernel,
     semidirect_product,
     trivial_action,
     trivial_group,
@@ -235,7 +236,7 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) ->
     if H.order * G.order > bound:
         raise BoundExceeded("enumerate_cocycles", H.order * G.order, bound)
     A = aut_xmod(G)
-    center = [g for g in range(G.order) if A.boundary.map[g] == 0]
+    center = kernel(A.boundary).elements
     nH, t, ht = H.order, G.table, H.table
     n = (nH - 1) ** 2
     # slot of f(x, y) in row-major order; the identity row and column read
@@ -303,11 +304,11 @@ def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -> 
     """
     cocycles = enumerate_cocycles(H, G, bound)
     index = {(fs.phi, sum(fs.f, ())): i for i, fs in enumerate(cocycles)}
-    assigned = [-1] * len(cocycles)
+    placed: set[int] = set()
     classes: list[list[FactorSet]] = []
     cosets = _orbit_cosets(G, aut_xmod(G))
     for i, fs in enumerate(cocycles):
-        if assigned[i] != -1:
+        if i in placed:
             continue
         members = []
         for t, phi, f, coboundaries in cosets(fs):
@@ -319,8 +320,8 @@ def factor_set_oracle(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -> 
                         f"{H.name} by {G.name}: phi ranges over homomorphisms only, so non-abelian kernels "
                         "are unsupported"
                     )
-                if assigned[j] == -1:
-                    assigned[j] = len(classes)
+                if j not in placed:
+                    placed.add(j)
                     members.append(j)
         classes.append([cocycles[j] for j in sorted(members)])
         E = _twisted_product(G, H, _aut_rows(fs), fs.f, f"E({G.name},{H.name})")[0]
@@ -341,7 +342,7 @@ def _orbit_cosets(G: FinGroup, A: CrossedModule):
     from the twists by the z that are a greedy generator c of Z(G) at one x
     and 1 elsewhere by ``_adjoin``, each product keeping its z.
     B is made once per phi and kept for the lister's life."""
-    center = [g for g in range(G.order) if A.boundary.map[g] == 0]
+    center = kernel(A.boundary).elements
     transversal = [g for g in range(G.order) if g == min(G.table[g][c] for c in center)]
     gens = _greedy_span(G, center)[0]
     coboundaries: dict = {}
@@ -424,10 +425,7 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
     A = aut_xmod(G)
     _, sigma, pair = _twisted_index(G.order, H.order)
     iota = pair(range(G.order), (0,) * G.order)
-    reps: list[Butterfly] = []
-    factor_sets: list[FactorSet] = []
-    counts: list[int] = []
-    split: list[bool] = []
+    classes: list[dict] = []  # per class, the fields of its ExtensionClass but the E group's name
     buckets: dict[tuple, list[int]] = {}
     t, block_phi = G.table, None
     for fs in cocycles:
@@ -435,41 +433,28 @@ def classify_extensions(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) -
         if fs.phi != block_phi:  # a new phi's block: K is trivial
             block_phi, K, block, known = fs.phi, {(0,) * len(f): ()}, {}, {}
         if f in known:
-            counts[known[f]] += 1
+            classes[known[f]]["count"] += 1
             continue
         rho = _twisted_rho(fs, A)
         legs = ((0,), iota, sigma, rho)
         bucket = buckets.setdefault(_morphism_invariant(fs, rho), [])
         source = _twisted_columns(G, H, _aut_rows(fs), fs.f) if bucket else None
-        for k in bucket:
-            if _witness_map(source, legs, reps[k]) is not None:
-                counts[k] += 1
-                split[k] |= not any(f)
-                if k in block:  # a witness within one phi: f r^-1 is in B^2
-                    K = _adjoin(t, K, _pointwise(t, f, [G.inverse[v] for v in block[k]]))
-                    known = {_pointwise(t, r, c): j for j, r in block.items() for c in K}
-                break
-        else:
-            bucket.append(len(reps))
-            reps.append(factor_set_to_extension(fs))
-            factor_sets.append(fs)
-            counts.append(1)
-            split.append(not any(f))
-            block[len(reps) - 1] = f
-            known.update({_pointwise(t, f, c): len(reps) - 1 for c in K})
-    out = []
-    for k, B in enumerate(reps):
-        B.E._refuse_if_not_a_group()  # FinGroup's check, on E itself
-        out.append(
-            ExtensionClass(
-                factor_set=factor_sets[k],
-                butterfly=B,
-                split=split[k],
-                e_group=identify_group(B.E),
-                count=counts[k],
-            )
-        )
-    return out
+        k = next((j for j in bucket if _witness_map(source, legs, classes[j]["butterfly"]) is not None), None)
+        if k is None:  # fs starts a class
+            k = len(classes)
+            bucket.append(k)
+            B = factor_set_to_extension(fs)
+            classes.append({"factor_set": fs, "butterfly": B, "split": False, "count": 0})
+            block[k] = f
+            known.update({_pointwise(t, f, c): k for c in K})
+        elif k in block:  # a witness within one phi: f r^-1 is in B^2
+            K = _adjoin(t, K, _pointwise(t, f, [G.inverse[v] for v in block[k]]))
+            known = {_pointwise(t, r, c): j for j, r in block.items() for c in K}
+        classes[k]["count"] += 1
+        classes[k]["split"] |= not any(f)
+    for c in classes:
+        c["butterfly"].E._refuse_if_not_a_group()  # FinGroup's check, on E itself
+    return [ExtensionClass(e_group=identify_group(c["butterfly"].E), **c) for c in classes]
 
 
 def _twisted_rho(fs: FactorSet, A: CrossedModule) -> tuple[int, ...]:

@@ -95,11 +95,12 @@ class FixtureSet:
 
 @dataclass
 class SuiteReport(ValidationReport):
-    """A suite's failures as findings, kept by the ``ValidationReport`` rule, with the cases
-    run and the wall time.  ``done`` serializes the witnesses, so only kept ones are built."""
+    """A suite's failures as findings, kept by the ``ValidationReport`` rule, with the cases run
+    and the wall time since its making.  ``done`` serializes the witnesses, so only kept ones are built."""
 
     cases: int = 0
     wall_time: float = 0.0
+    _started: float = field(default_factory=time.perf_counter, init=False, compare=False, repr=False)
 
     @property
     def failures(self) -> list[dict]:
@@ -112,13 +113,13 @@ class SuiteReport(ValidationReport):
         out = {"suite": self.subject, "cases": self.cases, "failures": self.failures, "wall_time": self.wall_time}
         return {**out, "dropped": self.dropped} if self.dropped else out
 
-    def done(self, start: float, fault: str | None, fired: bool) -> SuiteReport:
+    def done(self, fault: str | None, fired: bool) -> SuiteReport:
         """Stop the clock and serialize each kept witness.  A fault run whose fault never fired fails."""
         if fault is not None and not fired:
             self.fail("fault-not-exercised", fault=fault)
         for f in self.findings:
             f.witness = {k: _serialized(v) for k, v in f.witness.items()}
-        self.wall_time = time.perf_counter() - start
+        self.wall_time = time.perf_counter() - self._started
         return self
 
     def __str__(self) -> str:
@@ -244,7 +245,6 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
     equivalences, and validity of every fixture butterfly."""
     _check_fault("bicategory", fault)
     report = SuiteReport("bicategory")
-    start = time.perf_counter()
     corrupted = []  # whether each corruption changed E: not when (1 2) is an automorphism
     interned: dict[tuple, Butterfly] = {}  # the one composite of each value
     iso = _per_operand(_iso_or_none)  # interned composites repeat as operands
@@ -302,7 +302,7 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
         ):
             report.fail("flip-equivalence", butterfly=B)
 
-    return report.done(start, fault, any(corrupted))
+    return report.done(fault, any(corrupted))
 
 
 def _value(B: Butterfly) -> tuple:
@@ -369,7 +369,6 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
     pullback-equivalence checks."""
     _check_fault("fractions", fault)
     report = SuiteReport("fractions")
-    start = time.perf_counter()
 
     small_morphisms = [
         P for P in fx.morphisms if P.dom.size <= fx.size_bound and P.cod.size <= fx.size_bound
@@ -472,7 +471,7 @@ def run_fractions_suite(fx: FixtureSet, fault: str | None = None) -> SuiteReport
                 if not validate_crossed_module(pulled).ok or not is_weak_equivalence(comparison)[0]:
                     report.fail("pullback-weak-equivalence", xmod=X, source=E, sigma=list(sigma.map))
 
-    return report.done(start, fault, dropped_cells > 0)
+    return report.done(fault, dropped_cells > 0)
 
 
 def ef3_coincidence(B: Butterfly) -> bool:

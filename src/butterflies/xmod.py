@@ -232,10 +232,8 @@ def validate_two_group(T: Strict2Group) -> ValidationReport:
             report.add("unit-source-target", x, "e(x) is not an endo-arrow of x")
     if not report.ok:
         return report
-    t = T.G1.table
-    ker_d = [f for f in range(T.G1.order) if d[f] == 0]
-    ker_c = [g for g in range(T.G1.order) if c[g] == 0]
-    for f in ker_d:
+    t, ker_c = T.G1.table, kernel(T.c).elements
+    for f in kernel(T.d).elements:
         for g in ker_c:
             if t[f][g] != t[g][f]:
                 report.add("interchange", (f, g), "ker d and ker c do not commute")
@@ -289,16 +287,23 @@ def _functor_laws(
             report.add("functor-composition", (u, v), "F1 does not preserve m")
 
 
+def _unnatural(
+    T: Strict2Group, U: Strict2Group, theta: Sequence[int], F1: Sequence[int], G1: Sequence[int]
+) -> Iterator[int]:
+    """The arrows u of T at which the naturality square of theta, from the functor with arrow
+    map F1 to the one with arrow map G1, fails: F1(u) then theta(c u) is not theta(d u) then G1(u)."""
+    d, c, m = T.d.map, T.c.map, U.m
+    return (u for u in range(T.G1.order) if m[(F1[u], theta[c[u]])] != m[(theta[d[u]], G1[u])])
+
+
 def _natural_families(
     T: Strict2Group, U: Strict2Group, src: Sequence[int], dst: Sequence[int], F1: Sequence[int], G1: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
     """The families theta(x): src[x] -> dst[x] of arrows of U, x an object of
     T, natural from the functor with arrow map F1 to the one with arrow map
-    G1: F1(u) then theta(c u) is theta(d u) then G1(u) for every arrow u of T.
-    In the order of the product of the hom-sets."""
-    d, c, m, arrows = T.d.map, T.c.map, U.m, range(T.G1.order)
+    G1 (``_unnatural`` yields no arrow), in the order of the product of the hom-sets."""
     for theta in itertools.product(*(U.hom_set(x, y) for x, y in zip(src, dst))):
-        if all(m[(F1[u], theta[c[u]])] == m[(theta[d[u]], G1[u])] for u in arrows):
+        if next(_unnatural(T, U, theta, F1, G1), None) is None:
             yield theta
 
 
@@ -497,12 +502,8 @@ def validate_two_cell(cell: XModTwoCell) -> ValidationReport:
         if alpha[bd[h]] != arrow:
             report.add("peiffer-graph", h, "alpha(dh) != division of p(h) by q(h)")
     FP, FQ = denormalize_morphism(P), denormalize_morphism(Q)
-    TH = FP.dom
-    for u in range(TH.G1.order):
-        lhs = TG.m[(FP.p1.map[u], alpha[TH.c.map[u]])]
-        rhs = TG.m[(alpha[TH.d.map[u]], FQ.p1.map[u])]
-        if lhs != rhs:
-            report.add("naturality-cross-check", u, "groupoid naturality square fails")
+    for u in _unnatural(FP.dom, TG, alpha, FP.p1.map, FQ.p1.map):
+        report.add("naturality-cross-check", u, "groupoid naturality square fails")
     return report
 
 

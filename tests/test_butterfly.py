@@ -46,6 +46,7 @@ from butterflies.errors import (
 )
 from butterflies.extension import aut_xmod, conjugation_xmod, discrete_xmod
 from butterflies.fingroup import GroupHom, identity_hom, zero_hom
+from butterflies.laws import generate_fixtures
 from butterflies.report import KEEP_PER_CONDITION, ValidationReport
 from butterflies.weakmap import extract_monoidal, set_section
 from butterflies.xmod import (
@@ -248,6 +249,15 @@ class TestFlippable:
         assert is_weak_equivalence(P)[0]
         B, _ = split_from_morphism(P)
         assert is_flippable(B)
+
+    # (seed, bound) -> the fixture butterflies, and how many of them are flippable
+    @pytest.mark.parametrize("seed, bound, count, flippable", [(0, 8, 26, 14), (3, 16, 31, 19)])
+    def test_flippable_exactly_when_the_other_diagonal_is_an_extension(self, seed, bound, count, flippable):
+        butterflies = generate_fixtures(seed, bound).butterflies
+        other = [Butterfly(B.cod, B.dom, B.E, B.iota, B.kappa, B.rho, B.sigma) for B in butterflies]
+        exact = ["ii-extension" not in validate_butterfly(F).conditions() for F in other]
+        assert [is_flippable(B) for B in butterflies] == exact
+        assert (len(butterflies), sum(exact)) == (count, flippable)
 
 
 class TestSplit:
