@@ -182,19 +182,23 @@ def factor_set_of_extension(B: Butterfly, section: tuple[int, ...]) -> FactorSet
 def _cocycle_group(fv: list, cand: list, narrow, t) -> list[tuple[int, ...]]:
     """The cocycles of one phi as slot vectors, sorted.  Walks the identity
     path; the trivial cocycle passes every check, so narrowing leaves
-    identity first at every slot.  At slot k, ``_backtrack`` from k with
-    `narrow` as its forward check finds the first cocycle of each other
-    value's branch; those multiply into the cocycles listed so far."""
+    identity first at every slot.  At slot k, `kept` holds one cocycle per
+    slot-k value reached, earlier slots identity, the identity's first.  Only
+    a value not reached is searched: ``_backtrack`` from k with `narrow` as its
+    forward check finds its branch's first cocycle, and ``_adjoin`` multiplies
+    it into `kept`.  Those multiply into the cocycles listed so far."""
     group = [(0,) * len(fv)]
     for k, row in enumerate(cand):
-        found = []
+        kept = {(0,): group[0]}
         for v in row[1:]:
+            if (v,) in kept:
+                continue
             cand[k] = [v]
             if any(_backtrack(cand, narrow, k)):  # narrow trails cand only, so fv keeps the first cocycle
-                found.append(tuple(fv))
+                kept = _adjoin(t, kept, (v,), tuple(fv))
         cand[k] = row
         narrow(k, 0, [])
-        group += [_pointwise(t, s, c) for s in found for c in group]
+        group += [_pointwise(t, s, c) for s in itertools.islice(kept.values(), 1, None) for c in group]
     return sorted(group)
 
 
@@ -224,11 +228,12 @@ def enumerate_cocycles(H: FinGroup, G: FinGroup, bound: int = CLASSIFY_BOUND) ->
     one: for a fixed phi the f's form a group Z^2_phi (K. S. Brown, Cohomology
     of Groups, IV.3), and a product of cocycles needs no check.  The slots
     are the non-identity pairs of f, row-major, each over the center in
-    ascending order.  Off the all-identity path, the first cocycle s of each
-    branch (slots before k identity, slot k some v) is searched by the one
-    engine, ``fingroup._backtrack``, with forward checking: a cocycle triple
-    is checked as soon as all but the last of its f-values are assigned, and
-    it narrows that last value's candidates to those that satisfy it.  Every
+    ascending order.  Off the all-identity path, a cocycle s of each branch
+    (slots before k identity, slot k some v) is a product of those found, or
+    the first one, searched by the one engine, ``fingroup._backtrack``, with
+    forward checking: a cocycle triple is checked once all but the last of
+    its f-values are assigned, and it narrows that last value's candidates
+    to those that satisfy it.  Every
     cocycle of that branch is s times one whose slots up to k are identity,
     so products give the rest; sorted, the list has the order of the full
     search.
@@ -549,13 +554,22 @@ def _abelian_factorizations(order: int, smallest: int = 2) -> list[tuple[int, ..
     return out
 
 
+@lru_cache(maxsize=32)
+def _catalog_by_invariant(order: int) -> dict[tuple, list[tuple[str, FinGroup]]]:
+    """``standard_catalog(order)`` filed by class invariant, in catalog order."""
+    index: dict[tuple, list[tuple[str, FinGroup]]] = {}
+    for name, K in standard_catalog(order):
+        index.setdefault(K.class_invariant, []).append((name, K))
+    return index
+
+
 def identify_group(E: FinGroup) -> str:
     """A display name for E: the first catalog group isomorphic to E, Dic2
-    reported as Q8.  An abelian E is named with no search, by the catalog
-    group with its class invariant: that group is abelian too, as its
-    centralizers are whole, and has as many elements of each order as E,
-    which fixes a finite abelian group up to isomorphism."""
-    for name, K in standard_catalog(E.order):
-        if (K.class_invariant == E.class_invariant) if E.is_abelian else isomorphism_search(E, K):
+    reported as Q8, among the catalog groups with E's class invariant only.
+    An abelian E is named with no search, by the first of them: that group is
+    abelian too, as its centralizers are whole, and has as many elements of
+    each order as E, which fixes a finite abelian group up to isomorphism."""
+    for name, K in _catalog_by_invariant(E.order).get(E.class_invariant, ()):
+        if E.is_abelian or isomorphism_search(E, K):
             return "Q8" if name == "Dic2" else name
     return f"order{E.order}-unrecognized"

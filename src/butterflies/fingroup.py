@@ -118,8 +118,7 @@ class FinGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a))
+        return self.table == tuple(zip(*self.table))
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -173,10 +172,28 @@ class FinGroup:
 
 
 def _check_group_table(G: FinGroup) -> None:
-    """Latin square with identity 0, then Light's test: the s with (xs)y = x(sy)
-    for all x, y are closed under the product, so the generators suffice
-    (Clifford-Preston, The Algebraic Theory of Semigroups I, 1.2).  Rows and
-    columns are compared whole; a failing row is scanned for its first cell."""
+    """A group table by a certificate: rows of length n, int entries in range(n),
+    index 0 a two-sided identity, a 0 in every row and Light's test, so a monoid
+    in which every element has a right inverse: a group.  Any other table goes to
+    ``_scan_group_table``, whose ordered scan raises the first defect's ``NotAGroup``."""
+    table, n = G.table, G.order
+    try:
+        if (
+            n and all(len(row) == n for row in table)
+            and set(map(type, itertools.chain.from_iterable(table))) <= {int}  # a bool or float may equal an int
+            and set(itertools.chain.from_iterable(table)) <= set(range(n))
+            and table[0] == tuple(range(n)) == next(zip(*table))
+            and all(0 in row for row in table)
+        ):
+            return _check_associative(G)
+    except NotAGroup:  # from Light's test, or from _order on a column that is no permutation
+        pass
+    _scan_group_table(G)
+
+
+def _scan_group_table(G: FinGroup) -> None:
+    """Latin square with identity 0, then ``_check_associative``.  Rows and
+    columns are compared whole, in order, and the first that fails is named."""
     table, n = G.table, G.order
     if n == 0:
         raise NotAGroup("empty table")
@@ -192,6 +209,15 @@ def _check_group_table(G: FinGroup) -> None:
     identity = tuple(range(n))
     if table[0] != identity or next(zip(*table)) != identity:
         raise NotAGroup("index 0 is not a two-sided identity")
+    _check_associative(G)
+
+
+def _check_associative(G: FinGroup) -> None:
+    """Light's test on the greedy generators, the identity at 0: the s with (xs)y
+    = x(sy) for all x, y are closed under the product, so the generators suffice
+    (Clifford-Preston, The Algebraic Theory of Semigroups I, 1.2).  Rows are
+    compared whole; a failing row is scanned for its first cell."""
+    table, n = G.table, G.order
     if n == 1:
         return  # [[0]]; below, itemgetter of one index would return an int
     for s in _generators(G):

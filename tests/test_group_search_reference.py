@@ -4,24 +4,31 @@ code they replaced.
 ``FinGroup.element_invariants`` reads each element's triple (order x, |C(x)|,
 #{y : y^2 = x}) off whole rows and columns, ``isomorphism_search`` admits as
 a generator's images only the elements with its triple, and
-``_check_group_table`` compares whole rows and columns, scanning a row cell
-by cell only after it fails.  The former cell-by-cell formula, the unpruned
-search and the former check are kept below verbatim as oracles: the triples,
-the first isomorphism found and every ``NotAGroup`` message must equal
-theirs on:
+``_check_group_table`` accepts a group table by a certificate (in-range int
+entries, a two-sided identity 0, a 0 in every row, Light's test) and sends
+any other table to the ordered scan, which writes every message.  The former
+cell-by-cell formula, the unpruned search and the former check (with the
+int-entry rule of ``tests/test_integer_entries.py``) are kept below as
+oracles: the triples, the first isomorphism found and every ``NotAGroup``
+message must equal theirs on:
 
 - every catalog group of order at most 24 and a relabeled copy of each,
   and the 82 middle groups of the V4 by V4 classification;
 - every ordered pair of equal-order groups among the catalog groups of
   order at most 16 and their relabeled copies;
-- every single-entry change of a catalog table of order at most 8, and a
-  Latin square with identity 0 that is not associative.
+- every single-entry change of a catalog table of order at most 8, the 50
+  Latin squares of order 5 with identity 0 that are not associative, and
+  tables that pass some of the certificate's gates and fail a later one;
+  each refused table reaches the ordered scan once, and no accepted one does.
 
 The pruning must also pay: naming the V4 by V4 classes runs at least 3x
 fewer search nodes than the unpruned search.
 
-``identify_group`` names an abelian group by its class invariant, with no
-search.  Its names must equal those of ``reference_identify_group``, which
+``identify_group`` reads only the catalog groups with E's class invariant:
+on the 82 V4 by V4 middle groups it makes 39 isomorphism searches, each
+against such a group, where a walk of the whole catalog made 738, and the
+names are those of the walk.  It names an abelian group by its class
+invariant, with no search.  Its names must equal those of ``reference_identify_group``, which
 searches every catalog group in turn, on every abelian catalog group of
 order at most 32 under three relabelings and on the 64 abelian middle groups
 of the V4 by V4xZ2 classification at bound 32, and naming them must run no
@@ -32,6 +39,7 @@ every class.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -82,7 +90,7 @@ def reference_check_group_table(G) -> None:
     for i, row in enumerate(table):
         if len(row) != n:
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
-        if set(row) != full:
+        if not set(map(type, row)) <= {int} or set(row) != full:  # a bool or float may equal an int
             raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
     for j in range(n):
         if {table[i][j] for i in range(n)} != full:
@@ -176,11 +184,70 @@ def test_search_matches_reference():
     assert found == 4 * len(SMALL)
 
 
-def test_table_check_matches_reference():
-    for K in CATALOG:
+def latin_squares_with_identity(n: int):
+    """Every Latin square of order n whose row 0 and column 0 are 0..n-1."""
+    rows = [list(range(n))]
+
+    def extend():
+        if len(rows) == n:
+            yield [list(r) for r in rows]
+            return
+        i = len(rows)
+        for p in itertools.permutations(range(n)):
+            if p[0] == i and all(p[j] != r[j] for r in rows for j in range(n)):
+                rows.append(p)
+                yield from extend()
+                rows.pop()
+
+    return extend()
+
+
+# tables that pass some of the certificate's gates and fail a later one, with the
+# message of the ordered scan
+GATED = {
+    "a row holds 0 and repeats an entry": ([[0, 1, 2], [1, 0, 0], [2, 0, 1]], "row 1 is not a permutation of 0..2"),
+    "every row holds 0, a column repeats": ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column 1 is not a permutation of 0..2"),
+    "a generator's column never reaches 0": ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], "row 2 is not a permutation of 0..2"),
+    "a bool": ([[0, 1, 2], [1, 2, 0], [2, 0, True]], "row 2 is not a permutation of 0..2"),
+    "a float": ([[0, 1, 2], [1, 2, 0], [2, 0, 1.0]], "row 2 is not a permutation of 0..2"),
+    "a negative entry": ([[0, 1, 2], [1, 2, -1], [2, 0, 1]], "row 1 is not a permutation of 0..2"),
+    "an entry n": ([[0, 1, 2], [1, 2, 0], [2, 3, 1]], "row 2 is not a permutation of 0..2"),
+    "a ragged row": ([[0, 1, 2], [1, 2], [2, 0, 1]], "row 1 has length 2, expected 3"),
+}
+
+
+def test_table_check_matches_reference(monkeypatch):
+    # the certificate accepts or sends the table on to the ordered scan, which
+    # writes every message
+    scanned = []
+    scan = fingroup._scan_group_table
+
+    def counting(G):
+        scanned.append(G)
+        return scan(G)
+
+    monkeypatch.setattr(fingroup, "_scan_group_table", counting)
+    for K in [*CATALOG, *(relabeled(K, seed) for seed, K in enumerate(CATALOG))]:
         assert message(fingroup._check_group_table, K) is None
         FinGroup(K.table)
-    assert message(fingroup._check_group_table, bare(LOOP)) == message(reference_check_group_table, bare(LOOP))
+    assert scanned == []
+
+    def refused(table) -> None:
+        expected = message(reference_check_group_table, bare(table))
+        assert expected is not None
+        scanned.clear()
+        with pytest.raises(NotAGroup) as exc:
+            FinGroup(table)
+        assert str(exc.value) == expected
+        assert len(scanned) == 1
+
+    for table, expected in GATED.values():
+        assert message(reference_check_group_table, bare(table)) == expected
+        refused(table)
+    loops = [t for t in latin_squares_with_identity(5) if message(reference_check_group_table, bare(t))]
+    assert LOOP in loops and len(loops) == 50  # of the 56, 6 are Z5
+    for table in loops:
+        refused(table)
     mutants = 0
     for K in (K for K in CATALOG if K.order <= 8):
         n = K.order
@@ -190,11 +257,7 @@ def test_table_check_matches_reference():
                     if v != K.table[x][y]:
                         table = [list(row) for row in K.table]
                         table[x][y] = v
-                        expected = message(reference_check_group_table, bare(table))
-                        assert expected is not None
-                        with pytest.raises(NotAGroup) as exc:
-                            FinGroup(table)
-                        assert str(exc.value) == expected
+                        refused(table)
                         mutants += 1
     assert mutants > 1000
 
@@ -239,3 +302,20 @@ def test_abelian_names_by_invariant_match_search(monkeypatch, abelian_v4_by_v4xz
     assert nodes == []
     monkeypatch.undo()
     assert names == [reference_identify_group(E) for E in groups]
+
+
+def test_names_are_searched_only_against_their_class_invariant(monkeypatch, v4_by_v4_middle_groups):
+    standard_catalog(16)
+    searched = []
+    search = extension.isomorphism_search
+
+    def recording(E, K):
+        searched.append((E, K))
+        return search(E, K)
+
+    monkeypatch.setattr(extension, "isomorphism_search", recording)
+    names = [identify_group(E) for E in v4_by_v4_middle_groups]
+    assert len(searched) == 39
+    assert all(E.class_invariant == K.class_invariant for E, K in searched)
+    monkeypatch.undo()
+    assert names == [reference_identify_group(E) for E in v4_by_v4_middle_groups]
