@@ -2,7 +2,8 @@
 behind the bicategory laws, the flippable-equivalence statements, the action
 laws of reduced composition, and the fraction conditions EF0 - EF3.
 
-Every failure carries a machine-replayable witness (serialized inputs).
+Every failure replays: its witness's records, loaded into a ``FixtureSet``
+with the run's seed and bound, fail that check again under the run's fault.
 A fault-injection mode exists solely to prove the suites can fail.
 Within one fixture build or suite run (a ``_run_memo()`` scope) each
 operand's derived structure, and each Hom set, is built once; the memo dies

@@ -20,6 +20,7 @@ from butterflies.fingroup import (
     symmetric_group,
     trivial_group,
 )
+from butterflies.laws import FixtureSet
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -45,6 +46,26 @@ def is_split(B) -> bool:
     s = B.sigma.map
     homs = _generator_images(B.sigma.cod, B.E, bijective=False, accept=lambda x, e: s[e] == x)
     return next(homs, None) is not None
+
+
+# the fixture-set field that each record kind of a suite witness replays into
+REPLAYED_KINDS = {"xmod": "crossed_modules", "xmod-morphism": "morphisms", "butterfly": "butterflies"}
+
+
+def replay_fixtures(failure: dict, seed: int, bound: int) -> FixtureSet:
+    """A fixture set of a suite failure's witness records, loaded through
+    ``jsonio.from_jsonable`` in witness order (a list field, such as a
+    triple, item by item, each distinct record once), with the seed and
+    bound of the run that reported it."""
+    fx = FixtureSet(seed, bound)
+    for value in failure["witness"].values():
+        for data in value if isinstance(value, list) else [value]:
+            if isinstance(data, dict) and data.get("kind") in REPLAYED_KINDS:
+                records = getattr(fx, REPLAYED_KINDS[data["kind"]])
+                R = jsonio.from_jsonable(data)
+                if R not in records:
+                    records.append(R)
+    return fx
 
 
 def invalid_butterfly_json():

@@ -8,6 +8,8 @@ from collections import Counter
 
 import pytest
 
+from helpers import replay_fixtures
+
 from butterflies import fingroup, jsonio, laws
 from butterflies.butterfly import identity_butterfly
 from butterflies.extension import aut_xmod, conjugation_xmod, discrete_xmod
@@ -210,19 +212,22 @@ class TestSuites:
         witness = {"P": jsonio.to_jsonable(P), "Q": jsonio.to_jsonable(Q), "alpha": [0]}
         assert {"check": "ef2-image", "witness": witness} in report.failures
 
-    def test_failures_carry_replayable_witnesses(self):
-        report = run_bicategory_suite(generate_fixtures(0, 8), fault="compose")
-        replayed = 0
-        for f in report.failures:
-            w = f["witness"]
-            for key in ("butterfly", "triple"):
-                if key not in w:
-                    continue
-                items = w[key] if key == "triple" else [w[key]]
-                for data in items:
-                    jsonio.from_jsonable(data)
-                    replayed += 1
-        assert replayed
+    @pytest.mark.parametrize(
+        "seed, bound, kept", [(0, 8, {"bicategory": 23, "fractions": 12}), (3, 16, {"bicategory": 32, "fractions": 12})]
+    )
+    def test_every_failure_replays_from_its_witness(self, seed, bound, kept):
+        # each kept failure's witness records, loaded into a fixture set of their
+        # own, fail the same check with the same witness under the same fault,
+        # and pass without it
+        for fault, suite in laws.FAULTS.items():
+            run = laws.SUITES[suite]
+            report = run(generate_fixtures(seed, bound), fault)
+            failures = [f for f in report.failures if f["check"] != "fault-not-exercised"]
+            assert len(failures) == kept[suite]
+            for failure in failures:
+                fx = replay_fixtures(failure, seed, bound)
+                assert failure in run(fx, fault).failures
+                assert run(fx).ok
 
     def test_witnesses_built_only_for_kept_failures(self, monkeypatch):
         fx = generate_fixtures(1, 16)
@@ -345,6 +350,40 @@ class TestEF3:
             identity_butterfly(conjugation_xmod(Z2)),
         ):
             assert ef3_coincidence(B)
+
+    def test_butterflies_past_twice_the_bound_are_left_out(self):
+        # at bound 2, EF3 reads |E| <= 4 and the action law A3 |E| <= 2: the
+        # identity of C(Z4), |E| = 16, is left out of both, so of the 5 cases
+        # at bound 8 the run makes 3
+        from helpers import Z2, Z4, z4_extension_butterfly
+
+        butterflies = [
+            identity_butterfly(discrete_xmod(Z2)),
+            z4_extension_butterfly(),
+            identity_butterfly(conjugation_xmod(Z4)),
+        ]
+        for bound, cases in ((2, 3), (8, 5)):
+            report = run_fractions_suite(FixtureSet(0, bound, butterflies=butterflies))
+            assert report.ok and report.cases == cases
+
+    def test_a_theta_off_the_homomorphisms_answers_false(self, monkeypatch):
+        # swapping the arrows of two pairs over one e1 leaves theta a bijection
+        # that commutes with both wings and both legs, so only the homomorphism
+        # check refuses it
+        from helpers import z4_extension_butterfly
+
+        B = z4_extension_butterfly()
+        arrows = laws._arrows
+
+        def swapped(*args):
+            out = list(arrows(*args))
+            out[2], out[3] = out[3], out[2]
+            return tuple(out)
+
+        monkeypatch.setattr(laws, "_arrows", swapped)
+        assert not ef3_coincidence(B)
+        monkeypatch.setattr(laws, "_hom_defect", lambda *args: None)
+        assert ef3_coincidence(B)
 
     def test_compose_fault_corruptions_answer_a_bool(self):
         # relabeling E leaves sigma or rho no homomorphism on 12 of the 23
