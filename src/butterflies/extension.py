@@ -467,8 +467,10 @@ def _twisted_rho(fs: FactorSet, A: CrossedModule) -> tuple[int, ...]:
 
 def _morphism_invariant(fs: FactorSet, rho: Sequence[int]) -> tuple[tuple[int, int, int], ...]:
     """The isomorphism invariant of ``classify_extensions`` for the butterfly
-    of fs's twisted product, whose Aut-leg is rho: the powers e^m come from
-    the product formula."""
+    of fs's twisted product, whose Aut-leg is rho.  The powers e^m restate the
+    product formula of ``fingroup._twisted_pairs`` for speed, one step per
+    power of x; ``tests/test_classify_columns.py`` checks the invariant
+    against the one read off the reference table of the twisted product."""
     H, Gt = fs.H, fs.G.table
     rows = _aut_rows(fs)
     steps = []  # per x, the (phi(y), f(y, x)) of y = x^k != 1: (p, y)(g, x) = (p phi(y)(g) f(y, x), y x)

@@ -14,13 +14,16 @@ from pathlib import Path
 
 import pytest
 
-from helpers import ONE, S3, Z2, Z3, Z4, invalid_butterfly_json, z4_extension_butterfly
+from helpers import ONE, S3, Z2, Z3, Z4, invalid_butterfly_json, replay_fixtures, z4_extension_butterfly
 
 import butterflies
 from butterflies import cli, fingroup, jsonio
-from butterflies.butterfly import identity_butterfly, to_fractor
+from butterflies.butterfly import identity_butterfly, split_from_morphism, to_fractor
 from butterflies.cli import Workspace, main, parse_group_spec
 from butterflies.extension import CLASSIFY_BOUND, aut_xmod, conjugation_xmod, discrete_xmod, factor_set_oracle
+from butterflies.fingroup import zero_hom
+from butterflies.laws import FAULTS, SUITES
+from butterflies.xmod import XModMorphism
 
 
 @pytest.fixture()
@@ -169,6 +172,35 @@ class TestValidate:
         path = write_json(tmp_path, "f.json", jsonio.to_jsonable(F))
         assert run(ws, "--json", "validate", path) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    # a top-level group file has its identity moved to index 0 on load and is
+    # then checked by FinGroup(...) alone; a crossed module's boundary is
+    # checked by GroupHom(...), which raises the map's kept verdict
+    FILES = {
+        "z3": {"kind": "group", "name": "Z3", "table": [[1, 2, 0], [2, 0, 1], [0, 1, 2]]},
+        "loop": {
+            "kind": "group",
+            "name": "loop",
+            "table": [[1, 0, 3, 4, 2], [0, 1, 2, 3, 4], [4, 2, 1, 0, 3], [2, 3, 4, 1, 0], [3, 4, 0, 2, 1]],
+        },
+        # every row holds the identity 0, so the table passes the certificate's gates up to Light's test
+        "bad": {"kind": "group", "name": "bad", "table": [[0, 1, 2], [1, 0, 0], [2, 0, 1]]},
+        "nothom": {**jsonio.to_jsonable(conjugation_xmod(Z3)), "boundary": [0, 1, 1]},
+    }
+
+    @pytest.mark.parametrize(
+        "name, status, err",
+        [
+            ("z3", 0, ""),
+            ("loop", 1, "NotAGroup: associativity fails at (1,1,2)\n"),
+            ("bad", 1, "NotAGroup: row 1 is not a permutation of 0..2\n"),
+            ("nothom", 1, "invalid object: map is not multiplicative at (1,1)\n"),
+        ],
+        ids=["z3", "loop", "bad", "nothom"],
+    )
+    def test_file_checked_by_its_constructor(self, ws, tmp_path, capsys, name, status, err):
+        assert run(ws, "validate", write_json(tmp_path, f"{name}.json", self.FILES[name])) == status
+        assert capsys.readouterr().err == err
 
 
 class TestValidateTwoGroup:
@@ -381,9 +413,19 @@ class TestCommands:
         path = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
         assert run(ws, "flip", path) == 1
 
-    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
-    def test_flip_refusal_names_the_diagonal(self, ws, tmp_path, capsys, flags):
-        path = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
+    @pytest.mark.parametrize(
+        "flags, butterfly",
+        [([], "extension"), (["--json"], "extension"), ([], "split-of-zero")],
+        ids=["text", "json", "split-of-zero"],
+    )
+    def test_flip_refusal_names_the_diagonal(self, ws, tmp_path, capsys, flags, butterfly):
+        # the nonsplit extension of Z2 by Z2, and the split butterfly of the zero morphism D(Z2) -> D(Z2)
+        if butterfly == "extension":
+            B = z4_extension_butterfly()
+        else:
+            D = discrete_xmod(Z2)
+            B, _ = split_from_morphism(XModMorphism(D, D, zero_hom(D.G, D.G), zero_hom(D.G0, D.G0)))
+        path = write_json(tmp_path, "b.json", jsonio.to_jsonable(B))
         assert run(ws, *flags, "flip", path) == 1
         assert capsys.readouterr() == ("", "NotFlippable: the (kappa, rho) diagonal is not an extension\n")
 
@@ -417,7 +459,8 @@ class TestCommands:
         mpath = write_json(tmp_path, "m.json", out["monoidal"])
         assert run(ws, "weakmap", "assemble", mpath) == 0
 
-    @pytest.mark.parametrize("section", ["0,99", "0,-1"])
+    # 0,99 and 0,-1 leave E; 0,2 stays in E, but s(1) = 2 lies in the sigma-fibre of 0
+    @pytest.mark.parametrize("section", ["0,99", "0,-1", "0,2"])
     def test_weakmap_section_outside_e_exit_1(self, ws, tmp_path, section):
         path = write_json(tmp_path, "b.json", jsonio.to_jsonable(z4_extension_butterfly()))
         proc = run_process(ws, "weakmap", "extract", path, "--section", section)
@@ -461,6 +504,12 @@ class TestClassify:
     def test_csv_agreement_writes_nothing_to_stderr(self, ws, capsys):
         assert run(ws, "classify", "Z2", "Z4", "--oracle", "--csv") == 0
         assert capsys.readouterr() == ("Z2,Z4,4,2\n", "")
+
+    def test_classified_butterflies_validate_by_ref(self, ws, capsys):
+        # each class's butterfly reads back through the loader by the ref its JSON row names
+        assert run(ws, "--json", "classify", "Z2", "Z4") == 0
+        rows = json.loads(capsys.readouterr().out)["classes"]
+        assert [run(ws, "validate", row["butterfly"]) for row in rows] == [0] * 4
 
     def test_trivial_group(self, ws, capsys):
         assert run(ws, "classify", "1", "Z4") == 0
@@ -557,6 +606,24 @@ class TestSuite:
     def test_bound_below_smallest_fixture_exit_1(self, ws, capsys, bound):
         assert run(ws, "suite", "--bound", bound) == 1
         assert "BoundExceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite, fault, kept", [("bicategory", "compose", 32), ("fractions", "two-cell-count", 12)])
+    def test_printed_failures_replay(self, ws, capsys, suite, fault, kept):
+        # the printed report names its run's seed, bound and fault, and each kept
+        # failure replays from it alone: its witness records, in a fixture set of
+        # their own, fail the same check with the same witness under the fault
+        # and pass without it
+        assert run(ws, "--json", "suite", "--suite", suite, "--seed", 3, "--bound", 16, "--fault", fault) == 1
+        printed = json.loads(capsys.readouterr().out)
+        assert (printed["seed"], printed["bound"], printed["fault"]) == (3, 16, fault)
+        run_suite = SUITES[FAULTS[printed["fault"]]]
+        [report] = printed["reports"]
+        failures = [f for f in report["failures"] if f["check"] != "fault-not-exercised"]
+        assert len(failures) == kept
+        for failure in failures:
+            fx = replay_fixtures(failure, printed["seed"], printed["bound"])
+            assert failure in json.loads(json.dumps(run_suite(fx, printed["fault"]).failures))
+            assert run_suite(fx).ok
 
 
 class TestWorkspaceFaults:
@@ -817,6 +884,19 @@ class TestParserReuse:
         with pytest.raises(SystemExit) as exc:
             run(ws, "classify", "Z2")
         assert exc.value.code == 2
+
+    def test_console_entry_reads_sys_argv(self, ws, capsys, monkeypatch):
+        # the installed script calls main() with no argv, so the cached parser reads sys.argv
+        cli.build_parser()
+        built = cli.build_parser.cache_info().misses
+        monkeypatch.setattr(sys, "argv", ["butterflies", "--workspace", str(ws), "classify", "Z2", "Z2", "--oracle"])
+        assert main() == 0
+        assert capsys.readouterr().out.endswith("oracle classes: 2 (agree)\n")
+        monkeypatch.setattr(sys, "argv", ["butterflies", "--workspace", str(ws), "classify", "Z2"])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == 2
+        assert cli.build_parser.cache_info().misses == built
 
     def test_no_parser_built_after_the_first_call(self, ws, monkeypatch):
         assert run(ws, "store", "ls") == 0
