@@ -30,6 +30,7 @@ from .fingroup import (
     _Trusted,
     _generator_images,
     _is_pullback,
+    _kept,
     _per_operand,
     _run_memo,
     _twisted_index,
@@ -165,7 +166,7 @@ def _check_triangles(m: Sequence[int], legs, legs2) -> None:
 # identity, composition, flips
 
 
-@_per_operand
+@_kept
 def identity_butterfly(X: CrossedModule) -> Butterfly:
     """The identity butterfly: E is the arrow group of X, wings are the two
     kernel embeddings, legs are target and source."""

@@ -25,8 +25,9 @@ from .errors import BoundExceeded, CodomainMismatch, ConstructionError, NotAGrou
 
 DEFAULT_BOUND = 24
 AUT_LIMIT = 336  # the most automorphisms automorphism_group tabulates, |Aut(Z2xZ2xZ2xZ3)|
-# the innermost _run_memo() scope's memo, None outside one; each entry keeps alive
-# the objects whose ids its key holds, so no id in a key is reused while the memo lives
+# the innermost _run_memo() scope's memo, None outside one: a crossed module keeps what is
+# derived from it alone (_kept), and everything else memoized lives one run; each entry keeps
+# alive the objects whose ids its key holds, so no id in a key is reused while the memo lives
 _memo: ContextVar[Optional[dict]] = ContextVar("_memo", default=None)
 
 
@@ -52,6 +53,22 @@ def _per_operand(f):
         return (memo.get(key) or memo.setdefault(key, (f(*operands), operands)))[0]
 
     return memoized
+
+
+def _kept(f):
+    """``f`` of one crossed module X, kept in X's ``__dict__`` as a group keeps its generator
+    columns, in a run scope or outside one.  An entry records the names of X and of its
+    groups and is rebuilt when they change, so it is what a new call returns, names included."""
+
+    @wraps(f)
+    def kept(X):
+        names, memo = (X.name, X.G.name, X.G0.name), X.__dict__.setdefault("_kept", {})
+        entry = memo.get(f)
+        if entry is None or entry[0] != names:
+            entry = memo[f] = (names, f(X))
+        return entry[1]
+
+    return kept
 
 
 def _once(key: tuple, build: Callable[[], Any]) -> Any:
@@ -517,17 +534,19 @@ def quotient(G: FinGroup, N: Subgroup) -> tuple[FinGroup, GroupHom]:
 PairMap = Callable[[Sequence[int], Sequence[int]], tuple[int, ...]]
 
 
-@_per_operand
 def product_and_pullback(f: GroupHom, g: GroupHom) -> tuple[FinGroup, GroupHom, GroupHom, PairMap]:
     """The pullback {(a,c) : f(a)=g(c)} with its two projections and its pair
     map: ``pair(us, vs)`` is the element (u, v) of the pullback for each u, v
     of two equal-length sequences, the map into the pullback that (us, vs) induce.
+    In a run scope, built once per pair of domain groups and of map values: the codomains,
+    once checked, do not enter it, and the projections keep the keyed domains alive.
 
     Taking both maps into the trivial group yields the direct product.
     """
     if f.cod != g.cod:
         raise CodomainMismatch(f"codomains differ: {f.cod.name} vs {g.cod.name}")
-    return _pullback(f, g, f"PB({f.dom.name},{g.dom.name})")
+    key = (product_and_pullback, id(f.dom), id(g.dom), f.map, g.map)
+    return _once(key, lambda: _pullback(f, g, f"PB({f.dom.name},{g.dom.name})"))
 
 
 def _pullback(f: GroupHom, g: GroupHom, name: str) -> tuple[FinGroup, GroupHom, GroupHom, PairMap]:

@@ -5,11 +5,12 @@ laws of reduced composition, and the fraction conditions EF0 - EF3.
 Every failure replays: its witness's records, loaded into a ``FixtureSet``
 with the run's seed and bound, fail that check again under the run's fault.
 A fault-injection mode exists solely to prove the suites can fail.
-Within one fixture build or suite run (a ``_run_memo()`` scope) each
-operand's derived structure, and each Hom set, is built once; the memo dies
-with the run.  A bicategory run also interns its composites by value, names
-left out, and through the same memo makes each composite, and searches each
-pair for a witness, once.
+A crossed module keeps what is derived from it alone (``_kept``); everything
+else lives one run: within one fixture build or suite run (a ``_run_memo()``
+scope) each morphism's split, each pullback and each Hom set is built once,
+and the memo dies with the run.  A bicategory run also interns its composites
+by value, names left out, and through the same memo makes each composite, and
+searches each pair for a witness, once.
 """
 
 from __future__ import annotations
@@ -308,8 +309,9 @@ def run_bicategory_suite(fx: FixtureSet, fault: str | None = None) -> SuiteRepor
 
 def _value(B: Butterfly) -> tuple:
     """What a butterfly is, without the names of E and its elements: composites
-    equal by value have different names, and no report carries a composite."""
-    return B.dom, B.cod, B.E.table, *_legs(B)
+    equal by value have different names, and no report carries a composite.
+    E stands for its table, as groups are equal by table, and keeps its hash."""
+    return B.dom, B.cod, B.E, *_legs(B)
 
 
 def _bracketings(composer, B1: Butterfly, B2: Butterfly, B3: Butterfly) -> tuple[Butterfly, Butterfly]:

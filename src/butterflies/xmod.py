@@ -37,6 +37,7 @@ from .fingroup import (
     _generator_images,
     _generators,
     _hom_defect,
+    _kept,
     _maps_into,
     _per_operand,
     _twisted_index,
@@ -169,6 +170,7 @@ def validate_xmod_morphism(P: XModMorphism) -> ValidationReport:
     return report
 
 
+@_kept
 def identity_morphism(X: CrossedModule) -> XModMorphism:
     return XModMorphism(X, X, identity_hom(X.G), identity_hom(X.G0))
 
@@ -330,14 +332,14 @@ def denormalize(X: CrossedModule) -> Strict2Group:
     return Strict2Group(S, X.G0, d, c, e)
 
 
-@_per_operand
+@_kept
 def kernel_embedding(X: CrossedModule) -> GroupHom:
     """The inclusion g: G -> G1 of the arrow group's c-kernel, a |-> a / 1 = (a, 1)."""
     n = X.G.order
     return GroupHom._trusted(X.G, denormalize(X).G1, pointwise_division_arrow(X, range(n), (0,) * n))
 
 
-@_per_operand
+@_kept
 def cokernel_embedding(X: CrossedModule) -> GroupHom:
     """The d-kernel inclusion g-bullet: G -> G1, a |-> 1 / a = (a^-1, d(a))."""
     n = X.G.order
@@ -397,12 +399,12 @@ def denormalization_round_trip_iso(T: Strict2Group) -> Optional[TwoGroupFunctor]
 # weak equivalences and pullbacks
 
 
-@_per_operand
+@_kept
 def kernel_of_boundary(X: CrossedModule) -> tuple[FinGroup, GroupHom]:
     return kernel(X.boundary).as_group(f"ker({X.name or X.G.name})")
 
 
-@_per_operand
+@_kept
 def cokernel_of_boundary(X: CrossedModule) -> tuple[FinGroup, GroupHom]:
     """G0 / image(boundary); the image is normal by the precrossed condition."""
     image = Subgroup._trusted(X.G0, tuple(sorted(set(X.boundary.map))))
